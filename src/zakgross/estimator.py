@@ -9,8 +9,8 @@ negativity): every single-sample contribution to a bin is exactly -M, 0, or
 
 so that each fixed bin estimate is within epsilon of truth except with
 probability delta_fail. One sample stream serves all bins at once; the bound
-still holds per bin. Samples are generated in fixed-size streams seeded
-through SeedSequence.spawn, so a run is reproducible for a given seed
+still holds per bin. Samples come from wigner.seed_streams, equal streams
+seeded through SeedSequence.spawn, so a run is reproducible for a given seed
 regardless of how streams are assigned to workers.
 """
 from __future__ import annotations
@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import MeasurementSpec, bin_of_position
-from .wigner import WignerState
+from .measure import MeasurementSpec, bin_of_position, lattice_bins
+from .wigner import WignerState, seed_streams
 
 MAX_SAMPLES = 200_000_000
-STREAM_SIZE = 100_000
 
 
 class InfeasiblePlan(ValueError):
@@ -119,18 +118,18 @@ def estimate(
     pos = np.zeros(flat_bins, dtype=np.int64)
     neg = np.zeros(flat_bins, dtype=np.int64)
 
-    n_streams = max(1, math.ceil(est_plan.n_samples / STREAM_SIZE))
-    streams = np.random.SeedSequence(seed).spawn(n_streams)
-    counts = _stream_sizes(est_plan.n_samples, n_streams)
+    streams = seed_streams(seed, est_plan.n_samples)
 
     if state.is_ideal():
-        joint, probs, signs = _ideal_tabulate(state, spec)
+        joint, weights = lattice_bins(state, spec)
+        probs = np.abs(weights) / np.abs(weights).sum()
+        positive = weights > 0
 
         def run_stream(seq, size):
             rng = np.random.default_rng(seq)
             draw = rng.choice(len(probs), size=size, p=probs)
             picked = joint[draw]
-            spos = signs[draw] > 0
+            spos = positive[draw]
             return (
                 np.bincount(picked[spos], minlength=flat_bins),
                 np.bincount(picked[~spos], minlength=flat_bins),
@@ -154,11 +153,11 @@ def estimate(
 
     # streams are seed-indexed, counts integer: the reduction is exact and
     # order-independent, so threading cannot change the result
-    if threads > 1 and len(counts) > 1:
+    if threads > 1 and len(streams) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_stream, streams, counts))
+            results = list(pool.map(run_stream, *zip(*streams)))
     else:
-        results = [run_stream(sq, sz) for sq, sz in zip(streams, counts)]
+        results = [run_stream(sq, sz) for sq, sz in streams]
     for pos_part, neg_part in results:
         pos += pos_part
         neg += neg_part
@@ -178,28 +177,3 @@ def estimate(
         seed=seed,
         wall_time_s=time.perf_counter() - t0,
     )
-
-
-def _stream_sizes(total: int, n_streams: int) -> list:
-    base = total // n_streams
-    sizes = [base] * n_streams
-    for i in range(total - base * n_streams):
-        sizes[i] += 1
-    return sizes
-
-
-def _ideal_tabulate(state: WignerState, spec: MeasurementSpec):
-    """Joint bin index, |weight| distribution, and sign per support point."""
-    d = state.params.d
-    k = spec.K
-    m2, weights = state.lattice_support()
-    pushed = state.amap.push_lattice_half(m2)
-    joint = np.zeros(len(weights), dtype=np.int64)
-    for mode in spec.measured_modes:
-        col = np.mod(pushed[:, mode], 2 * d)
-        bins = np.array([(int(v) * k) // (2 * d) for v in col], dtype=np.int64)
-        joint = joint * k + bins
-    absw = np.abs(weights)
-    probs = absw / absw.sum()
-    signs = np.sign(weights).astype(np.int64)
-    return joint, probs, signs

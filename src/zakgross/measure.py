@@ -111,24 +111,31 @@ def exact_probabilities_ideal(
 ) -> np.ndarray:
     """Integer-exact outcome table for an all-ideal state."""
     _check_spec(state, spec)
-    if not state.is_ideal():
-        raise ValueError("ideal path requires all-ideal factors")
-    d = state.params.d
-    k = spec.K
-    m2, weights = state.lattice_support()
-    pushed = state.amap.push_lattice_half(m2)
-    table = np.zeros(spec.table_shape())
-    cols = pushed[:, list(spec.measured_modes)]
-    folded = np.mod(cols, 2 * d)
-    bins = np.empty(folded.shape, dtype=int)
-    for idx in np.ndindex(folded.shape):
-        bins[idx] = (int(folded[idx]) * k) // (2 * d)
-    np.add.at(table, tuple(bins[:, i] for i in range(bins.shape[1])), weights)
+    joint, weights = lattice_bins(state, spec)
+    shape = spec.table_shape()
+    flat = np.bincount(joint, weights=weights, minlength=math.prod(shape))
+    table = flat.reshape(shape)
     total = table.sum()
     assert abs(total - 1.0) < 1e-12, f"ideal probabilities sum to {total}"
     low = table.min()
     assert low > -1e-9, f"negative exact probability {low}"
     return np.clip(table, 0.0, None)
+
+
+def lattice_bins(state: WignerState, spec: MeasurementSpec):
+    """Flat joint bin index and signed weight of each lattice support point.
+
+    The joint index is row-major over spec.measured_modes. Support points are
+    pushed in exact integers (units of ell/2) and folded mod 2d, one period,
+    before they are binned, so no point lands on the wrong side of an edge.
+    Raises ValueError unless every factor is ideal.
+    """
+    d = state.params.d
+    m2, weights = state.lattice_support()
+    pushed = state.amap.push_lattice_half(m2)
+    folded = np.mod(pushed[:, list(spec.measured_modes)], 2 * d).astype(np.int64)
+    bins = folded * spec.K // (2 * d)
+    return np.ravel_multi_index(tuple(bins.T), spec.table_shape()), weights
 
 
 def quadrature_probabilities(

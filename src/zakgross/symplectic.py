@@ -220,10 +220,12 @@ def shift_over_ell(S: IntSymplectic, params: CodeParams) -> tuple:
 class AffineMap:
     """Accumulated phase-space action of a gate word.
 
-    Evaluation pulls back: W_out(eta) = W_in(S (eta - ell c) - t), where
-    t is re-derived from S. Support pushes forward by
-    eta -> S^{-1}(eta + t) + ell c. c is an exact tuple of Fractions and
-    stays half-integer for every word over the generator set.
+    Support pushes forward by eta -> S^{-1} eta + ell c, and evaluation
+    pulls back: W_out(eta) = W_in(S (eta - ell c)). c is the whole push
+    offset in units of ell: each op's own offset plus its covariance shift
+    S^{-1} t(S) / ell = (d/2) Omega^{-1} t_bar(S), folded in once when the
+    op is composed. c is an exact tuple of Fractions and stays half-integer
+    for every word over the generator set.
     """
 
     S: IntSymplectic
@@ -255,56 +257,44 @@ class AffineMap:
         return self.then_affine(IntSymplectic.identity(n), c)
 
     def then_affine(self, sg: IntSymplectic, cg) -> "AffineMap":
-        params = self.params
-        s_new = self.S @ sg
-        t_old = shift_over_ell(self.S, params)
-        t_new = shift_over_ell(s_new, params)
-        t_g = shift_over_ell(sg, params)
-        sg_inv = sg.inverse().mat
-        snew_inv = s_new.inverse().mat
-        term1 = _mat_frac_vec(snew_inv, [a - b for a, b in zip(t_old, t_new)])
-        term2 = _mat_frac_vec(sg_inv, [a + b for a, b in zip(self.c, t_g)])
-        c_new = tuple(t1 + t2 + g for t1, t2, g in zip(term1, term2, cg))
-        return AffineMap(s_new, c_new, params)
+        """Compose with a further op (sg, cg): plain affine composition.
+
+        S -> S sg and c -> sg^{-1} c + cg + (d/2) Omega^{-1} t_bar(sg).
+        """
+        n = self.params.n
+        half_d = Fraction(self.params.d, 2)
+        tb = t_bar(sg)
+        own = np.concatenate([-tb[n:], tb[:n]])  # Omega^{-1} t_bar; Omega^{-1} = -Omega
+        moved = _mat_frac_vec(sg.inverse().mat, self.c)
+        c_new = tuple(m + g + half_d * int(o) for m, g, o in zip(moved, cg, own))
+        return AffineMap(self.S @ sg, c_new, self.params)
 
     # -- evaluation and transport helpers --
 
     def pullback(self, eta: np.ndarray) -> np.ndarray:
-        """Map output-frame points (..., 2n) to input-frame points."""
-        params = self.params
+        """Map output-frame points (..., 2n) to input-frame points: S (eta - ell c)."""
         eta = np.asarray(eta, dtype=float)
         c = np.array([float(x) for x in self.c])
-        t = np.array([float(x) for x in shift_over_ell(self.S, params)]) * params.ell
-        return (eta - params.ell * c) @ self.S.as_float().T - t
+        return (eta - self.params.ell * c) @ self.S.as_float().T
 
     def push_float(self, eta: np.ndarray) -> np.ndarray:
-        """Forward transport of points (..., 2n): S^{-1}(eta + t) + ell c."""
-        params = self.params
+        """Forward transport of points (..., 2n): S^{-1} eta + ell c."""
         eta = np.asarray(eta, dtype=float)
         c = np.array([float(x) for x in self.c])
-        t = np.array([float(x) for x in shift_over_ell(self.S, params)]) * params.ell
-        s_inv = self.S.inverse().as_float()
-        return (eta + t) @ s_inv.T + params.ell * c
+        return eta @ self.S.inverse().as_float().T + self.params.ell * c
 
     def push_lattice_half(self, m2: np.ndarray) -> np.ndarray:
         """Push support points given in units of ell/2 forward, exactly.
 
-        m2 holds integers; the result is integer because t/ell is a
-        multiple of d/2 and c is half-integer.
+        m2 holds integers; the result is integer when c is half-integer,
+        and NotInteger is raised otherwise.
         """
-        m2 = np.asarray(m2)
-        two_t = [2 * x for x in shift_over_ell(self.S, self.params)]
         two_c = [2 * x for x in self.c]
-        if any(x.denominator != 1 for x in two_t) or any(
-            x.denominator != 1 for x in two_c
-        ):
+        if any(x.denominator != 1 for x in two_c):
             raise NotInteger("affine offset is not half-integer; cannot use lattice path")
-        tt = np.array([int(x) for x in two_t], dtype=object)
         cc = np.array([int(x) for x in two_c], dtype=object)
         s_inv = self.S.inverse().mat
-        shifted = m2.astype(object) + tt
-        pushed = np.einsum("ij,...j->...i", s_inv, shifted) + cc
-        return pushed
+        return np.einsum("ij,...j->...i", s_inv, np.asarray(m2).astype(object)) + cc
 
     def is_half_integer(self) -> bool:
         return all((2 * x).denominator == 1 for x in self.c)
@@ -320,10 +310,6 @@ def word_symplectic(gates, params: CodeParams) -> IntSymplectic:
 
 
 # ---- decomposition into generator words --------------------------------------
-
-def _xrow(r):
-    return r
-
 
 def decompose(S: IntSymplectic) -> list:
     """Return a temporal gate word whose accumulated S equals the input exactly.

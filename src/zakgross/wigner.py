@@ -24,6 +24,7 @@ from .symplectic import AffineMap, IntSymplectic
 from .theta import CodeState, code_state_norm, wigner_theta, wigner_theta_grid
 
 _NEGATIVITY_CACHE = {}
+MAX_STREAM = 100_000  # draws per seed stream at most
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class RealisticFactor:
         return wigner_theta_grid(self.state, eta_x, eta_z) / (self.d * self.norm)
 
     def negativity(self, tol: float = 1e-6) -> float:
-        key = (self.state.d, self.state.delta, self.state.eps, round(-math.log10(tol)))
+        key = (self.state.d, self.state.delta, self.state.eps, tol)
         if key not in _NEGATIVITY_CACHE:
             _NEGATIVITY_CACHE[key] = _abs_integral(self, tol)
         return _NEGATIVITY_CACHE[key]
@@ -133,14 +134,6 @@ class WignerState:
     # -- constructors --
 
     @classmethod
-    def ideal_logical(cls, params: CodeParams, kets) -> "WignerState":
-        kets = list(kets)
-        if len(kets) != params.n:
-            raise ValueError(f"need {params.n} logical kets, got {len(kets)}")
-        factors = tuple(IdealFactor.logical(params.d, int(j)) for j in kets)
-        return cls(params, factors, AffineMap.identity(params))
-
-    @classmethod
     def from_factors(cls, params: CodeParams, factors) -> "WignerState":
         return cls(params, tuple(factors), AffineMap.identity(params))
 
@@ -161,7 +154,7 @@ class WignerState:
     def apply_symplectic(self, s_mat) -> "WignerState":
         """Apply the Gaussian action of an explicit integer symplectic matrix.
 
-        The covariance shift is re-derived from the composed matrix; no
+        The matrix's covariance shift is folded into the map's offset; no
         extra half-lattice offset is added (generator gates carry their own
         offsets through their tagged constructors instead).
         """
@@ -279,7 +272,7 @@ def ideal_input(params: CodeParams, kets) -> WignerState:
             factors.append(IdealFactor.logical(params.d, int(e)))
         else:
             factors.append(IdealFactor.from_density_matrix(single, np.asarray(e)))
-    return WignerState(params, tuple(factors), AffineMap.identity(params))
+    return WignerState.from_factors(params, factors)
 
 
 def realistic_input(params: CodeParams, states) -> WignerState:
@@ -287,32 +280,36 @@ def realistic_input(params: CodeParams, states) -> WignerState:
     states = list(states)
     if len(states) != params.n:
         raise ValueError(f"need {params.n} mode states, got {len(states)}")
-    factors = tuple(RealisticFactor.make(s) for s in states)
-    return WignerState(params, factors, AffineMap.identity(params))
+    return WignerState.from_factors(params, (RealisticFactor.make(s) for s in states))
+
+
+def seed_streams(seed: int, total: int) -> list:
+    """Split `total` draws into seed streams [(SeedSequence, count)].
+
+    ceil(total / MAX_STREAM) streams of equal size (the first total % n_streams
+    take one extra), seeded by SeedSequence(seed).spawn. The split depends only
+    on (seed, total), so results do not depend on how streams meet workers.
+    """
+    n_streams = max(1, math.ceil(total / MAX_STREAM))
+    base, extra = divmod(total, n_streams)
+    seqs = np.random.SeedSequence(seed).spawn(n_streams)
+    return [(seq, base + (i < extra)) for i, seq in enumerate(seqs)]
 
 
 def sample_abs(state: WignerState, seed: int, count: int):
     """Draw (output-frame points (N, 2n), signs (N,)) from |W|/M.
 
-    Deterministic per seed: samples come in fixed 100k streams seeded by
-    SeedSequence.spawn, concatenated in stream order.
+    Deterministic per seed: the seed_streams draws, concatenated in stream
+    order.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     sampler = state.sampler()
-    stream = 100_000
-    n_streams = max(1, math.ceil(count / stream))
-    seqs = np.random.SeedSequence(seed).spawn(n_streams)
-    pts, sgs = [], []
-    left = count
-    for seq in seqs:
-        take = min(stream, left)
-        rng = np.random.default_rng(seq)
-        p, s = sampler(take, rng)
-        pts.append(p)
-        sgs.append(s)
-        left -= take
-    return np.vstack(pts), np.concatenate(sgs)
+    draws = [
+        sampler(size, np.random.default_rng(seq))
+        for seq, size in seed_streams(seed, count)
+    ]
+    return np.vstack([p for p, _ in draws]), np.concatenate([s for _, s in draws])
 
 
 def _ideal_comb_value(factor: IdealFactor, coords: np.ndarray, ell: float):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from zakgross.estimator import EstimatePlan, estimate, plan
-from zakgross.measure import MeasurementSpec, exact_probabilities
+from zakgross.measure import MeasurementSpec, bin_of_position, exact_probabilities
 from zakgross.qudit import CodeParams, Gate
 from zakgross.theta import CodeState
-from zakgross.wigner import ideal_input, realistic_input
+from zakgross.wigner import ideal_input, realistic_input, sample_abs
 
 
 def bell_state():
@@ -102,6 +102,19 @@ def test_realistic_estimate_matches_quadrature():
     pl = plan(0.05, 0.1, st.negativity())
     rep = estimate(st, spec, pl, seed=17)
     assert np.max(np.abs(rep.probabilities - exact)) <= pl.epsilon
+
+
+def test_realistic_estimate_is_signed_count_of_sample_abs_draws():
+    # estimate and sample_abs draw from the same seed streams
+    params = CodeParams(3, 1)
+    st = realistic_input(params, [CodeState.logical(3, 0, 0.3)])
+    spec = MeasurementSpec.from_params(params, (0,), 3)
+    m, n = st.negativity(), 3000
+    rep = estimate(st, spec, EstimatePlan(n, m, 0.1, 0.1), seed=9)
+    pts, signs = sample_abs(st, 9, n)
+    bins = bin_of_position(pts[:, 0], spec.period, spec.K)
+    signed = np.bincount(bins, weights=signs, minlength=spec.K)
+    assert np.array_equal(rep.probabilities, signed * m / n)
 
 
 def test_report_serializes_and_clamps():

@@ -222,6 +222,31 @@ def test_affine_composition_matches_sequential_pullback():
     assert np.allclose(m12.pullback(eta), m1.pullback(m2only.pullback(eta)), atol=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([3, 5, 7, 9]))
+def test_explicit_op_pullback_matches_covariance_shift(seed, d):
+    # shift_over_ell is the reference: one op S pulls back by S eta - t(S)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    p = CodeParams(d, n)
+    s = word_symplectic(random_word(rng, n, int(rng.integers(1, 9))), p)
+    zero = tuple([Fraction(0)] * (2 * n))
+    m = AffineMap.identity(p).then_affine(s, zero)
+    eta = rng.normal(size=(7, 2 * n))
+    t = np.array([float(x) for x in shift_over_ell(s, p)]) * p.ell
+    want = eta @ s.as_float().T - t
+    got = m.pullback(eta)
+    assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
+
+
+def test_push_lattice_rejects_non_half_integer_offset():
+    p = CodeParams(3, 1)
+    m = AffineMap.identity(p).then_displacement([0.25, 0])
+    assert not m.is_half_integer()
+    with pytest.raises(NotInteger):
+        m.push_lattice_half(np.array([0, 0], dtype=object))
+
+
 def test_then_displacement_validates_length():
     p = CodeParams(3, 1)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zakgross import wigner
 from zakgross.qudit import CodeParams, Gate
 from zakgross.symplectic import IntSymplectic, generator_symplectic
 from zakgross.theta import CodeState
@@ -11,6 +12,7 @@ from zakgross.wigner import (
     ideal_input,
     realistic_input,
     sample_abs,
+    seed_streams,
 )
 
 
@@ -125,6 +127,34 @@ def test_displacement_roundtrip_restores_identity():
     fwd = st.apply_displacement([1, 2, 0, 1]).apply_displacement([-1, -2, 0, -1])
     assert np.array_equal(fwd.amap.S.mat, np.eye(4, dtype=object))
     assert all(x == 0 for x in fwd.amap.c)
+
+
+def test_negativity_cache_keys_on_exact_tolerance(monkeypatch):
+    # a value settled to a looser tol must not serve a tighter one
+    calls = []
+
+    def fake_abs_integral(factor, tol):
+        calls.append(tol)
+        return 1.0 + tol
+
+    monkeypatch.setattr(wigner, "_abs_integral", fake_abs_integral)
+    monkeypatch.setattr(wigner, "_NEGATIVITY_CACHE", {})
+    f = RealisticFactor.make(CodeState.logical(3, 0, 0.45))
+    for tol in (2e-6, 1e-6, 5e-7, 5e-7):
+        assert f.negativity(tol) == 1.0 + tol
+    assert calls == [2e-6, 1e-6, 5e-7]
+
+
+def test_seed_streams_split_equally_and_repeat():
+    streams = seed_streams(4, 250_001)
+    sizes = [size for _seq, size in streams]
+    assert len(streams) == 3 and sum(sizes) == 250_001
+    assert max(sizes) <= 100_000 and max(sizes) - min(sizes) <= 1
+    again = seed_streams(4, 250_001)
+    assert [size for _seq, size in again] == sizes
+    for (a, _), (b, _) in zip(streams, again):
+        assert np.array_equal(a.generate_state(4), b.generate_state(4))
+    assert [size for _seq, size in seed_streams(4, 100_000)] == [100_000]
 
 
 def test_ideal_sampler_uniform_support():

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import MeasurementSpec, bin_of_position, lattice_bins
+from .measure import MeasurementSpec, _check_spec, bin_of_position, lattice_bins
 from .wigner import WignerState, seed_streams
 
 MAX_SAMPLES = 200_000_000
@@ -106,11 +106,7 @@ def estimate(
     seed: int,
     threads: int = 1,
 ) -> EstimateReport:
-    n_modes = state.params.n
-    if any(m >= n_modes for m in spec.measured_modes):
-        raise ValueError(
-            f"measured modes {spec.measured_modes} out of range for n={n_modes}"
-        )
+    _check_spec(state, spec)
     t0 = time.perf_counter()
     k = spec.K
     shape = spec.table_shape()

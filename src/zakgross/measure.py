@@ -132,8 +132,8 @@ def lattice_bins(state: WignerState, spec: MeasurementSpec):
     """
     d = state.params.d
     m2, weights = state.lattice_support()
-    pushed = state.amap.push_lattice_half(m2)
-    folded = np.mod(pushed[:, list(spec.measured_modes)], 2 * d).astype(np.int64)
+    pushed = state.amap.push_lattice_half(m2, spec.measured_modes)
+    folded = np.mod(pushed, 2 * d).astype(np.int64)
     bins = folded * spec.K // (2 * d)
     return np.ravel_multi_index(tuple(bins.T), spec.table_shape()), weights
 

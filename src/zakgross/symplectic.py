@@ -283,17 +283,18 @@ class AffineMap:
         c = np.array([float(x) for x in self.c])
         return eta @ self.S.inverse().as_float().T + self.params.ell * c
 
-    def push_lattice_half(self, m2: np.ndarray) -> np.ndarray:
+    def push_lattice_half(self, m2: np.ndarray, rows) -> np.ndarray:
         """Push support points given in units of ell/2 forward, exactly.
 
-        m2 holds integers; the result is integer when c is half-integer,
-        and NotInteger is raised otherwise.
+        Returns only the output coordinates listed in rows, shape
+        (..., len(rows)). m2 holds integers; the result is integer when c is
+        half-integer, and NotInteger is raised otherwise.
         """
-        two_c = [2 * x for x in self.c]
-        if any(x.denominator != 1 for x in two_c):
+        if not self.is_half_integer():
             raise NotInteger("affine offset is not half-integer; cannot use lattice path")
-        cc = np.array([int(x) for x in two_c], dtype=object)
-        s_inv = self.S.inverse().mat
+        rows = list(rows)
+        cc = np.array([int(2 * self.c[r]) for r in rows], dtype=object)
+        s_inv = self.S.inverse().mat[rows]
         return np.einsum("ij,...j->...i", s_inv, np.asarray(m2).astype(object)) + cc
 
     def is_half_integer(self) -> bool:

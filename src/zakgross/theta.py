@@ -8,13 +8,17 @@ the returned pair (value, log_scale) means value * exp(log_scale), where value
 is O(1). Truncation boxes are centered on the maximizer of the summand's
 magnitude, which sits at t = -Im(Gamma)^{-1} Im(z) / 1, not at the origin.
 
-Two independent evaluation paths for the finite-squeezing code Wigner function
-live here: a factorized route (two coupled 2-dimensional theta sums per basis
-pair, fast enough for grids) and a literal 4-variable lattice oracle used to
-validate it.
+The finite-squeezing code Wigner function has two independent evaluation
+paths here. The fast one writes it, once per state, as one 2-D Fourier series
+over the (d ell)^2 cell, whose coefficients come from sub-lattice theta sums
+per basis pair and whose truncation is that of those sums; grids are one real
+matrix product on it, scattered points a row-wise dot product. A literal
+4-variable lattice oracle validates it.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,35 +57,26 @@ def _check_gamma(gamma: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def siegel_theta_batch(gamma, z0, offsets, tol: float = 1e-14):
-    """Evaluate theta(Gamma, z0 + x_k) for a batch of real offsets x_k.
+def _theta_terms(gamma, z0, tol: float):
+    """The truncated terms of theta(Gamma, z0 + x) for real x.
 
-    Returns (values, log_scale, radius): theta_k = values[k] * exp(log_scale).
-    All offsets must be real; the imaginary part of the argument is shared,
-    which is what makes one truncation box serve the whole batch.
+    Returns (t, q, log_scale, radius) with
+    theta(Gamma, z0 + x) = exp(log_scale) * sum_k q[k] exp(2 pi i t[k].x).
+    Only Im(z0) sets the box, so one set of terms serves every real offset.
     """
     gamma = _check_gamma(gamma)
     m = gamma.shape[0]
     z0 = np.asarray(z0, dtype=complex).reshape(m)
-    offsets = np.asarray(offsets, dtype=float)
-    if offsets.ndim == 1:
-        offsets = offsets[:, None] if m == 1 else offsets[None, :]
-    if offsets.shape[-1] != m:
-        raise ValueError(f"offsets must have last dimension {m}")
-    flat_off = offsets.reshape(-1, m)
 
     im = gamma.imag
     w = z0.imag
-    evals, _ = np.linalg.eigh(im)
-    lam_min = float(evals[0])
+    lam_min = float(np.linalg.eigvalsh(im)[0])
     mu = -np.linalg.solve(im, w)  # magnitude maximizer
     log_scale = math.pi * float(w @ np.linalg.solve(im, w))
 
     radius = int(math.ceil(math.sqrt(math.log(1.0 / tol) / (math.pi * lam_min)))) + 2
     if radius > MAX_RADIUS:
-        raise TruncationOverflow(
-            f"needed per-axis radius {radius} exceeds cap {MAX_RADIUS}"
-        )
+        raise TruncationOverflow(f"needed per-axis radius {radius} exceeds cap {MAX_RADIUS}")
     if (2 * radius + 1) ** m > MAX_TERMS:
         raise TruncationOverflow(
             f"lattice box of {(2 * radius + 1) ** m} points exceeds cap {MAX_TERMS}"
@@ -96,12 +91,30 @@ def siegel_theta_batch(gamma, z0, offsets, tol: float = 1e-14):
     quad = np.einsum("ti,ij,tj->t", t, gamma, t)
     expo = 1j * math.pi * quad + TWO_PI * 1j * (t @ z0) - log_scale
     keep = expo.real > math.log(tol) - 2.0
-    t = t[keep]
-    q = np.exp(expo[keep])
+    return t[keep], np.exp(expo[keep]), log_scale, radius
 
-    phases = np.exp(TWO_PI * 1j * (t @ flat_off.T))
-    vals = q @ phases
-    return vals.reshape(offsets.shape[:-1]), log_scale, radius
+
+def _sum_terms(t, q, offsets):
+    """sum_k q[k] exp(2 pi i t[k].x) at every row x of offsets (..., m)."""
+    flat = offsets.reshape(-1, t.shape[1])
+    return (q @ np.exp(TWO_PI * 1j * (t @ flat.T))).reshape(offsets.shape[:-1])
+
+
+def siegel_theta_batch(gamma, z0, offsets, tol: float = 1e-14):
+    """Evaluate theta(Gamma, z0 + x_k) for a batch of real offsets x_k.
+
+    Returns (values, log_scale, radius): theta_k = values[k] * exp(log_scale).
+    All offsets must be real; the imaginary part of the argument is shared,
+    which is what makes one truncation box serve the whole batch.
+    """
+    t, q, log_scale, radius = _theta_terms(gamma, z0, tol)
+    m = t.shape[1]
+    offsets = np.asarray(offsets, dtype=float)
+    if offsets.ndim == 1:
+        offsets = offsets[:, None] if m == 1 else offsets[None, :]
+    if offsets.shape[-1] != m:
+        raise ValueError(f"offsets must have last dimension {m}")
+    return _sum_terms(t, q, offsets), log_scale, radius
 
 
 def siegel_theta(gamma, z, tol: float = 1e-14):
@@ -120,30 +133,34 @@ def siegel_theta(gamma, z, tol: float = 1e-14):
     return complex(vals.reshape(-1)[0] * math.exp(log_scale)), radius
 
 
-def sublattice_theta_batch(gamma, z0, offsets, parity, tol: float = 1e-14):
-    """Sum over t congruent to parity mod 2 of the theta summand, batched.
+def _sublattice_terms(gamma, z0, parity, tol: float):
+    """The terms of the sum over t congruent to parity mod 2, for real x.
 
     Identity: sum_{t = p mod 2} = exp(i pi p.Gamma p + 2 pi i p.z) *
-    theta(4 Gamma, 2(Gamma p + z)). The k-dependent part of the prefactor
-    exp(2 pi i p.x_k) is folded into the returned values; the k-independent
-    magnitude goes into log_scale. Returns (values, log_scale, radius).
+    theta(4 Gamma, 2(Gamma p + z)). Returns (f, c, log_scale, radius) with
+    the sub-lattice sum at z0 + x equal to
+    exp(log_scale) * sum_k c[k] exp(2 pi i f[k].x), frequencies f = 2s + p.
     """
     gamma = _check_gamma(gamma)
     m = gamma.shape[0]
     z0 = np.asarray(z0, dtype=complex).reshape(m)
     p = np.asarray(parity, dtype=float).reshape(m)
-    offsets = np.asarray(offsets, dtype=float)
-    if offsets.shape[-1] != m:
-        raise ValueError(f"offsets must have last dimension {m}")
-
     pref_exp = 1j * math.pi * (p @ gamma @ p) + TWO_PI * 1j * (p @ z0)
-    inner_vals, inner_log, radius = siegel_theta_batch(
-        4.0 * gamma, 2.0 * (gamma @ p + z0), 2.0 * offsets, tol=tol
-    )
-    log_scale = inner_log + pref_exp.real
-    phase = np.exp(1j * pref_exp.imag)
-    kphase = np.exp(TWO_PI * 1j * (offsets @ p))
-    return phase * kphase * inner_vals, log_scale, radius
+    s, q, inner_log, radius = _theta_terms(4.0 * gamma, 2.0 * (gamma @ p + z0), tol)
+    return 2.0 * s + p, np.exp(1j * pref_exp.imag) * q, inner_log + pref_exp.real, radius
+
+
+def sublattice_theta_batch(gamma, z0, offsets, parity, tol: float = 1e-14):
+    """Sum over t congruent to parity mod 2 of the theta summand, batched.
+
+    Returns (values, log_scale, radius): the sum at z0 + x_k is
+    values[k] * exp(log_scale); see _sublattice_terms for the identity.
+    """
+    offsets = np.asarray(offsets, dtype=float)
+    f, c, log_scale, radius = _sublattice_terms(gamma, z0, parity, tol)
+    if offsets.shape[-1] != f.shape[1]:
+        raise ValueError(f"offsets must have last dimension {f.shape[1]}")
+    return _sum_terms(f, c, offsets), log_scale, radius
 
 
 # ---- realistic code states ----------------------------------------------------
@@ -239,101 +256,83 @@ def _k_range(d, delta, ell, tol):
     return int(math.ceil((reach + d) / d)) + 1
 
 
-# -- factorized evaluation: per basis pair, two 2-D sub-lattice theta sums --
+# -- the series: per basis pair, 2-D sub-lattice theta sums, summed once --
 
 
 def _pair_blocks(state: CodeState, j: int, jp: int):
-    d, dl = state.d, state.delta
-    dd = dl * dl
-    dsum = j + jp
-    diff = j - jp
-    gamma_a = np.array(
-        [
-            [1j / (2 * d * dd), -1j / (2 * dd)],
-            [-1j / (2 * dd), 1j * d * (1.0 / dd + dd) / 2.0],
-        ]
-    )
-    za0 = np.array(
-        [-1j * diff / (2 * d * dd), 1j * diff * (1.0 / dd + dd) / 2.0]
-    )
-    gamma_b = np.array(
-        [
-            [1j * dd / (2 * d), 0.5],
-            [0.5, 1j * d * dd / 2.0],
-        ]
-    )
+    d, dd = state.d, state.delta ** 2
+    dsum, diff = j + jp, j - jp
+    gamma_a = 1j * np.array([[1 / (2 * d * dd), -1 / (2 * dd)],
+                             [-1 / (2 * dd), d * (1.0 / dd + dd) / 2.0]])
+    za0 = 1j * diff * np.array([-1 / (2 * d * dd), (1.0 / dd + dd) / 2.0])
+    gamma_b = np.array([[1j * dd / (2 * d), 0.5], [0.5, 1j * d * dd / 2.0]])
     zb0 = np.array([dsum / (2.0 * d) + 0j, 1j * dd * dsum / 2.0])
-    log_c = (
-        -math.pi * diff ** 2 / (2 * d * dd)
-        - math.pi * dd * (diff ** 2 + dsum ** 2) / (2 * d)
-    )
+    log_c = -math.pi * diff ** 2 / (2 * d * dd) - math.pi * dd * (diff ** 2 + dsum ** 2) / (2 * d)
     return gamma_a, za0, gamma_b, zb0, log_c
 
 
-def _wigner_theta_axes(state: CodeState, eta_x: np.ndarray, eta_z: np.ndarray,
-                       tol: float, combine_outer: bool):
-    """Shared engine: A-blocks depend on eta_z only, B-blocks on eta_x only.
+@functools.lru_cache(maxsize=64)
+def _series(state: CodeState, tol: float):
+    """The unnormalized Wigner function of state as one Fourier series.
 
-    combine_outer=True returns the full (len(eta_x), len(eta_z)) grid;
-    otherwise the two axes are paired elementwise (equal lengths required).
+    W(x, z) = Re sum_ab exp(-2 pi i kx[a] x / L) M[a, b] exp(2 pi i kz[b] z / L),
+    L = d ell, kx = -Kx..Kx, kz = -Kz..Kz. Per basis pair the A-blocks carry
+    z and the B-blocks x, each a sub-lattice theta sum at offset (z/L, 0) or
+    (-x/L, 0): a trigonometric polynomial with frequencies 2 s_0 + p_0.
+    Returns (M, kx, kz, L) with M read-only; cached per (state, tol).
     """
-    d, ell = state.d, state.ell
-    dl_ell = d * ell
-    off_a = np.stack([eta_z / dl_ell, np.zeros_like(eta_z)], axis=-1)
-    off_b = np.stack([-eta_x / dl_ell, np.zeros_like(eta_x)], axis=-1)
-
-    if combine_outer:
-        out = np.zeros((len(eta_x), len(eta_z)), dtype=complex)
-    else:
-        assert len(eta_x) == len(eta_z)
-        out = np.zeros(len(eta_x), dtype=complex)
-
-    for j in range(d):
-        for jp in range(d):
+    blocks = []  # (weight, x frequencies, x coefficients, z frequencies, z coefficients)
+    parities = [(p, sg) for p in (0, 1) for sg in (0, 1)]
+    for j in range(state.d):
+        for jp in range(state.d):
             coeff = np.conjugate(state.eps[j]) * state.eps[jp]
             if coeff == 0:
                 continue
             gamma_a, za0, gamma_b, zb0, log_c = _pair_blocks(state, j, jp)
-            a_vals = {}
-            a_logs = {}
-            b_vals = {}
-            b_logs = {}
-            for p1 in (0, 1):
-                for sg in (0, 1):
-                    a_vals[p1, sg], a_logs[p1, sg], _ = sublattice_theta_batch(
-                        gamma_a, za0, off_a, (p1, sg), tol=tol
-                    )
-                    b_vals[p1, sg], b_logs[p1, sg], _ = sublattice_theta_batch(
-                        gamma_b, zb0, off_b, (p1, sg), tol=tol
-                    )
-            acc = out * 0.0
-            for sg in (0, 1):
-                for p1 in (0, 1):
-                    for p2 in (0, 1):
-                        sign = -1.0 if (p1 * p2) % 2 else 1.0
-                        log_total = log_c + a_logs[p1, sg] + b_logs[p2, sg]
-                        if log_total > 600.0:
-                            raise TruncationOverflow(
-                                f"block scale exp({log_total:.0f}) out of range"
-                            )
-                        scale = math.exp(log_total)
-                        if scale == 0.0:
-                            continue
-                        if combine_outer:
-                            acc += (sign * scale) * np.outer(
-                                b_vals[p2, sg], a_vals[p1, sg]
-                            )
-                        else:
-                            acc += (sign * scale) * b_vals[p2, sg] * a_vals[p1, sg]
-            out += coeff * acc
-    pref = math.sqrt(math.pi) * state.delta / TWO_PI
-    res = pref * out
-    max_abs = float(np.max(np.abs(res))) if res.size else 0.0
-    if max_abs > 0 and float(np.max(np.abs(res.imag))) > 1e-8 * max_abs:
-        raise ValueError(
-            f"Wigner values have imaginary residue {np.max(np.abs(res.imag)):.2e}"
-        )
-    return res.real
+            a = {p: _sublattice_terms(gamma_a, za0, p, tol) for p in parities}
+            b = {p: _sublattice_terms(gamma_b, zb0, p, tol) for p in parities}
+            for (p1, sg), p2 in itertools.product(parities, (0, 1)):
+                fa, ca, log_a, _ = a[p1, sg]
+                fb, cb, log_b, _ = b[p2, sg]
+                log_total = log_c + log_a + log_b
+                if log_total > 600.0:
+                    raise TruncationOverflow(f"block scale exp({log_total:.0f}) out of range")
+                weight = coeff * (-1.0 if p1 * p2 else 1.0) * math.exp(log_total)
+                if weight != 0:
+                    blocks.append((weight, fb[:, 0], cb, fa[:, 0], ca))
+    kx_max = int(max((np.max(np.abs(blk[1])) for blk in blocks), default=0))
+    kz_max = int(max((np.max(np.abs(blk[3])) for blk in blocks), default=0))
+    m = np.zeros((2 * kx_max + 1, 2 * kz_max + 1), dtype=complex)
+    for weight, fb, cb, fa, ca in blocks:
+        bx = np.zeros(m.shape[0], dtype=complex)
+        az = np.zeros(m.shape[1], dtype=complex)
+        np.add.at(bx, fb.astype(int) + kx_max, cb)
+        np.add.at(az, fa.astype(int) + kz_max, ca)
+        m += weight * np.outer(bx, az)
+    m *= math.sqrt(math.pi) * state.delta / TWO_PI
+    m.setflags(write=False)
+    cell = state.d * state.ell
+    series = (m, np.arange(-kx_max, kx_max + 1.0), np.arange(-kz_max, kz_max + 1.0), cell)
+
+    # |Im W| <= residue at every point; the probe grid resolves every frequency
+    residue = 0.5 * float(np.abs(m - np.conjugate(m[::-1, ::-1])).sum())
+    probe = _series_grid(series, np.arange(m.shape[0]) * cell / m.shape[0],
+                         np.arange(m.shape[1]) * cell / m.shape[1])
+    if residue > 1e-8 * float(np.max(np.abs(probe))):
+        raise ValueError(f"Wigner series has imaginary residue {residue:.2e}")
+    return series
+
+
+def _series_axes(series, eta_x, eta_z):
+    """(E_x M, E_z): W = Re (E_x M) E_z^T on the grid, row-wise on point pairs."""
+    m, kx, kz, cell = series
+    ex = np.exp((-TWO_PI / cell) * 1j * np.outer(eta_x, kx))
+    return ex @ m, np.exp((TWO_PI / cell) * 1j * np.outer(eta_z, kz))
+
+
+def _series_grid(series, eta_x, eta_z) -> np.ndarray:
+    left, ez = _series_axes(series, eta_x, eta_z)
+    return np.hstack([left.real, -left.imag]) @ np.hstack([ez.real, ez.imag]).T
 
 
 def wigner_theta(state: CodeState, eta, tol: float = 1e-14) -> np.ndarray:
@@ -346,21 +345,22 @@ def wigner_theta(state: CodeState, eta, tol: float = 1e-14) -> np.ndarray:
     if eta.shape[-1] != 2:
         raise ValueError(f"eta must have last dimension 2, got {eta.shape}")
     flat = eta.reshape(-1, 2)
-    vals = _wigner_theta_axes(
-        state, flat[:, 0], flat[:, 1], tol=tol, combine_outer=False
-    )
+    series = _series(state, tol)
+    vals = np.empty(flat.shape[0])
+    for lo in range(0, flat.shape[0], 8192):
+        left, ez = _series_axes(series, flat[lo: lo + 8192, 0], flat[lo: lo + 8192, 1])
+        vals[lo: lo + 8192] = (left * ez).real.sum(axis=1)
     return vals.reshape(eta.shape[:-1])
 
 
 def wigner_theta_grid(state: CodeState, eta_x, eta_z, tol: float = 1e-14) -> np.ndarray:
     """Unnormalized Wigner values on the tensor grid eta_x (x) eta_z.
 
-    Shape (len(eta_x), len(eta_z)). Far cheaper than scattering the full grid
-    because each theta block depends on only one of the two axes.
+    Shape (len(eta_x), len(eta_z)): one real matrix product on the series.
     """
     eta_x = np.asarray(eta_x, dtype=float).ravel()
     eta_z = np.asarray(eta_z, dtype=float).ravel()
-    return _wigner_theta_axes(state, eta_x, eta_z, tol=tol, combine_outer=True)
+    return _series_grid(_series(state, tol), eta_x, eta_z)
 
 
 # -- literal 4-variable lattice oracle --

@@ -132,3 +132,14 @@ def test_estimate_rejects_bad_modes():
     spec = MeasurementSpec((5,), 3, params.torus_period)
     with pytest.raises(ValueError):
         estimate(st, spec, EstimatePlan(100, 1.0, 0.2, 0.2), seed=0)
+
+
+def test_estimate_rejects_period_mismatch():
+    # the same spec check as exact_probabilities: a wrong period is an error
+    params = CodeParams(3, 1)
+    st = ideal_input(params, [0])
+    spec = MeasurementSpec((0,), 3, 2 * params.torus_period)
+    with pytest.raises(ValueError, match="period"):
+        exact_probabilities(st, spec)
+    with pytest.raises(ValueError, match="period"):
+        estimate(st, spec, EstimatePlan(100, 1.0, 0.2, 0.2), seed=0)

@@ -176,14 +176,14 @@ def test_affine_single_phase_gate_pushforward():
     for mx in range(-2, 3):
         for mz in range(-2, 3):
             m2 = np.array([2 * mx, 2 * mz], dtype=object)  # units of ell/2
-            out = m.push_lattice_half(m2)
+            out = m.push_lattice_half(m2, range(2))
             assert list(out) == [2 * mx, 2 * (mx + mz)]
 
 
 def test_affine_x_z_displacements():
     p = CodeParams(3, 1)
     m = AffineMap.identity(p).then(Gate.x(0)).then(Gate.z(0))
-    out = m.push_lattice_half(np.array([0, 0], dtype=object))
+    out = m.push_lattice_half(np.array([0, 0], dtype=object), range(2))
     assert list(out) == [2, 2]
 
 
@@ -197,10 +197,22 @@ def test_affine_pullback_inverts_pushforward():
             m = m.then(g)
         assert m.is_half_integer()
         m2 = rng.integers(-6, 7, size=(4, 2 * p.n)).astype(object) * 2
-        pushed = m.push_lattice_half(m2)
+        pushed = m.push_lattice_half(m2, range(2 * p.n))
         eta_new = pushed.astype(float) * (p.ell / 2.0)
         back = m.pullback(eta_new)
         assert np.allclose(back, m2.astype(float) * p.ell / 2.0, atol=1e-9)
+
+
+def test_push_lattice_rows_select_output_coordinates():
+    p = CodeParams(5, 3)
+    rng = np.random.default_rng(17)
+    m = AffineMap.identity(p)
+    for g in random_word(rng, 3, 10) + [Gate.x(1), Gate.z(2)]:
+        m = m.then(g)
+    m2 = rng.integers(-6, 7, size=(5, 2 * p.n)).astype(object) * 2
+    full = m.push_lattice_half(m2, range(2 * p.n))
+    rows = (4, 0, 2)
+    assert np.array_equal(m.push_lattice_half(m2, rows), full[:, list(rows)])
 
 
 def test_affine_composition_matches_sequential_pullback():
@@ -244,7 +256,7 @@ def test_push_lattice_rejects_non_half_integer_offset():
     m = AffineMap.identity(p).then_displacement([0.25, 0])
     assert not m.is_half_integer()
     with pytest.raises(NotInteger):
-        m.push_lattice_half(np.array([0, 0], dtype=object))
+        m.push_lattice_half(np.array([0, 0], dtype=object), range(2))
 
 
 def test_then_displacement_validates_length():

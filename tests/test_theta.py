@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zakgross import theta
 from zakgross.theta import (
     CodeState,
     NotPositiveDefinite,
@@ -198,14 +199,43 @@ def test_theta_path_matches_oracle(delta, kind):
     assert np.max(np.abs(a - b)) < 1e-9 * scale
 
 
-def test_grid_matches_scatter():
-    state = CodeState.logical(3, 0, 0.35)
-    ex = np.array([0.1, 0.9, 2.2])
-    ez = np.array([0.0, 1.3])
+@pytest.mark.parametrize("kind", ["logical0", "phase"])
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+def test_grid_matches_scatter(d, kind):
+    state = (
+        CodeState.logical(d, 0, 0.35)
+        if kind == "logical0"
+        else CodeState.phase_state(d, 0.35)
+    )
+    cell = d * state.ell
+    ex = np.array([0.1, 0.9, 2.2, -0.7 * cell, 1.6 * cell])
+    ez = np.array([0.0, 1.3, -1.2 * cell, 2.1 * cell])
     grid = wigner_theta_grid(state, ex, ez)
-    pts = np.array([[x, z] for x in ex for z in ez]).reshape(3, 2, 2)
+    pts = np.array([[x, z] for x in ex for z in ez]).reshape(5, 4, 2)
     scatter = wigner_theta(state, pts)
     assert np.allclose(grid, scatter, rtol=1e-10, atol=1e-14)
+
+
+def test_equal_state_reuses_the_series():
+    theta._series.cache_clear()
+    wigner_theta(CodeState.phase_state(5, 0.4), [[0.2, 0.3]])
+    before = theta._series.cache_info()
+    wigner_theta(CodeState.phase_state(5, 0.4), [[1.2, -0.3]])
+    after = theta._series.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_broken_conjugate_symmetry_raises(monkeypatch):
+    original = theta._sublattice_terms
+
+    def skewed(*args, **kwargs):
+        f, c, log_scale, radius = original(*args, **kwargs)
+        return f, c * (1 + 0.1j), log_scale, radius
+
+    theta._series.cache_clear()
+    monkeypatch.setattr(theta, "_sublattice_terms", skewed)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        wigner_theta(CodeState.logical(3, 0, 0.3), [[0.0, 0.0]])
 
 
 def test_wigner_peaks_at_logical_support():

@@ -4,44 +4,18 @@ Runs the same two-mode stabilizer circuit across many seeds, compares each
 estimate against the dense-algebra reference, and reports the empirical
 failure rate (largest bin error above epsilon) next to the planned bound.
 The planned sample count is conservative, so the observed rate should sit
-far below delta_fail.
+far below delta_fail. The run itself is zakgross.oracles.calibration, the
+check behind acceptance criterion 6 and `zakgross verify`.
 """
 
 import argparse
 import math
 import sys
-import time
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from zakgross.estimator import estimate, plan
-from zakgross.measure import MeasurementSpec
-from zakgross.qudit import CodeParams, Gate, clifford_oracle_probabilities
-from zakgross.wigner import ideal_input
-
-
-@dataclass
-class CalibrationConfig:
-    d: int = 3
-    epsilon: float = 0.05
-    delta_fail: float = 0.1
-    n_seeds: int = 200
-    threads: int = 1
-
-
-def build_reference(cfg: CalibrationConfig):
-    params = CodeParams(d=cfg.d, n=2)
-    word = [Gate("F", (0,)), Gate("SUM", (0, 1)), Gate("P", (1,)), Gate("Z", (0,))]
-    disp = [0, 1, 2, 0]
-    state = ideal_input(params, [1, 0]).apply_word(word).apply_displacement(disp)
-    spec = MeasurementSpec.from_params(params, (0, 1), K=cfg.d)
-    oracle_gates = list(word) + [Gate("Z", (0,))] * disp[2] + [Gate("X", (1,))] * disp[1]
-    exact = clifford_oracle_probabilities(params, [1, 0], oracle_gates, (0, 1))
-    return state, spec, exact
+from zakgross.oracles import calibration
 
 
 def main(argv=None):
@@ -51,43 +25,19 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, default=200)
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
-    cfg = CalibrationConfig(
-        epsilon=args.epsilon,
-        delta_fail=args.delta_fail,
-        n_seeds=args.seeds,
-        threads=args.threads,
-    )
 
-    state, spec, exact = build_reference(cfg)
-    est_plan = plan(cfg.epsilon, cfg.delta_fail, state.negativity())
+    c = calibration(args.seeds, args.epsilon, args.delta_fail, threads=args.threads)
+    est_plan = c["plan"]
+    rate = c["fails"] / args.seeds
     print(f"# plan: {est_plan.n_samples} samples per seed (M = {est_plan.negativity:.6f})")
-
-    t0 = time.time()
-    fails = 0
-    worst = 0.0
-    err_sum = np.zeros_like(exact)
-    se_sq = np.zeros_like(exact)
-    for seed in range(cfg.n_seeds):
-        rep = estimate(state, spec, est_plan, seed=seed, threads=cfg.threads)
-        err = rep.probabilities - exact
-        err_sum += err
-        se_sq += np.square(rep.std_errors)
-        top = float(np.abs(err).max())
-        worst = max(worst, top)
-        if top > cfg.epsilon:
-            fails += 1
-    elapsed = time.time() - t0
-
-    rate = fails / cfg.n_seeds
-    pooled_se = np.sqrt(se_sq / cfg.n_seeds / cfg.n_seeds)
-    bias = float(np.abs(err_sum / cfg.n_seeds / np.maximum(pooled_se, 1e-15)).max())
-    print(f"# {cfg.n_seeds} seeds in {elapsed:.1f}s")
-    print(f"empirical failure rate: {rate:.4f} (planned bound {cfg.delta_fail})")
-    print(f"worst single-seed bin error: {worst:.5f} (epsilon {cfg.epsilon})")
-    print(f"largest pooled bias: {bias:.2f} standard errors")
-    hoeffding = 2.0 * math.exp(-cfg.epsilon ** 2 * est_plan.n_samples / (2.0 * est_plan.negativity ** 2))
+    print(f"# {args.seeds} seeds in {c['elapsed']:.1f}s")
+    print(f"empirical failure rate: {rate:.4f} (planned bound {args.delta_fail})")
+    print(f"worst single-seed bin error: {c['worst']:.5f} (epsilon {args.epsilon})")
+    print(f"largest pooled bias: {c['bias']:.2f} standard errors")
+    exponent = args.epsilon ** 2 * est_plan.n_samples / (2.0 * est_plan.negativity ** 2)
+    hoeffding = 2.0 * math.exp(-exponent)
     print(f"per-bin tail bound at this plan: {hoeffding:.2e}")
-    return 0 if rate <= cfg.delta_fail else 1
+    return 0 if rate <= args.delta_fail else 1
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ problem with its JSON path before giving up.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +65,24 @@ class CircuitSpec:
     estimator: dict | None
 
 
+def _reject_non_finite(name: str):
+    # json.loads accepts NaN, Infinity and -Infinity; none is a valid number here
+    raise SchemaError([f"at $: non-finite number {name} is not allowed"])
+
+
+def _finite_float(text: str) -> float:
+    # a literal such as 1e400 overflows to inf without being NaN or Infinity
+    val = float(text)
+    if not math.isfinite(val):
+        _reject_non_finite(text)
+    return val
+
+
 def parse_circuit(text: str) -> CircuitSpec:
     try:
-        doc = json.loads(text)
+        doc = json.loads(
+            text, parse_constant=_reject_non_finite, parse_float=_finite_float
+        )
     except json.JSONDecodeError as exc:
         raise SchemaError([f"at $: not valid JSON ({exc.msg} at line {exc.lineno})"])
     errors = []

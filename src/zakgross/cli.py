@@ -29,14 +29,13 @@ from .circuit_io import (
     sweep_csv,
 )
 from .estimator import InfeasiblePlan
-from .quadrature import QuadratureNotConverged, integrate_cell_2d
+from .quadrature import QuadratureNotConverged
 from .symplectic import (
     DecompositionFailed,
     IntSymplectic,
     NotInteger,
     NotSymplectic,
     decompose,
-    word_symplectic,
 )
 from .theta import CodeState, NotPositiveDefinite, TruncationOverflow
 from .wigner import RealisticFactor
@@ -124,108 +123,31 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .measure import MeasurementSpec, exact_probabilities_ideal
-    from .qudit import CodeParams, Gate, clifford_oracle_probabilities
-    from .theta import wigner_oracle, wigner_theta
-    from .wigner import ideal_input
+    from . import oracles
 
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    checks = []
-
-    def check(name, fn):
+    checks = [
+        ("gottesman-knill agreement", oracles.check_gottesman_knill, (rng, (3,), (2,), 20)),
+        ("theta vs direct-definition oracle", oracles.check_theta_oracle, ((0.3,), 5)),
+        ("normalization (cell integral = 1)", oracles.check_normalization, ((0.3,),)),
+        ("symplectic decompose round-trip", oracles.check_decompose_roundtrip, (rng, 20)),
+        ("estimator calibration", oracles.check_calibration, (10, 0.1, 0.2)),
+    ]
+    lines = []
+    failed = 0
+    for name, check, check_args in checks:
         try:
-            ok, detail = fn()
+            ok, detail = check(*check_args)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        checks.append(ok)
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-
-    def gk_agreement():
-        params = CodeParams(3, 2)
-        tags = ["F", "P", "SUM", "CZ", "X", "Z"]
-        worst = 0.0
-        for _ in range(20):
-            kets = [int(rng.integers(3)) for _ in range(2)]
-            word = []
-            for _ in range(int(rng.integers(1, 9))):
-                t = tags[int(rng.integers(len(tags)))]
-                i = int(rng.integers(2))
-                word.append(Gate(t, (i,) if t not in ("SUM", "CZ") else (i, 1 - i)))
-            st = ideal_input(params, kets).apply_word(word)
-            p = exact_probabilities_ideal(
-                st, MeasurementSpec.from_params(params, (0, 1), 3)
-            )
-            po = clifford_oracle_probabilities(params, kets, word, (0, 1))
-            worst = max(worst, float(np.max(np.abs(p - po))))
-        return worst < 1e-9, f"max deviation {worst:.2e} over 20 circuits"
-
-    def theta_oracle():
-        worst = 0.0
-        for state in (CodeState.logical(3, 0, 0.3), CodeState.phase_state(3, 0.3)):
-            period = 3 * state.ell
-            grid = (np.arange(5) + 0.5) * period / 5
-            eta = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
-            a = wigner_theta(state, eta)
-            b = wigner_oracle(state, eta)
-            scale = np.max(np.abs(b))
-            worst = max(worst, float(np.max(np.abs(a - b)) / scale))
-        return worst < 1e-6, f"max relative deviation {worst:.2e}"
-
-    def normalization():
-        factor = RealisticFactor.make(CodeState.logical(3, 0, 0.3))
-        period = 3 * factor.state.ell
-        edges = np.linspace(0.0, period, 7)
-        val, _err = integrate_cell_2d(
-            factor.wigner_grid, edges, edges, abs_tol=1e-8
-        )
-        return abs(val - 1.0) < 1e-5, f"cell integral {val:.8f}"
-
-    def decompose_roundtrip():
-        from .qudit import GATE_NAMES
-
-        params = CodeParams(3, 3)
-        tags = sorted(GATE_NAMES - {"X", "Z"})
-        for _ in range(20):
-            word = []
-            for _ in range(int(rng.integers(1, 13))):
-                t = tags[int(rng.integers(len(tags)))]
-                i = int(rng.integers(3))
-                if t.startswith(("SUM", "CZ")):
-                    j = int((i + 1 + rng.integers(2)) % 3)
-                    word.append(Gate(t, (i, j)))
-                else:
-                    word.append(Gate(t, (i,)))
-            s = word_symplectic(word, params)
-            again = word_symplectic(decompose(s), params)
-            if not np.array_equal(s.mat, again.mat):
-                return False, "recomposition mismatch"
-        return True, "20 random words recomposed exactly"
-
-    def estimator_determinism():
-        from . import estimator as est_mod
-        from .measure import MeasurementSpec
-
-        params = CodeParams(3, 2)
-        st = ideal_input(params, [0, 0]).apply_word(
-            [Gate.fourier(0), Gate.sum_(0, 1)]
-        )
-        spec = MeasurementSpec.from_params(params, (0, 1), 3)
-        pl = est_mod.plan(0.1, 0.2, st.negativity())
-        r1 = est_mod.estimate(st, spec, pl, seed=1)
-        r2 = est_mod.estimate(st, spec, pl, seed=1)
-        same = np.array_equal(r1.probabilities, r2.probabilities)
-        return same, f"N={pl.n_samples}, reports identical: {same}"
-
-    check("gottesman-knill agreement", gk_agreement)
-    check("theta vs direct-definition oracle", theta_oracle)
-    check("normalization (cell integral = 1)", normalization)
-    check("symplectic decompose round-trip", decompose_roundtrip)
-    check("estimator seed determinism", estimator_determinism)
-    if all(checks):
-        print(f"all {len(checks)} checks passed")
-        return 0
-    print(f"{sum(not c for c in checks)} of {len(checks)} checks FAILED")
-    return 1
+        failed += not ok
+        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    if failed:
+        lines.append(f"{failed} of {len(checks)} checks FAILED")
+    else:
+        lines.append(f"all {len(checks)} checks passed")
+    _emit(args, "\n".join(lines) + "\n")
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,9 @@ Two exact routes live here. All-ideal states go through integer lattice
 arithmetic end to end, so there are no boundary or rounding questions.
 Product states whose accumulated map is displacement-only factorize into
 per-mode marginals, integrated by quadrature for realistic factors.
-Anything beyond that is the estimator's job.
+Anything beyond that is the estimator's job. The references these tables
+are checked against (the POVM indicator, marginals from |psi|^2) live in
+oracles.py.
 """
 from __future__ import annotations
 
@@ -19,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_bins_1d, integrate_bins_x
-from .theta import wavefunction
-from .wigner import IdealFactor, RealisticFactor, WignerState
+from .quadrature import integrate_bins_x
+from .wigner import IdealFactor, WignerState
 
 
 @dataclass(frozen=True)
@@ -67,25 +68,6 @@ def bin_of_position(x, period: float, bins: int) -> np.ndarray:
     frac = np.mod(np.asarray(x, dtype=float), period) / period
     idx = np.floor(frac * bins + 1e-12).astype(int)
     return np.clip(idx, 0, bins - 1)
-
-
-def povm_indicator(spec: MeasurementSpec, z, eta) -> np.ndarray:
-    """1 where points (..., 2n) have every measured position in its z-bin.
-
-    z gives one bin index per measured mode, in spec.measured_modes order.
-    The position coordinate of mode i sits at component i of eta.
-    """
-    eta = np.asarray(eta, dtype=float)
-    z = tuple(int(o) for o in np.atleast_1d(z))
-    if len(z) != len(spec.measured_modes):
-        raise ValueError("bin vector length must match the measured mode count")
-    if any(not 0 <= o < spec.K for o in z):
-        raise ValueError(f"bin indices must lie in [0, {spec.K}), got {z}")
-    ok = np.ones(eta.shape[:-1], dtype=bool)
-    for mode, want in zip(spec.measured_modes, z):
-        got = bin_of_position(eta[..., mode], spec.period, spec.K)
-        ok &= got == want
-    return ok.astype(float)
 
 
 def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
@@ -215,26 +197,3 @@ def _ideal_mode_vector(
             vec[b] += row_mass[tx]
     return vec
 
-
-def wavefunction_bin_probabilities(
-    factor: RealisticFactor, bins: int, shift: float = 0.0
-) -> np.ndarray:
-    """Independent marginal oracle: fold |psi|^2 into the cell and bin it.
-
-    Never touches the Wigner machinery; used to validate it.
-    """
-    state = factor.state
-    period = state.d * state.ell
-    reach = math.sqrt(2.0 * math.log(1e18)) / state.delta
-    n_fold = int(math.ceil(reach / period)) + 1
-
-    def density(s):
-        s = np.asarray(s, dtype=float)
-        acc = np.zeros_like(s)
-        for nn in range(-n_fold, n_fold + 1):
-            acc += np.abs(wavefunction(state, s - shift + nn * period)) ** 2
-        return acc / factor.norm
-
-    edges = np.linspace(0.0, period, bins + 1)
-    vec, _err = integrate_bins_1d(density, edges, panels_per_bin=6, abs_tol=1e-10)
-    return vec

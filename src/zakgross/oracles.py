@@ -1,0 +1,472 @@
+"""Brute-force references and the acceptance checks built on them.
+
+Everything here is slow or literal on purpose: the tests and `zakgross
+verify` hold the runtime modules to these definitions, and no runtime module
+imports this one.
+
+- Theta sums: one evaluation of the lattice sum and the sub-lattice
+  (parity) sums, checked against mpmath and brute force.
+- Code states: the position wavefunction, the literal 4-variable Wigner sum
+  of a finitely squeezed state and the Gaussian (vacuum) Wigner function,
+  both evaluated on tensor grids (eta_x, eta_z) like theta.wigner_theta_grid.
+  The Wigner oracle shares nothing with theta._series: its coefficients come
+  from enumerating displacement exponents and peak indices.
+- Measurement: the POVM indicator and marginals from |psi|^2 alone.
+- Symplectic: the covariance shift t(S) and the exponent parity identity.
+- Quadrature: the cell integral and 1-D bin integrals.
+- Checks: the five desk-scale checks that `zakgross verify` runs and the
+  acceptance criteria run at their own sizes. Each returns (ok, detail).
+"""
+from __future__ import annotations
+
+import math
+import time
+from fractions import Fraction
+
+import numpy as np
+
+from . import estimator as est_mod
+from .measure import MeasurementSpec, bin_of_position, exact_probabilities_ideal
+from .quadrature import escalate, panel_rule
+from .qudit import CodeParams, Gate, clifford_oracle_probabilities
+from .symplectic import IntSymplectic, decompose, symplectic_form, t_bar, word_symplectic
+from .theta import (
+    TWO_PI,
+    CodeState,
+    TruncationOverflow,
+    _k_range,
+    _sublattice_terms,
+    _sum_terms,
+    siegel_theta_batch,
+    wigner_theta,
+)
+from .wigner import RealisticFactor, ideal_input
+
+ONE_MODE = ["F", "F_inv", "P", "P_inv", "X", "Z"]
+TWO_MODE = ["SUM", "SUM_inv", "CZ", "CZ_inv"]
+SP_TAGS = ["F", "F_inv", "P", "P_inv", "SUM", "SUM_inv", "CZ", "CZ_inv"]
+
+
+# ---- theta sums ----------------------------------------------------------------
+
+
+def siegel_theta(gamma, z, tol: float = 1e-14):
+    """theta(Gamma, z) as (value, radius). Raises on overflow instead of inf."""
+    z = np.asarray(z, dtype=complex).ravel()
+    vals, log_scale, radius = siegel_theta_batch(
+        gamma, 1j * z.imag, z.real[None, :], tol=tol
+    )
+    if log_scale > 700.0:
+        raise TruncationOverflow(
+            f"theta magnitude exp({log_scale:.1f}) overflows a float; "
+            "use siegel_theta_batch for the scaled value"
+        )
+    return complex(vals.reshape(-1)[0] * math.exp(log_scale)), radius
+
+
+def sublattice_theta_batch(gamma, z0, offsets, parity, tol: float = 1e-14):
+    """Sum over t congruent to parity mod 2 of the theta summand, batched.
+
+    Returns (values, log_scale, radius): the sum at z0 + x_k is
+    values[k] * exp(log_scale); see theta._sublattice_terms for the identity.
+    """
+    offsets = np.asarray(offsets, dtype=float)
+    f, c, log_scale, radius = _sublattice_terms(gamma, z0, parity, tol)
+    if offsets.shape[-1] != f.shape[1]:
+        raise ValueError(f"offsets must have last dimension {f.shape[1]}")
+    return _sum_terms(f, c, offsets), log_scale, radius
+
+
+# ---- code states ---------------------------------------------------------------
+
+
+def wavefunction(state: CodeState, x, tol: float = 1e-16) -> np.ndarray:
+    """Position wavefunction values (unnormalized, complex)."""
+    x = np.asarray(x, dtype=float)
+    d, delta, ell = state.d, state.delta, state.ell
+    kmax = _k_range(d, delta, ell, tol)
+    psi = np.zeros(x.shape, dtype=complex)
+    for j in range(d):
+        if state.eps[j] == 0:
+            continue
+        for k in range(-kmax, kmax + 1):
+            mu = (j + d * k) * ell
+            psi += (
+                state.eps[j]
+                * math.exp(-0.5 * delta ** 2 * mu ** 2)
+                * np.exp(-((x - mu) ** 2) / (2.0 * delta ** 2))
+            )
+    return psi
+
+
+def wigner_oracle(state: CodeState, eta_x, eta_z, tol: float = 1e-18) -> np.ndarray:
+    """Literal direct-sum values of the unnormalized Wigner function.
+
+    Shape (len(eta_x), len(eta_z)), the same values as
+    theta.wigner_theta_grid. Enumerates displacement exponents and peak
+    indices literally; shares no code with the series route.
+    """
+    d, delta, ell = state.d, state.delta, state.ell
+    log_tol = math.log(1.0 / tol)
+
+    kmax = _k_range(d, delta, ell, tol)
+    ax_max = 2 * d * kmax + 2 * d + int(math.ceil(2.0 * delta * math.sqrt(log_tol) / ell)) + 2
+    az_max = int(math.ceil(2.0 * math.sqrt(log_tol) / (ell * delta))) + 2
+    ax = np.arange(-ax_max, ax_max + 1)
+    az = np.arange(-az_max, az_max + 1)
+
+    # eta-independent inner sum G(a_X, a_Z) over basis pairs and peaks
+    g = np.zeros((ax.size, az.size), dtype=complex)
+    k = np.arange(-kmax, kmax + 1)
+    az_gauss = np.exp(-(ell * delta * az) ** 2 / 4.0)
+    for j in range(d):
+        for jp in range(d):
+            coeff = state.eps[j] * np.conjugate(state.eps[jp])
+            if coeff == 0:
+                continue
+            mu = (j + d * k) * ell  # unconjugated factor's peaks
+            mup = (jp + d * k) * ell
+            env = np.exp(-0.5 * delta ** 2 * mu ** 2)
+            envp = np.exp(-0.5 * delta ** 2 * mup ** 2)
+            # cross square couples a_X with mu - mu'
+            diffs = mu[:, None] - mup[None, :]  # (k, k')
+            sums = mu[:, None] + mup[None, :]
+            weight = env[:, None] * envp[None, :]
+            for ia, a in enumerate(ax):
+                cross = np.exp(-((diffs + ell * a) ** 2) / (4.0 * delta ** 2))
+                w2 = weight * cross
+                mask = w2 > tol
+                if not mask.any():
+                    continue
+                phase = np.exp(
+                    0.5j * (ell * az)[None, :] * (sums[mask][:, None] - ell * a)
+                )
+                g[ia, :] += coeff * (w2[mask][:, None] * phase).sum(axis=0)
+    g *= math.sqrt(math.pi) * delta * az_gauss[None, :]
+
+    # boundary audit: the box must have died out at its edges
+    edge = max(
+        float(np.max(np.abs(g[0, :]))),
+        float(np.max(np.abs(g[-1, :]))),
+        float(np.max(np.abs(g[:, 0]))),
+        float(np.max(np.abs(g[:, -1]))),
+    )
+    scale = float(np.max(np.abs(g)))
+    if scale > 0 and edge > 1e-12 * scale:
+        raise TruncationOverflow(
+            f"oracle lattice box is too small: edge magnitude {edge:.2e} "
+            f"against peak {scale:.2e}"
+        )
+
+    # fold in the displacement phase conventions, then attach eta phases
+    half = np.exp(1j * math.pi * np.outer(ax, az) * (1.0 + 1.0 / d))
+    vals = _attach_eta_phases(g * half, ax, az, eta_x, eta_z, ell)
+    if np.max(np.abs(vals)) > 0 and np.max(np.abs(vals.imag)) > 1e-8 * np.max(np.abs(vals)):
+        raise ValueError("oracle Wigner values failed to be real")
+    return vals.real
+
+
+def _attach_eta_phases(m_full, ax, az, eta_x, eta_z, ell):
+    """(1/2pi) sum_ab m[a,b] e^{i ell (a eta_z - b eta_x)} on the grid eta_x (x) eta_z."""
+    e_x = np.exp(-1j * ell * np.outer(np.ravel(eta_x), az))
+    e_z = np.exp(1j * ell * np.outer(np.ravel(eta_z), ax))
+    return (e_x @ m_full.T) @ e_z.T / TWO_PI
+
+
+def gaussian_wigner(d: int, eta_x, eta_z, width: float = 1.0, tol: float = 1e-16) -> np.ndarray:
+    """Wigner values of a centered Gaussian of the given width, unit norm.
+
+    Shape (len(eta_x), len(eta_z)); integrates to d over one cell, matching
+    the code-state convention.
+    """
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"d must be odd and >= 3, got {d}")
+    ell = math.sqrt(TWO_PI / d)
+    log_tol = math.log(1.0 / tol)
+    ax_max = int(math.ceil(2.0 * width * math.sqrt(log_tol) / ell)) + 2
+    az_max = int(math.ceil(2.0 * math.sqrt(log_tol) / (ell * width))) + 2
+    ax = np.arange(-ax_max, ax_max + 1)
+    az = np.arange(-az_max, az_max + 1)
+    mag = np.exp(
+        -((ell * ax[:, None]) ** 2) / (4.0 * width ** 2)
+        - (ell * width * az[None, :]) ** 2 / 4.0
+    )
+    signs = np.where((ax[:, None] * az[None, :]) % 2, -1.0, 1.0)
+    return _attach_eta_phases(mag * signs, ax, az, eta_x, eta_z, ell).real
+
+
+# ---- measurement ---------------------------------------------------------------
+
+
+def povm_indicator(spec: MeasurementSpec, z, eta) -> np.ndarray:
+    """1 where points (..., 2n) have every measured position in its z-bin.
+
+    z gives one bin index per measured mode, in spec.measured_modes order.
+    The position coordinate of mode i sits at component i of eta.
+    """
+    eta = np.asarray(eta, dtype=float)
+    z = tuple(int(o) for o in np.atleast_1d(z))
+    if len(z) != len(spec.measured_modes):
+        raise ValueError("bin vector length must match the measured mode count")
+    if any(not 0 <= o < spec.K for o in z):
+        raise ValueError(f"bin indices must lie in [0, {spec.K}), got {z}")
+    ok = np.ones(eta.shape[:-1], dtype=bool)
+    for mode, want in zip(spec.measured_modes, z):
+        got = bin_of_position(eta[..., mode], spec.period, spec.K)
+        ok &= got == want
+    return ok.astype(float)
+
+
+def wavefunction_bin_probabilities(
+    factor: RealisticFactor, bins: int, shift: float = 0.0
+) -> np.ndarray:
+    """Marginal oracle: fold |psi|^2 into the cell and bin it.
+
+    Never touches the Wigner machinery; used to validate it.
+    """
+    state = factor.state
+    period = state.d * state.ell
+    reach = math.sqrt(2.0 * math.log(1e18)) / state.delta
+    n_fold = int(math.ceil(reach / period)) + 1
+
+    def density(s):
+        s = np.asarray(s, dtype=float)
+        acc = np.zeros_like(s)
+        for nn in range(-n_fold, n_fold + 1):
+            acc += np.abs(wavefunction(state, s - shift + nn * period)) ** 2
+        return acc / factor.norm
+
+    edges = np.linspace(0.0, period, bins + 1)
+    vec, _err = integrate_bins_1d(density, edges, panels_per_bin=6, abs_tol=1e-10)
+    return vec
+
+
+# ---- symplectic ----------------------------------------------------------------
+
+
+def covariance_shift_lattice(S: IntSymplectic) -> np.ndarray:
+    """Integer vector v such that the shift is t = (d/2) ell v."""
+    om_inv = -symplectic_form(S.n)  # Omega^{-1} = -Omega
+    return S.mat @ (om_inv @ t_bar(S))
+
+
+def covariance_shift(S: IntSymplectic, params: CodeParams) -> np.ndarray:
+    """The phase-space shift t accompanying S, as floats."""
+    v = covariance_shift_lattice(S).astype(float)
+    return (params.d / 2.0) * params.ell * v
+
+
+def shift_over_ell(S: IntSymplectic, params: CodeParams) -> tuple:
+    """t/ell as exact Fractions: (d/2) * S Omega^{-1} t_bar."""
+    return tuple(Fraction(params.d * int(x), 2) for x in covariance_shift_lattice(S))
+
+
+def parity_identity_holds(S: IntSymplectic, a) -> np.ndarray:
+    """(Sa)_X . (Sa)_Z == a_X . a_Z + t_bar . a  (mod 2), elementwise over a batch."""
+    a = np.asarray(a, dtype=object)
+    batch = a.reshape(-1, a.shape[-1])
+    n = S.n
+    sa = batch @ S.mat.T
+    lhs = (sa[:, :n] * sa[:, n:]).sum(axis=1)
+    rhs = (batch[:, :n] * batch[:, n:]).sum(axis=1) + batch @ t_bar(S)
+    ok = np.array([(int(l) - int(r)) % 2 == 0 for l, r in zip(lhs, rhs)])
+    return ok.reshape(a.shape[:-1])
+
+
+# ---- quadrature ----------------------------------------------------------------
+
+
+def integrate_cell_2d(
+    eval_grid, x_edges, z_edges, abs_tol: float = 1e-9, start_nodes: int = 8, max_nodes: int = 48
+):
+    """Integral of eval_grid(xs, zs) over the rectangle partition.
+
+    Returns (value, error_estimate); the estimate is the change between the
+    final two node levels.
+    """
+
+    def level(nodes):
+        px, wx = panel_rule(x_edges, nodes)
+        pz, wz = panel_rule(z_edges, nodes)
+        return float(wx @ eval_grid(px, pz) @ wz)
+
+    return escalate(level, abs_tol, start_nodes, max_nodes)
+
+
+def integrate_bins_1d(
+    f, bin_edges, panels_per_bin: int = 4, abs_tol: float = 1e-10,
+    start_nodes: int = 8, max_nodes: int = 48,
+):
+    """Per-bin integrals of a vectorized 1-D function."""
+    bin_edges = np.asarray(bin_edges, dtype=float)
+
+    def level(nodes):
+        out = np.empty(bin_edges.size - 1)
+        for b in range(out.size):
+            edges = np.linspace(bin_edges[b], bin_edges[b + 1], panels_per_bin + 1)
+            px, wx = panel_rule(edges, nodes)
+            out[b] = wx @ np.asarray(f(px), dtype=float)
+        return out
+
+    return escalate(level, abs_tol, start_nodes, max_nodes)
+
+
+# ---- checks shared by `zakgross verify` and the acceptance suite ---------------
+
+
+def random_word(rng, n, length, tags=None):
+    """A random gate word of the given length; two-mode tags need n >= 2."""
+    word = []
+    tag_pool = list(tags) if tags is not None else ONE_MODE + TWO_MODE
+    if n < 2:
+        tag_pool = [t for t in tag_pool if t not in TWO_MODE]
+    for _ in range(length):
+        tag = str(rng.choice(tag_pool))
+        if tag in TWO_MODE:
+            i, j = rng.choice(n, size=2, replace=False)
+            word.append(Gate(tag, (int(i), int(j))))
+        else:
+            word.append(Gate(tag, (int(rng.integers(n)),)))
+    return word
+
+
+def check_gottesman_knill(rng, ds, ns, circuits: int):
+    """Ideal circuits against the dense Clifford oracle.
+
+    Ideal inputs, generator words and lattice displacements, binned at K=d;
+    `circuits` random circuits per (d, n).
+    """
+    worst = 0.0
+    for d in ds:
+        for n in ns:
+            params = CodeParams(d=d, n=n)
+            for _ in range(circuits):
+                inputs = [int(rng.integers(d)) for _ in range(n)]
+                word = random_word(rng, n, int(rng.integers(1, 11)))
+                disp = rng.integers(0, d, size=2 * n)
+                k = int(rng.integers(1, n + 1))
+                measured = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+
+                state = ideal_input(params, inputs)
+                state = state.apply_word(word).apply_displacement(disp.tolist())
+                spec = MeasurementSpec.from_params(params, measured, K=d)
+                got = exact_probabilities_ideal(state, spec)
+
+                oracle_gates = list(word)
+                for m in range(n):
+                    oracle_gates += [Gate("X", (m,))] * int(disp[m])
+                    oracle_gates += [Gate("Z", (m,))] * int(disp[n + m])
+                ref = clifford_oracle_probabilities(params, inputs, oracle_gates, measured)
+                worst = max(worst, float(np.abs(got - ref).max()))
+    total = circuits * len(ds) * len(ns)
+    return worst < 1e-9, (
+        f"ideal circuits vs dense oracle, d in {tuple(ds)}, n in {tuple(ns)}, "
+        f"{total} random circuits: max dev {worst:.2e} (tol 1e-9)"
+    )
+
+
+def check_theta_oracle(deltas, n_grid: int):
+    """Pointwise series values against the literal oracle, n_grid^2 points.
+
+    Both state kinds at each width, d = 3. The deviation is relative to the
+    largest magnitude on each grid: the function crosses zero, so a per-point
+    quotient is unstable.
+    """
+    d = 3
+    period = d * math.sqrt(TWO_PI / d)
+    xs = np.linspace(0.0, period, n_grid, endpoint=False) + 0.0137
+    worst = 0.0
+    for delta in deltas:
+        for st in (CodeState.logical(d, 0, delta), CodeState.phase_state(d, delta)):
+            a = wigner_theta(st, np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1))
+            b = wigner_oracle(st, xs, xs)
+            worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
+    return worst < 1e-6, (
+        f"theta evaluation vs direct-definition oracle on {n_grid}x{n_grid} grids, "
+        f"widths {tuple(deltas)}, both states: max rel dev {worst:.2e} (tol 1e-6)"
+    )
+
+
+def check_normalization(deltas):
+    """The normalized 0-logical Wigner function (d = 3) integrates to 1 over a cell."""
+    d = 3
+    period = d * math.sqrt(TWO_PI / d)
+    edges = np.linspace(0.0, period, 2 * d + 1)
+    worst = 0.0
+    for delta in deltas:
+        fac = RealisticFactor.make(CodeState.logical(d, 0, delta))
+        val, _ = integrate_cell_2d(fac.wigner_grid, edges, edges, abs_tol=1e-8)
+        worst = max(worst, abs(val - 1.0))
+    return worst < 1e-5, f"normalized cell integral equals 1: max dev {worst:.2e} (tol 1e-5)"
+
+
+def check_decompose_roundtrip(rng, trials: int):
+    """Compose a random word, decompose its matrix and recompose, exactly."""
+    for trial in range(trials):
+        n = int(rng.integers(1, 4))
+        params = CodeParams(d=3, n=n)
+        word = random_word(rng, n, int(rng.integers(1, 16)), tags=SP_TAGS)
+        s = word_symplectic(word, params)
+        if not np.array_equal(s.mat, word_symplectic(decompose(s), params).mat):
+            return False, f"round trip broke on trial {trial}"
+    return True, f"{trials} compose/decompose/recompose round trips exact"
+
+
+def calibration(n_seeds: int, epsilon: float, delta_fail: float, threads: int = 1) -> dict:
+    """Estimator calibration on a fixed 2-mode stabilizer circuit.
+
+    Estimates the outcome table at seeds 0..n_seeds-1 against the dense
+    oracle. Returns the plan, the failure count (largest bin error above
+    epsilon), the count allowed at delta_fail plus three binomial standard
+    deviations, the worst bin error, the largest pooled bias in standard
+    errors, the wall time, and whether a repeat of seed 0 is identical.
+    """
+    d, n = 3, 2
+    params = CodeParams(d=d, n=n)
+    word = [Gate("F", (0,)), Gate("SUM", (0, 1)), Gate("P", (1,)), Gate("Z", (0,))]
+    disp = [0, 1, 2, 0]
+    state = ideal_input(params, [1, 0]).apply_word(word).apply_displacement(disp)
+    spec = MeasurementSpec.from_params(params, (0, 1), K=d)
+    oracle_gates = list(word) + [Gate("Z", (0,))] * disp[2] + [Gate("X", (1,))] * disp[1]
+    exact = clifford_oracle_probabilities(params, [1, 0], oracle_gates, (0, 1))
+
+    t0 = time.time()
+    est_plan = est_mod.plan(epsilon, delta_fail, state.negativity())
+    fails = 0
+    worst = 0.0
+    err_sum = np.zeros_like(exact)
+    se_sq = np.zeros_like(exact)
+    for seed in range(n_seeds):
+        rep = est_mod.estimate(state, spec, est_plan, seed=seed, threads=threads)
+        if seed == 0:
+            first = rep.probabilities
+        err = rep.probabilities - exact
+        err_sum += err
+        se_sq += np.square(rep.std_errors)
+        top = float(np.abs(err).max())
+        worst = max(worst, top)
+        fails += top > epsilon
+    again = est_mod.estimate(state, spec, est_plan, seed=0, threads=threads)
+    pooled_se = np.sqrt(se_sq / n_seeds / n_seeds)
+    return {
+        "plan": est_plan,
+        "fails": fails,
+        "allowed": n_seeds * delta_fail + 3.0 * math.sqrt(n_seeds * delta_fail * (1 - delta_fail)),
+        "worst": worst,
+        "bias": float(np.abs(err_sum / n_seeds / np.maximum(pooled_se, 1e-15)).max()),
+        "elapsed": time.time() - t0,
+        "repeatable": bool(np.array_equal(first, again.probabilities)),
+    }
+
+
+def check_calibration(n_seeds: int, epsilon: float, delta_fail: float):
+    """calibration() within its failure allowance, bias under 3 pooled
+    standard errors, and seed 0 reproduced exactly.
+    """
+    c = calibration(n_seeds, epsilon, delta_fail)
+    ok = c["fails"] <= c["allowed"] and c["bias"] < 3.0 and c["repeatable"]
+    return ok, (
+        f"2-mode ideal, {n_seeds} seeds at eps={epsilon}, delta={delta_fail}: "
+        f"{c['fails']} failures (allowed {c['allowed']:.1f}), bias {c['bias']:.2f} "
+        f"pooled SEs (tol 3), seed 0 repeats exactly: {c['repeatable']}"
+    )

@@ -1,4 +1,4 @@
-"""Panel Gauss-Legendre quadrature over the torus cell and its bins.
+"""Panel Gauss-Legendre quadrature over measurement bins of the torus cell.
 
 Integrands here are analytic apart from isolated |.| kinks, so fixed panel
 layouts with escalating node counts converge geometrically; every routine
@@ -7,7 +7,8 @@ QuadratureNotConverged instead of returning a silently bad number.
 
 Grid evaluators: callables f(xs, zs) -> array (len(xs), len(zs)). The Wigner
 evaluators in this package are cheap on tensor grids, so each refinement
-level costs a single call.
+level costs a single call. The cell integral and 1-D bin integrals that the
+checks use are built on the same escalation in oracles.py.
 """
 from __future__ import annotations
 
@@ -31,46 +32,24 @@ def panel_rule(edges, nodes_per_panel: int):
     return pts, wts
 
 
-def subdivide(edges, pieces: int) -> np.ndarray:
-    """Split every interval of an edge list into equal pieces."""
-    edges = np.asarray(edges, dtype=float)
-    out = [
-        np.linspace(a, b, pieces + 1)[:-1] for a, b in zip(edges[:-1], edges[1:])
-    ]
-    return np.append(np.concatenate(out), edges[-1])
+def escalate(level, abs_tol: float, start_nodes: int = 8, max_nodes: int = 48):
+    """Evaluate level(nodes) at growing node counts until two levels agree.
 
-
-def integrate_grid_2d(eval_grid, x_edges, z_edges, nodes: int) -> float:
-    px, wx = panel_rule(x_edges, nodes)
-    pz, wz = panel_rule(z_edges, nodes)
-    vals = eval_grid(px, pz)
-    return float(wx @ vals @ wz)
-
-
-def integrate_cell_2d(
-    eval_grid,
-    x_edges,
-    z_edges,
-    abs_tol: float = 1e-9,
-    start_nodes: int = 8,
-    max_nodes: int = 48,
-):
-    """Integral over the rectangle partition, with node escalation.
-
-    Returns (value, error_estimate); the estimate is the change between the
-    final two levels.
+    Returns (value, change): the final level's value and the largest change
+    from the level before it, at most abs_tol.
     """
     prev = None
     nodes = start_nodes
     while nodes <= max_nodes:
-        val = integrate_grid_2d(eval_grid, x_edges, z_edges, nodes)
-        if prev is not None and abs(val - prev) <= abs_tol:
-            return val, abs(val - prev)
+        val = level(nodes)
+        if prev is not None:
+            change = float(np.max(np.abs(val - prev)))
+            if change <= abs_tol:
+                return val, change
         prev = val
         nodes += max(4, nodes // 2)
     raise QuadratureNotConverged(
-        f"node escalation reached {max_nodes} with residual "
-        f"{abs(val - prev):.3e} > {abs_tol:.1e}"
+        f"node escalation did not settle below {abs_tol:.1e} by {max_nodes} nodes"
     )
 
 
@@ -89,58 +68,14 @@ def integrate_bins_x(
     internally split into panels_per_bin panels.
     """
     bin_edges = np.asarray(bin_edges, dtype=float)
-    k = bin_edges.size - 1
-    prev = None
-    nodes = start_nodes
-    while nodes <= max_nodes:
-        per_bin = np.empty(k)
-        px_all = []
-        wx_all = []
-        for b in range(k):
-            edges = np.linspace(bin_edges[b], bin_edges[b + 1], panels_per_bin + 1)
-            px, wx = panel_rule(edges, nodes)
-            px_all.append(px)
-            wx_all.append(wx)
+
+    def level(nodes):
+        px, wx = zip(*(
+            panel_rule(np.linspace(lo, hi, panels_per_bin + 1), nodes)
+            for lo, hi in zip(bin_edges[:-1], bin_edges[1:])
+        ))
         pz, wz = panel_rule(z_edges, nodes)
-        vals = eval_grid(np.concatenate(px_all), pz)
-        row = vals @ wz
-        pos = 0
-        for b in range(k):
-            npts = px_all[b].size
-            per_bin[b] = wx_all[b] @ row[pos: pos + npts]
-            pos += npts
-        if prev is not None and np.max(np.abs(per_bin - prev)) <= abs_tol:
-            return per_bin, float(np.max(np.abs(per_bin - prev)))
-        prev = per_bin
-        nodes += max(4, nodes // 2)
-    raise QuadratureNotConverged(
-        f"bin integrals did not settle below {abs_tol:.1e} by {max_nodes} nodes"
-    )
+        row = (eval_grid(np.concatenate(px), pz) @ wz).reshape(len(px), -1)
+        return np.array([w @ r for w, r in zip(wx, row)])
 
-
-def integrate_bins_1d(
-    f,
-    bin_edges,
-    panels_per_bin: int = 4,
-    abs_tol: float = 1e-10,
-    start_nodes: int = 8,
-    max_nodes: int = 48,
-):
-    """Per-bin integrals of a vectorized 1-D function."""
-    bin_edges = np.asarray(bin_edges, dtype=float)
-    k = bin_edges.size - 1
-    prev = None
-    nodes = start_nodes
-    while nodes <= max_nodes:
-        per_bin = np.empty(k)
-        for b in range(k):
-            edges = np.linspace(bin_edges[b], bin_edges[b + 1], panels_per_bin + 1)
-            px, wx = panel_rule(edges, nodes)
-            per_bin[b] = wx @ np.asarray(f(px), dtype=float)
-        if prev is not None and np.max(np.abs(per_bin - prev)) <= abs_tol:
-            return per_bin, float(np.max(np.abs(per_bin - prev)))
-        prev = per_bin
-        nodes += max(4, nodes // 2)
-    raise QuadratureNotConverged(
-        f"1-D bin integrals did not settle below {abs_tol:.1e} by {max_nodes} nodes"
-    )
+    return escalate(level, abs_tol, start_nodes, max_nodes)

@@ -4,7 +4,10 @@ Vectors are ordered (x_1..x_n, z_1..z_n). The symplectic form is
 Omega = [[0, I], [-I, 0]], and a gate U acts on displacement exponents
 in the Heisenberg sense U^dag T(a) U = T(S a). All matrices are kept as
 Python-int object arrays so that composition, inversion, and the word
-decomposition below are exact at any magnitude.
+decomposition below are exact at any magnitude. Each op's half-integer
+covariance shift enters through t_bar, folded into AffineMap.c when the op is
+composed; the stand-alone shift t(S) and the exponent parity identity it
+rests on are references in oracles.py.
 """
 from __future__ import annotations
 
@@ -105,11 +108,6 @@ class IntSymplectic:
     def __matmul__(self, other: "IntSymplectic") -> "IntSymplectic":
         return IntSymplectic(self.mat @ other.mat)
 
-    def act(self, vecs: np.ndarray) -> np.ndarray:
-        """Apply S to integer vectors, shape (..., 2n), exactly."""
-        v = np.asarray(vecs, dtype=object)
-        return np.einsum("ij,...j->...i", self.mat, v)
-
     def as_float(self) -> np.ndarray:
         return self.mat.astype(float)
 
@@ -122,32 +120,6 @@ def t_bar(S: IntSymplectic) -> np.ndarray:
     top = (a * c).sum(axis=0)
     bot = (b * d).sum(axis=0)
     return np.concatenate([top, bot]).astype(object)
-
-
-def covariance_shift_lattice(S: IntSymplectic) -> np.ndarray:
-    """Integer vector v such that the shift is t = (d/2) ell v."""
-    n = S.n
-    om_inv = -symplectic_form(n)  # Omega^{-1} = -Omega
-    return S.mat @ (om_inv @ t_bar(S))
-
-
-def covariance_shift(S: IntSymplectic, params: CodeParams) -> np.ndarray:
-    """The phase-space shift t accompanying S, as floats."""
-    v = covariance_shift_lattice(S).astype(float)
-    return (params.d / 2.0) * params.ell * v
-
-
-def parity_identity_holds(S: IntSymplectic, a) -> np.ndarray:
-    """(Sa)_X . (Sa)_Z == a_X . a_Z + t_bar . a  (mod 2), elementwise over a batch."""
-    a = np.asarray(a, dtype=object)
-    batch = a.reshape(-1, a.shape[-1])
-    n = S.n
-    sa = batch @ S.mat.T
-    lhs = (sa[:, :n] * sa[:, n:]).sum(axis=1)
-    tb = t_bar(S)
-    rhs = (batch[:, :n] * batch[:, n:]).sum(axis=1) + batch @ tb
-    ok = np.array([(int(l) - int(r)) % 2 == 0 for l, r in zip(lhs, rhs)])
-    return ok.reshape(a.shape[:-1])
 
 
 # ---- generator tags ----------------------------------------------------------
@@ -208,12 +180,6 @@ def _mat_frac_vec(mat: np.ndarray, vec) -> tuple:
                 acc += int(mij) * vj
         out.append(acc)
     return tuple(out)
-
-
-def shift_over_ell(S: IntSymplectic, params: CodeParams) -> tuple:
-    """t/ell as exact Fractions: (d/2) * S Omega^{-1} t_bar."""
-    v = covariance_shift_lattice(S)
-    return tuple(Fraction(params.d * int(x), 2) for x in v)
 
 
 @dataclass(frozen=True)

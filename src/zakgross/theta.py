@@ -8,12 +8,13 @@ the returned pair (value, log_scale) means value * exp(log_scale), where value
 is O(1). Truncation boxes are centered on the maximizer of the summand's
 magnitude, which sits at t = -Im(Gamma)^{-1} Im(z) / 1, not at the origin.
 
-The finite-squeezing code Wigner function has two independent evaluation
-paths here. The fast one writes it, once per state, as one 2-D Fourier series
-over the (d ell)^2 cell, whose coefficients come from sub-lattice theta sums
-per basis pair and whose truncation is that of those sums; grids are one real
-matrix product on it, scattered points a row-wise dot product. A literal
-4-variable lattice oracle validates it.
+A finite-squeezing code state's Wigner function is written, once per state,
+as one 2-D Fourier series over the (d ell)^2 cell, whose coefficients come
+from sub-lattice theta sums per basis pair and whose truncation is that of
+those sums; grids are one real matrix product on it, scattered points a
+row-wise dot product. The literal references it is checked against (the
+wavefunction, the 4-variable Wigner sum, the Gaussian vacuum) live in
+oracles.py.
 """
 from __future__ import annotations
 
@@ -105,7 +106,8 @@ def siegel_theta_batch(gamma, z0, offsets, tol: float = 1e-14):
 
     Returns (values, log_scale, radius): theta_k = values[k] * exp(log_scale).
     All offsets must be real; the imaginary part of the argument is shared,
-    which is what makes one truncation box serve the whole batch.
+    which is what makes one truncation box serve the whole batch. No runtime
+    path calls it; the benchmark tracer counts its box terms by this name.
     """
     t, q, log_scale, radius = _theta_terms(gamma, z0, tol)
     m = t.shape[1]
@@ -115,22 +117,6 @@ def siegel_theta_batch(gamma, z0, offsets, tol: float = 1e-14):
     if offsets.shape[-1] != m:
         raise ValueError(f"offsets must have last dimension {m}")
     return _sum_terms(t, q, offsets), log_scale, radius
-
-
-def siegel_theta(gamma, z, tol: float = 1e-14):
-    """theta(Gamma, z) as (value, radius). Raises on overflow instead of inf."""
-    gamma = _check_gamma(gamma)
-    m = gamma.shape[0]
-    z = np.asarray(z, dtype=complex).reshape(m)
-    vals, log_scale, radius = siegel_theta_batch(
-        gamma, 1j * z.imag, z.real[None, :], tol=tol
-    )
-    if log_scale > 700.0:
-        raise TruncationOverflow(
-            f"theta magnitude exp({log_scale:.1f}) overflows a float; "
-            "use siegel_theta_batch for the scaled value"
-        )
-    return complex(vals.reshape(-1)[0] * math.exp(log_scale)), radius
 
 
 def _sublattice_terms(gamma, z0, parity, tol: float):
@@ -148,19 +134,6 @@ def _sublattice_terms(gamma, z0, parity, tol: float):
     pref_exp = 1j * math.pi * (p @ gamma @ p) + TWO_PI * 1j * (p @ z0)
     s, q, inner_log, radius = _theta_terms(4.0 * gamma, 2.0 * (gamma @ p + z0), tol)
     return 2.0 * s + p, np.exp(1j * pref_exp.imag) * q, inner_log + pref_exp.real, radius
-
-
-def sublattice_theta_batch(gamma, z0, offsets, parity, tol: float = 1e-14):
-    """Sum over t congruent to parity mod 2 of the theta summand, batched.
-
-    Returns (values, log_scale, radius): the sum at z0 + x_k is
-    values[k] * exp(log_scale); see _sublattice_terms for the identity.
-    """
-    offsets = np.asarray(offsets, dtype=float)
-    f, c, log_scale, radius = _sublattice_terms(gamma, z0, parity, tol)
-    if offsets.shape[-1] != f.shape[1]:
-        raise ValueError(f"offsets must have last dimension {f.shape[1]}")
-    return _sum_terms(f, c, offsets), log_scale, radius
 
 
 # ---- realistic code states ----------------------------------------------------
@@ -207,25 +180,6 @@ class CodeState:
     @property
     def ell(self) -> float:
         return math.sqrt(TWO_PI / self.d)
-
-
-def wavefunction(state: CodeState, x, tol: float = 1e-16) -> np.ndarray:
-    """Position wavefunction values (unnormalized, complex)."""
-    x = np.asarray(x, dtype=float)
-    d, delta, ell = state.d, state.delta, state.ell
-    kmax = _k_range(d, delta, ell, tol)
-    psi = np.zeros(x.shape, dtype=complex)
-    for j in range(d):
-        if state.eps[j] == 0:
-            continue
-        for k in range(-kmax, kmax + 1):
-            mu = (j + d * k) * ell
-            psi += (
-                state.eps[j]
-                * math.exp(-0.5 * delta ** 2 * mu ** 2)
-                * np.exp(-((x - mu) ** 2) / (2.0 * delta ** 2))
-            )
-    return psi
 
 
 def code_state_norm(state: CodeState, tol: float = 1e-16) -> float:
@@ -361,111 +315,3 @@ def wigner_theta_grid(state: CodeState, eta_x, eta_z, tol: float = 1e-14) -> np.
     eta_x = np.asarray(eta_x, dtype=float).ravel()
     eta_z = np.asarray(eta_z, dtype=float).ravel()
     return _series_grid(_series(state, tol), eta_x, eta_z)
-
-
-# -- literal 4-variable lattice oracle --
-
-
-def wigner_oracle(state: CodeState, eta, tol: float = 1e-18) -> np.ndarray:
-    """Independent direct-sum evaluation of the same unnormalized Wigner values.
-
-    Enumerates displacement exponents and peak indices literally; slow but
-    with no shared code at all with the factorized route above.
-    """
-    d, delta, ell = state.d, state.delta, state.ell
-    eta = np.asarray(eta, dtype=float)
-    flat = eta.reshape(-1, 2)
-    log_tol = math.log(1.0 / tol)
-
-    kmax = _k_range(d, delta, ell, tol)
-    ax_max = 2 * d * kmax + 2 * d + int(math.ceil(2.0 * delta * math.sqrt(log_tol) / ell)) + 2
-    az_max = int(math.ceil(2.0 * math.sqrt(log_tol) / (ell * delta))) + 2
-    ax = np.arange(-ax_max, ax_max + 1)
-    az = np.arange(-az_max, az_max + 1)
-
-    # eta-independent inner sum G(a_X, a_Z) over basis pairs and peaks
-    g = np.zeros((ax.size, az.size), dtype=complex)
-    k = np.arange(-kmax, kmax + 1)
-    az_gauss = np.exp(-(ell * delta * az) ** 2 / 4.0)
-    for j in range(d):
-        for jp in range(d):
-            coeff = state.eps[j] * np.conjugate(state.eps[jp])
-            if coeff == 0:
-                continue
-            mu = (j + d * k) * ell  # unconjugated factor's peaks
-            mup = (jp + d * k) * ell
-            env = np.exp(-0.5 * delta ** 2 * mu ** 2)
-            envp = np.exp(-0.5 * delta ** 2 * mup ** 2)
-            # cross square couples a_X with mu - mu'
-            diffs = mu[:, None] - mup[None, :]  # (k, k')
-            sums = mu[:, None] + mup[None, :]
-            weight = env[:, None] * envp[None, :]
-            for ia, a in enumerate(ax):
-                cross = np.exp(-((diffs + ell * a) ** 2) / (4.0 * delta ** 2))
-                w2 = weight * cross
-                mask = w2 > tol
-                if not mask.any():
-                    continue
-                phase = np.exp(
-                    0.5j * (ell * az)[None, :] * (sums[mask][:, None] - ell * a)
-                )
-                g[ia, :] += coeff * (w2[mask][:, None] * phase).sum(axis=0)
-    g *= math.sqrt(math.pi) * delta * az_gauss[None, :]
-
-    # boundary audit: the box must have died out at its edges
-    edge = max(
-        float(np.max(np.abs(g[0, :]))),
-        float(np.max(np.abs(g[-1, :]))),
-        float(np.max(np.abs(g[:, 0]))),
-        float(np.max(np.abs(g[:, -1]))),
-    )
-    scale = float(np.max(np.abs(g)))
-    if scale > 0 and edge > 1e-12 * scale:
-        raise TruncationOverflow(
-            f"oracle lattice box is too small: edge magnitude {edge:.2e} "
-            f"against peak {scale:.2e}"
-        )
-
-    # fold in the displacement phase conventions, then attach eta phases
-    half = np.exp(1j * math.pi * np.outer(ax, az) * (1.0 + 1.0 / d))
-    m_full = g * half
-    vals = _attach_eta_phases(m_full, ax, az, flat, ell)
-    if np.max(np.abs(vals)) > 0 and np.max(np.abs(vals.imag)) > 1e-8 * np.max(np.abs(vals)):
-        raise ValueError("oracle Wigner values failed to be real")
-    return vals.real.reshape(eta.shape[:-1])
-
-
-def _attach_eta_phases(m_full, ax, az, flat, ell, chunk: int = 2048):
-    """(1/2pi) sum_ab m[a,b] e^{i ell (a etaZ - b etaX)} over point rows."""
-    vals = np.empty(flat.shape[0], dtype=complex)
-    for lo in range(0, flat.shape[0], chunk):
-        part = flat[lo: lo + chunk]
-        phase_x = np.exp(1j * ell * np.outer(part[:, 1], ax))
-        phase_z = np.exp(-1j * ell * np.outer(part[:, 0], az))
-        vals[lo: lo + chunk] = ((phase_x @ m_full) * phase_z).sum(axis=1)
-    return vals / TWO_PI
-
-
-def gaussian_wigner(d: int, eta, width: float = 1.0, tol: float = 1e-16) -> np.ndarray:
-    """Wigner values of a centered Gaussian of the given width, unit norm.
-
-    Integrates to d over one cell, matching the code-state convention.
-    """
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"d must be odd and >= 3, got {d}")
-    ell = math.sqrt(TWO_PI / d)
-    eta = np.asarray(eta, dtype=float)
-    flat = eta.reshape(-1, 2)
-    log_tol = math.log(1.0 / tol)
-    ax_max = int(math.ceil(2.0 * width * math.sqrt(log_tol) / ell)) + 2
-    az_max = int(math.ceil(2.0 * math.sqrt(log_tol) / (ell * width))) + 2
-    ax = np.arange(-ax_max, ax_max + 1)
-    az = np.arange(-az_max, az_max + 1)
-    mag = np.exp(
-        -((ell * ax[:, None]) ** 2) / (4.0 * width ** 2)
-        - (ell * width * az[None, :]) ** 2 / 4.0
-    )
-    signs = np.where((ax[:, None] * az[None, :]) % 2, -1.0, 1.0)
-    m_full = (mag * signs).astype(complex)
-    vals = _attach_eta_phases(m_full, ax, az, flat, ell)
-    return vals.real.reshape(eta.shape[:-1])

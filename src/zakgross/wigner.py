@@ -13,6 +13,7 @@ finite-envelope CodeState evaluated through the theta machinery.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -23,7 +24,6 @@ from .qudit import CodeParams, Gate, gross_wigner_table
 from .symplectic import AffineMap, IntSymplectic
 from .theta import CodeState, code_state_norm, wigner_theta, wigner_theta_grid
 
-_NEGATIVITY_CACHE = {}
 MAX_STREAM = 100_000  # draws per seed stream at most
 
 
@@ -85,25 +85,29 @@ class RealisticFactor:
         return wigner_theta_grid(self.state, eta_x, eta_z) / (self.d * self.norm)
 
     def negativity(self, tol: float = 1e-6) -> float:
-        key = (self.state.d, self.state.delta, self.state.eps, tol)
-        if key not in _NEGATIVITY_CACHE:
-            _NEGATIVITY_CACHE[key] = _abs_integral(self, tol)
-        return _NEGATIVITY_CACHE[key]
+        return _negativity(self.state, tol)
 
 
-def _abs_integral(factor: RealisticFactor, tol: float) -> float:
-    """integral of |W| over one cell = 1 + 2 * (negative mass).
+@functools.lru_cache(maxsize=64)
+def _negativity(state: CodeState, tol: float) -> float:
+    """Cell integral of |W| for the unit-norm state, cached per (state, tol)."""
+    factor = RealisticFactor.make(state)
+    return _abs_integral(factor.wigner_grid, factor.d * state.ell, tol)
 
-    The positive part integrates to exactly 1, so only the negative mass is
-    computed numerically: midpoint sums on the full cell at doubling
-    resolutions until two levels agree. Midpoint handles the |.| kinks at
-    the sign boundary at second order, which the agreement check verifies.
+
+def _abs_integral(eval_grid, period: float, tol: float) -> float:
+    """integral of |W| over one cell [0, period)^2 = 1 + 2 * (negative mass).
+
+    eval_grid(xs, zs) gives normalized values on a tensor grid. The positive
+    part integrates to exactly 1, so only the negative mass is computed
+    numerically: midpoint sums on the full cell at doubling resolutions until
+    two levels agree. Midpoint handles the |.| kinks at the sign boundary at
+    second order, which the agreement check verifies.
     """
-    period = factor.d * factor.state.ell
     prev = None
     for n_grid in (512, 1024, 2048, 4096):
         xs = (np.arange(n_grid) + 0.5) * period / n_grid
-        vals = factor.wigner_grid(xs, xs)
+        vals = eval_grid(xs, xs)
         neg_mass = float(-vals[vals < 0].sum()) * (period / n_grid) ** 2
         if prev is not None and abs(neg_mass - prev) <= 0.5 * tol:
             return 1.0 + 2.0 * neg_mass

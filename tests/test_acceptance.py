@@ -22,26 +22,25 @@ import time
 
 import numpy as np
 
+from zakgross import wigner
 from zakgross.estimator import estimate, plan
-from zakgross.measure import (
-    MeasurementSpec,
-    exact_probabilities_ideal,
-    quadrature_probabilities,
-)
-from zakgross.quadrature import integrate_cell_2d
-from zakgross.qudit import CodeParams, Gate, clifford_oracle_probabilities
-from zakgross.symplectic import (
-    IntSymplectic,
-    decompose,
+from zakgross.measure import MeasurementSpec, quadrature_probabilities
+from zakgross.oracles import (
+    SP_TAGS,
+    check_calibration,
+    check_decompose_roundtrip,
+    check_gottesman_knill,
+    check_normalization,
+    check_theta_oracle,
+    gaussian_wigner,
     parity_identity_holds,
-    word_symplectic,
+    random_word,
+    wigner_oracle,
 )
-from zakgross.theta import CodeState, gaussian_wigner, wigner_oracle, wigner_theta
-from zakgross.wigner import RealisticFactor, ideal_input, realistic_input
-
-ONE_MODE = ["F", "F_inv", "P", "P_inv", "X", "Z"]
-TWO_MODE = ["SUM", "SUM_inv", "CZ", "CZ_inv"]
-SP_TAGS = ["F", "F_inv", "P", "P_inv", "SUM", "SUM_inv", "CZ", "CZ_inv"]
+from zakgross.qudit import CodeParams
+from zakgross.symplectic import word_symplectic
+from zakgross.theta import CodeState
+from zakgross.wigner import RealisticFactor, realistic_input
 
 
 def _report(num, ok, detail):
@@ -50,56 +49,18 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _random_word(rng, n, length, tags=None):
-    word = []
-    tag_pool = list(tags) if tags is not None else ONE_MODE + TWO_MODE
-    if n < 2:
-        tag_pool = [t for t in tag_pool if t not in TWO_MODE]
-    for _ in range(length):
-        tag = str(rng.choice(tag_pool))
-        if tag in TWO_MODE:
-            i, j = rng.choice(n, size=2, replace=False)
-            word.append(Gate(tag, (int(i), int(j))))
-        else:
-            word.append(Gate(tag, (int(rng.integers(n)),)))
-    return word
+def _report_check(num, budget_s, check, *args):
+    t0 = time.time()
+    ok, detail = check(*args)
+    elapsed = time.time() - t0
+    _report(num, ok and elapsed < budget_s, f"{detail}, {elapsed:.1f}s")
 
 
 def test_criterion_1_gottesman_knill_agreement():
     # ideal inputs + generator words + lattice displacements, binned at K=d,
     # against the dense Clifford oracle
     rng = np.random.default_rng(20260815)
-    t0 = time.time()
-    worst = 0.0
-    for d in (3, 5):
-        for n in (1, 2, 3):
-            params = CodeParams(d=d, n=n)
-            for _ in range(100):
-                inputs = [int(rng.integers(d)) for _ in range(n)]
-                word = _random_word(rng, n, int(rng.integers(1, 11)))
-                disp = rng.integers(0, d, size=2 * n)
-                k = int(rng.integers(1, n + 1))
-                measured = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-
-                state = ideal_input(params, inputs)
-                state = state.apply_word(word).apply_displacement(disp.tolist())
-                spec = MeasurementSpec.from_params(params, measured, K=d)
-                got = exact_probabilities_ideal(state, spec)
-
-                oracle_gates = list(word)
-                for m in range(n):
-                    oracle_gates += [Gate("X", (m,))] * int(disp[m])
-                    oracle_gates += [Gate("Z", (m,))] * int(disp[n + m])
-                ref = clifford_oracle_probabilities(params, inputs, oracle_gates, measured)
-                worst = max(worst, float(np.abs(got - ref).max()))
-    elapsed = time.time() - t0
-    ok = worst < 1e-9 and elapsed < 120.0
-    _report(
-        1,
-        ok,
-        f"ideal circuits vs dense oracle, d in (3,5), n in (1,2,3), "
-        f"600 random circuits: max dev {worst:.2e} (tol 1e-9), {elapsed:.1f}s",
-    )
+    _report_check(1, 120.0, check_gottesman_knill, rng, (3, 5), (1, 2, 3), 100)
 
 
 def test_criterion_2_parity_identity():
@@ -109,7 +70,7 @@ def test_criterion_2_parity_identity():
     for _ in range(500):
         n = int(rng.integers(1, 4))
         params = CodeParams(d=3, n=n)
-        word = _random_word(rng, n, int(rng.integers(1, 9)), tags=SP_TAGS)
+        word = random_word(rng, n, int(rng.integers(1, 9)), tags=SP_TAGS)
         s = word_symplectic(word, params)
         a = rng.integers(-50, 51, size=(1000, 2 * n))
         ok_batch = parity_identity_holds(s, a.astype(object))
@@ -124,65 +85,11 @@ def test_criterion_2_parity_identity():
 
 
 def test_criterion_3_theta_vs_direct_definition_oracle():
-    # the comparison is relative to the largest magnitude on each grid: the
-    # function crosses zero, so a per-point quotient is unstable there
-    d = 3
-    params = CodeParams(d=d, n=1)
-    period = params.torus_period
-    xs = np.linspace(0.0, period, 9, endpoint=False) + 0.0137
-    pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
-    t0 = time.time()
-    worst = 0.0
-    for delta in (0.2, 0.3, 0.5):
-        for kind in ("logical0", "phase"):
-            if kind == "phase":
-                st = CodeState.phase_state(d, delta)
-            else:
-                st = CodeState.logical(d, 0, delta)
-            a = wigner_theta(st, pts)
-            b = wigner_oracle(st, pts)
-            worst = max(worst, float(np.abs(a - b).max() / np.abs(b).max()))
-    elapsed = time.time() - t0
-    ok = worst < 1e-6 and elapsed < 300.0
-    _report(
-        3,
-        ok,
-        f"theta evaluation vs direct-definition oracle on 9x9 grids, "
-        f"three widths, both states: max rel dev {worst:.2e} (tol 1e-6), {elapsed:.1f}s",
-    )
+    _report_check(3, 300.0, check_theta_oracle, (0.2, 0.3, 0.5), 9)
 
 
 def test_criterion_4_normalization():
-    d = 3
-    params = CodeParams(d=d, n=1)
-    period = params.torus_period
-    edges = np.linspace(0.0, period, 2 * d + 1)
-    worst = 0.0
-    for delta in (0.2, 0.3, 0.5):
-        fac = RealisticFactor.make(CodeState.logical(d, 0, delta))
-        val, _ = integrate_cell_2d(fac.wigner_grid, edges, edges, abs_tol=1e-7)
-        worst = max(worst, abs(val - 1.0))
-    _report(
-        4,
-        worst < 1e-5,
-        f"normalized cell integral equals 1: max dev {worst:.2e} (tol 1e-5)",
-    )
-
-
-def _midpoint_negativity(evaluate, period, tol=1e-7):
-    # same midpoint-escalation scheme as the package integral, applied to a
-    # pointwise evaluator (normalized values at points (..., 2)) that is
-    # independent of the theta grid path
-    prev = None
-    for n_grid in (512, 1024, 2048, 4096):
-        xs = (np.arange(n_grid) + 0.5) * period / n_grid
-        pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
-        vals = evaluate(pts)
-        neg = -vals[vals < 0.0].sum() * (period / n_grid) ** 2
-        if prev is not None and abs(neg - prev) <= 0.5 * tol:
-            return 1.0 + 2.0 * neg
-        prev = neg
-    raise RuntimeError("reference negativity did not settle")
+    _report_check(4, math.inf, check_normalization, (0.2, 0.3, 0.5))
 
 
 def test_criterion_5_negativity_headline_and_trends():
@@ -207,15 +114,20 @@ def test_criterion_5_negativity_headline_and_trends():
     order_ok = all(log_m[("phase", dl)] > log_m[("logical", dl)] for dl in deltas)
 
     # at delta=1 the 0-logical state is the vacuum; the phase state keeps its
-    # side peaks, so it is held to the literal oracle
+    # side peaks, so it is held to the literal oracle; both references go
+    # through the package's own midpoint escalation
     period = params.torus_period
-    vac = math.log(_midpoint_negativity(lambda pts: gaussian_wigner(d, pts) / d, period))
+    vac = math.log(
+        wigner._abs_integral(lambda xs, zs: gaussian_wigner(d, xs, zs) / d, period, 1e-7)
+    )
     lim_logical = math.log(RealisticFactor.make(CodeState.logical(d, 0, 1.0)).negativity(tol=1e-7))
     phase_fac = RealisticFactor.make(CodeState.phase_state(d, 1.0))
     lim_phase = math.log(phase_fac.negativity(tol=1e-7))
     oracle = math.log(
-        _midpoint_negativity(
-            lambda pts: wigner_oracle(phase_fac.state, pts) / (d * phase_fac.norm), period
+        wigner._abs_integral(
+            lambda xs, zs: wigner_oracle(phase_fac.state, xs, zs) / (d * phase_fac.norm),
+            period,
+            1e-7,
         )
     )
     dev_logical = abs(lim_logical - vac)
@@ -239,32 +151,8 @@ def test_criterion_5_negativity_headline_and_trends():
 
 def test_criterion_6_estimator_calibration():
     t0 = time.time()
-    d, n = 3, 2
-    params = CodeParams(d=d, n=n)
-    word = [Gate("F", (0,)), Gate("SUM", (0, 1)), Gate("P", (1,)), Gate("Z", (0,))]
-    disp = [0, 1, 2, 0]
-    state = ideal_input(params, [1, 0]).apply_word(word).apply_displacement(disp)
-    spec = MeasurementSpec.from_params(params, (0, 1), K=d)
-    oracle_gates = list(word) + [Gate("Z", (0,))] * 2 + [Gate("X", (1,))]
-    exact = clifford_oracle_probabilities(params, [1, 0], oracle_gates, (0, 1))
-
-    epsilon, delta_fail = 0.05, 0.1
-    est_plan = plan(epsilon, delta_fail, 1.0)
-    n_seeds = 200
-    fails = 0
-    err_sum = np.zeros((d, d))
-    se_sq = np.zeros((d, d))
-    for seed in range(n_seeds):
-        rep = estimate(state, spec, est_plan, seed=seed)
-        err = rep.probabilities - exact
-        err_sum += err
-        se_sq += np.square(rep.std_errors)
-        if np.abs(err).max() > epsilon:
-            fails += 1
-    allowed = n_seeds * delta_fail + 3.0 * math.sqrt(n_seeds * delta_fail * (1 - delta_fail))
-    pooled_se = np.sqrt(se_sq / n_seeds / n_seeds)
-    bias_ratio = float(np.abs(err_sum / n_seeds / np.maximum(pooled_se, 1e-15)).max())
-    calib_ok = fails <= allowed and bias_ratio < 3.0
+    d = 3
+    calib_ok, calib_detail = check_calibration(200, 0.05, 0.1)
 
     params1 = CodeParams(d=d, n=1)
     rstate = realistic_input(params1, [CodeState.logical(d, 0, 0.3)])
@@ -280,8 +168,7 @@ def test_criterion_6_estimator_calibration():
     _report(
         6,
         ok,
-        f"2-mode ideal, {n_seeds} seeds at eps=0.05, delta=0.1: {fails} failures "
-        f"(allowed {allowed:.1f}), bias {bias_ratio:.2f} pooled SEs (tol 3); "
+        f"{calib_detail}; "
         f"realistic width 0.3 vs quadrature: dev {rdev:.1e} (tol 0.02); {elapsed:.0f}s",
     )
 
@@ -318,7 +205,7 @@ def test_criterion_7_negativity_multiplicativity_and_invariance():
 
     evolved = state
     for _ in range(3):
-        evolved = evolved.apply_word(_random_word(rng, 2, 4, tags=SP_TAGS))
+        evolved = evolved.apply_word(random_word(rng, 2, 4, tags=SP_TAGS))
         evolved = evolved.apply_displacement(rng.integers(-3, 4, size=4).tolist())
     invariance_ok = evolved.negativity() == m_joint
 
@@ -333,19 +220,4 @@ def test_criterion_7_negativity_multiplicativity_and_invariance():
 
 
 def test_criterion_8_decomposition_round_trip():
-    rng = np.random.default_rng(5150)
-    t0 = time.time()
-    for trial in range(100):
-        n = int(rng.integers(1, 4))
-        params = CodeParams(d=3, n=n)
-        word = _random_word(rng, n, int(rng.integers(1, 16)), tags=SP_TAGS)
-        s = word_symplectic(word, params)
-        back = decompose(s)
-        s2 = word_symplectic(back, params)
-        assert np.array_equal(s.mat, s2.mat), f"round trip broke on trial {trial}"
-    elapsed = time.time() - t0
-    _report(
-        8,
-        elapsed < 120.0,
-        f"100 compose/decompose/recompose round trips exact, {elapsed:.1f}s",
-    )
+    _report_check(8, 120.0, check_decompose_roundtrip, np.random.default_rng(5150), 100)

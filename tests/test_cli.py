@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,23 @@ def test_sample_mode_positivity_requirement(tmp_path, capsys):
     rc = main(["run", cpath, "--mode", "sample"])
     assert rc == 2
     assert "positive Wigner" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, literal", [
+    ({"inputs": [{"ideal_table": [[0.5, 0, 0], [0, 0, 0], [0, 0, 1]]}]}, "NaN"),
+    ({"ops": [{"gate": "displace", "c": [0.5, 0]}]}, "Infinity"),
+    ({"ops": [{"gate": "displace", "c": [0.5, 0]}]}, "NaN"),
+    ({"ops": [{"gate": "displace", "c": [0.5, 0]}]}, "1e400"),
+    ({"ops": [{"gate": "displace", "c": [0.5, 0]}]}, "-1e400"),
+], ids=["ideal_table_nan", "displace_inf", "displace_nan", "displace_overflow",
+        "displace_negative_overflow"])
+def test_non_finite_number_is_schema_error(tmp_path, capsys, overrides, literal):
+    path = Path(circuit_file(tmp_path, **overrides))
+    # the 0.5 placeholder becomes a literal json.dumps cannot write (1e400)
+    path.write_text(path.read_text().replace("0.5", literal))
+    rc = main(["run", str(path)])
+    assert rc == 2
+    assert "schema error: at $" in capsys.readouterr().err
 
 
 def test_negativity_csv(tmp_path):
@@ -135,6 +156,30 @@ def test_verify_passes(capsys):
     assert rc == 0
     assert out.count("[PASS]") == 5
     assert "FAIL" not in out
+
+
+def test_verify_writes_out_file(tmp_path):
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--seed", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert sum(line.startswith("[PASS]") for line in lines) == 5
+
+
+def test_runtime_imports_no_oracles():
+    # the CLI and every runtime module load without the brute-force oracles
+    code = (
+        "import importlib, pkgutil, sys, zakgross, zakgross.cli\n"
+        "for mod in pkgutil.iter_modules(zakgross.__path__):\n"
+        "    if mod.name != 'oracles':\n"
+        "        importlib.import_module('zakgross.' + mod.name)\n"
+        "print('zakgross.oracles' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_estimate_threads_agree(tmp_path):

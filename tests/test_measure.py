@@ -7,10 +7,9 @@ from zakgross.measure import (
     bin_of_position,
     exact_probabilities,
     exact_probabilities_ideal,
-    povm_indicator,
     quadrature_probabilities,
-    wavefunction_bin_probabilities,
 )
+from zakgross.oracles import povm_indicator, wavefunction_bin_probabilities
 from zakgross.theta import CodeState
 from zakgross.wigner import RealisticFactor, ideal_input, realistic_input
 

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
-from zakgross.quadrature import (
-    QuadratureNotConverged,
-    integrate_bins_1d,
-    integrate_bins_x,
-    integrate_cell_2d,
-    panel_rule,
-    subdivide,
-)
+from zakgross.oracles import integrate_bins_1d, integrate_cell_2d
+from zakgross.quadrature import QuadratureNotConverged, integrate_bins_x, panel_rule
 
 
 def test_panel_rule_polynomial_exact():
@@ -17,13 +11,6 @@ def test_panel_rule_polynomial_exact():
     pts, wts = panel_rule([0.0, 1.0, 2.5], 4)
     val = wts @ pts ** 7
     assert abs(val - 2.5 ** 8 / 8) < 1e-10
-
-
-def test_subdivide_keeps_endpoints():
-    edges = subdivide([0.0, 1.0, 3.0], 3)
-    assert edges[0] == 0.0 and edges[-1] == 3.0
-    assert edges.size == 7
-    assert np.all(np.diff(edges) > 0)
 
 
 def test_cell_2d_bessel_product():

@@ -8,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zakgross import theta
+from zakgross.oracles import (
+    gaussian_wigner,
+    siegel_theta,
+    sublattice_theta_batch,
+    wigner_oracle,
+)
 from zakgross.theta import (
     CodeState,
     NotPositiveDefinite,
     TruncationOverflow,
     code_state_norm,
-    gaussian_wigner,
-    siegel_theta,
     siegel_theta_batch,
-    sublattice_theta_batch,
-    wigner_oracle,
     wigner_theta,
     wigner_theta_grid,
 )
@@ -184,18 +186,13 @@ def test_theta_path_matches_oracle(delta, kind):
     else:
         state = CodeState.logical(d, int(kind[-1]), delta)
     ell = state.ell
-    pts = np.array(
-        [
-            [0.0, 0.0],
-            [0.5 * ell, 0.25 * ell],
-            [1.0 * ell, 2.0 * ell],
-            [2.4 * ell, 0.9 * ell],
-            [0.31, 1.7],
-        ]
-    )
-    a = wigner_theta(state, pts)
-    b = wigner_oracle(state, pts)
-    scale = np.max(np.abs(b))
+    # a 5x5 grid whose diagonal holds five scattered points; the tolerance is
+    # relative to the largest magnitude on those five points
+    xs = np.array([0.0, 0.5 * ell, 1.0 * ell, 2.4 * ell, 0.31])
+    zs = np.array([0.0, 0.25 * ell, 2.0 * ell, 0.9 * ell, 1.7])
+    a = wigner_theta(state, np.stack(np.meshgrid(xs, zs, indexing="ij"), axis=-1))
+    b = wigner_oracle(state, xs, zs)
+    scale = np.max(np.abs(np.diag(b)))
     assert np.max(np.abs(a - b)) < 1e-9 * scale
 
 
@@ -275,8 +272,7 @@ def test_gaussian_wigner_integral_and_value():
     dl = d * ell
     nq = 200
     xs = (np.arange(nq) + 0.5) * dl / nq
-    pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
-    vals = gaussian_wigner(d, pts)
+    vals = gaussian_wigner(d, xs, xs)
     integral = vals.sum() * (dl / nq) ** 2
     assert abs(integral - d) < 1e-8 * d
     # center value: direct small sum
@@ -284,4 +280,4 @@ def test_gaussian_wigner_integral_and_value():
     for ax in range(-40, 41):
         for az in range(-40, 41):
             acc += (-1.0) ** (ax * az) * math.exp(-(ell ** 2) * (ax * ax + az * az) / 4)
-    assert abs(gaussian_wigner(d, [[0.0, 0.0]])[0] - acc / TWO_PI) < 1e-12
+    assert abs(gaussian_wigner(d, [0.0], [0.0])[0, 0] - acc / TWO_PI) < 1e-12

@@ -133,16 +133,19 @@ def test_negativity_cache_keys_on_exact_tolerance(monkeypatch):
     # a value settled to a looser tol must not serve a tighter one
     calls = []
 
-    def fake_abs_integral(factor, tol):
+    def fake_abs_integral(eval_grid, period, tol):
         calls.append(tol)
         return 1.0 + tol
 
     monkeypatch.setattr(wigner, "_abs_integral", fake_abs_integral)
-    monkeypatch.setattr(wigner, "_NEGATIVITY_CACHE", {})
-    f = RealisticFactor.make(CodeState.logical(3, 0, 0.45))
-    for tol in (2e-6, 1e-6, 5e-7, 5e-7):
-        assert f.negativity(tol) == 1.0 + tol
-    assert calls == [2e-6, 1e-6, 5e-7]
+    wigner._negativity.cache_clear()
+    try:
+        f = RealisticFactor.make(CodeState.logical(3, 0, 0.45))
+        for tol in (2e-6, 1e-6, 5e-7, 5e-7):
+            assert f.negativity(tol) == 1.0 + tol
+        assert calls == [2e-6, 1e-6, 5e-7]
+    finally:
+        wigner._negativity.cache_clear()  # drop the fake values
 
 
 def test_seed_streams_split_equally_and_repeat():

@@ -34,11 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator as est_mod
-from .measure import (
-    MeasurementSpec,
-    bin_of_position,
-    exact_probabilities,
-)
+from .measure import MeasurementSpec, exact_probabilities, sample_binner
 from .qudit import GATE_NAMES, CodeParams, Gate
 from .symplectic import IntSymplectic, NotInteger, NotSymplectic
 from .theta import CodeState
@@ -383,7 +379,6 @@ def run(
     seed: int | None = None,
     n_samples: int = 10_000,
     threads: int = 1,
-    max_samples: int = est_mod.MAX_SAMPLES,
 ) -> dict:
     """Execute a parsed circuit and return a result document (JSON-ready)."""
     if mode not in ("exact", "sample", "estimate"):
@@ -411,15 +406,11 @@ def run(
                 f"negativity {negativity:.6g}. Use estimate mode instead."
             )
         use_seed = 0 if seed is None else seed
-        pts, _signs = sample_abs(state, use_seed, n_samples)
-        k = mspec.K
-        cols = [
-            bin_of_position(pts[:, m], mspec.period, k)
-            for m in mspec.measured_modes
-        ]
-        outcomes = np.stack(cols, axis=-1)
-        counts = np.zeros(mspec.table_shape(), dtype=np.int64)
-        np.add.at(counts, tuple(outcomes[:, i] for i in range(outcomes.shape[1])), 1)
+        joint_bins = sample_binner(state, mspec)
+        joint = joint_bins(sample_abs(state, use_seed, n_samples)[0])
+        shape = mspec.table_shape()
+        outcomes = np.stack(np.unravel_index(joint, shape), axis=-1)
+        counts = np.bincount(joint, minlength=math.prod(shape)).reshape(shape)
         base.update(
             {
                 "seed": use_seed,
@@ -440,7 +431,6 @@ def run(
         spec.estimator["epsilon"],
         spec.estimator["delta_fail"],
         state.negativity(),
-        max_samples=max_samples,
     )
     report = est_mod.estimate(state, mspec, pl, use_seed, threads=threads)
     base.update(report.to_dict())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -150,6 +151,13 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _positive_tol(text: str) -> float:
+    val = float(text)
+    if not (math.isfinite(val) and val > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return val
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zakgross",
@@ -163,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1, help="worker threads for sampling"
     )
     common.add_argument(
-        "--tol", type=float, default=1e-6, help="numeric tolerance where applicable"
+        "--tol", type=_positive_tol, default=1e-6, help="numeric tolerance where applicable"
     )
     common.add_argument("--out", default=None, help="output file (default stdout)")
 

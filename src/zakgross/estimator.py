@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import MeasurementSpec, _check_spec, bin_of_position, lattice_bins
+from .measure import MeasurementSpec, _check_spec, lattice_bins, sample_binner
 from .wigner import WignerState, seed_streams
 
 MAX_SAMPLES = 200_000_000
@@ -108,7 +108,6 @@ def estimate(
 ) -> EstimateReport:
     _check_spec(state, spec)
     t0 = time.perf_counter()
-    k = spec.K
     shape = spec.table_shape()
     flat_bins = int(np.prod(shape))
     pos = np.zeros(flat_bins, dtype=np.int64)
@@ -119,33 +118,25 @@ def estimate(
     if state.is_ideal():
         joint, weights = lattice_bins(state, spec)
         probs = np.abs(weights) / np.abs(weights).sum()
-        positive = weights > 0
 
-        def run_stream(seq, size):
-            rng = np.random.default_rng(seq)
-            draw = rng.choice(len(probs), size=size, p=probs)
-            picked = joint[draw]
-            spos = positive[draw]
-            return (
-                np.bincount(picked[spos], minlength=flat_bins),
-                np.bincount(picked[~spos], minlength=flat_bins),
-            )
+        def draw(rng, size):
+            picked = rng.choice(len(probs), size=size, p=probs)
+            return joint[picked], weights[picked] > 0
 
     else:
+        joint_bins = sample_binner(state, spec)
         sampler = state.sampler()
-        period = spec.period
 
-        def run_stream(seq, size):
-            rng = np.random.default_rng(seq)
+        def draw(rng, size):
             pts, sgn = sampler(size, rng)
-            idx = np.zeros(size, dtype=np.int64)
-            for mode in spec.measured_modes:
-                idx = idx * k + bin_of_position(pts[:, mode], period, k)
-            spos = sgn > 0
-            return (
-                np.bincount(idx[spos], minlength=flat_bins),
-                np.bincount(idx[~spos], minlength=flat_bins),
-            )
+            return joint_bins(pts), sgn > 0
+
+    def run_stream(seq, size):
+        idx, spos = draw(np.random.default_rng(seq), size)
+        return (
+            np.bincount(idx[spos], minlength=flat_bins),
+            np.bincount(idx[~spos], minlength=flat_bins),
+        )
 
     # streams are seed-indexed, counts integer: the reduction is exact and
     # order-independent, so threading cannot change the result

@@ -1,4 +1,4 @@
-"""Modular position measurements: binning, exact and quadrature probabilities.
+"""Modular position measurements: binning and exact probabilities.
 
 The measurement reads the position coordinate of each measured mode modulo
 one period d*ell and coarse-grains it into K equal bins with half-open edges
@@ -6,23 +6,32 @@ k * (d*ell) / K. With K = d on an ideally encoded state the bin index is the
 logical outcome; the dense qudit oracle pins which coordinate block carries
 that outcome (the first, position block, in this package's layout).
 
-Two exact routes live here. All-ideal states go through integer lattice
-arithmetic end to end, so there are no boundary or rounding questions.
-Product states whose accumulated map is displacement-only factorize into
-per-mode marginals, integrated by quadrature for realistic factors.
-Anything beyond that is the estimator's job. The references these tables
-are checked against (the POVM indicator, marginals from |psi|^2) live in
-oracles.py.
+Positions are binned by two rules: lattice_bins, (m mod 2d) * K // 2d on
+exact pushes in units of ell/2, and bin_of_position, floor(x K / period +
+EDGE_TOL) mod K on every float position. They agree on half-lattice points
+while the float error stays below EDGE_TOL bins, which sample_binner checks.
+All-ideal states get exact tables from the integer rule; displacement-only
+circuits on product inputs factorize into per-mode marginals, squeezed ones
+integrated from their Fourier series in closed form. Anything beyond that
+is the estimator's job. The references these tables are checked against
+(the POVM indicator, marginals from |psi|^2) live in oracles.py.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_bins_x
+from .theta import x_bin_integrals
 from .wigner import IdealFactor, WignerState
+
+EDGE_TOL = 1e-9  # bin units: a float position this close below an edge is on it
+
+
+class BinningPrecisionLost(RuntimeError):
+    """Float rounding may move a lattice position across a bin edge."""
 
 
 @dataclass(frozen=True)
@@ -55,37 +64,57 @@ class MeasurementSpec:
     def from_params(cls, params, measured_modes, K: int) -> "MeasurementSpec":
         return cls(tuple(measured_modes), int(K), params.torus_period)
 
-    @property
-    def bin_edges(self) -> np.ndarray:
-        return np.linspace(0.0, self.period, self.K + 1)
-
     def table_shape(self) -> tuple:
         return (self.K,) * len(self.measured_modes)
 
 
 def bin_of_position(x, period: float, bins: int) -> np.ndarray:
-    """Bin index of a position value folded into [0, period)."""
-    frac = np.mod(np.asarray(x, dtype=float), period) / period
-    idx = np.floor(frac * bins + 1e-12).astype(int)
-    return np.clip(idx, 0, bins - 1)
+    """Bin index of float positions x: floor(x * bins / period + EDGE_TOL) mod bins.
+
+    No fold into [0, period) comes first, so a value a rounding error below
+    an edge (say -4e-16 for 0) lands in the bin the edge opens.
+    """
+    scaled = np.asarray(x, dtype=float) * bins / period
+    return np.mod(np.floor(scaled + EDGE_TOL).astype(np.int64), bins)
+
+
+def sample_binner(state: WignerState, spec: MeasurementSpec):
+    """Map from output-frame points (N, 2n) to flat joint bin indices, as lattice_bins.
+
+    Checked once, before any draw: a measured row of S^-1 that reads only
+    ideal-factor columns is a lattice position, possibly on an edge, so
+    BinningPrecisionLost is raised when its float push could err by EDGE_TOL bins.
+    """
+    d, n = state.params.d, state.params.n
+    ideal = np.array([isinstance(f, IdealFactor) for f in state.factors] * 2)
+    s_inv = state.amap.S.inverse().mat
+    for m in spec.measured_modes:
+        if not any(s_inv[m][~ideal]):
+            # ideal draws are ell * t, 0 <= t < d: each partial sum of S^-1 eta
+            # + ell c is at most ell * size, and some 2n + 8 roundings of
+            # relative size 2^-53 reach it (Higham, Accuracy and Stability, ch. 3)
+            size = (d - 1) * sum(abs(int(a)) for a in s_inv[m]) + abs(state.amap.c[m])
+            bound = (2 * n + 8) * 2.0 ** -53 * float(size) * spec.K / d
+            if bound >= EDGE_TOL:
+                raise BinningPrecisionLost(
+                    f"float push of measured mode {m} may be off by {bound:.1e} bins, not "
+                    f"below the edge tolerance {EDGE_TOL:.0e}; matrix entries too large"
+                )
+    return lambda pts: np.ravel_multi_index(
+        tuple(bin_of_position(pts[:, m], spec.period, spec.K) for m in spec.measured_modes),
+        spec.table_shape(),
+    )
 
 
 def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
     """Exact outcome table, shape (K,) * m, summing to 1.
 
     Dispatches to the integer lattice path for all-ideal states and to
-    per-mode quadrature for displacement-only circuits on product inputs.
+    per-mode marginals for displacement-only circuits on product inputs.
     """
-    _check_spec(state, spec)
     if state.is_ideal():
         return exact_probabilities_ideal(state, spec)
-    ident = np.eye(2 * state.params.n, dtype=object)
-    if np.array_equal(state.amap.S.mat, ident):
-        return quadrature_probabilities(state, spec)
-    raise ValueError(
-        "exact probabilities need an all-ideal state or a displacement-only "
-        "circuit; run the estimator for entangling circuits on realistic inputs"
-    )
+    return quadrature_probabilities(state, spec)
 
 
 def exact_probabilities_ideal(
@@ -115,50 +144,30 @@ def lattice_bins(state: WignerState, spec: MeasurementSpec):
     d = state.params.d
     m2, weights = state.lattice_support()
     pushed = state.amap.push_lattice_half(m2, spec.measured_modes)
-    folded = np.mod(pushed, 2 * d).astype(np.int64)
-    bins = folded * spec.K // (2 * d)
+    bins = np.mod(pushed, 2 * d).astype(np.int64) * spec.K // (2 * d)
     return np.ravel_multi_index(tuple(bins.T), spec.table_shape()), weights
 
 
-def quadrature_probabilities(
-    state: WignerState, spec: MeasurementSpec, abs_tol: float = 1e-10
-) -> np.ndarray:
-    """Per-mode marginal quadrature for a displacement-only circuit.
+def quadrature_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
+    """Per-mode marginal tables for a displacement-only circuit.
 
     Valid because the map then factorizes mode by mode and the Wigner
     function is periodic in the unmeasured momentum coordinate, which is
-    integrated over one full period.
+    integrated over one full period. Squeezed factors integrate their
+    Fourier series over each bin in closed form.
     """
     _check_spec(state, spec)
     params = state.params
-    ident = np.eye(2 * params.n, dtype=object)
-    if not np.array_equal(state.amap.S.mat, ident):
-        raise ValueError("quadrature path requires a displacement-only map")
-    period = params.torus_period
-    k = spec.K
-    per_mode = []
-    for mode in spec.measured_modes:
-        shift = float(state.amap.c[mode]) * params.ell  # position offset
-        factor = state.factors[mode]
-        if isinstance(factor, IdealFactor):
-            vec = _ideal_mode_vector(
-                factor, state.amap.c[mode], k, period, params.ell
-            )
-        else:
-            z_edges = np.linspace(0.0, period, 2 * params.d + 1)
-
-            def eval_grid(xs, zs, _f=factor, _s=shift):
-                return _f.wigner_grid(xs - _s, zs)
-
-            vec, _err = integrate_bins_x(
-                eval_grid, spec.bin_edges, z_edges,
-                panels_per_bin=max(2, (2 * params.d) // k + 1),
-                abs_tol=abs_tol,
-            )
-        per_mode.append(vec)
-    table = per_mode[0]
-    for vec in per_mode[1:]:
-        table = np.multiply.outer(table, vec)
+    if not np.array_equal(state.amap.S.mat, np.eye(2 * params.n, dtype=object)):
+        raise ValueError(
+            "exact probabilities need an all-ideal state or a displacement-only "
+            "circuit; run the estimator for entangling circuits on realistic inputs"
+        )
+    per_mode = [
+        _mode_marginal(state.factors[m], state.amap.c[m], spec, params.ell)
+        for m in spec.measured_modes
+    ]
+    table = functools.reduce(np.multiply.outer, per_mode)
     total = table.sum()
     assert abs(total - 1.0) < 1e-7, f"quadrature probabilities sum to {total}"
     return table
@@ -178,22 +187,13 @@ def _check_spec(state: WignerState, spec: MeasurementSpec) -> None:
         )
 
 
-def _ideal_mode_vector(
-    factor: IdealFactor, c_mode, k: int, period: float, ell: float
-) -> np.ndarray:
-    d = factor.d
-    row_mass = factor.table.sum(axis=1) / d
-    vec = np.zeros(k)
-    two_c = 2 * c_mode
-    if two_c.denominator == 1:
-        # half-integer displacement: bin indices computed in exact integers
-        off = int(two_c)
-        for tx in range(d):
-            m2x = (2 * tx + off) % (2 * d)
-            vec[(m2x * k) // (2 * d)] += row_mass[tx]
-    else:
-        for tx in range(d):
-            b = int(bin_of_position(ell * (tx + float(c_mode)), period, k))
-            vec[b] += row_mass[tx]
-    return vec
-
+def _mode_marginal(factor, c_mode, spec: MeasurementSpec, ell: float) -> np.ndarray:
+    """Bin probabilities of one mode's position after a displacement by ell * c_mode."""
+    if isinstance(factor, IdealFactor):
+        # positions ell * (t + c), reduced mod d exactly before the float rule
+        units = [float((t + c_mode) % factor.d) for t in range(factor.d)]
+        row_mass = factor.table.sum(axis=1) / factor.d
+        bins = bin_of_position(units, factor.d, spec.K)
+        return np.bincount(bins, weights=row_mass, minlength=spec.K)
+    masses = x_bin_integrals(factor.state, spec.K, float(c_mode) * ell)
+    return masses / (factor.d * factor.norm)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import estimator as est_mod
 from .measure import MeasurementSpec, bin_of_position, exact_probabilities_ideal
-from .quadrature import escalate, panel_rule
+from .quadrature import escalate, integrate_bins_x, panel_rule
 from .qudit import CodeParams, Gate, clifford_oracle_probabilities
 from .symplectic import IntSymplectic, decompose, symplectic_form, t_bar, word_symplectic
 from .theta import (
@@ -298,17 +298,13 @@ def integrate_bins_1d(
     start_nodes: int = 8, max_nodes: int = 48,
 ):
     """Per-bin integrals of a vectorized 1-D function."""
-    bin_edges = np.asarray(bin_edges, dtype=float)
 
-    def level(nodes):
-        out = np.empty(bin_edges.size - 1)
-        for b in range(out.size):
-            edges = np.linspace(bin_edges[b], bin_edges[b + 1], panels_per_bin + 1)
-            px, wx = panel_rule(edges, nodes)
-            out[b] = wx @ np.asarray(f(px), dtype=float)
-        return out
+    def eval_grid(xs, zs):
+        return np.outer(np.asarray(f(xs), dtype=float), np.ones(zs.size))
 
-    return escalate(level, abs_tol, start_nodes, max_nodes)
+    return integrate_bins_x(
+        eval_grid, bin_edges, [0.0, 1.0], panels_per_bin, abs_tol, start_nodes, max_nodes
+    )
 
 
 # ---- checks shared by `zakgross verify` and the acceptance suite ---------------

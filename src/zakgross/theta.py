@@ -12,9 +12,9 @@ A finite-squeezing code state's Wigner function is written, once per state,
 as one 2-D Fourier series over the (d ell)^2 cell, whose coefficients come
 from sub-lattice theta sums per basis pair and whose truncation is that of
 those sums; grids are one real matrix product on it, scattered points a
-row-wise dot product. The literal references it is checked against (the
-wavefunction, the 4-variable Wigner sum, the Gaussian vacuum) live in
-oracles.py.
+row-wise dot product, position-bin masses a closed form on its kz = 0
+column. The literal references it is checked against (the wavefunction,
+the 4-variable Wigner sum, the Gaussian vacuum) live in oracles.py.
 """
 from __future__ import annotations
 
@@ -315,3 +315,17 @@ def wigner_theta_grid(state: CodeState, eta_x, eta_z, tol: float = 1e-14) -> np.
     eta_x = np.asarray(eta_x, dtype=float).ravel()
     eta_z = np.asarray(eta_z, dtype=float).ravel()
     return _series_grid(_series(state, tol), eta_x, eta_z)
+
+
+def x_bin_integrals(state: CodeState, bins: int, shift: float) -> np.ndarray:
+    """Unnormalized mass of W(x - shift, z) in each of `bins` equal x bins of one period L.
+
+    Over one z period only the kz = 0 column of the series survives, and a
+    bin of width w = L / bins integrates exp(-2 pi i k (x - shift) / L) to
+    w exp(-2 pi i k (mid - shift) / L) sinc(k / bins).
+    """
+    m, kx, kz, cell = _series(state, 1e-14)
+    width = cell / bins
+    mid = (np.arange(bins)[:, None] + 0.5) * width - shift
+    phase = np.exp((-TWO_PI / cell) * 1j * kx * mid)
+    return cell * width * ((phase * np.sinc(kx / bins)) @ m[:, kz == 0][:, 0]).real

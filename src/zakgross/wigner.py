@@ -25,6 +25,9 @@ from .symplectic import AffineMap, IntSymplectic
 from .theta import CodeState, code_state_norm, wigner_theta, wigner_theta_grid
 
 MAX_STREAM = 100_000  # draws per seed stream at most
+ENVELOPE_GRID = 1024  # Wigner grid points per axis behind the sampling envelope
+ENVELOPE_CELLS = 256  # envelope cells per axis
+ENVELOPE_HEADROOM = 1.15  # factor on the largest sampled |W| per cell
 
 
 @dataclass(frozen=True)
@@ -233,16 +236,14 @@ class WignerState:
         m2 = np.hstack([2 * xcols, 2 * zcols]).astype(object)
         return m2, wts[-1]
 
-    def sampler(self, grid: int = 1024, cells: int = 256, headroom: float = 1.15):
+    def sampler(self):
         """Build a per-state sampler of (output-frame points, signs).
 
         The returned callable maps (count, rng) to (eta_out (N, 2n) floats,
         signs (N,)). Envelope tables for realistic factors are built once.
         """
         factor_samplers = [
-            _ideal_sampler(f, self.params)
-            if isinstance(f, IdealFactor)
-            else _rejection_sampler(f, grid, cells, headroom)
+            _ideal_sampler(f, self.params) if isinstance(f, IdealFactor) else _rejection_sampler(f)
             for f in self.factors
         ]
         n = self.params.n
@@ -343,13 +344,13 @@ def _ideal_sampler(factor: IdealFactor, params: CodeParams):
     return sample
 
 
-def _rejection_sampler(factor: RealisticFactor, grid: int, cells: int, headroom: float):
-    d = factor.d
-    period = d * factor.state.ell
+def _rejection_sampler(factor: RealisticFactor):
+    grid, cells = ENVELOPE_GRID, ENVELOPE_CELLS
+    period = factor.d * factor.state.ell
     xs = (np.arange(grid) + 0.5) * period / grid
     vals = factor.wigner_grid(xs, xs)
     sub = grid // cells
-    env = np.abs(vals).reshape(cells, sub, cells, sub).max(axis=(1, 3)) * headroom
+    env = np.abs(vals).reshape(cells, sub, cells, sub).max(axis=(1, 3)) * ENVELOPE_HEADROOM
     cell_w = period / cells
     masses = env.ravel()
     cum = np.cumsum(masses / masses.sum())

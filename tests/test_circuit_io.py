@@ -12,8 +12,9 @@ from zakgross.circuit_io import (
     run,
     sweep_csv,
 )
-from zakgross.measure import exact_probabilities
+from zakgross.measure import BinningPrecisionLost, exact_probabilities
 from zakgross.qudit import CodeParams, Gate, clifford_oracle_probabilities
+from zakgross.wigner import WignerState
 
 
 def doc(**overrides):
@@ -217,3 +218,76 @@ def test_negativity_sweep_rows_and_csv():
         negativity_sweep("vacuum", [0.3], 3)
     with pytest.raises(ValueError, match="delta"):
         negativity_sweep("logical_0", [1.5], 3)
+
+
+# d=3, K=3, mode 0: this word lands every lattice draw on a multiple of the
+# period, the edge that opens bin 0, and one in nine a rounding error
+# (-4.4e-16) below it
+EDGE_INPUTS = [{"ideal_logical": 1}, {"ideal_logical": 2}]
+EDGE_OPS = [
+    {"gate": g, "modes": m}
+    for g, m in (("SUM", [1, 0]), ("F", [1]), ("SUM", [1, 0]), ("P", [0]),
+                 ("SUM", [0, 1]), ("SUM", [1, 0]))
+]
+
+
+def shear_doc(a):
+    matrix = [[1, a, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -a, 1]]
+    return doc(n=2, inputs=EDGE_INPUTS, ops=[{"gate": "symplectic", "matrix": matrix}])
+
+
+def test_sample_mode_bins_edge_points_exactly():
+    spec = parse_circuit(doc(n=2, inputs=EDGE_INPUTS, ops=EDGE_OPS))
+    assert run(spec, "exact")["probabilities"] == pytest.approx([1, 0, 0], abs=1e-12)
+    result = run(spec, "sample", seed=3, n_samples=20_000)
+    assert result["frequencies"] == [1.0, 0.0, 0.0]
+
+
+def test_mixed_estimate_bins_edge_points_exactly():
+    squeezed = {"realistic": {"kind": "logical", "j": 0, "delta": 0.5}}
+    est = {"epsilon": 0.01, "delta_fail": 0.1, "seed": 1}
+    spec = parse_circuit(
+        doc(n=3, inputs=EDGE_INPUTS + [squeezed], ops=EDGE_OPS, estimator=est)
+    )
+    result = run(spec, "estimate")
+    assert result["n_samples"] == 79_964
+    assert np.max(np.abs(np.array(result["probabilities"]) - [1, 0, 0])) <= 0.01
+
+
+def test_sample_mode_large_entries_bin_within_tolerance():
+    spec = parse_circuit(shear_doc(10**5))
+    assert run(spec, "exact")["probabilities"] == pytest.approx([0, 0, 1], abs=1e-12)
+    result = run(spec, "sample", seed=3, n_samples=20_000)
+    assert result["frequencies"] == [0.0, 0.0, 1.0]
+
+
+def no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the precision check")
+
+
+def test_sample_mode_refuses_float_binning_past_tolerance(monkeypatch):
+    spec = parse_circuit(shear_doc(10**9))
+    assert run(spec, "exact")["probabilities"] == pytest.approx([0, 0, 1], abs=1e-12)
+    monkeypatch.setattr("zakgross.circuit_io.sample_abs", no_sampling)
+    with pytest.raises(BinningPrecisionLost, match="edge tolerance"):
+        run(spec, "sample", seed=3, n_samples=1_000)
+
+
+def test_estimate_refuses_float_binning_before_sampling(monkeypatch):
+    a = 10**9
+    matrix = np.eye(6, dtype=int)
+    matrix[0, 1], matrix[4, 3] = a, -a
+    squeezed = {"realistic": {"kind": "logical", "j": 0, "delta": 0.5}}
+    est = {"epsilon": 0.01, "delta_fail": 0.1, "seed": 1}
+    spec = parse_circuit(
+        doc(
+            n=3,
+            inputs=EDGE_INPUTS + [squeezed],
+            ops=[{"gate": "symplectic", "matrix": matrix.tolist()}],
+            estimator=est,
+        )
+    )
+
+    monkeypatch.setattr(WignerState, "sampler", no_sampling)
+    with pytest.raises(BinningPrecisionLost, match="edge tolerance"):
+        run(spec, "estimate")

@@ -87,6 +87,30 @@ def test_non_finite_number_is_schema_error(tmp_path, capsys, overrides, literal)
     assert "schema error: at $" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_tol_must_be_positive_and_finite(tol, capsys):
+    # a usage error before any work, not a numeric failure after the escalation
+    with pytest.raises(SystemExit) as exc:
+        main(["negativity", "--deltas", "0.5", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol: must be a positive finite number" in capsys.readouterr().err
+
+
+def test_sample_precision_loss_exit_code(tmp_path, capsys):
+    a = 10**9
+    matrix = [[1, a, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -a, 1]]
+    cpath = circuit_file(
+        tmp_path, n=2, inputs=[{"ideal_logical": 1}, {"ideal_logical": 2}],
+        ops=[{"gate": "symplectic", "matrix": matrix}],
+    )
+    out = tmp_path / "result.json"
+    rc = main(["run", cpath, "--mode", "sample", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "may be off by 2.7e-06 bins" in err and "edge tolerance 1e-09" in err
+    assert not out.exists()
+
+
 def test_negativity_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main([

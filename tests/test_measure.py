@@ -30,6 +30,28 @@ def test_bin_arithmetic():
     assert bin_of_position(period, period, 3) == 0  # wraps
 
 
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+def test_float_rule_matches_integer_rule_on_half_lattice(d):
+    # every half-lattice point m ell / 2, moved by up to 4 ulp either way,
+    # lands in the bin lattice_bins' integer rule gives it
+    params = CodeParams(d, 1)
+    period = params.torus_period
+    m = np.arange(-4 * d, 4 * d + 1)
+    exact = m * params.ell / 2
+    moved = [exact]
+    for direction in (np.inf, -np.inf):
+        x = exact
+        for _ in range(4):
+            x = np.nextafter(x, direction)
+            moved.append(x)
+    for k in range(1, 2 * d + 2):
+        want = np.mod(m, 2 * d) * k // (2 * d)
+        for x in moved:
+            assert np.array_equal(bin_of_position(x, period, k), want), (k, x)
+    # a push that should give 0 and gives -4.4e-16 is in bin 0, not the last
+    assert bin_of_position(-4.4e-16, period, 3) == 0
+
+
 def test_povm_indicator_single_bin_always_one():
     params = CodeParams(3, 2)
     spec = spec_for(params, (0, 1), 1)

@@ -1,5 +1,4 @@
 """Exact symplectic algebra: generator table, shifts, affine maps, decompose."""
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,17 +11,14 @@ from zakgross.qudit import (
     CodeParams,
     Gate,
     pauli_displacement,
-    QuditVec,
 )
 from zakgross.symplectic import (
     AffineMap,
-    DecompositionFailed,
     IntSymplectic,
     NotInteger,
     NotSymplectic,
     decompose,
     generator_symplectic,
-    symplectic_form,
     t_bar,
     word_symplectic,
 )

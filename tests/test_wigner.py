@@ -3,7 +3,7 @@ import pytest
 
 from zakgross import wigner
 from zakgross.qudit import CodeParams, Gate
-from zakgross.symplectic import IntSymplectic, generator_symplectic
+from zakgross.symplectic import generator_symplectic
 from zakgross.theta import CodeState
 from zakgross.wigner import (
     IdealFactor,

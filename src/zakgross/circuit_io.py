@@ -34,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator as est_mod
-from .measure import MeasurementSpec, exact_probabilities, sample_binner
+from .measure import MeasurementSpec, binner, exact_probabilities
 from .qudit import GATE_NAMES, CodeParams, Gate
 from .symplectic import IntSymplectic, NotInteger, NotSymplectic
 from .theta import CodeState
-from .wigner import IdealFactor, RealisticFactor, WignerState, sample_abs
+from .wigner import IdealFactor, RealisticFactor, WignerState, sample_input
 
 FORMAT_TAG = "zakgross-circuit/1"
 RESULT_TAG = "zakgross-result/1"
@@ -74,6 +74,15 @@ def _finite_float(text: str) -> float:
     return val
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, a subclass of int; neither is a number
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
 def parse_circuit(text: str) -> CircuitSpec:
     try:
         doc = json.loads(
@@ -93,13 +102,13 @@ def parse_circuit(text: str) -> CircuitSpec:
 
     d = doc.get("d")
     n = doc.get("n")
-    if not isinstance(d, int) or d < 3:
+    if not _is_int(d) or d < 3:
         err("$.d", f"must be an odd integer >= 3, got {d!r}")
         d = 3
     elif d % 2 == 0:
         err("$.d", "d must be odd")
         d = 3
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         err("$.n", f"must be a positive integer, got {n!r}")
         n = 1
     params = CodeParams(d, n)
@@ -127,7 +136,7 @@ def _parse_inputs(raw, params, err):
             continue
         (key, val), = item.items()
         if key == "ideal_logical":
-            if not isinstance(val, int) or not 0 <= val < d:
+            if not _is_int(val) or not 0 <= val < d:
                 err(f"{path}.ideal_logical", f"must be an integer in [0, {d})")
             else:
                 out.append(("ideal_logical", val))
@@ -159,12 +168,12 @@ def _parse_complex_matrix(val, d, path, err):
             err(f"{path}[{r}]", f"must be a row of {d} entries")
             return None
         for c, entry in enumerate(row):
-            if isinstance(entry, (int, float)):
+            if _is_number(entry):
                 rho[r, c] = entry
             elif (
                 isinstance(entry, list)
                 and len(entry) == 2
-                and all(isinstance(x, (int, float)) for x in entry)
+                and all(_is_number(x) for x in entry)
             ):
                 rho[r, c] = complex(entry[0], entry[1])
             else:
@@ -183,12 +192,12 @@ def _parse_realistic(val, d, path, err):
         return None
     kind = val.get("kind")
     delta = val.get("delta")
-    if not isinstance(delta, (int, float)) or not 0 < delta < 2:
+    if not _is_number(delta) or not 0 < delta < 2:
         err(f"{path}.delta", f"must be a number in (0, 2), got {delta!r}")
         return None
     if kind == "logical":
         j = val.get("j")
-        if not isinstance(j, int) or not 0 <= j < d:
+        if not _is_int(j) or not 0 <= j < d:
             err(f"{path}.j", f"must be an integer in [0, {d})")
             return None
         return CodeState.logical(d, j, float(delta))
@@ -216,7 +225,7 @@ def _parse_ops(raw, params, err):
         if tag in GATE_NAMES:
             modes = item.get("modes")
             if not isinstance(modes, list) or not all(
-                isinstance(m, int) for m in modes
+                _is_int(m) for m in modes
             ):
                 err(f"{path}.modes", "must be a list of integers")
                 continue
@@ -244,7 +253,7 @@ def _parse_ops(raw, params, err):
             if (
                 not isinstance(c, list)
                 or len(c) != 2 * n
-                or not all(isinstance(x, (int, float)) for x in c)
+                or not all(_is_number(x) for x in c)
             ):
                 err(f"{path}.c", f"must be a list of 2n = {2*n} numbers")
                 continue
@@ -261,13 +270,13 @@ def _parse_measurement(raw, params, err):
         return fallback
     modes = raw.get("modes")
     k = raw.get("K")
-    if not isinstance(modes, list) or not all(isinstance(m, int) for m in modes):
+    if not isinstance(modes, list) or not all(_is_int(m) for m in modes):
         err("$.measurement.modes", "must be a list of integers")
         return fallback
     if any(not 0 <= m < params.n for m in modes):
         err("$.measurement.modes", f"mode indices must lie in [0, {params.n})")
         return fallback
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         err("$.measurement.K", f"must be a positive integer, got {k!r}")
         return fallback
     try:
@@ -287,13 +296,13 @@ def _parse_estimator(raw, err):
     delta = raw.get("delta_fail")
     seed = raw.get("seed", 0)
     ok = True
-    if not isinstance(eps, (int, float)) or not 0 < eps < 1:
+    if not _is_number(eps) or not 0 < eps < 1:
         err("$.estimator.epsilon", f"must be a number in (0, 1), got {eps!r}")
         ok = False
-    if not isinstance(delta, (int, float)) or not 0 < delta < 1:
+    if not _is_number(delta) or not 0 < delta < 1:
         err("$.estimator.delta_fail", f"must be a number in (0, 1), got {delta!r}")
         ok = False
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         err("$.estimator.seed", f"must be an integer, got {seed!r}")
         ok = False
     if not ok:
@@ -406,8 +415,8 @@ def run(
                 f"negativity {negativity:.6g}. Use estimate mode instead."
             )
         use_seed = 0 if seed is None else seed
-        joint_bins = sample_binner(state, mspec)
-        joint = joint_bins(sample_abs(state, use_seed, n_samples)[0])
+        bins = binner(state, mspec)
+        joint = bins(sample_input(state, use_seed, n_samples)[0])
         shape = mspec.table_shape()
         outcomes = np.stack(np.unravel_index(joint, shape), axis=-1)
         counts = np.bincount(joint, minlength=math.prod(shape)).reshape(shape)

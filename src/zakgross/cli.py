@@ -30,15 +30,8 @@ from .circuit_io import (
     sweep_csv,
 )
 from .estimator import InfeasiblePlan
-from .quadrature import QuadratureNotConverged
-from .symplectic import (
-    DecompositionFailed,
-    IntSymplectic,
-    NotInteger,
-    NotSymplectic,
-    decompose,
-)
-from .theta import CodeState, NotPositiveDefinite, TruncationOverflow
+from .symplectic import IntSymplectic, NotInteger, NotSymplectic, decompose
+from .theta import CodeState, NotPositiveDefinite
 from .wigner import RealisticFactor
 
 
@@ -231,8 +224,7 @@ def main(argv=None) -> int:
     except InfeasiblePlan as exc:
         print(f"infeasible plan: {exc}", file=sys.stderr)
         return 4
-    except (TruncationOverflow, NotPositiveDefinite, QuadratureNotConverged,
-            DecompositionFailed, NotInteger) as exc:
+    except (NotPositiveDefinite, NotInteger) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except NotSymplectic as exc:

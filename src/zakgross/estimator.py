@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import MeasurementSpec, _check_spec, lattice_bins, sample_binner
+from .measure import MeasurementSpec, binner
 from .wigner import WignerState, seed_streams
 
 MAX_SAMPLES = 200_000_000
@@ -106,8 +106,8 @@ def estimate(
     seed: int,
     threads: int = 1,
 ) -> EstimateReport:
-    _check_spec(state, spec)
     t0 = time.perf_counter()
+    bins = binner(state, spec)
     shape = spec.table_shape()
     flat_bins = int(np.prod(shape))
     pos = np.zeros(flat_bins, dtype=np.int64)
@@ -115,24 +115,11 @@ def estimate(
 
     streams = seed_streams(seed, est_plan.n_samples)
 
-    if state.is_ideal():
-        joint, weights = lattice_bins(state, spec)
-        probs = np.abs(weights) / np.abs(weights).sum()
-
-        def draw(rng, size):
-            picked = rng.choice(len(probs), size=size, p=probs)
-            return joint[picked], weights[picked] > 0
-
-    else:
-        joint_bins = sample_binner(state, spec)
-        sampler = state.sampler()
-
-        def draw(rng, size):
-            pts, sgn = sampler(size, rng)
-            return joint_bins(pts), sgn > 0
+    sampler = state.sampler()
 
     def run_stream(seq, size):
-        idx, spos = draw(np.random.default_rng(seq), size)
+        pts, sgn = sampler(size, np.random.default_rng(seq))
+        idx, spos = bins(pts), sgn > 0
         return (
             np.bincount(idx[spos], minlength=flat_bins),
             np.bincount(idx[~spos], minlength=flat_bins),

@@ -6,15 +6,16 @@ k * (d*ell) / K. With K = d on an ideally encoded state the bin index is the
 logical outcome; the dense qudit oracle pins which coordinate block carries
 that outcome (the first, position block, in this package's layout).
 
-Positions are binned by two rules: lattice_bins, (m mod 2d) * K // 2d on
-exact pushes in units of ell/2, and bin_of_position, floor(x K / period +
-EDGE_TOL) mod K on every float position. They agree on half-lattice points
-while the float error stays below EDGE_TOL bins, which sample_binner checks.
-All-ideal states get exact tables from the integer rule; displacement-only
-circuits on product inputs factorize into per-mode marginals, squeezed ones
-integrated from their Fourier series in closed form. Anything beyond that
-is the estimator's job. The references these tables are checked against
-(the POVM indicator, marginals from |psi|^2) live in oracles.py.
+One binner, made once per (state, spec), maps input-frame draws to joint
+bin indices for the exact all-ideal table (over the lattice support), for
+sample mode and for the estimator. It pushes ideal columns exactly, mod 2d in
+units of ell/2, and the rest in float; bin_of_position, floor(x K / period +
+EDGE_TOL) mod K, bins the total, exactly on every half-lattice point.
+Displacement-only circuits on product inputs factorize into per-mode
+marginals, squeezed ones integrated from their Fourier series in closed
+form. Anything beyond that is the estimator's job. The references these
+tables are checked against (the POVM indicator, marginals from |psi|^2)
+live in oracles.py.
 """
 from __future__ import annotations
 
@@ -28,10 +29,6 @@ from .theta import x_bin_integrals
 from .wigner import IdealFactor, WignerState
 
 EDGE_TOL = 1e-9  # bin units: a float position this close below an edge is on it
-
-
-class BinningPrecisionLost(RuntimeError):
-    """Float rounding may move a lattice position across a bin edge."""
 
 
 @dataclass(frozen=True)
@@ -78,38 +75,40 @@ def bin_of_position(x, period: float, bins: int) -> np.ndarray:
     return np.mod(np.floor(scaled + EDGE_TOL).astype(np.int64), bins)
 
 
-def sample_binner(state: WignerState, spec: MeasurementSpec):
-    """Map from output-frame points (N, 2n) to flat joint bin indices, as lattice_bins.
+def binner(state: WignerState, spec: MeasurementSpec):
+    """Map from input-frame draws (N, 2n) to flat joint bin indices, made once.
 
-    Checked once, before any draw: a measured row of S^-1 that reads only
-    ideal-factor columns is a lattice position, possibly on an edge, so
-    BinningPrecisionLost is raised when its float push could err by EDGE_TOL bins.
+    Each measured position S^-1[m] eta + ell c[m] is read in units of ell/2,
+    one period being 2d. Ideal columns hold lattice points ell * t, so their
+    part of the sum, with the integer part of 2c, is pushed exactly in int64
+    by the row entries reduced mod 2d: reduction is a ring map, so no entry
+    size moves a point across an edge. Realistic columns and the fractional
+    part of 2c are pushed in float, and bin_of_position bins the total.
     """
-    d, n = state.params.d, state.params.n
+    _check_spec(state, spec)
+    d, ell = state.params.d, state.params.ell
     ideal = np.array([isinstance(f, IdealFactor) for f in state.factors] * 2)
-    s_inv = state.amap.S.inverse().mat
-    for m in spec.measured_modes:
-        if not any(s_inv[m][~ideal]):
-            # ideal draws are ell * t, 0 <= t < d: each partial sum of S^-1 eta
-            # + ell c is at most ell * size, and some 2n + 8 roundings of
-            # relative size 2^-53 reach it (Higham, Accuracy and Stability, ch. 3)
-            size = (d - 1) * sum(abs(int(a)) for a in s_inv[m]) + abs(state.amap.c[m])
-            bound = (2 * n + 8) * 2.0 ** -53 * float(size) * spec.K / d
-            if bound >= EDGE_TOL:
-                raise BinningPrecisionLost(
-                    f"float push of measured mode {m} may be off by {bound:.1e} bins, not "
-                    f"below the edge tolerance {EDGE_TOL:.0e}; matrix entries too large"
-                )
-    return lambda pts: np.ravel_multi_index(
-        tuple(bin_of_position(pts[:, m], spec.period, spec.K) for m in spec.measured_modes),
-        spec.table_shape(),
-    )
+    rows = state.amap.S.inverse().mat[list(spec.measured_modes)]
+    lattice = np.mod(rows[:, ideal], 2 * d).astype(np.int64).T
+    real = rows[:, ~ideal].astype(float).T * (2 / ell)
+    c2 = [2 * state.amap.c[m] for m in spec.measured_modes]
+    whole = np.array([math.floor(x) % (2 * d) for x in c2], dtype=np.int64)
+    frac = np.array([float(x - math.floor(x)) for x in c2])
+
+    def bins(eta):
+        m2 = np.rint(eta[:, ideal] * (2 / ell)).astype(np.int64)
+        units = (m2 @ lattice + whole) % (2 * d) + (eta[:, ~ideal] @ real + frac)
+        return np.ravel_multi_index(
+            tuple(bin_of_position(units, 2 * d, spec.K).T), spec.table_shape()
+        )
+
+    return bins
 
 
 def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
     """Exact outcome table, shape (K,) * m, summing to 1.
 
-    Dispatches to the integer lattice path for all-ideal states and to
+    Dispatches to the lattice support for all-ideal states and to
     per-mode marginals for displacement-only circuits on product inputs.
     """
     if state.is_ideal():
@@ -120,9 +119,10 @@ def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray
 def exact_probabilities_ideal(
     state: WignerState, spec: MeasurementSpec
 ) -> np.ndarray:
-    """Integer-exact outcome table for an all-ideal state."""
-    _check_spec(state, spec)
-    joint, weights = lattice_bins(state, spec)
+    """Outcome table of an all-ideal state: its lattice support, binned."""
+    bins = binner(state, spec)
+    m2, weights = state.lattice_support()
+    joint = bins(m2 * (state.params.ell / 2))
     shape = spec.table_shape()
     flat = np.bincount(joint, weights=weights, minlength=math.prod(shape))
     table = flat.reshape(shape)
@@ -131,21 +131,6 @@ def exact_probabilities_ideal(
     low = table.min()
     assert low > -1e-9, f"negative exact probability {low}"
     return np.clip(table, 0.0, None)
-
-
-def lattice_bins(state: WignerState, spec: MeasurementSpec):
-    """Flat joint bin index and signed weight of each lattice support point.
-
-    The joint index is row-major over spec.measured_modes. Support points are
-    pushed in exact integers (units of ell/2) and folded mod 2d, one period,
-    before they are binned, so no point lands on the wrong side of an edge.
-    Raises ValueError unless every factor is ideal.
-    """
-    d = state.params.d
-    m2, weights = state.lattice_support()
-    pushed = state.amap.push_lattice_half(m2, spec.measured_modes)
-    bins = np.mod(pushed, 2 * d).astype(np.int64) * spec.K // (2 * d)
-    return np.ravel_multi_index(tuple(bins.T), spec.table_shape()), weights
 
 
 def quadrature_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray:

@@ -36,10 +36,12 @@ MAX_DECOMPOSE_WORD = 200_000
 
 def _to_int_object(mat) -> np.ndarray:
     arr = np.asarray(mat)
+    if arr.dtype == bool:
+        raise NotInteger("entries are booleans, not integers")
     if arr.dtype == object:
         out = arr.copy()
         for idx, val in np.ndenumerate(out):
-            if not isinstance(val, (int, np.integer)):
+            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
                 raise NotInteger(f"entry {idx} is {val!r}, not an integer")
             out[idx] = int(val)
         return out

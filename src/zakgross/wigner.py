@@ -3,9 +3,10 @@
 A circuit acting on a product input never needs more than this pair: gates
 only update the affine map (exactly, in integer/Fraction arithmetic), while
 the input factors hold all the state-specific data. Evaluation pulls points
-back through the map; sampling pushes sampled input points forward. The
-total negativity is a product over factors and is manifestly invariant
-under gates, since the map drops out of any integral over a full cell.
+back through the map; sampling draws input points, which measure.binner
+pushes forward. The total negativity is a product over factors and is
+manifestly invariant under gates, since the map drops out of any integral
+over a full cell.
 
 Ideal factors carry a d x d table of discrete Wigner weights supported on
 the integer lattice ell * Z^2 (one cell); realistic factors carry a
@@ -233,21 +234,20 @@ class WignerState:
         # columns currently (x1, z1, x2, z2, ...): regroup to (x..., z...)
         xcols = raw[:, 0::2]
         zcols = raw[:, 1::2]
-        m2 = np.hstack([2 * xcols, 2 * zcols]).astype(object)
-        return m2, wts[-1]
+        return np.hstack([2 * xcols, 2 * zcols]), wts[-1]
 
     def sampler(self):
-        """Build a per-state sampler of (output-frame points, signs).
+        """Build a per-state sampler of (input-frame points, signs).
 
-        The returned callable maps (count, rng) to (eta_out (N, 2n) floats,
-        signs (N,)). Envelope tables for realistic factors are built once.
+        The returned callable maps (count, rng) to (eta_in (N, 2n) floats,
+        signs (N,)), drawn per factor; measure.binner pushes them forward.
+        Envelope tables for realistic factors are built once.
         """
         factor_samplers = [
             _ideal_sampler(f, self.params) if isinstance(f, IdealFactor) else _rejection_sampler(f)
             for f in self.factors
         ]
         n = self.params.n
-        amap = self.amap
 
         def sample(count: int, rng: np.random.Generator):
             cols = []
@@ -260,7 +260,7 @@ class WignerState:
             for i, eta_i in enumerate(cols):
                 eta_in[:, i] = eta_i[:, 0]
                 eta_in[:, n + i] = eta_i[:, 1]
-            return amap.push_float(eta_in), signs
+            return eta_in, signs
 
         return sample
 
@@ -301,8 +301,8 @@ def seed_streams(seed: int, total: int) -> list:
     return [(seq, base + (i < extra)) for i, seq in enumerate(seqs)]
 
 
-def sample_abs(state: WignerState, seed: int, count: int):
-    """Draw (output-frame points (N, 2n), signs (N,)) from |W|/M.
+def sample_input(state: WignerState, seed: int, count: int):
+    """Draw (input-frame points (N, 2n), signs (N,)) from |W|/M.
 
     Deterministic per seed: the seed_streams draws, concatenated in stream
     order.
@@ -315,6 +315,14 @@ def sample_abs(state: WignerState, seed: int, count: int):
         for seq, size in seed_streams(seed, count)
     ]
     return np.vstack([p for p, _ in draws]), np.concatenate([s for _, s in draws])
+
+
+def sample_abs(state: WignerState, seed: int, count: int):
+    """Draw (output-frame points (N, 2n), signs (N,)) from |W|/M: the
+    sample_input draws pushed forward through the map.
+    """
+    pts, signs = sample_input(state, seed, count)
+    return state.amap.push_float(pts), signs
 
 
 def _ideal_comb_value(factor: IdealFactor, coords: np.ndarray, ell: float):

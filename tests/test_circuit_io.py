@@ -12,9 +12,8 @@ from zakgross.circuit_io import (
     run,
     sweep_csv,
 )
-from zakgross.measure import BinningPrecisionLost, exact_probabilities
+from zakgross.measure import exact_probabilities
 from zakgross.qudit import CodeParams, Gate, clifford_oracle_probabilities
-from zakgross.wigner import WignerState
 
 
 def doc(**overrides):
@@ -261,19 +260,14 @@ def test_sample_mode_large_entries_bin_within_tolerance():
     assert result["frequencies"] == [0.0, 0.0, 1.0]
 
 
-def no_sampling(*args, **kwargs):
-    raise AssertionError("sampled before the precision check")
-
-
-def test_sample_mode_refuses_float_binning_past_tolerance(monkeypatch):
+def test_sample_mode_bins_huge_lattice_entries_exactly():
     spec = parse_circuit(shear_doc(10**9))
     assert run(spec, "exact")["probabilities"] == pytest.approx([0, 0, 1], abs=1e-12)
-    monkeypatch.setattr("zakgross.circuit_io.sample_abs", no_sampling)
-    with pytest.raises(BinningPrecisionLost, match="edge tolerance"):
-        run(spec, "sample", seed=3, n_samples=1_000)
+    result = run(spec, "sample", seed=3, n_samples=1_000)
+    assert result["frequencies"] == [0.0, 0.0, 1.0]
 
 
-def test_estimate_refuses_float_binning_before_sampling(monkeypatch):
+def test_estimate_bins_huge_lattice_entries_exactly():
     a = 10**9
     matrix = np.eye(6, dtype=int)
     matrix[0, 1], matrix[4, 3] = a, -a
@@ -288,6 +282,68 @@ def test_estimate_refuses_float_binning_before_sampling(monkeypatch):
         )
     )
 
-    monkeypatch.setattr(WignerState, "sampler", no_sampling)
-    with pytest.raises(BinningPrecisionLost, match="edge tolerance"):
-        run(spec, "estimate")
+    result = run(spec, "estimate")
+    assert np.max(np.abs(np.array(result["probabilities"]) - [0, 0, 1])) <= 0.01
+
+
+def test_mixed_row_with_huge_lattice_entry_bins_exactly():
+    # the shear adds a * (ideal x1) to the squeezed x0; a = 1e15 and 4e15 are
+    # 1 mod 3 like a = 1, so all three give the same true table
+    tables = []
+    for a in (1, 10**15, 4 * 10**15):
+        matrix = [[1, a, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -a, 1]]
+        spec = parse_circuit(doc(
+            n=2,
+            inputs=[{"realistic": {"kind": "logical", "j": 0, "delta": 0.5}},
+                    {"ideal_logical": 1}],
+            ops=[{"gate": "symplectic", "matrix": matrix}],
+            estimator={"epsilon": 0.02, "delta_fail": 0.1, "seed": 1},
+        ))
+        tables.append(run(spec, "estimate")["probabilities"])
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+
+
+REALISTIC = {"realistic": {"kind": "logical", "j": 0, "delta": 0.5}}
+BOOLEAN_CASES = {
+    "n": ({"n": True}, "$.n"),
+    "ideal_logical": ({"inputs": [{"ideal_logical": True}]}, "$.inputs[0].ideal_logical"),
+    "ideal_table_entry": (
+        {"inputs": [{"ideal_table": [[True, 0, 0], [0, 0, 0], [0, 0, 0]]}]},
+        "$.inputs[0].ideal_table[0][0]",
+    ),
+    "ideal_table_pair": (
+        {"inputs": [{"ideal_table": [[[1, False], 0, 0], [0, 0, 0], [0, 0, 0]]}]},
+        "$.inputs[0].ideal_table[0][0]",
+    ),
+    "realistic_delta": (
+        {"inputs": [{"realistic": {"kind": "phase_state", "delta": True}}]},
+        "$.inputs[0].realistic.delta",
+    ),
+    "realistic_j": (
+        {"inputs": [{"realistic": {"kind": "logical", "j": True, "delta": 0.5}}]},
+        "$.inputs[0].realistic.j",
+    ),
+    "gate_modes": (
+        {"n": 2, "inputs": [REALISTIC, REALISTIC],
+         "ops": [{"gate": "SUM", "modes": [True, False]}]},
+        "$.ops[0].modes",
+    ),
+    "symplectic": (
+        {"ops": [{"gate": "symplectic", "matrix": [[True, 0], [0, 1]]}]},
+        "$.ops[0].matrix",
+    ),
+    "displace": ({"ops": [{"gate": "displace", "c": [True, 0]}]}, "$.ops[0].c"),
+    "measured_modes": ({"measurement": {"modes": [False], "K": 3}}, "$.measurement.modes"),
+    "K": ({"measurement": {"modes": [0], "K": True}}, "$.measurement.K"),
+    "seed": (
+        {"estimator": {"epsilon": 0.1, "delta_fail": 0.1, "seed": True}},
+        "$.estimator.seed",
+    ),
+}
+
+
+@pytest.mark.parametrize("overrides, path", BOOLEAN_CASES.values(), ids=BOOLEAN_CASES)
+def test_booleans_are_not_numbers(overrides, path):
+    with pytest.raises(SchemaError) as info:
+        parse_circuit(doc(**overrides))
+    assert any(e.startswith(f"at {path}:") for e in info.value.errors), info.value.errors

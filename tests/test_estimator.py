@@ -7,7 +7,7 @@ from zakgross.estimator import EstimatePlan, estimate, plan
 from zakgross.measure import MeasurementSpec, bin_of_position, exact_probabilities
 from zakgross.qudit import CodeParams, Gate
 from zakgross.theta import CodeState
-from zakgross.wigner import ideal_input, realistic_input, sample_abs
+from zakgross.wigner import WignerState, ideal_input, realistic_input, sample_abs
 
 
 def bell_state():
@@ -75,6 +75,20 @@ def test_ideal_estimate_matches_exact_within_errors():
     # diagonal bins carry 1/3 each; standard errors should cover the residual
     resid = np.abs(rep.probabilities - exact)
     assert np.all(resid <= 5 * rep.std_errors + 1e-12)
+
+
+def test_ideal_estimate_draws_per_mode_without_the_support(monkeypatch):
+    params, st = bell_state()
+    spec = MeasurementSpec.from_params(params, (0, 1), 3)
+    exact = exact_probabilities(st, spec)
+
+    def no_support(self):
+        raise AssertionError("enumerated the lattice support")
+
+    monkeypatch.setattr(WignerState, "lattice_support", no_support)
+    pl = plan(0.05, 0.1, st.negativity())
+    rep = estimate(st, spec, pl, seed=11)
+    assert np.max(np.abs(rep.probabilities - exact)) <= pl.epsilon
 
 
 def test_calibration_smoke():

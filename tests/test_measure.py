@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zakgross.qudit import CodeParams, Gate, clifford_oracle_probabilities
 from zakgross.measure import (
     MeasurementSpec,
     bin_of_position,
+    binner,
     exact_probabilities,
     exact_probabilities_ideal,
     quadrature_probabilities,
 )
-from zakgross.oracles import povm_indicator, wavefunction_bin_probabilities
+from zakgross.oracles import povm_indicator, random_word, wavefunction_bin_probabilities
 from zakgross.theta import CodeState
 from zakgross.wigner import RealisticFactor, ideal_input, realistic_input
 
@@ -33,7 +36,7 @@ def test_bin_arithmetic():
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
 def test_float_rule_matches_integer_rule_on_half_lattice(d):
     # every half-lattice point m ell / 2, moved by up to 4 ulp either way,
-    # lands in the bin lattice_bins' integer rule gives it
+    # lands in the bin the integer rule (m mod 2d) * K // 2d gives it
     params = CodeParams(d, 1)
     period = params.torus_period
     m = np.arange(-4 * d, 4 * d + 1)
@@ -50,6 +53,38 @@ def test_float_rule_matches_integer_rule_on_half_lattice(d):
             assert np.array_equal(bin_of_position(x, period, k), want), (k, x)
     # a push that should give 0 and gives -4.4e-16 is in bin 0, not the last
     assert bin_of_position(-4.4e-16, period, 3) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10 ** 6),
+    d=st.sampled_from([3, 5, 7, 9]),
+    a=st.integers(-10 ** 30, 10 ** 30),
+)
+def test_binner_is_exact_push_on_lattice_support(seed, d, a):
+    # one shear with entries up to 1e30 inside a random word, then a
+    # half-integer displacement; push_lattice_half is the exact reference
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    params = CodeParams(d, n)
+    i, j = (int(v) for v in rng.integers(n, size=2))
+    shear = np.eye(2 * n, dtype=object)
+    shear[i, n + j] += a
+    shear[j, n + i] += a * (i != j)
+    state = (
+        ideal_input(params, [int(v) for v in rng.integers(d, size=n)])
+        .apply_word(random_word(rng, n, int(rng.integers(0, 8))))
+        .apply_symplectic(shear)
+        .apply_word(random_word(rng, n, int(rng.integers(0, 8))))
+        .apply_displacement(rng.integers(-4 * d, 4 * d, size=2 * n) / 2)
+    )
+    modes = tuple(int(m) for m in rng.permutation(n)[: int(rng.integers(1, n + 1))])
+    spec = spec_for(params, modes, int(rng.integers(1, 2 * d + 2)))
+    m2, _ = state.lattice_support()
+    got = binner(state, spec)(m2 * (params.ell / 2))
+    pushed = state.amap.push_lattice_half(m2, modes)
+    want = (np.mod(pushed, 2 * d) * spec.K // (2 * d)).astype(np.int64)
+    assert np.array_equal(got, np.ravel_multi_index(tuple(want.T), spec.table_shape()))
 
 
 def test_povm_indicator_single_bin_always_one():

@@ -55,6 +55,15 @@ def test_rejects_non_integer():
         IntSymplectic(np.eye(2) * 1.5)
 
 
+@pytest.mark.parametrize("mat", [
+    np.eye(2, dtype=bool),
+    np.array([[True, 0], [0, 1]], dtype=object),
+], ids=["bool_dtype", "bool_entry"])
+def test_rejects_booleans(mat):
+    with pytest.raises(NotInteger):
+        IntSymplectic(mat)
+
+
 def test_inverse_and_matmul_are_exact():
     p = CodeParams(3, 2)
     rng = np.random.default_rng(3)

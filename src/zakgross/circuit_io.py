@@ -36,7 +36,7 @@ import numpy as np
 from . import estimator as est_mod
 from .measure import MeasurementSpec, binner, exact_probabilities
 from .qudit import GATE_NAMES, CodeParams, Gate
-from .symplectic import IntSymplectic, NotInteger, NotSymplectic
+from .symplectic import IntSymplectic
 from .theta import CodeState
 from .wigner import IdealFactor, RealisticFactor, WignerState, sample_input
 
@@ -246,7 +246,7 @@ def _parse_ops(raw, params, err):
                 if arr.shape != (2 * n, 2 * n):
                     raise ValueError(f"shape {arr.shape}, expected {(2*n, 2*n)}")
                 out.append(("symplectic", IntSymplectic(arr)))
-            except (NotSymplectic, NotInteger, ValueError) as exc:
+            except ValueError as exc:
                 err(f"{path}.matrix", str(exc))
         elif tag == "displace":
             c = item.get("c")

@@ -4,10 +4,13 @@ Vectors are ordered (x_1..x_n, z_1..z_n). The symplectic form is
 Omega = [[0, I], [-I, 0]], and a gate U acts on displacement exponents
 in the Heisenberg sense U^dag T(a) U = T(S a). All matrices are kept as
 Python-int object arrays so that composition, inversion, and the word
-decomposition below are exact at any magnitude. Each op's half-integer
-covariance shift enters through t_bar, folded into AffineMap.c when the op is
-composed; the stand-alone shift t(S) and the exponent parity identity it
-rests on are references in oracles.py.
+decomposition below are exact at any magnitude. A matrix is checked once,
+where it enters through the IntSymplectic constructor; identities,
+inverses, products and generator matrices are symplectic by construction
+and are not checked again. Each op's half-integer covariance shift enters
+through t_bar, folded into AffineMap.c when the op is composed; the
+stand-alone shift t(S) and the exponent parity identity it rests on are
+references in oracles.py.
 """
 from __future__ import annotations
 
@@ -35,26 +38,11 @@ MAX_DECOMPOSE_WORD = 200_000
 
 
 def _to_int_object(mat) -> np.ndarray:
-    arr = np.asarray(mat)
-    if arr.dtype == bool:
-        raise NotInteger("entries are booleans, not integers")
-    if arr.dtype == object:
-        out = arr.copy()
-        for idx, val in np.ndenumerate(out):
-            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
-                raise NotInteger(f"entry {idx} is {val!r}, not an integer")
-            out[idx] = int(val)
-        return out
-    if np.issubdtype(arr.dtype, np.integer):
-        return arr.astype(object)
-    rounded = np.round(arr)
-    bad = np.argwhere(np.abs(arr - rounded) > 1e-9)
-    if bad.size:
-        i, j = bad[0]
-        raise NotInteger(f"entry ({i},{j}) = {arr[i, j]} is not an integer")
-    out = np.empty(arr.shape, dtype=object)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = int(rounded[idx])
+    out = np.array(mat, dtype=object)
+    for idx, val in np.ndenumerate(out):
+        if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
+            raise NotInteger(f"entry {idx} is {val!r}, not an integer")
+        out[idx] = int(val)
     return out
 
 
@@ -68,7 +56,7 @@ def symplectic_form(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntSymplectic:
-    """A 2n x 2n integer matrix S with S^T Omega S = Omega, held exactly."""
+    """A 2n x 2n integer matrix S with S^T Omega S = Omega, checked here, held exactly."""
 
     mat: np.ndarray
 
@@ -94,7 +82,7 @@ class IntSymplectic:
 
     @classmethod
     def identity(cls, n: int) -> "IntSymplectic":
-        return cls(np.eye(2 * n, dtype=int))
+        return _trusted(np.eye(2 * n, dtype=int).astype(object))
 
     def blocks(self):
         n = self.n
@@ -105,13 +93,20 @@ class IntSymplectic:
         a, b, c, d = self.blocks()
         top = np.hstack([d.T, -b.T])
         bot = np.hstack([-c.T, a.T])
-        return IntSymplectic(np.vstack([top, bot]))
+        return _trusted(np.vstack([top, bot]))
 
     def __matmul__(self, other: "IntSymplectic") -> "IntSymplectic":
-        return IntSymplectic(self.mat @ other.mat)
+        return _trusted(self.mat @ other.mat)
 
     def as_float(self) -> np.ndarray:
         return self.mat.astype(float)
+
+
+def _trusted(mat: np.ndarray) -> IntSymplectic:
+    """Wrap a Python-int object array that is symplectic by construction, unchecked."""
+    s = object.__new__(IntSymplectic)
+    object.__setattr__(s, "mat", mat)
+    return s
 
 
 # ---- the half-integer shift attached to a symplectic action -----------------
@@ -168,7 +163,7 @@ def generator_symplectic(gate: Gate, params: CodeParams):
         c[n + i] = Fraction(1)
     else:  # pragma: no cover
         raise ValueError(f"unknown gate {name}")
-    return IntSymplectic(m), tuple(c)
+    return _trusted(m), tuple(c)
 
 
 # ---- affine phase-space map of a whole circuit -------------------------------

@@ -186,6 +186,8 @@ def code_state_norm(state: CodeState, tol: float = 1e-16) -> float:
     """<psi|psi> by direct Gaussian-overlap summation over the peak lattice."""
     d, delta, ell = state.d, state.delta, state.ell
     kmax = _k_range(d, delta, ell, tol)
+    if (2 * kmax + 1) ** 2 > MAX_TERMS:
+        raise TruncationOverflow(f"peak-overlap box for k_max {kmax:.3g} exceeds cap {MAX_TERMS}")
     k = np.arange(-kmax, kmax + 1)
     total = 0.0
     for j in range(d):
@@ -207,7 +209,7 @@ def code_state_norm(state: CodeState, tol: float = 1e-16) -> float:
 def _k_range(d, delta, ell, tol):
     # envelope exp(-Delta^2 mu^2 / 2) negligible beyond |mu| = sqrt(2 L) / Delta
     reach = math.sqrt(2.0 * math.log(1.0 / tol)) / (delta * ell)
-    return int(math.ceil((reach + d) / d)) + 1
+    return math.ceil((reach + d) / d) + 1 if math.isfinite(reach) else math.inf
 
 
 # -- the series: per basis pair, 2-D sub-lattice theta sums, summed once --
@@ -252,7 +254,7 @@ def _series(state: CodeState, tol: float):
                 if log_total > 600.0:
                     raise TruncationOverflow(f"block scale exp({log_total:.0f}) out of range")
                 weight = coeff * (-1.0 if p1 * p2 else 1.0) * math.exp(log_total)
-                if weight != 0:
+                if weight != 0 and fa.size and fb.size:  # no kept term: the block sums to 0
                     blocks.append((weight, fb[:, 0], cb, fa[:, 0], ca))
     kx_max = int(max((np.max(np.abs(blk[1])) for blk in blocks), default=0))
     kz_max = int(max((np.max(np.abs(blk[3])) for blk in blocks), default=0))

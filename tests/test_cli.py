@@ -97,6 +97,26 @@ def test_tol_must_be_positive_and_finite(tol, capsys):
     assert "--tol: must be a positive finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "c.json", "--tol", "1e-6"],
+    ["wigner", "--delta", "0.5", "--tol", "1e-6"],
+    ["decompose", "m.json", "--tol", "1e-6"],
+    ["verify", "--tol", "1e-6"],
+    ["wigner", "--delta", "0.5", "--seed", "1"],
+    ["negativity", "--deltas", "0.5", "--seed", "1"],
+    ["decompose", "m.json", "--seed", "1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flags_a_command_ignores_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_tiny_delta_is_a_numeric_failure(capsys):
+    assert main(["wigner", "--delta", "1e-5", "--grid", "3"]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_sample_huge_lattice_entries_exit_code(tmp_path):
     a = 10**9
     matrix = [[1, a, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -a, 1]]

@@ -1,4 +1,5 @@
 """Exact symplectic algebra: generator table, shifts, affine maps, decompose."""
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zakgross.oracles import covariance_shift, parity_identity_holds, shift_over_ell
+from zakgross.oracles import (
+    ONE_MODE,
+    TWO_MODE,
+    covariance_shift,
+    parity_identity_holds,
+    shift_over_ell,
+)
 from zakgross.qudit import (
     CodeParams,
     Gate,
@@ -62,6 +69,70 @@ def test_rejects_non_integer():
 def test_rejects_booleans(mat):
     with pytest.raises(NotInteger):
         IntSymplectic(mat)
+
+
+def test_rejects_float_dtype_even_when_integral():
+    with pytest.raises(NotInteger):
+        IntSymplectic(np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_generator_passes_the_public_check(n):
+    # generators are built unchecked; the public constructor re-proves them
+    p = CodeParams(3, n)
+    gates = [Gate(name, (i,)) for name in ONE_MODE for i in range(n)]
+    gates += [Gate(name, pair) for name in TWO_MODE for pair in itertools.permutations(range(n), 2)]
+    for gate in gates:
+        s, _c = generator_symplectic(gate, p)
+        assert np.array_equal(IntSymplectic(s.mat).mat, s.mat), gate
+
+
+def _shear(n, entries):
+    # [[I, B], [0, I]] with B symmetric is symplectic for any integer entries
+    m = np.eye(2 * n, dtype=int).astype(object)
+    for (i, j), v in zip(itertools.combinations_with_replacement(range(n), 2), entries):
+        m[i, n + j] = m[j, n + i] = v
+    return IntSymplectic(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10 ** 6),
+    n=st.integers(1, 3),
+    entries=st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=6, max_size=6),
+)
+def test_unchecked_products_and_inverses_stay_symplectic(seed, n, entries):
+    rng = np.random.default_rng(seed)
+    p = CodeParams(3, n)
+    amap = AffineMap.identity(p)
+    for g in random_word(rng, n, int(rng.integers(0, 12))):
+        amap = amap.then(g)
+    amap = amap.then_affine(_shear(n, entries), tuple([Fraction(0)] * (2 * n)))
+    for g in random_word(rng, n, int(rng.integers(0, 12))):
+        amap = amap.then(g)
+    s = amap.S
+    assert np.array_equal(IntSymplectic(s.mat).mat, s.mat)
+    assert np.array_equal(IntSymplectic(s.inverse().mat).mat, s.inverse().mat)
+    assert np.array_equal((s @ s.inverse()).mat, IntSymplectic.identity(n).mat)
+
+
+def test_internal_maps_skip_the_symplectic_check(monkeypatch):
+    from zakgross import symplectic
+    from zakgross.measure import MeasurementSpec, binner
+    from zakgross.wigner import ideal_input
+
+    def refuse(n):
+        raise AssertionError("S^T Omega S checked on an internal matrix")
+
+    monkeypatch.setattr(symplectic, "symplectic_form", refuse)
+    p = CodeParams(3, 3)
+    word = random_word(np.random.default_rng(8), 3, 40)
+    state = ideal_input(p, [0, 1, 2]).apply_word(word)
+    assert state.amap.S.inverse().n == 3
+    bins = binner(state, MeasurementSpec.from_params(p, [0, 2], 3))
+    assert bins(np.zeros((1, 6))).shape == (1,)
+    with pytest.raises(AssertionError, match="internal"):
+        IntSymplectic(state.amap.S.mat)  # the public constructor still checks
 
 
 def test_inverse_and_matmul_are_exact():

@@ -164,6 +164,12 @@ def test_norm_matches_wavefunction_quadrature(delta, kind):
     assert abs(got - ref) < 1e-9 * ref
 
 
+@pytest.mark.parametrize("delta", [1e-5, 1e-200, 1e-310])  # 1e-310: the reach overflows to inf
+def test_norm_refuses_an_oversized_overlap_box(delta):
+    with pytest.raises(TruncationOverflow, match="exceeds cap"):
+        code_state_norm(CodeState.logical(3, 0, delta))
+
+
 def test_wigner_cell_integral_equals_d_times_norm():
     # exact identity: integrating the unnormalized Wigner function over one
     # (d ell)^2 cell gives d * <psi|psi>

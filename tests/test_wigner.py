@@ -67,6 +67,16 @@ def test_positive_state_negativity_is_one():
     assert f.negativity() >= 1.0
 
 
+@pytest.mark.parametrize("d,delta", [(3, 0.1), (3, 0.05), (5, 0.05)])
+def test_high_squeezing_reaches_ideal_negativity(d, delta):
+    # some sub-lattice blocks keep no term here; they must drop out, not crash
+    assert abs(RealisticFactor.make(CodeState.logical(d, 0, delta)).negativity() - 1) < 1e-6
+    state = CodeState.phase_state(d, delta)
+    ket = np.array(state.eps)
+    ideal = IdealFactor.from_density_matrix(CodeParams(d, 1), np.outer(ket, ket.conj()))
+    assert abs(RealisticFactor.make(state).negativity() - ideal.negativity()) < 1e-6
+
+
 def test_evaluate_factorizes(rng=np.random.default_rng(5)):
     params = CodeParams(3, 2)
     s0 = CodeState.logical(3, 0, 0.4)

@@ -127,9 +127,11 @@ def exact_probabilities_ideal(
     flat = np.bincount(joint, weights=weights, minlength=math.prod(shape))
     table = flat.reshape(shape)
     total = table.sum()
-    assert abs(total - 1.0) < 1e-12, f"ideal probabilities sum to {total}"
+    if not abs(total - 1.0) < 1e-12:
+        raise RuntimeError(f"ideal probabilities sum to {total}")
     low = table.min()
-    assert low > -1e-9, f"negative exact probability {low}"
+    if not low > -1e-9:
+        raise RuntimeError(f"negative exact probability {low}")
     return np.clip(table, 0.0, None)
 
 
@@ -154,7 +156,8 @@ def quadrature_probabilities(state: WignerState, spec: MeasurementSpec) -> np.nd
     ]
     table = functools.reduce(np.multiply.outer, per_mode)
     total = table.sum()
-    assert abs(total - 1.0) < 1e-7, f"quadrature probabilities sum to {total}"
+    if not abs(total - 1.0) < 1e-7:
+        raise RuntimeError(f"quadrature probabilities sum to {total}")
     return table
 
 

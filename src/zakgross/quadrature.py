@@ -23,7 +23,8 @@ class QuadratureNotConverged(RuntimeError):
 def panel_rule(edges, nodes_per_panel: int):
     """Gauss-Legendre nodes and weights on each interval of an edge list."""
     edges = np.asarray(edges, dtype=float)
-    assert edges.ndim == 1 and edges.size >= 2 and np.all(np.diff(edges) > 0)
+    if not (edges.ndim == 1 and edges.size >= 2 and np.all(np.diff(edges) > 0)):
+        raise ValueError(f"edges must be a strictly increasing 1-D list of >= 2, got {edges}")
     x, w = leggauss(nodes_per_panel)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)

@@ -377,5 +377,6 @@ def clifford_oracle_probabilities(
     else:
         probs = np.transpose(probs, axes=measured)
     total = probs.sum()
-    assert abs(total - 1.0) < 1e-12, f"oracle probabilities sum to {total}"
+    if not abs(total - 1.0) < 1e-12:
+        raise RuntimeError(f"oracle probabilities sum to {total}")
     return probs

@@ -3,14 +3,17 @@
 Vectors are ordered (x_1..x_n, z_1..z_n). The symplectic form is
 Omega = [[0, I], [-I, 0]], and a gate U acts on displacement exponents
 in the Heisenberg sense U^dag T(a) U = T(S a). All matrices are kept as
-Python-int object arrays so that composition, inversion, and the word
-decomposition below are exact at any magnitude. A matrix is checked once,
-where it enters through the IntSymplectic constructor; identities,
-inverses, products and generator matrices are symplectic by construction
-and are not checked again. Each op's half-integer covariance shift enters
-through t_bar, folded into AffineMap.c when the op is composed; the
-stand-alone shift t(S) and the exponent parity identity it rests on are
-references in oracles.py.
+Python-int object arrays, exact at any magnitude. A matrix is checked once,
+where it enters through the IntSymplectic constructor; all others are
+symplectic by construction and are not checked again.
+
+Each generator tag is written once, in BLOCKS: the small integer block it
+applies on the coordinates (x_i.., z_i..) of the modes it touches. Every op
+is a block on some coordinates (an explicit matrix on all of them, a
+displacement none), so AffineMap.then_affine, word_symplectic and decompose
+compose by O(n) column or row operations. An op's half-integer covariance
+shift enters through t_bar of its block; the stand-alone shift t(S) and the
+exponent parity identity are references in oracles.py.
 """
 from __future__ import annotations
 
@@ -119,65 +122,59 @@ def t_bar(S: IntSymplectic) -> np.ndarray:
     return np.concatenate([top, bot]).astype(object)
 
 
-# ---- generator tags ----------------------------------------------------------
+# ---- the generator table -----------------------------------------------------
 
-def generator_symplectic(gate: Gate, params: CodeParams):
-    """(S, c) for a gate tag: the exponent action S and the lattice offset c.
+def _block(rows) -> IntSymplectic:
+    return _trusted(np.array(rows, dtype=object))
 
-    c is a tuple of Fractions in units of ell; for P it is half-integer.
-    """
+
+# Each tag's block B on the coordinates (x_i, z_i) of its mode, or
+# (x_i, x_j, z_i, z_j) of its pair (i, j); the displacements X and Z have none.
+BLOCKS = {
+    "F": _block([[0, 1], [-1, 0]]),
+    "F_inv": _block([[0, -1], [1, 0]]),
+    "P": _block([[1, 0], [-1, 1]]),
+    "P_inv": _block([[1, 0], [1, 1]]),
+    "SUM": _block([[1, 0, 0, 0], [-1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
+    "SUM_inv": _block([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]]),
+    "CZ": _block([[1, 0, 0, 0], [0, 1, 0, 0], [0, -1, 1, 0], [-1, 0, 0, 1]]),
+    "CZ_inv": _block([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]),
+    "X": None,
+    "Z": None,
+}
+
+
+def _coords(modes, n: int) -> list:
+    """Indices of (x_i.., z_i..) of the given modes in a 2n-vector."""
+    return [*modes, *(n + i for i in modes)]
+
+
+def generator_block(gate: Gate, params: CodeParams):
+    """(coords, B, cg) of a gate tag: the coordinates of the modes it touches,
+    its block there (None for X and Z) and its own offset there, as Fractions
+    in units of ell (half-integer for P and P_inv)."""
     n = params.n
-    d = params.d
     if max(gate.modes) >= n:
         raise ValueError(f"gate {gate} touches mode >= n={n}")
-    m = np.eye(2 * n, dtype=int).astype(object)
-    c = [Fraction(0)] * (2 * n)
-    name = gate.name
-    if name in ("F", "F_inv"):
-        (i,) = gate.modes
-        s = 1 if name == "F" else -1
-        m[i, i] = 0
-        m[n + i, n + i] = 0
-        m[i, n + i] = s
-        m[n + i, i] = -s
-    elif name in ("P", "P_inv"):
-        (i,) = gate.modes
-        s = 1 if name == "P" else -1
-        m[n + i, i] = -s
-        c[n + i] = Fraction(s * d, 2)
-    elif name in ("SUM", "SUM_inv"):
-        i, j = gate.modes
-        s = 1 if name == "SUM" else -1
-        m[j, i] = -s
-        m[n + i, n + j] = s
-    elif name in ("CZ", "CZ_inv"):
-        i, j = gate.modes
-        s = 1 if name == "CZ" else -1
-        m[n + i, j] = -s
-        m[n + j, i] = -s
-    elif name == "X":
-        (i,) = gate.modes
-        c[i] = Fraction(1)
-    elif name == "Z":
-        (i,) = gate.modes
-        c[n + i] = Fraction(1)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown gate {name}")
-    return _trusted(m), tuple(c)
+    coords = _coords(gate.modes, n)
+    h = Fraction(params.d, 2)
+    offset = {"P": (0, h), "P_inv": (0, -h), "X": (1, 0), "Z": (0, 1)}
+    cg = tuple(Fraction(v) for v in offset.get(gate.name, (0,) * len(coords)))
+    return coords, BLOCKS[gate.name], cg
+
+
+def generator_symplectic(gate: Gate, params: CodeParams):
+    """Dense (S, c) of a gate tag: its block embedded in the identity, its
+    offset in the zero 2n-vector."""
+    coords, block, cg = generator_block(gate, params)
+    m = IntSymplectic.identity(params.n).mat
+    if block is not None:
+        m[np.ix_(coords, coords)] = block.mat
+    own = dict(zip(coords, cg))
+    return _trusted(m), tuple(own.get(i, Fraction(0)) for i in range(2 * params.n))
 
 
 # ---- affine phase-space map of a whole circuit -------------------------------
-
-def _mat_frac_vec(mat: np.ndarray, vec) -> tuple:
-    out = []
-    for row in mat:
-        acc = Fraction(0)
-        for mij, vj in zip(row, vec):
-            if mij:
-                acc += int(mij) * vj
-        out.append(acc)
-    return tuple(out)
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -200,8 +197,8 @@ class AffineMap:
         return cls(IntSymplectic.identity(params.n), tuple([Fraction(0)] * (2 * params.n)), params)
 
     def then(self, gate: Gate) -> "AffineMap":
-        sg, cg = generator_symplectic(gate, self.params)
-        return self.then_affine(sg, cg)
+        coords, block, cg = generator_block(gate, self.params)
+        return self.then_affine(block, cg, coords)
 
     def then_displacement(self, c_vec) -> "AffineMap":
         """Append a displacement by c in units of ell.
@@ -217,20 +214,32 @@ class AffineMap:
         )
         if len(c) != 2 * n:
             raise ValueError(f"displacement needs length {2 * n}, got {len(c)}")
-        return self.then_affine(IntSymplectic.identity(n), c)
+        return self.then_affine(None, c)
 
-    def then_affine(self, sg: IntSymplectic, cg) -> "AffineMap":
-        """Compose with a further op (sg, cg): plain affine composition.
+    def then_affine(self, sg, cg, coords=None) -> "AffineMap":
+        """Compose with a further op: block sg (None for a pure displacement)
+        and own offset cg on the coordinates coords (default: all 2n).
 
-        S -> S sg and c -> sg^{-1} c + cg + (d/2) Omega^{-1} t_bar(sg).
+        S[:, coords] -> S[:, coords] sg,
+        c[coords] -> sg^{-1} c[coords] + (d/2) Omega^{-1} t_bar(sg) + cg.
+        The op's whole matrix is the identity off coords, so this is plain
+        affine composition with it; a full-size sg is an explicit matrix.
         """
-        n = self.params.n
-        half_d = Fraction(self.params.d, 2)
-        tb = t_bar(sg)
-        own = np.concatenate([-tb[n:], tb[:n]])  # Omega^{-1} t_bar; Omega^{-1} = -Omega
-        moved = _mat_frac_vec(sg.inverse().mat, self.c)
-        c_new = tuple(m + g + half_d * int(o) for m, g, o in zip(moved, cg, own))
-        return AffineMap(self.S @ sg, c_new, self.params)
+        coords = list(range(2 * self.params.n)) if coords is None else coords
+        mat = self.S.mat
+        c = list(self.c)
+        if sg is not None:
+            mat = mat.copy()
+            mat[:, coords] = mat[:, coords] @ sg.mat
+            tb = t_bar(sg)
+            own = np.concatenate([-tb[sg.n:], tb[:sg.n]])  # Omega^{-1} = -Omega
+            half_d = Fraction(self.params.d, 2)
+            moved = sg.inverse().mat @ np.array([c[i] for i in coords], dtype=object)
+            for i, m, o in zip(coords, moved, own):
+                c[i] = m + half_d * int(o)
+        for i, g in zip(coords, cg):
+            c[i] += g
+        return AffineMap(_trusted(mat), tuple(c), self.params)
 
     # -- evaluation and transport helpers --
 
@@ -266,11 +275,12 @@ class AffineMap:
 
 def word_symplectic(gates, params: CodeParams) -> IntSymplectic:
     """S of a temporal gate word: S_tot = S_1 S_2 ... S_N, first gate leftmost."""
-    s = IntSymplectic.identity(params.n)
+    m = IntSymplectic.identity(params.n).mat
     for g in gates:
-        sg, _ = generator_symplectic(g, params)
-        s = s @ sg
-    return s
+        coords, block, _ = generator_block(g, params)
+        if block is not None:
+            m[:, coords] = m[:, coords] @ block.mat
+    return _trusted(m)
 
 
 # ---- decomposition into generator words --------------------------------------
@@ -279,57 +289,36 @@ def decompose(S: IntSymplectic) -> list:
     """Return a temporal gate word whose accumulated S equals the input exactly.
 
     Reduces a working copy to the identity by left-multiplying generator
-    matrices (integer row operations); the inverses of the multipliers, in
-    application order, form the word. Raises DecompositionFailed if the
-    reduction stalls or the word grows past MAX_DECOMPOSE_WORD.
+    blocks (integer row operations on the rows of the modes they touch); the
+    inverses of the multipliers, in application order, form the word. Raises
+    DecompositionFailed if the reduction stalls or the word grows past
+    MAX_DECOMPOSE_WORD.
     """
     n = S.n
     m = S.mat.copy()
     mults = []  # multiplier tags, in application order
 
-    def xr(r):
-        return r
-
     def zr(r):
         return n + r
 
-    def op_fourier(r):
-        # left mult by S_F(r): row X_r <- row Z_r, row Z_r <- -row X_r
-        old_x = m[xr(r), :].copy()
-        m[xr(r), :] = m[zr(r), :]
-        m[zr(r), :] = -old_x
-        mults.append(Gate("F", (r,)))
-
-    def op_phase(r, q):
-        # left mult by S_P(r)^q: row Z_r <- row Z_r - q * row X_r
+    def left(name, modes, q=1):
+        # left mult by the tag's q-th power, I + q (B - I) on its rows: B itself
+        # at q = 1, and exact at any q for the shears P and SUM, as (B - I)^2 = 0
         if q == 0:
             return
-        m[zr(r), :] = m[zr(r), :] - q * m[xr(r), :]
-        tag = "P" if q > 0 else "P_inv"
-        mults.extend([Gate(tag, (r,))] * abs(q))
+        coords = _coords(modes, n)
+        eye = np.eye(len(coords), dtype=int).astype(object)
+        m[coords, :] = (eye + q * (BLOCKS[name].mat - eye)) @ m[coords, :]
+        gate = Gate(name, modes)
+        mults.extend([gate if q > 0 else gate.inverse()] * abs(q))
 
-    def op_sum(i, j, q):
-        # left mult by S_SUM(i,j)^q: X_j <- X_j - q X_i, Z_i <- Z_i + q Z_j
-        if q == 0:
-            return
-        m[xr(j), :] = m[xr(j), :] - q * m[xr(i), :]
-        m[zr(i), :] = m[zr(i), :] + q * m[zr(j), :]
-        tag = "SUM" if q > 0 else "SUM_inv"
-        mults.extend([Gate(tag, (i, j))] * abs(q))
-
-    def op_upper_shear(r, q):
+    def upper_shear(r, q):
         # net left mult by S_F S_P^q S_F^{-1}: row X_r <- X_r + q Z_r
         if q == 0:
             return
-        op_fourier_inv(r)
-        op_phase(r, q)
-        op_fourier(r)
-
-    def op_fourier_inv(r):
-        old_x = m[xr(r), :].copy()
-        m[xr(r), :] = -m[zr(r), :]
-        m[zr(r), :] = old_x
-        mults.append(Gate("F_inv", (r,)))
+        left("F_inv", (r,))
+        left("P", (r,), q)
+        left("F", (r,))
 
     def guard():
         if len(mults) > MAX_DECOMPOSE_WORD:
@@ -338,7 +327,7 @@ def decompose(S: IntSymplectic) -> list:
             )
 
     for mode in range(n):
-        cx, cz = xr(mode), zr(mode)
+        cx, cz = mode, zr(mode)  # row X_r is row r, row Z_r is row zr(r)
 
         # -- step 1: column cx -> e_{X_mode} --
         # per-mode Euclid on (x, z) pairs in this column
@@ -348,63 +337,65 @@ def decompose(S: IntSymplectic) -> list:
                 steps += 1
                 if steps > 64 + 4 * (2 * n) ** 2:
                     raise DecompositionFailed("per-mode reduction stalled")
-                x = m[xr(r), cx]
+                x = m[r, cx]
                 if x == 0:
-                    op_fourier(r)
+                    left("F", (r,))
                     continue
                 q = m[zr(r), cx] // x
-                op_phase(r, q)
+                left("P", (r,), q)
                 if m[zr(r), cx] != 0:
-                    op_fourier(r)
+                    left("F", (r,))
                 guard()
         # cross-mode gcd of the X entries into row X_mode
         for r in range(mode + 1, n):
             steps = 0
-            while m[xr(r), cx] != 0:
+            while m[r, cx] != 0:
                 steps += 1
                 if steps > 64 + 4 * (2 * n) ** 2:
                     raise DecompositionFailed("cross-mode reduction stalled")
-                if m[xr(mode), cx] == 0:
-                    op_sum(r, mode, -1)  # X_mode <- X_mode + X_r
+                if m[mode, cx] == 0:
+                    left("SUM", (r, mode), -1)  # X_mode <- X_mode + X_r
                     continue
-                q = m[xr(r), cx] // m[xr(mode), cx]
-                op_sum(mode, r, q)  # X_r <- X_r - q X_mode
-                if m[xr(r), cx] != 0:
+                q = m[r, cx] // m[mode, cx]
+                left("SUM", (mode, r), q)  # X_r <- X_r - q X_mode
+                if m[r, cx] != 0:
                     # swap roles: fold the remainder into X_mode
-                    qq = m[xr(mode), cx] // m[xr(r), cx]
-                    op_sum(r, mode, qq)
+                    qq = m[mode, cx] // m[r, cx]
+                    left("SUM", (r, mode), qq)
                 guard()
-        if m[xr(mode), cx] == -1:
-            op_fourier(mode)
-            op_fourier(mode)  # F^2 negates both rows of the mode
-        if m[xr(mode), cx] != 1:
+        if m[mode, cx] == -1:
+            left("F", (mode,))
+            left("F", (mode,))  # F^2 negates both rows of the mode
+        if m[mode, cx] != 1:
             raise DecompositionFailed(
-                f"pivot at mode {mode} reduced to {m[xr(mode), cx]}, expected +-1"
+                f"pivot at mode {mode} reduced to {m[mode, cx]}, expected +-1"
             )
         for r in range(n):
-            if (r != mode and (m[xr(r), cx] != 0 or m[zr(r), cx] != 0)) or (
+            if (r != mode and (m[r, cx] != 0 or m[zr(r), cx] != 0)) or (
                 r == mode and m[zr(r), cx] != 0
             ):
                 raise DecompositionFailed(f"column {cx} not reduced at mode {mode}")
 
         # -- step 2: column cz -> e_{Z_mode} --
-        assert m[zr(mode), cz] == 1, "symplectic pairing should force this entry to 1"
+        if m[zr(mode), cz] != 1:
+            raise DecompositionFailed(
+                f"symplectic pairing should force entry {(zr(mode), cz)} to 1, "
+                f"got {m[zr(mode), cz]}"
+            )
         for r in range(mode + 1, n):
-            op_sum(r, mode, -int(m[zr(r), cz]))  # Z_r <- Z_r - v[Z_r] * Z_mode
-            if m[xr(r), cz] != 0:
-                op_fourier(r)  # move the X entry into the Z slot
-                op_sum(r, mode, -int(m[zr(r), cz]))
+            left("SUM", (r, mode), -int(m[zr(r), cz]))  # Z_r <- Z_r - v[Z_r] * Z_mode
+            if m[r, cz] != 0:
+                left("F", (r,))  # move the X entry into the Z slot
+                left("SUM", (r, mode), -int(m[zr(r), cz]))
             guard()
-        op_upper_shear(mode, -int(m[xr(mode), cz]))
+        upper_shear(mode, -int(m[mode, cz]))
         guard()
 
-    ident = np.eye(2 * n, dtype=object)
-    if not np.array_equal(m.astype(object), ident):
+    if not np.array_equal(m, np.eye(2 * n, dtype=int)):
         raise DecompositionFailed("reduction finished away from the identity")
 
     word = [g.inverse() for g in mults]
     # exact round-trip check before handing the word out
-    params = CodeParams(3, n)  # S does not depend on d
-    if not np.array_equal(word_symplectic(word, params).mat, S.mat):
+    if not np.array_equal(word_symplectic(word, CodeParams(3, n)).mat, S.mat):  # S is d-free
         raise DecompositionFailed("recomposed word does not reproduce the input")
     return word

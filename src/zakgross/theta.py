@@ -36,8 +36,13 @@ class TruncationOverflow(RuntimeError):
     """The requested tolerance needs a lattice box beyond the hard caps."""
 
 
+class ImaginaryResidue(RuntimeError):
+    """A code state's Wigner series is not real to within its bound."""
+
+
 MAX_RADIUS = 220
 MAX_TERMS = 6_000_000
+SERIES_TOL = 1e-14  # truncation tolerance of every code state's Wigner series
 
 
 # ---- core lattice sums --------------------------------------------------------
@@ -202,7 +207,8 @@ def code_state_norm(state: CodeState, tol: float = 1e-16) -> float:
                 - (mu - mup) ** 2 / (4.0 * delta ** 2)
             )
             total += (cjj * math.sqrt(math.pi) * delta * np.exp(expo).sum()).real
-    assert total > 0.0, "state norm must be positive"
+    if not total > 0.0:
+        raise RuntimeError(f"state norm must be positive, got {total}")
     return total
 
 
@@ -228,14 +234,15 @@ def _pair_blocks(state: CodeState, j: int, jp: int):
 
 
 @functools.lru_cache(maxsize=64)
-def _series(state: CodeState, tol: float):
+def _series(state: CodeState):
     """The unnormalized Wigner function of state as one Fourier series.
 
     W(x, z) = Re sum_ab exp(-2 pi i kx[a] x / L) M[a, b] exp(2 pi i kz[b] z / L),
     L = d ell, kx = -Kx..Kx, kz = -Kz..Kz. Per basis pair the A-blocks carry
     z and the B-blocks x, each a sub-lattice theta sum at offset (z/L, 0) or
     (-x/L, 0): a trigonometric polynomial with frequencies 2 s_0 + p_0.
-    Returns (M, kx, kz, L) with M read-only; cached per (state, tol).
+    Returns (M, kx, kz, L) with M read-only; truncated at SERIES_TOL and
+    cached per state.
     """
     blocks = []  # (weight, x frequencies, x coefficients, z frequencies, z coefficients)
     parities = [(p, sg) for p in (0, 1) for sg in (0, 1)]
@@ -245,8 +252,8 @@ def _series(state: CodeState, tol: float):
             if coeff == 0:
                 continue
             gamma_a, za0, gamma_b, zb0, log_c = _pair_blocks(state, j, jp)
-            a = {p: _sublattice_terms(gamma_a, za0, p, tol) for p in parities}
-            b = {p: _sublattice_terms(gamma_b, zb0, p, tol) for p in parities}
+            a = {p: _sublattice_terms(gamma_a, za0, p, SERIES_TOL) for p in parities}
+            b = {p: _sublattice_terms(gamma_b, zb0, p, SERIES_TOL) for p in parities}
             for (p1, sg), p2 in itertools.product(parities, (0, 1)):
                 fa, ca, log_a, _ = a[p1, sg]
                 fb, cb, log_b, _ = b[p2, sg]
@@ -275,7 +282,7 @@ def _series(state: CodeState, tol: float):
     probe = _series_grid(series, np.arange(m.shape[0]) * cell / m.shape[0],
                          np.arange(m.shape[1]) * cell / m.shape[1])
     if residue > 1e-8 * float(np.max(np.abs(probe))):
-        raise ValueError(f"Wigner series has imaginary residue {residue:.2e}")
+        raise ImaginaryResidue(f"Wigner series has imaginary residue {residue:.2e}")
     return series
 
 
@@ -291,7 +298,7 @@ def _series_grid(series, eta_x, eta_z) -> np.ndarray:
     return np.hstack([left.real, -left.imag]) @ np.hstack([ez.real, ez.imag]).T
 
 
-def wigner_theta(state: CodeState, eta, tol: float = 1e-14) -> np.ndarray:
+def wigner_theta(state: CodeState, eta) -> np.ndarray:
     """Unnormalized Wigner values at points eta with shape (..., 2).
 
     Divide by code_state_norm(state) for the unit-norm state; the result then
@@ -301,7 +308,7 @@ def wigner_theta(state: CodeState, eta, tol: float = 1e-14) -> np.ndarray:
     if eta.shape[-1] != 2:
         raise ValueError(f"eta must have last dimension 2, got {eta.shape}")
     flat = eta.reshape(-1, 2)
-    series = _series(state, tol)
+    series = _series(state)
     vals = np.empty(flat.shape[0])
     for lo in range(0, flat.shape[0], 8192):
         left, ez = _series_axes(series, flat[lo: lo + 8192, 0], flat[lo: lo + 8192, 1])
@@ -309,14 +316,14 @@ def wigner_theta(state: CodeState, eta, tol: float = 1e-14) -> np.ndarray:
     return vals.reshape(eta.shape[:-1])
 
 
-def wigner_theta_grid(state: CodeState, eta_x, eta_z, tol: float = 1e-14) -> np.ndarray:
+def wigner_theta_grid(state: CodeState, eta_x, eta_z) -> np.ndarray:
     """Unnormalized Wigner values on the tensor grid eta_x (x) eta_z.
 
     Shape (len(eta_x), len(eta_z)): one real matrix product on the series.
     """
     eta_x = np.asarray(eta_x, dtype=float).ravel()
     eta_z = np.asarray(eta_z, dtype=float).ravel()
-    return _series_grid(_series(state, tol), eta_x, eta_z)
+    return _series_grid(_series(state), eta_x, eta_z)
 
 
 def x_bin_integrals(state: CodeState, bins: int, shift: float) -> np.ndarray:
@@ -326,7 +333,7 @@ def x_bin_integrals(state: CodeState, bins: int, shift: float) -> np.ndarray:
     bin of width w = L / bins integrates exp(-2 pi i k (x - shift) / L) to
     w exp(-2 pi i k (mid - shift) / L) sinc(k / bins).
     """
-    m, kx, kz, cell = _series(state, 1e-14)
+    m, kx, kz, cell = _series(state)
     width = cell / bins
     mid = (np.arange(bins)[:, None] + 0.5) * width - shift
     phase = np.exp((-TWO_PI / cell) * 1j * kx * mid)

@@ -59,7 +59,8 @@ class IdealFactor:
 
     @classmethod
     def from_density_matrix(cls, params_1mode: CodeParams, rho) -> "IdealFactor":
-        assert params_1mode.n == 1
+        if params_1mode.n != 1:
+            raise ValueError(f"need single-mode params, got n={params_1mode.n}")
         return cls(params_1mode.d, gross_wigner_table(params_1mode, rho))
 
     def negativity(self) -> float:

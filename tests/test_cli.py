@@ -117,6 +117,21 @@ def test_tiny_delta_is_a_numeric_failure(capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_imaginary_series_residue_is_a_numeric_failure(monkeypatch, capsys):
+    from zakgross import theta
+
+    original = theta._sublattice_terms
+
+    def skewed(*args, **kwargs):
+        f, c, log_scale, radius = original(*args, **kwargs)
+        return f, c * (1 + 0.1j), log_scale, radius
+
+    theta._series.cache_clear()
+    monkeypatch.setattr(theta, "_sublattice_terms", skewed)
+    assert main(["wigner", "--delta", "0.3", "--grid", "3"]) == 3
+    assert "numeric failure: Wigner series has imaginary residue" in capsys.readouterr().err
+
+
 def test_sample_huge_lattice_entries_exit_code(tmp_path):
     a = 10**9
     matrix = [[1, a, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -a, 1]]

@@ -1,4 +1,5 @@
-"""Every imported name is used in the module that imports it."""
+"""Every imported name is used in the module that imports it, and no
+runtime check under src/zakgross is an `assert`, which `python -O` strips."""
 import ast
 from pathlib import Path
 
@@ -36,3 +37,11 @@ def test_no_unused_imports():
     files = sorted(p for d in SCANNED for p in (ROOT / d).glob("*.py"))
     assert len(files) > 10
     assert [hit for f in files for hit in unused_imports(f)] == []
+
+
+def test_no_assert_statements_in_the_package():
+    files = sorted((ROOT / "src/zakgross").glob("*.py"))
+    hits = [f"{f.relative_to(ROOT)}:{node.lineno}"
+            for f in files for node in ast.walk(ast.parse(f.read_text(), filename=str(f)))
+            if isinstance(node, ast.Assert)]
+    assert hits == []

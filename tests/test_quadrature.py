@@ -13,6 +13,12 @@ def test_panel_rule_polynomial_exact():
     assert abs(val - 2.5 ** 8 / 8) < 1e-10
 
 
+@pytest.mark.parametrize("edges", [[1.0], [0.0, 1.0, 1.0], [[0.0, 1.0]]])
+def test_panel_rule_rejects_bad_edges(edges):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        panel_rule(edges, 4)
+
+
 def test_cell_2d_bessel_product():
     # integral of e^{cos x} e^{cos z} over [0,2pi]^2 = (2 pi I0(1))^2
     def f(xs, zs):

@@ -1,4 +1,4 @@
-"""Exact symplectic algebra: generator table, shifts, affine maps, decompose."""
+"""Exact symplectic algebra: generator blocks, shifts, affine maps, decompose."""
 import itertools
 from fractions import Fraction
 
@@ -26,6 +26,7 @@ from zakgross.symplectic import (
     NotSymplectic,
     decompose,
     generator_symplectic,
+    symplectic_form,
     t_bar,
     word_symplectic,
 )
@@ -325,6 +326,62 @@ def test_explicit_op_pullback_matches_covariance_shift(seed, d):
     assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, float(np.max(np.abs(want))))
 
 
+def _dense_then(S, c, sg, cg, d):
+    # reference composition with the whole 2n x 2n op: S sg and
+    # sg^{-1} c + cg + (d/2) Omega^{-1} t_bar(sg)
+    own = -symplectic_form(sg.n) @ t_bar(sg)
+    inv = sg.inverse().mat
+    moved = [sum((int(v) * cj for v, cj in zip(row, c)), Fraction(0)) for row in inv]
+    return S @ sg.mat, [m + g + Fraction(d, 2) * int(o) for m, g, o in zip(moved, cg, own)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([3, 5, 7, 9]), n=st.integers(1, 6))
+def test_block_composition_equals_dense_composition(seed, d, n):
+    rng = np.random.default_rng(seed)
+    p = CodeParams(d, n)
+    ops = [("gate", g) for g in random_word(rng, n, int(rng.integers(0, 16)), ALL_TAGS + ["X", "Z"])]
+    entries = [int(v) for v in rng.integers(-4, 5, size=n * (n + 1) // 2)]
+    explicit = (_shear(n, entries).mat @ generator_symplectic(Gate.fourier(0), p)[0].mat).tolist()
+    ops.insert(int(rng.integers(0, len(ops) + 1)), ("symplectic", IntSymplectic(explicit)))
+    shift = rng.integers(-9, 10, size=2 * n) / 4  # non-integer in units of ell
+    ops.insert(int(rng.integers(0, len(ops) + 1)), ("displace", shift))
+    amap = AffineMap.identity(p)
+    s_ref, c_ref = np.eye(2 * n, dtype=int).astype(object), [Fraction(0)] * (2 * n)
+    for kind, val in ops:
+        if kind == "gate":
+            amap = amap.then(val)
+            sg, cg = generator_symplectic(val, p)
+        elif kind == "symplectic":
+            amap = amap.then_affine(val, tuple([Fraction(0)] * (2 * n)))
+            sg, cg = val, [Fraction(0)] * (2 * n)
+        else:
+            amap = amap.then_displacement(val)
+            sg, cg = IntSymplectic.identity(n), [Fraction(float(v)) for v in val]
+        s_ref, c_ref = _dense_then(s_ref, c_ref, sg, cg, d)
+    assert amap.S.mat.tolist() == s_ref.tolist()
+    assert list(amap.c) == c_ref
+
+
+def test_gate_words_never_build_a_dense_generator(monkeypatch):
+    from zakgross import symplectic
+
+    def refuse(gate, params):
+        raise AssertionError("dense generator matrix built")
+
+    monkeypatch.setattr(symplectic, "generator_symplectic", refuse)
+    p = CodeParams(5, 3)
+    word = random_word(np.random.default_rng(4), 3, 60, ALL_TAGS + ["X", "Z"])
+    amap = AffineMap.identity(p)
+    for g in word:
+        amap = amap.then(g)
+    s = word_symplectic(word, p)
+    assert np.array_equal(amap.S.mat, s.mat)
+    assert np.array_equal(word_symplectic(decompose(s), p).mat, s.mat)
+    with pytest.raises(AssertionError, match="dense"):
+        symplectic.generator_symplectic(word[0], p)
+
+
 def test_push_lattice_rejects_non_half_integer_offset():
     p = CodeParams(3, 1)
     m = AffineMap.identity(p).then_displacement([0.25, 0])
@@ -365,6 +422,12 @@ def test_decompose_handles_large_entries():
     assert int(np.abs(s.mat.astype(float)).max()) > 50  # genuinely big entries
     word = decompose(s)
     assert np.array_equal(word_symplectic(word, p).mat, s.mat)
+
+
+def test_decompose_roundtrip_at_24_modes():
+    p = CodeParams(3, 24)
+    s = word_symplectic(random_word(np.random.default_rng(24), 24, 48), p)
+    assert np.array_equal(word_symplectic(decompose(s), p).mat, s.mat)
 
 
 def test_decompose_only_symplectic_input():

@@ -237,7 +237,7 @@ def test_broken_conjugate_symmetry_raises(monkeypatch):
 
     theta._series.cache_clear()
     monkeypatch.setattr(theta, "_sublattice_terms", skewed)
-    with pytest.raises(ValueError, match="imaginary residue"):
+    with pytest.raises(theta.ImaginaryResidue, match="imaginary residue"):
         wigner_theta(CodeState.logical(3, 0, 0.3), [[0.0, 0.0]])
 
 

@@ -36,6 +36,8 @@ def test_ideal_table_validation():
         IdealFactor(3, np.ones((3, 3)))  # sums to 9, not 3
     with pytest.raises(ValueError):
         IdealFactor(3, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="single-mode"):
+        IdealFactor.from_density_matrix(CodeParams(3, 2), np.eye(9) / 9)
 
 
 def test_negativity_product_and_gate_invariance():

@@ -31,7 +31,7 @@ from .circuit_io import (
 )
 from .estimator import InfeasiblePlan
 from .symplectic import IntSymplectic, decompose
-from .theta import CodeState, NotPositiveDefinite
+from .theta import CodeState
 from .wigner import RealisticFactor
 
 
@@ -225,9 +225,6 @@ def main(argv=None) -> int:
     except InfeasiblePlan as exc:
         print(f"infeasible plan: {exc}", file=sys.stderr)
         return 4
-    except NotPositiveDefinite as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     except json.JSONDecodeError as exc:
         print(f"schema error: invalid JSON ({exc})", file=sys.stderr)
         return 2

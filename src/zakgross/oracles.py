@@ -6,11 +6,14 @@ imports this one.
 
 - Theta sums: one evaluation of the lattice sum and the sub-lattice
   (parity) sums, checked against mpmath and brute force.
-- Code states: the position wavefunction, the literal 4-variable Wigner sum
-  of a finitely squeezed state and the Gaussian (vacuum) Wigner function,
-  both evaluated on tensor grids (eta_x, eta_z) like theta.wigner_theta_grid.
-  The Wigner oracle shares nothing with theta._series: its coefficients come
-  from enumerating displacement exponents and peak indices.
+- Code states: the position wavefunction, the norm by direct peak-overlap
+  summation, the Wigner series built from 2-D sub-lattice theta sums (the
+  independent reference for theta._series, which sums the same Gaussian
+  peaks in 1-D), the literal 4-variable Wigner sum of a finitely squeezed
+  state and the Gaussian (vacuum) Wigner function, both evaluated on tensor
+  grids (eta_x, eta_z) like theta.wigner_theta_grid. The literal Wigner sum
+  enumerates the same peak pairs as theta._series, so it checks the
+  phase conventions rather than the summation.
 - Measurement: the POVM indicator and marginals from |psi|^2 alone.
 - Symplectic: the covariance shift t(S) and the exponent parity identity.
 - Quadrature: the cell integral and 1-D bin integrals.
@@ -19,6 +22,7 @@ imports this one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -31,14 +35,17 @@ from .quadrature import escalate, integrate_bins_x, panel_rule
 from .qudit import CodeParams, Gate, clifford_oracle_probabilities
 from .symplectic import IntSymplectic, decompose, symplectic_form, t_bar, word_symplectic
 from .theta import (
+    MAX_TERMS,
     TWO_PI,
     CodeState,
     TruncationOverflow,
+    _check_gamma,
     _k_range,
-    _sublattice_terms,
     _sum_terms,
+    _theta_terms,
     siegel_theta_batch,
     wigner_theta,
+    wigner_theta_grid,
 )
 from .wigner import RealisticFactor, ideal_input
 
@@ -64,11 +71,28 @@ def siegel_theta(gamma, z, tol: float = 1e-14):
     return complex(vals.reshape(-1)[0] * math.exp(log_scale)), radius
 
 
+def _sublattice_terms(gamma, z0, parity, tol: float):
+    """The terms of the sum over t congruent to parity mod 2, for real x.
+
+    Identity: sum_{t = p mod 2} = exp(i pi p.Gamma p + 2 pi i p.z) *
+    theta(4 Gamma, 2(Gamma p + z)). Returns (f, c, log_scale, radius) with
+    the sub-lattice sum at z0 + x equal to
+    exp(log_scale) * sum_k c[k] exp(2 pi i f[k].x), frequencies f = 2s + p.
+    """
+    gamma = _check_gamma(gamma)
+    m = gamma.shape[0]
+    z0 = np.asarray(z0, dtype=complex).reshape(m)
+    p = np.asarray(parity, dtype=float).reshape(m)
+    pref_exp = 1j * math.pi * (p @ gamma @ p) + TWO_PI * 1j * (p @ z0)
+    s, q, inner_log, radius = _theta_terms(4.0 * gamma, 2.0 * (gamma @ p + z0), tol)
+    return 2.0 * s + p, np.exp(1j * pref_exp.imag) * q, inner_log + pref_exp.real, radius
+
+
 def sublattice_theta_batch(gamma, z0, offsets, parity, tol: float = 1e-14):
     """Sum over t congruent to parity mod 2 of the theta summand, batched.
 
     Returns (values, log_scale, radius): the sum at z0 + x_k is
-    values[k] * exp(log_scale); see theta._sublattice_terms for the identity.
+    values[k] * exp(log_scale); see _sublattice_terms for the identity.
     """
     offsets = np.asarray(offsets, dtype=float)
     f, c, log_scale, radius = _sublattice_terms(gamma, z0, parity, tol)
@@ -97,6 +121,83 @@ def wavefunction(state: CodeState, x, tol: float = 1e-16) -> np.ndarray:
                 * np.exp(-((x - mu) ** 2) / (2.0 * delta ** 2))
             )
     return psi
+
+
+def overlap_norm(state: CodeState, tol: float = 1e-16) -> float:
+    """<psi|psi> by direct Gaussian-overlap summation over the peak lattice."""
+    d, delta, ell = state.d, state.delta, state.ell
+    kmax = _k_range(d, delta, ell, tol)
+    if (2 * kmax + 1) ** 2 > MAX_TERMS:
+        raise TruncationOverflow(f"peak-overlap box for k_max {kmax:.3g} exceeds cap {MAX_TERMS}")
+    k = np.arange(-kmax, kmax + 1)
+    total = 0.0
+    for j in range(d):
+        for jp in range(d):
+            cjj = state.eps[j] * np.conjugate(state.eps[jp])
+            if cjj == 0:
+                continue
+            mu = (j + d * k)[:, None] * ell
+            mup = (jp + d * k)[None, :] * ell
+            expo = (
+                -0.5 * delta ** 2 * (mu ** 2 + mup ** 2)
+                - (mu - mup) ** 2 / (4.0 * delta ** 2)
+            )
+            total += (cjj * math.sqrt(math.pi) * delta * np.exp(expo).sum()).real
+    return total
+
+
+def _pair_blocks(state: CodeState, j: int, jp: int):
+    d, dd = state.d, state.delta ** 2
+    dsum, diff = j + jp, j - jp
+    gamma_a = 1j * np.array([[1 / (2 * d * dd), -1 / (2 * dd)],
+                             [-1 / (2 * dd), d * (1.0 / dd + dd) / 2.0]])
+    za0 = 1j * diff * np.array([-1 / (2 * d * dd), (1.0 / dd + dd) / 2.0])
+    gamma_b = np.array([[1j * dd / (2 * d), 0.5], [0.5, 1j * d * dd / 2.0]])
+    zb0 = np.array([dsum / (2.0 * d) + 0j, 1j * dd * dsum / 2.0])
+    log_c = -math.pi * diff ** 2 / (2 * d * dd) - math.pi * dd * (diff ** 2 + dsum ** 2) / (2 * d)
+    return gamma_a, za0, gamma_b, zb0, log_c
+
+
+def sublattice_series(state: CodeState, tol: float = 1e-14):
+    """The Wigner series of theta._series, built from 2-D sub-lattice theta sums.
+
+    Returns (M, kx, kz, L) in theta._series' convention. Per basis pair the
+    A-blocks carry z and the B-blocks x, each a sub-lattice theta sum at
+    offset (z/L, 0) or (-x/L, 0): a trigonometric polynomial with
+    frequencies 2 s_0 + p_0. Shares no code with the 1-D peak-sum route;
+    slow at small delta, and refused by the box caps below about 0.05.
+    """
+    blocks = []  # (weight, x frequencies, x coefficients, z frequencies, z coefficients)
+    parities = [(p, sg) for p in (0, 1) for sg in (0, 1)]
+    for j in range(state.d):
+        for jp in range(state.d):
+            coeff = np.conjugate(state.eps[j]) * state.eps[jp]
+            if coeff == 0:
+                continue
+            gamma_a, za0, gamma_b, zb0, log_c = _pair_blocks(state, j, jp)
+            a = {p: _sublattice_terms(gamma_a, za0, p, tol) for p in parities}
+            b = {p: _sublattice_terms(gamma_b, zb0, p, tol) for p in parities}
+            for (p1, sg), p2 in itertools.product(parities, (0, 1)):
+                fa, ca, log_a, _ = a[p1, sg]
+                fb, cb, log_b, _ = b[p2, sg]
+                log_total = log_c + log_a + log_b
+                if log_total > 600.0:
+                    raise TruncationOverflow(f"block scale exp({log_total:.0f}) out of range")
+                weight = coeff * (-1.0 if p1 * p2 else 1.0) * math.exp(log_total)
+                if weight != 0 and fa.size and fb.size:  # no kept term: the block sums to 0
+                    blocks.append((weight, fb[:, 0], cb, fa[:, 0], ca))
+    kx_max = int(max((np.max(np.abs(blk[1])) for blk in blocks), default=0))
+    kz_max = int(max((np.max(np.abs(blk[3])) for blk in blocks), default=0))
+    m = np.zeros((2 * kx_max + 1, 2 * kz_max + 1), dtype=complex)
+    for weight, fb, cb, fa, ca in blocks:
+        bx = np.zeros(m.shape[0], dtype=complex)
+        az = np.zeros(m.shape[1], dtype=complex)
+        np.add.at(bx, fb.astype(int) + kx_max, cb)
+        np.add.at(az, fa.astype(int) + kz_max, ca)
+        m += weight * np.outer(bx, az)
+    m *= math.sqrt(math.pi) * state.delta / TWO_PI
+    cell = state.d * state.ell
+    return m, np.arange(-kx_max, kx_max + 1.0), np.arange(-kz_max, kz_max + 1.0), cell
 
 
 def wigner_oracle(state: CodeState, eta_x, eta_z, tol: float = 1e-18) -> np.ndarray:
@@ -384,14 +485,20 @@ def check_theta_oracle(deltas, n_grid: int):
 
 
 def check_normalization(deltas):
-    """The normalized 0-logical Wigner function (d = 3) integrates to 1 over a cell."""
+    """The 0-logical Wigner function (d = 3), divided by d times its
+    peak-overlap norm, integrates to 1 over a cell. The series' own norm,
+    L^2 Re M[0, 0] / d, would make this hold by construction.
+    """
     d = 3
     period = d * math.sqrt(TWO_PI / d)
     edges = np.linspace(0.0, period, 2 * d + 1)
     worst = 0.0
     for delta in deltas:
-        fac = RealisticFactor.make(CodeState.logical(d, 0, delta))
-        val, _ = integrate_cell_2d(fac.wigner_grid, edges, edges, abs_tol=1e-8)
+        state = CodeState.logical(d, 0, delta)
+        scale = d * overlap_norm(state)
+        val, _ = integrate_cell_2d(
+            lambda xs, zs: wigner_theta_grid(state, xs, zs) / scale, edges, edges, abs_tol=1e-8
+        )
         worst = max(worst, abs(val - 1.0))
     return worst < 1e-5, f"normalized cell integral equals 1: max dev {worst:.2e} (tol 1e-5)"
 

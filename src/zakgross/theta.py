@@ -1,25 +1,24 @@
-"""Lattice Gaussian (Siegel theta) sums and realistic code-state Wigner values.
-
-theta(Gamma, z) = sum_{t in Z^m} exp(i pi t.Gamma t + 2 pi i t.z), Im Gamma > 0.
-
-The sums that arise here can have natural magnitude exp(+-50) and beyond at
-small envelope width, so every internal routine carries an explicit log-scale:
-the returned pair (value, log_scale) means value * exp(log_scale), where value
-is O(1). Truncation boxes are centered on the maximizer of the summand's
-magnitude, which sits at t = -Im(Gamma)^{-1} Im(z) / 1, not at the origin.
+"""Realistic code-state Wigner values, and lattice Gaussian (Siegel theta) sums.
 
 A finite-squeezing code state's Wigner function is written, once per state,
-as one 2-D Fourier series over the (d ell)^2 cell, whose coefficients come
-from sub-lattice theta sums per basis pair and whose truncation is that of
-those sums; grids are one real matrix product on it, scattered points a
+as one 2-D Fourier series over the (d ell)^2 cell. Its coefficients factor
+into 1-D Gaussian peak sums (one correlation of envelope weights per basis
+pair, grouped into at most 2d classes), so delta = 0.01 (40 dB) builds for
+d <= 7. Grids are one real matrix product on the series, scattered points a
 row-wise dot product, position-bin masses a closed form on its kz = 0
-column. The literal references it is checked against (the wavefunction,
+column. Its references (the 2-D sub-lattice theta route, the wavefunction,
 the 4-variable Wigner sum, the Gaussian vacuum) live in oracles.py.
+
+theta(Gamma, z) = sum_{t in Z^m} exp(i pi t.Gamma t + 2 pi i t.z), Im Gamma > 0,
+is off the runtime path: oracles.py builds on it, and the benchmark tracer
+looks up siegel_theta_batch here by name. Its sums can reach exp(+-50) and
+beyond, so they return (value, log_scale), meaning value * exp(log_scale)
+with value O(1), from boxes centered on the summand's magnitude maximizer
+t = -Im(Gamma)^{-1} Im(z).
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,12 +39,12 @@ class ImaginaryResidue(RuntimeError):
     """A code state's Wigner series is not real to within its bound."""
 
 
-MAX_RADIUS = 220
+MAX_RADIUS = 220  # per-axis box cap of the theta sums
 MAX_TERMS = 6_000_000
 SERIES_TOL = 1e-14  # truncation tolerance of every code state's Wigner series
 
 
-# ---- core lattice sums --------------------------------------------------------
+# ---- lattice theta sums: the oracles' and the tracer's, not the runtime's ----
 
 
 def _check_gamma(gamma: np.ndarray) -> np.ndarray:
@@ -124,23 +123,6 @@ def siegel_theta_batch(gamma, z0, offsets, tol: float = 1e-14):
     return _sum_terms(t, q, offsets), log_scale, radius
 
 
-def _sublattice_terms(gamma, z0, parity, tol: float):
-    """The terms of the sum over t congruent to parity mod 2, for real x.
-
-    Identity: sum_{t = p mod 2} = exp(i pi p.Gamma p + 2 pi i p.z) *
-    theta(4 Gamma, 2(Gamma p + z)). Returns (f, c, log_scale, radius) with
-    the sub-lattice sum at z0 + x equal to
-    exp(log_scale) * sum_k c[k] exp(2 pi i f[k].x), frequencies f = 2s + p.
-    """
-    gamma = _check_gamma(gamma)
-    m = gamma.shape[0]
-    z0 = np.asarray(z0, dtype=complex).reshape(m)
-    p = np.asarray(parity, dtype=float).reshape(m)
-    pref_exp = 1j * math.pi * (p @ gamma @ p) + TWO_PI * 1j * (p @ z0)
-    s, q, inner_log, radius = _theta_terms(4.0 * gamma, 2.0 * (gamma @ p + z0), tol)
-    return 2.0 * s + p, np.exp(1j * pref_exp.imag) * q, inner_log + pref_exp.real, radius
-
-
 # ---- realistic code states ----------------------------------------------------
 
 
@@ -187,26 +169,10 @@ class CodeState:
         return math.sqrt(TWO_PI / self.d)
 
 
-def code_state_norm(state: CodeState, tol: float = 1e-16) -> float:
-    """<psi|psi> by direct Gaussian-overlap summation over the peak lattice."""
-    d, delta, ell = state.d, state.delta, state.ell
-    kmax = _k_range(d, delta, ell, tol)
-    if (2 * kmax + 1) ** 2 > MAX_TERMS:
-        raise TruncationOverflow(f"peak-overlap box for k_max {kmax:.3g} exceeds cap {MAX_TERMS}")
-    k = np.arange(-kmax, kmax + 1)
-    total = 0.0
-    for j in range(d):
-        for jp in range(d):
-            cjj = state.eps[j] * np.conjugate(state.eps[jp])
-            if cjj == 0:
-                continue
-            mu = (j + d * k)[:, None] * ell
-            mup = (jp + d * k)[None, :] * ell
-            expo = (
-                -0.5 * delta ** 2 * (mu ** 2 + mup ** 2)
-                - (mu - mup) ** 2 / (4.0 * delta ** 2)
-            )
-            total += (cjj * math.sqrt(math.pi) * delta * np.exp(expo).sum()).real
+def code_state_norm(state: CodeState) -> float:
+    """<psi|psi>: the cell integral of the Wigner function, L^2 Re M[0, 0], over d."""
+    m, kx, kz, cell = _series(state)
+    total = cell ** 2 * float(m[kx == 0, kz == 0][0].real) / state.d
     if not total > 0.0:
         raise RuntimeError(f"state norm must be positive, got {total}")
     return total
@@ -218,19 +184,30 @@ def _k_range(d, delta, ell, tol):
     return math.ceil((reach + d) / d) + 1 if math.isfinite(reach) else math.inf
 
 
-# -- the series: per basis pair, 2-D sub-lattice theta sums, summed once --
+def _class_weights(state: CodeState, span: int) -> np.ndarray:
+    """The peak-pair weights w[c, r] for |r| <= span, r = -(j - j' + d Delta).
 
-
-def _pair_blocks(state: CodeState, j: int, jp: int):
-    d, dd = state.d, state.delta ** 2
-    dsum, diff = j + jp, j - jp
-    gamma_a = 1j * np.array([[1 / (2 * d * dd), -1 / (2 * dd)],
-                             [-1 / (2 * dd), d * (1.0 / dd + dd) / 2.0]])
-    za0 = 1j * diff * np.array([-1 / (2 * d * dd), (1.0 / dd + dd) / 2.0])
-    gamma_b = np.array([[1j * dd / (2 * d), 0.5], [0.5, 1j * d * dd / 2.0]])
-    zb0 = np.array([dsum / (2.0 * d) + 0j, 1j * dd * dsum / 2.0])
-    log_c = -math.pi * diff ** 2 / (2 * d * dd) - math.pi * dd * (diff ** 2 + dsum ** 2) / (2 * d)
-    return gamma_a, za0, gamma_b, zb0, log_c
+    Peaks mu = (j + d k) ell and mu' = (j' + d k') ell, Delta = k - k', pair
+    with weight eps[j] conj(eps[j']) E(Delta), where the 1-D correlation
+    E(Delta) = sum_k env(mu) env(mu') of envelope weights sums out k; the
+    pair's class is c = (j + j' + d Delta) mod 2d.
+    """
+    d, delta, ell = state.d, state.delta, state.ell
+    kmax = _k_range(d, delta, ell, SERIES_TOL)
+    k = np.arange(-kmax, kmax + 1)
+    env = np.exp(-0.5 * (delta * ell * (np.arange(d)[:, None] + d * k)) ** 2)
+    lags = np.arange(-2 * kmax, 2 * kmax + 1)
+    w = np.zeros((2 * d, 2 * span + 1), dtype=complex)
+    for j in range(d):
+        for jp in range(d):
+            coeff = state.eps[j] * np.conjugate(state.eps[jp])
+            if coeff == 0:
+                continue
+            r = jp - j - d * lags
+            keep = np.abs(r) <= span
+            corr = np.correlate(env[j], env[jp], mode="full")[keep]
+            np.add.at(w, ((j + jp + d * lags[keep]) % (2 * d), r[keep] + span), coeff * corr)
+    return w
 
 
 @functools.lru_cache(maxsize=64)
@@ -238,52 +215,46 @@ def _series(state: CodeState):
     """The unnormalized Wigner function of state as one Fourier series.
 
     W(x, z) = Re sum_ab exp(-2 pi i kx[a] x / L) M[a, b] exp(2 pi i kz[b] z / L),
-    L = d ell, kx = -Kx..Kx, kz = -Kz..Kz. Per basis pair the A-blocks carry
-    z and the B-blocks x, each a sub-lattice theta sum at offset (z/L, 0) or
-    (-x/L, 0): a trigonometric polynomial with frequencies 2 s_0 + p_0.
-    Returns (M, kx, kz, L) with M read-only; truncated at SERIES_TOL and
-    cached per state.
+    L = d ell, kx = -Kx..Kx, kz = -Kz..Kz. Summing the peak pairs gives
+    M[a, b] = (-1)^(a b) sum_c v_c(kx[a]) u_c(kz[b]) over 2d classes, with
+    v_c(a) = sqrt(pi) delta exp(-(ell delta a)^2 / 4) exp(i pi a c / d) / 2 pi
+    and u_c(b) = sum_r w[c, r] exp(-ell^2 (b - r)^2 / (4 delta^2)), w from
+    _class_weights. Returns (M, kx, kz, L) with M read-only; truncated where
+    v, or the columns of u, fall below SERIES_TOL of their peak; cached per state.
     """
-    blocks = []  # (weight, x frequencies, x coefficients, z frequencies, z coefficients)
-    parities = [(p, sg) for p in (0, 1) for sg in (0, 1)]
-    for j in range(state.d):
-        for jp in range(state.d):
-            coeff = np.conjugate(state.eps[j]) * state.eps[jp]
-            if coeff == 0:
-                continue
-            gamma_a, za0, gamma_b, zb0, log_c = _pair_blocks(state, j, jp)
-            a = {p: _sublattice_terms(gamma_a, za0, p, SERIES_TOL) for p in parities}
-            b = {p: _sublattice_terms(gamma_b, zb0, p, SERIES_TOL) for p in parities}
-            for (p1, sg), p2 in itertools.product(parities, (0, 1)):
-                fa, ca, log_a, _ = a[p1, sg]
-                fb, cb, log_b, _ = b[p2, sg]
-                log_total = log_c + log_a + log_b
-                if log_total > 600.0:
-                    raise TruncationOverflow(f"block scale exp({log_total:.0f}) out of range")
-                weight = coeff * (-1.0 if p1 * p2 else 1.0) * math.exp(log_total)
-                if weight != 0 and fa.size and fb.size:  # no kept term: the block sums to 0
-                    blocks.append((weight, fb[:, 0], cb, fa[:, 0], ca))
-    kx_max = int(max((np.max(np.abs(blk[1])) for blk in blocks), default=0))
-    kz_max = int(max((np.max(np.abs(blk[3])) for blk in blocks), default=0))
-    m = np.zeros((2 * kx_max + 1, 2 * kz_max + 1), dtype=complex)
-    for weight, fb, cb, fa, ca in blocks:
-        bx = np.zeros(m.shape[0], dtype=complex)
-        az = np.zeros(m.shape[1], dtype=complex)
-        np.add.at(bx, fb.astype(int) + kx_max, cb)
-        np.add.at(az, fa.astype(int) + kz_max, ca)
-        m += weight * np.outer(bx, az)
-    m *= math.sqrt(math.pi) * state.delta / TWO_PI
-    m.setflags(write=False)
-    cell = state.d * state.ell
-    series = (m, np.arange(-kx_max, kx_max + 1.0), np.arange(-kz_max, kz_max + 1.0), cell)
+    d, delta, ell = state.d, state.delta, state.ell
+    root = 2.0 * math.sqrt(math.log(1.0 / SERIES_TOL))
+    reach = root / (ell * delta)  # |kx| where exp(-(ell delta a)^2 / 4) falls to SERIES_TOL
+    # E(Delta) <= exp(-(delta ell r)^2 / 4); times u's kernel that is at most
+    # exp(-(ell delta b)^2 / (4 (1 + delta^4))), which sets the reach in kz
+    kz_reach = reach * math.sqrt(1.0 + delta ** 4)
+    size = (2 * reach + 1) * (2 * kz_reach + 1)
+    if size > MAX_TERMS:
+        raise TruncationOverflow(f"Wigner series of {size:.3g} terms exceeds cap {MAX_TERMS}")
+    kx, kz, half = int(reach), int(kz_reach), int(root * delta / ell)
 
-    # |Im W| <= residue at every point; the probe grid resolves every frequency
+    shifts = np.arange(-half, half + 1)
+    kernel = np.exp(-((ell * shifts) ** 2) / (4.0 * delta ** 2))
+    w = _class_weights(state, kz + half)
+    u = np.array([np.convolve(row, kernel, mode="valid") for row in w])
+    b = np.arange(-kz, kz + 1.0)
+    mag = np.abs(u).sum(axis=0)  # bounds column b of M, up to v's peak
+    keep = np.abs(b) <= np.max(np.abs(b[mag > SERIES_TOL * mag.max()]))
+    u, b = u[:, keep], b[keep]
+    # (-1)^(a b) exp(i pi a c / d) = exp(i pi a (c + d) / d) for odd b: shift the class by d
+    u[:, b % 2 == 1] = np.roll(u[:, b % 2 == 1], d, axis=0)
+    a = np.arange(-kx, kx + 1.0)
+    v = np.exp(-((ell * delta * a) ** 2) / 4.0 + 1j * math.pi / d * np.outer(np.arange(2 * d), a))
+    m = (math.sqrt(math.pi) * delta / TWO_PI * v.T) @ u
+    m.setflags(write=False)
+
+    # |Im W| <= residue at every point; the probe grid, one 2-D DFT of M,
+    # resolves every frequency
     residue = 0.5 * float(np.abs(m - np.conjugate(m[::-1, ::-1])).sum())
-    probe = _series_grid(series, np.arange(m.shape[0]) * cell / m.shape[0],
-                         np.arange(m.shape[1]) * cell / m.shape[1])
+    probe = np.fft.fft2(np.fft.ifftshift(m)).real
     if residue > 1e-8 * float(np.max(np.abs(probe))):
         raise ImaginaryResidue(f"Wigner series has imaginary residue {residue:.2e}")
-    return series
+    return m, a, b, d * ell
 
 
 def _series_axes(series, eta_x, eta_z):

@@ -113,7 +113,7 @@ def _abs_integral(eval_grid, period: float, tol: float) -> float:
     for n_grid in (512, 1024, 2048, 4096):
         xs = (np.arange(n_grid) + 0.5) * period / n_grid
         vals = eval_grid(xs, xs)
-        neg_mass = float(-vals[vals < 0].sum()) * (period / n_grid) ** 2
+        neg_mass = float(-np.minimum(vals, 0.0, out=vals).sum()) * (period / n_grid) ** 2
         if prev is not None and abs(neg_mass - prev) <= 0.5 * tol:
             return 1.0 + 2.0 * neg_mass
         prev = neg_mass

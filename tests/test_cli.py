@@ -120,14 +120,13 @@ def test_tiny_delta_is_a_numeric_failure(capsys):
 def test_imaginary_series_residue_is_a_numeric_failure(monkeypatch, capsys):
     from zakgross import theta
 
-    original = theta._sublattice_terms
+    original = theta._class_weights
 
     def skewed(*args, **kwargs):
-        f, c, log_scale, radius = original(*args, **kwargs)
-        return f, c * (1 + 0.1j), log_scale, radius
+        return original(*args, **kwargs) * (1 + 0.1j)
 
     theta._series.cache_clear()
-    monkeypatch.setattr(theta, "_sublattice_terms", skewed)
+    monkeypatch.setattr(theta, "_class_weights", skewed)
     assert main(["wigner", "--delta", "0.3", "--grid", "3"]) == 3
     assert "numeric failure: Wigner series has imaginary residue" in capsys.readouterr().err
 

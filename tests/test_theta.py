@@ -8,12 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zakgross import theta
+from zakgross.estimator import estimate, plan
+from zakgross.measure import MeasurementSpec, exact_probabilities
 from zakgross.oracles import (
     gaussian_wigner,
+    overlap_norm,
     siegel_theta,
+    sublattice_series,
     sublattice_theta_batch,
     wigner_oracle,
 )
+from zakgross.qudit import CodeParams
 from zakgross.theta import (
     CodeState,
     NotPositiveDefinite,
@@ -23,6 +28,7 @@ from zakgross.theta import (
     wigner_theta,
     wigner_theta_grid,
 )
+from zakgross.wigner import RealisticFactor, realistic_input
 
 TWO_PI = 2.0 * math.pi
 
@@ -179,7 +185,7 @@ def test_wigner_cell_integral_equals_d_times_norm():
     xs = (np.arange(nq) + 0.5) * dl / nq
     grid = wigner_theta_grid(state, xs, xs)
     integral = grid.sum() * (dl / nq) ** 2
-    ref = 3 * code_state_norm(state)
+    ref = 3 * overlap_norm(state)
     assert abs(integral - ref) < 1e-6 * ref
 
 
@@ -229,16 +235,63 @@ def test_equal_state_reuses_the_series():
 
 
 def test_broken_conjugate_symmetry_raises(monkeypatch):
-    original = theta._sublattice_terms
+    original = theta._class_weights
 
     def skewed(*args, **kwargs):
-        f, c, log_scale, radius = original(*args, **kwargs)
-        return f, c * (1 + 0.1j), log_scale, radius
+        return original(*args, **kwargs) * (1 + 0.1j)
 
     theta._series.cache_clear()
-    monkeypatch.setattr(theta, "_sublattice_terms", skewed)
+    monkeypatch.setattr(theta, "_class_weights", skewed)
     with pytest.raises(theta.ImaginaryResidue, match="imaginary residue"):
         wigner_theta(CodeState.logical(3, 0, 0.3), [[0.0, 0.0]])
+
+
+def _state(kind, d, delta):
+    if kind == "phase":
+        return CodeState.phase_state(d, delta)
+    if kind == "logical1":
+        return CodeState.logical(d, 1, delta)
+    # complex coefficients pin down which peak carries the conjugate
+    return CodeState(d, delta, tuple((1 + k) * np.exp(1j * k * k) for k in range(d)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    d=st.sampled_from([3, 5, 7, 9]),
+    delta=st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]),
+    kind=st.sampled_from(["phase", "logical1", "complex"]),
+    shift=st.floats(0.0, 1.0),
+)
+def test_peak_sum_series_matches_sublattice_theta_route(d, delta, kind, shift):
+    state = _state(kind, d, delta)
+    cell = d * state.ell
+    xs = np.linspace(-0.3 * cell, 1.3 * cell, 41) + shift
+    zs = np.linspace(-0.3 * cell, 1.3 * cell, 41) - 0.7 * shift
+    got = wigner_theta_grid(state, xs, zs)
+    ref = theta._series_grid(sublattice_series(state), xs, zs)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+def test_runtime_never_sums_a_theta_box(monkeypatch):
+    from zakgross import wigner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta box summed")
+
+    monkeypatch.setattr(theta, "_theta_terms", refuse)
+    theta._series.cache_clear()
+    wigner._negativity.cache_clear()
+    state = CodeState.phase_state(3, 0.4)
+    m, kx, kz, cell = theta._series(state)
+    assert m.shape == (kx.size, kz.size)
+    assert RealisticFactor.make(state).negativity() > 1.0
+    params = CodeParams(3, 1)
+    st1 = realistic_input(params, [state])
+    spec = MeasurementSpec.from_params(params, (0,), 3)
+    rep = estimate(st1, spec, plan(0.1, 0.2, st1.negativity()), seed=3)
+    assert np.max(np.abs(rep.probabilities - exact_probabilities(st1, spec))) <= 0.1
+    with pytest.raises(AssertionError, match="theta box"):
+        siegel_theta_batch(np.array([[1j]]), [0j], [[0.0]])
 
 
 def test_wigner_peaks_at_logical_support():

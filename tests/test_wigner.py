@@ -79,6 +79,11 @@ def test_high_squeezing_reaches_ideal_negativity(d, delta):
     assert abs(RealisticFactor.make(state).negativity() - ideal.negativity()) < 1e-6
 
 
+def test_forty_db_phase_state_reaches_thirteen_ninths():
+    # delta = 0.01 (40 dB): the ideal discrete-Wigner negativity 13/9 of the d = 3 phase state
+    assert abs(RealisticFactor.make(CodeState.phase_state(3, 0.01)).negativity() - 13 / 9) < 1e-8
+
+
 def test_evaluate_factorizes(rng=np.random.default_rng(5)):
     params = CodeParams(3, 2)
     s0 = CodeState.logical(3, 0, 0.4)

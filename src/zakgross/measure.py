@@ -31,6 +31,10 @@ from .wigner import IdealFactor, WignerState
 EDGE_TOL = 1e-9  # bin units: a float position this close below an edge is on it
 
 
+class ImprecisePush(RuntimeError):
+    """The float push of realistic columns may err by EDGE_TOL bins or more."""
+
+
 @dataclass(frozen=True)
 class MeasurementSpec:
     """Which modes are read out, how many bins per mode, and the period.
@@ -84,6 +88,9 @@ def binner(state: WignerState, spec: MeasurementSpec):
     by the row entries reduced mod 2d: reduction is a ring map, so no entry
     size moves a point across an edge. Realistic columns and the fractional
     part of 2c are pushed in float, and bin_of_position bins the total.
+    Realistic draws lie in one cell [0, L), so the float part of a row errs
+    by at most sum |entries| L (terms + 2) 2^-53 in ell/2 units; the binner
+    raises ImprecisePush where that bound reaches EDGE_TOL bin widths.
     """
     _check_spec(state, spec)
     d, ell = state.params.d, state.params.ell
@@ -94,6 +101,13 @@ def binner(state: WignerState, spec: MeasurementSpec):
     c2 = [2 * state.amap.c[m] for m in spec.measured_modes]
     whole = np.array([math.floor(x) % (2 * d) for x in c2], dtype=np.int64)
     frac = np.array([float(x - math.floor(x)) for x in c2])
+    err = np.abs(real).sum(axis=0) * state.params.torus_period * (real.shape[0] + 2) * 2.0 ** -53
+    worst = float(err.max(initial=0.0)) * spec.K / (2 * d)
+    if worst >= EDGE_TOL:
+        raise ImprecisePush(
+            f"float push of realistic columns may err by {worst:.2e} bins, "
+            f"beyond the edge tolerance {EDGE_TOL:g}"
+        )
 
     def bins(eta):
         m2 = np.rint(eta[:, ideal] * (2 / ell)).astype(np.int64)

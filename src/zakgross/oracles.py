@@ -7,13 +7,14 @@ imports this one.
 - Theta sums: one evaluation of the lattice sum and the sub-lattice
   (parity) sums, checked against mpmath and brute force.
 - Code states: the position wavefunction, the norm by direct peak-overlap
-  summation, the Wigner series built from 2-D sub-lattice theta sums (the
-  independent reference for theta._series, which sums the same Gaussian
-  peaks in 1-D), the literal 4-variable Wigner sum of a finitely squeezed
-  state and the Gaussian (vacuum) Wigner function, both evaluated on tensor
-  grids (eta_x, eta_z) like theta.wigner_theta_grid. The literal Wigner sum
-  enumerates the same peak pairs as theta._series, so it checks the
-  phase conventions rather than the summation.
+  summation, the dense Wigner series built from 2-D sub-lattice theta sums
+  with its evaluators on grids and points (the independent reference for
+  theta._series, which sums the same Gaussian peaks in 1-D and evaluates
+  them in separable form), the literal 4-variable Wigner sum of a finitely
+  squeezed state and the Gaussian (vacuum) Wigner function, both evaluated
+  on tensor grids (eta_x, eta_z) like theta.wigner_theta_grid. The literal
+  Wigner sum enumerates the same peak pairs as theta._series, so it checks
+  the phase conventions rather than the summation.
 - Measurement: the POVM indicator and marginals from |psi|^2 alone.
 - Symplectic: the covariance shift t(S) and the exponent parity identity.
 - Quadrature: the cell integral and 1-D bin integrals.
@@ -198,6 +199,25 @@ def sublattice_series(state: CodeState, tol: float = 1e-14):
     m *= math.sqrt(math.pi) * state.delta / TWO_PI
     cell = state.d * state.ell
     return m, np.arange(-kx_max, kx_max + 1.0), np.arange(-kz_max, kz_max + 1.0), cell
+
+
+def _series_axes(series, eta_x, eta_z):
+    """(E_x M, E_z): W = Re (E_x M) E_z^T on the grid, row-wise on point pairs."""
+    m, kx, kz, cell = series
+    ex = np.exp((-TWO_PI / cell) * 1j * np.outer(eta_x, kx))
+    return ex @ m, np.exp((TWO_PI / cell) * 1j * np.outer(eta_z, kz))
+
+
+def dense_series_grid(series, eta_x, eta_z) -> np.ndarray:
+    """A dense series (M, kx, kz, L), as sublattice_series returns, on eta_x (x) eta_z."""
+    left, ez = _series_axes(series, eta_x, eta_z)
+    return np.hstack([left.real, -left.imag]) @ np.hstack([ez.real, ez.imag]).T
+
+
+def dense_series_points(series, eta) -> np.ndarray:
+    """A dense series (M, kx, kz, L) at the points eta (N, 2), one row each."""
+    left, ez = _series_axes(series, eta[:, 0], eta[:, 1])
+    return (left * ez).real.sum(axis=1)
 
 
 def wigner_oracle(state: CodeState, eta_x, eta_z, tol: float = 1e-18) -> np.ndarray:

@@ -1,13 +1,20 @@
 """Realistic code-state Wigner values, and lattice Gaussian (Siegel theta) sums.
 
-A finite-squeezing code state's Wigner function is written, once per state,
-as one 2-D Fourier series over the (d ell)^2 cell. Its coefficients factor
-into 1-D Gaussian peak sums (one correlation of envelope weights per basis
-pair, grouped into at most 2d classes), so delta = 0.01 (40 dB) builds for
-d <= 7. Grids are one real matrix product on the series, scattered points a
-row-wise dot product, position-bin masses a closed form on its kz = 0
-column. Its references (the 2-D sub-lattice theta route, the wavefunction,
-the 4-variable Wigner sum, the Gaussian vacuum) live in oracles.py.
+A finite-squeezing code state's Wigner function is built once per state
+from 1-D Gaussian peak sums (one correlation of envelope weights per basis
+pair, grouped into at most 2d classes c), so delta = 0.01 (40 dB) builds
+for d <= 7. It is a separable sum of rank 2d, W(x, z) = sum_c f_c(x) h_c(z).
+The x factor is a closed-form comb, the Poisson dual of its Fourier series:
+f_c(x) = (1/ell) sum_m exp(-(x - c ell/2 - m L)^2 / delta^2), L = d ell,
+summed over the few teeth nearest x, as many as a tail bound (_comb_teeth)
+asks for. The z factor h_c(z) is a real trigonometric sum over 2Kz + 1
+frequencies, Kz ~ 1/(ell delta), from a table of phases built with O(sqrt
+Kz) products per point. So a scattered point costs O(2d + Kz), not the
+O(Kx Kz) of the dense 2-D series, which is never built; a grid is one real
+product of inner dimension 2d; position-bin masses and the norm come in
+closed form from the kz = 0 column. Its references (the dense series from
+2-D sub-lattice theta sums, the wavefunction, the 4-variable Wigner sum,
+the Gaussian vacuum) live in oracles.py.
 
 theta(Gamma, z) = sum_{t in Z^m} exp(i pi t.Gamma t + 2 pi i t.z), Im Gamma > 0,
 is off the runtime path: oracles.py builds on it, and the benchmark tracer
@@ -21,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,10 +177,23 @@ class CodeState:
         return math.sqrt(TWO_PI / self.d)
 
 
+class Series(NamedTuple):
+    """A code state's Wigner function as a rank-2d separable sum; see _series."""
+
+    u: np.ndarray  # (2d, nkz) class rows, odd-kz columns rolled by d; read-only
+    kz: np.ndarray  # z frequencies -Kz..Kz
+    kx_max: int  # Kx, the reach of the x factor's Fourier form (bin integrals)
+    cell: float  # L = d ell
+    ell: float
+    delta: float
+    teeth: int  # comb teeth summed on each side of the one nearest x
+
+
 def code_state_norm(state: CodeState) -> float:
     """<psi|psi>: the cell integral of the Wigner function, L^2 Re M[0, 0], over d."""
-    m, kx, kz, cell = _series(state)
-    total = cell ** 2 * float(m[kx == 0, kz == 0][0].real) / state.d
+    series = _series(state)
+    kx, col = _kz0_column(series)
+    total = series.cell ** 2 * float(col[kx == 0][0].real) / state.d
     if not total > 0.0:
         raise RuntimeError(f"state norm must be positive, got {total}")
     return total
@@ -210,17 +231,38 @@ def _class_weights(state: CodeState, span: int) -> np.ndarray:
     return w
 
 
+def _comb_teeth(ell: float, delta: float) -> int:
+    """Teeth J summed on each side of the comb tooth nearest x.
+
+    Teeth sit every ell/2 and the nearest lies within ell/4 of x, so every
+    omitted tooth is at least r = (J + 1/2) ell/2 away, and the omitted ones
+    sum to at most 2 exp(-r^2/delta^2) / (1 - exp(-r ell/delta^2)) of one
+    tooth's height; J is the least that keeps this below SERIES_TOL.
+    """
+    teeth = 0
+    while True:
+        r = (teeth + 0.5) * ell / 2
+        if 2.0 * math.exp(-((r / delta) ** 2)) <= SERIES_TOL * -math.expm1(-r * ell / delta ** 2):
+            return teeth
+        teeth += 1
+
+
 @functools.lru_cache(maxsize=64)
-def _series(state: CodeState):
-    """The unnormalized Wigner function of state as one Fourier series.
+def _series(state: CodeState) -> Series:
+    """The unnormalized Wigner function of state as a rank-2d separable sum.
 
     W(x, z) = Re sum_ab exp(-2 pi i kx[a] x / L) M[a, b] exp(2 pi i kz[b] z / L),
-    L = d ell, kx = -Kx..Kx, kz = -Kz..Kz. Summing the peak pairs gives
-    M[a, b] = (-1)^(a b) sum_c v_c(kx[a]) u_c(kz[b]) over 2d classes, with
+    L = d ell, and summing the peak pairs gives M[a, b] = (-1)^(a b) sum_c
+    v_c(kx[a]) u_c(kz[b]) over 2d classes, with
     v_c(a) = sqrt(pi) delta exp(-(ell delta a)^2 / 4) exp(i pi a c / d) / 2 pi
     and u_c(b) = sum_r w[c, r] exp(-ell^2 (b - r)^2 / (4 delta^2)), w from
-    _class_weights. Returns (M, kx, kz, L) with M read-only; truncated where
-    v, or the columns of u, fall below SERIES_TOL of their peak; cached per state.
+    _class_weights. Folding (-1)^(ab) into u (odd columns rolled by d classes)
+    and summing a in closed form gives W(x, z) = sum_c f_c(x) h_c(z): by
+    Poisson summation f_c(x) = sum_a v_c(a) exp(-2 pi i a x / L) is the real
+    comb (1/ell) sum_m exp(-(x - c ell/2 - m L)^2 / delta^2), and
+    h_c(z) = Re sum_b u[c, b] exp(2 pi i kz[b] z / L). M itself is never
+    built. u is truncated where its columns fall below SERIES_TOL of their
+    peak; cached per state.
     """
     d, delta, ell = state.d, state.delta, state.ell
     root = 2.0 * math.sqrt(math.log(1.0 / SERIES_TOL))
@@ -228,10 +270,12 @@ def _series(state: CodeState):
     # E(Delta) <= exp(-(delta ell r)^2 / 4); times u's kernel that is at most
     # exp(-(ell delta b)^2 / (4 (1 + delta^4))), which sets the reach in kz
     kz_reach = reach * math.sqrt(1.0 + delta ** 4)
+    # the class-weight correlations cost O(1/delta^2) like the dense M's size,
+    # so the cap stays on that size
     size = (2 * reach + 1) * (2 * kz_reach + 1)
     if size > MAX_TERMS:
         raise TruncationOverflow(f"Wigner series of {size:.3g} terms exceeds cap {MAX_TERMS}")
-    kx, kz, half = int(reach), int(kz_reach), int(root * delta / ell)
+    kz, half = int(kz_reach), int(root * delta / ell)
 
     shifts = np.arange(-half, half + 1)
     kernel = np.exp(-((ell * shifts) ** 2) / (4.0 * delta ** 2))
@@ -243,58 +287,141 @@ def _series(state: CodeState):
     u, b = u[:, keep], b[keep]
     # (-1)^(a b) exp(i pi a c / d) = exp(i pi a (c + d) / d) for odd b: shift the class by d
     u[:, b % 2 == 1] = np.roll(u[:, b % 2 == 1], d, axis=0)
-    a = np.arange(-kx, kx + 1.0)
-    v = np.exp(-((ell * delta * a) ** 2) / 4.0 + 1j * math.pi / d * np.outer(np.arange(2 * d), a))
-    m = (math.sqrt(math.pi) * delta / TWO_PI * v.T) @ u
-    m.setflags(write=False)
+    u.setflags(write=False)
+    series = Series(u, b, int(reach), d * ell, ell, delta, _comb_teeth(ell, delta))
+    _check_real(series)
+    return series
 
-    # |Im W| <= residue at every point; the probe grid, one 2-D DFT of M,
-    # resolves every frequency
-    residue = 0.5 * float(np.abs(m - np.conjugate(m[::-1, ::-1])).sum())
-    probe = np.fft.fft2(np.fft.ifftshift(m)).real
+
+def _check_real(series: Series) -> None:
+    """Refuse a series whose imaginary part may exceed 1e-8 of its largest value.
+
+    Since f_c >= 0, |Im W| <= sum_c max f_c * (1/2) sum_b |u[c, b] - conj u[c, -b]|
+    everywhere. The teeth of one class lie L apart, so from any x all but
+    the nearest lie at least L/2, 3L/2, ... away on either side, and
+    ell max f_c <= 1 + 2 e^(-L^2 / 4 delta^2) / (1 - e^(-L^2 / delta^2)).
+    The probe grid takes x on the comb's tooth centres and z on the 2Kz + 1
+    points where one inverse FFT per class gives h_c exactly.
+    """
+    u, cell, delta = series.u, series.cell, series.delta
+    f_max = 1.0 - 2.0 * math.exp(-((cell / delta) ** 2) / 4.0) / math.expm1(-((cell / delta) ** 2))
+    residue = f_max / series.ell * 0.5 * float(np.abs(u - np.conjugate(u[:, ::-1])).sum())
+    h = (u.shape[1] * np.fft.ifft(np.fft.ifftshift(u, axes=1), axis=1)).real
+    probe = _x_factor(series, np.arange(u.shape[0]) * series.ell / 2) @ h
     if residue > 1e-8 * float(np.max(np.abs(probe))):
         raise ImaginaryResidue(f"Wigner series has imaginary residue {residue:.2e}")
-    return m, a, b, d * ell
 
 
-def _series_axes(series, eta_x, eta_z):
-    """(E_x M, E_z): W = Re (E_x M) E_z^T on the grid, row-wise on point pairs."""
-    m, kx, kz, cell = series
-    ex = np.exp((-TWO_PI / cell) * 1j * np.outer(eta_x, kx))
-    return ex @ m, np.exp((TWO_PI / cell) * 1j * np.outer(eta_z, kz))
+def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
+    """f_c(x) at points x (N,) for every class: shape (N, 2d).
+
+    Tooth n of the comb, at n ell/2, belongs to class n mod 2d; each point
+    sums the 2J + 1 teeth nearest it (J from _comb_teeth). With e the
+    offset from the nearest tooth and s = ell / (2 delta), both in units of
+    delta, tooth j away weighs exp(-(e - j s)^2), which the recurrence
+    g_j = g_(j-1) exp(2 e s) exp(-(2j - 1) s^2) walks with three
+    exponentials per point. Teeth fold into the columns j mod 2d, and one
+    gather per point rotates them by its nearest tooth's class.
+    """
+    classes = series.u.shape[0]
+    step = series.ell / 2
+    s = step / series.delta
+    near = np.rint(x / step)
+    e = (x - near * step) / series.delta
+    centre = np.exp(-e * e)
+    folded = np.zeros((x.size, classes))
+    folded[:, series.teeth % classes] = centre
+    if series.teeth:
+        up, down = np.exp(2 * s * e), np.exp(-2 * s * e)
+        above, below = centre, centre
+        for j in range(1, series.teeth + 1):
+            shrink = math.exp(-(2 * j - 1) * s * s)
+            above = above * up * shrink
+            below = below * down * shrink
+            folded[:, (series.teeth + j) % classes] += above
+            folded[:, (series.teeth - j) % classes] += below
+    # tooth j of column (teeth + j) mod 2d has class (near + j) mod 2d
+    cols = np.arange(classes) - np.mod(near, classes).astype(np.intp)[:, None] + series.teeth
+    return np.take_along_axis(folded, np.mod(cols, classes), axis=1) / series.ell
 
 
-def _series_grid(series, eta_x, eta_z) -> np.ndarray:
-    left, ez = _series_axes(series, eta_x, eta_z)
-    return np.hstack([left.real, -left.imag]) @ np.hstack([ez.real, ez.imag]).T
+def _cis_powers(t: np.ndarray, count: int) -> np.ndarray:
+    """exp(i r t) for r = 0..count-1: shape (N, count), by repeated products."""
+    out = np.empty((t.size, count), dtype=complex)
+    out[:, 0] = 1.0
+    if count > 1:
+        out[:, 1:] = (np.cos(t) + 1j * np.sin(t))[:, None]
+        np.cumprod(out, axis=1, out=out)
+    return out
+
+
+def _z_factor(series: Series, z: np.ndarray) -> np.ndarray:
+    """h_c(z) at points z (N,) for every class: shape (N, 2d).
+
+    Folding kz = b and -b, h_c = Re sum_{b >= 0} q[c, b] exp(i b theta) with
+    q[c, 0] = u[c, 0], q[c, b] = u[c, b] + conj u[c, -b] and
+    theta = 2 pi (z mod L) / L. Each phase exp(i (g s + r) theta) is one
+    product of a giant step (g < G) and a baby step (r < s): a point costs
+    two cosines and two sines, s + G = O(sqrt Kz) products for the steps
+    and one product per phase. Viewed as interleaved (cos, sin) floats, the
+    phases meet the table (Re q, -Im q) in one real matrix product.
+    """
+    classes, nkz = series.u.shape
+    k = nkz // 2
+    baby = math.isqrt(k) + 1
+    giant = -(-(k + 1) // baby)
+    fold = series.u[:, k:].copy()
+    fold[:, 1:] += np.conjugate(series.u[:, k - 1::-1])
+    table = np.zeros((giant * baby, 2, classes))
+    table[: k + 1, 0] = fold.real.T
+    table[: k + 1, 1] = -fold.imag.T
+    table = table.reshape(-1, classes)
+
+    theta = np.mod(z, series.cell) * (TWO_PI / series.cell)
+    out = np.empty((z.size, classes))
+    chunk = max(256, (1 << 19) // (giant * baby))
+    for lo in range(0, z.size, chunk):
+        t = theta[lo: lo + chunk]
+        phases = _cis_powers(baby * t, giant)[:, :, None] * _cis_powers(t, baby)[:, None, :]
+        out[lo: lo + chunk] = phases.reshape(t.size, -1).view(np.float64) @ table
+    return out
+
+
+def _kz0_column(series: Series):
+    """(kx, M[kx, kz = 0]) for kx = -Kx..Kx, from V u[:, kz = 0]."""
+    classes = series.u.shape[0]
+    kx = np.arange(-series.kx_max, series.kx_max + 1.0)
+    v = np.exp(-((series.ell * series.delta * kx[:, None]) ** 2) / 4.0
+               + (TWO_PI / classes) * 1j * np.outer(kx, np.arange(classes)))
+    scale = math.sqrt(math.pi) * series.delta / TWO_PI
+    return kx, scale * (v @ series.u[:, series.kz == 0][:, 0])
 
 
 def wigner_theta(state: CodeState, eta) -> np.ndarray:
     """Unnormalized Wigner values at points eta with shape (..., 2).
 
     Divide by code_state_norm(state) for the unit-norm state; the result then
-    integrates to d over one (d ell)^2 cell.
+    integrates to d over one (d ell)^2 cell. Each point is sum_c f_c h_c.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape[-1] != 2:
         raise ValueError(f"eta must have last dimension 2, got {eta.shape}")
     flat = eta.reshape(-1, 2)
     series = _series(state)
-    vals = np.empty(flat.shape[0])
-    for lo in range(0, flat.shape[0], 8192):
-        left, ez = _series_axes(series, flat[lo: lo + 8192, 0], flat[lo: lo + 8192, 1])
-        vals[lo: lo + 8192] = (left * ez).real.sum(axis=1)
+    vals = np.einsum("nc,nc->n", _x_factor(series, flat[:, 0]), _z_factor(series, flat[:, 1]))
     return vals.reshape(eta.shape[:-1])
 
 
-def wigner_theta_grid(state: CodeState, eta_x, eta_z) -> np.ndarray:
-    """Unnormalized Wigner values on the tensor grid eta_x (x) eta_z.
+def wigner_theta_grid(state: CodeState, eta_x, eta_z, scale: float = 1.0) -> np.ndarray:
+    """scale times the unnormalized Wigner values on the tensor grid eta_x (x) eta_z.
 
-    Shape (len(eta_x), len(eta_z)): one real matrix product on the series.
+    Shape (len(eta_x), len(eta_z)): one real product (scale F) H^T of inner
+    dimension 2d, F and H holding f_c and h_c on the two axes.
     """
+    series = _series(state)
     eta_x = np.asarray(eta_x, dtype=float).ravel()
     eta_z = np.asarray(eta_z, dtype=float).ravel()
-    return _series_grid(_series(state), eta_x, eta_z)
+    return (scale * _x_factor(series, eta_x)) @ _z_factor(series, eta_z).T
 
 
 def x_bin_integrals(state: CodeState, bins: int, shift: float) -> np.ndarray:
@@ -304,8 +431,9 @@ def x_bin_integrals(state: CodeState, bins: int, shift: float) -> np.ndarray:
     bin of width w = L / bins integrates exp(-2 pi i k (x - shift) / L) to
     w exp(-2 pi i k (mid - shift) / L) sinc(k / bins).
     """
-    m, kx, kz, cell = _series(state)
-    width = cell / bins
+    series = _series(state)
+    kx, col = _kz0_column(series)
+    width = series.cell / bins
     mid = (np.arange(bins)[:, None] + 0.5) * width - shift
-    phase = np.exp((-TWO_PI / cell) * 1j * kx * mid)
-    return cell * width * ((phase * np.sinc(kx / bins)) @ m[:, kz == 0][:, 0]).real
+    phase = np.exp((-TWO_PI / series.cell) * 1j * kx * mid)
+    return series.cell * width * ((phase * np.sinc(kx / bins)) @ col).real

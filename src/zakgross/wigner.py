@@ -87,7 +87,7 @@ class RealisticFactor:
         return wigner_theta(self.state, eta) / (self.d * self.norm)
 
     def wigner_grid(self, eta_x, eta_z) -> np.ndarray:
-        return wigner_theta_grid(self.state, eta_x, eta_z) / (self.d * self.norm)
+        return wigner_theta_grid(self.state, eta_x, eta_z, scale=1.0 / (self.d * self.norm))
 
     def negativity(self, tol: float = 1e-6) -> float:
         return _negativity(self.state, tol)
@@ -353,17 +353,34 @@ def _ideal_sampler(factor: IdealFactor, params: CodeParams):
     return sample
 
 
-def _rejection_sampler(factor: RealisticFactor):
+@functools.lru_cache(maxsize=64)
+def _envelope(state: CodeState):
+    """(env, cum, total mass) of the sampling envelope, cached per state.
+
+    env is the largest |W| at the 4 x 4 grid points of each envelope cell,
+    times ENVELOPE_HEADROOM: strided maximum passes over the sub-rows, then
+    the sub-columns.
+    """
     grid, cells = ENVELOPE_GRID, ENVELOPE_CELLS
-    period = factor.d * factor.state.ell
+    factor = RealisticFactor.make(state)
+    period = factor.d * state.ell
     xs = (np.arange(grid) + 0.5) * period / grid
     vals = factor.wigner_grid(xs, xs)
+    np.abs(vals, out=vals)
     sub = grid // cells
-    env = np.abs(vals).reshape(cells, sub, cells, sub).max(axis=(1, 3)) * ENVELOPE_HEADROOM
-    cell_w = period / cells
+    rows = functools.reduce(np.maximum, (vals[i::sub] for i in range(sub)))
+    env = functools.reduce(np.maximum, (rows[:, i::sub] for i in range(sub))) * ENVELOPE_HEADROOM
     masses = env.ravel()
     cum = np.cumsum(masses / masses.sum())
-    total_env = masses.sum() * cell_w ** 2
+    env.setflags(write=False)
+    cum.setflags(write=False)
+    return env, cum, masses.sum() * (period / cells) ** 2
+
+
+def _rejection_sampler(factor: RealisticFactor):
+    cells = ENVELOPE_CELLS
+    env, cum, total_env = _envelope(factor.state)
+    cell_w = factor.d * factor.state.ell / cells
 
     def sample(count, rng):
         out = np.empty((count, 2))

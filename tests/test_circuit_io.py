@@ -12,7 +12,7 @@ from zakgross.circuit_io import (
     run,
     sweep_csv,
 )
-from zakgross.measure import exact_probabilities
+from zakgross.measure import ImprecisePush, exact_probabilities
 from zakgross.qudit import CodeParams, Gate, clifford_oracle_probabilities
 
 
@@ -301,6 +301,30 @@ def test_mixed_row_with_huge_lattice_entry_bins_exactly():
         ))
         tables.append(run(spec, "estimate")["probabilities"])
     assert tables[1] == tables[0] and tables[2] == tables[0]
+
+
+def _swapped_shear(a):
+    # the shear adds -a * (squeezed x1) to the measured ideal x0: a realistic
+    # column entry of size a in the measured row of S^-1
+    matrix = [[1, a, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -a, 1]]
+    return parse_circuit(doc(
+        n=2,
+        inputs=[{"ideal_logical": 1},
+                {"realistic": {"kind": "logical", "j": 0, "delta": 0.5}}],
+        ops=[{"gate": "symplectic", "matrix": matrix}],
+        estimator={"epsilon": 0.1, "delta_fail": 0.1, "seed": 1},
+    ))
+
+
+def test_huge_realistic_column_entry_refuses_the_float_push():
+    with pytest.raises(ImprecisePush, match="may err by"):
+        run(_swapped_shear(10**12), "estimate")
+
+
+def test_moderate_realistic_column_entry_runs():
+    result = run(_swapped_shear(10**3), "estimate")
+    assert len(result["probabilities"]) == 3
+    assert sum(result["probabilities"]) == pytest.approx(1.0, abs=0.1)
 
 
 REALISTIC = {"realistic": {"kind": "logical", "j": 0, "delta": 0.5}}

@@ -144,6 +144,19 @@ def test_sample_huge_lattice_entries_exit_code(tmp_path):
     assert json.loads(out.read_text())["frequencies"] == [0.0, 0.0, 1.0]
 
 
+def test_imprecise_realistic_push_is_a_numeric_failure(tmp_path, capsys):
+    a = 10**12
+    matrix = [[1, a, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -a, 1]]
+    cpath = circuit_file(
+        tmp_path, n=2,
+        inputs=[{"ideal_logical": 1}, {"realistic": {"kind": "logical", "j": 0, "delta": 0.5}}],
+        ops=[{"gate": "symplectic", "matrix": matrix}],
+        estimator={"epsilon": 0.1, "delta_fail": 0.1, "seed": 1},
+    )
+    assert main(["run", cpath, "--mode", "estimate"]) == 3
+    assert "numeric failure: float push of realistic columns" in capsys.readouterr().err
+
+
 def test_decompose_refuses_booleans(tmp_path, capsys):
     mpath = tmp_path / "mat.json"
     mpath.write_text(json.dumps({"matrix": [[True, 0], [0, 1]]}))

@@ -1,4 +1,5 @@
 """Lattice sums against independent references, and the two Wigner paths."""
+import functools
 import math
 
 import mpmath
@@ -11,6 +12,8 @@ from zakgross import theta
 from zakgross.estimator import estimate, plan
 from zakgross.measure import MeasurementSpec, exact_probabilities
 from zakgross.oracles import (
+    dense_series_grid,
+    dense_series_points,
     gaussian_wigner,
     overlap_norm,
     siegel_theta,
@@ -255,21 +258,44 @@ def _state(kind, d, delta):
     return CodeState(d, delta, tuple((1 + k) * np.exp(1j * k * k) for k in range(d)))
 
 
-@settings(max_examples=12, deadline=None)
-@given(
-    d=st.sampled_from([3, 5, 7, 9]),
-    delta=st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]),
-    kind=st.sampled_from(["phase", "logical1", "complex"]),
-    shift=st.floats(0.0, 1.0),
-)
-def test_peak_sum_series_matches_sublattice_theta_route(d, delta, kind, shift):
+# every d, delta and kind at least once; the 2-D route is slow for
+# superpositions at small delta (10 s at d = 9, delta = 0.05), so delta = 0.05
+# pairs the d = 3 phase state with the d = 7 logical state
+SERIES_CASES = [
+    (3, 0.05, "phase"), (3, 0.1, "complex"), (5, 0.1, "logical1"), (7, 0.05, "logical1"),
+    (9, 0.3, "complex"), (5, 0.3, "phase"), (7, 0.5, "phase"), (9, 0.5, "logical1"),
+    (3, 1.0, "logical1"), (5, 1.0, "complex"), (7, 1.9, "complex"), (9, 1.9, "phase"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_series(kind, d, delta):
+    """sublattice_series of the case, and the largest |W| on its half-lattice points."""
     state = _state(kind, d, delta)
-    cell = d * state.ell
-    xs = np.linspace(-0.3 * cell, 1.3 * cell, 41) + shift
-    zs = np.linspace(-0.3 * cell, 1.3 * cell, 41) - 0.7 * shift
-    got = wigner_theta_grid(state, xs, zs)
-    ref = theta._series_grid(sublattice_series(state), xs, zs)
-    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+    dense = sublattice_series(state)
+    half = np.arange(2 * d) * state.ell / 2
+    return dense, np.max(np.abs(dense_series_grid(dense, half, half)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(shift=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_peak_sum_series_matches_sublattice_theta_route(shift, seed):
+    # the separable evaluator on grids and on scattered points against the
+    # dense 2-D route, relative to the largest |W|: peaks sit on half-lattice
+    # points, which a coarse grid misses once they are narrow
+    rng = np.random.default_rng(seed)
+    for d, delta, kind in SERIES_CASES:
+        state = _state(kind, d, delta)
+        dense, scale = _dense_series(kind, d, delta)
+        cell = d * state.ell
+        xs = np.linspace(-0.3 * cell, 1.3 * cell, 41) + shift
+        zs = np.linspace(-0.3 * cell, 1.3 * cell, 41) - 0.7 * shift
+        got = wigner_theta_grid(state, xs, zs)
+        assert np.max(np.abs(got - dense_series_grid(dense, xs, zs))) <= 1e-11 * scale
+        # points below 0 and above L included
+        pts = rng.uniform(-0.5 * cell, 1.5 * cell, size=(400, 2))
+        got = wigner_theta(state, pts)
+        assert np.max(np.abs(got - dense_series_points(dense, pts))) <= 1e-11 * scale
 
 
 def test_runtime_never_sums_a_theta_box(monkeypatch):
@@ -282,8 +308,8 @@ def test_runtime_never_sums_a_theta_box(monkeypatch):
     theta._series.cache_clear()
     wigner._negativity.cache_clear()
     state = CodeState.phase_state(3, 0.4)
-    m, kx, kz, cell = theta._series(state)
-    assert m.shape == (kx.size, kz.size)
+    series = theta._series(state)
+    assert series.u.shape == (2 * state.d, series.kz.size)
     assert RealisticFactor.make(state).negativity() > 1.0
     params = CodeParams(3, 1)
     st1 = realistic_input(params, [state])
@@ -292,6 +318,17 @@ def test_runtime_never_sums_a_theta_box(monkeypatch):
     assert np.max(np.abs(rep.probabilities - exact_probabilities(st1, spec))) <= 0.1
     with pytest.raises(AssertionError, match="theta box"):
         siegel_theta_batch(np.array([[1j]]), [0j], [[0.0]])
+
+
+def test_series_holds_no_dense_array():
+    # d = 7 at delta = 0.01 (40 dB): the dense M would be 2397^2; the
+    # separable series holds nothing larger than its 2d class rows
+    theta._series.cache_clear()
+    series = theta._series(CodeState.phase_state(7, 0.01))
+    rows = 14 * series.kz.size
+    assert series.u.shape == (14, series.kz.size)
+    assert all(f.size <= rows for f in series if isinstance(f, np.ndarray))
+    theta._series.cache_clear()
 
 
 def test_wigner_peaks_at_logical_support():

@@ -217,6 +217,23 @@ def test_sharp_phase_state_sampler_envelope_holds():
     assert (signs < 0).any()  # phase state has genuine negative mass
 
 
+def test_equal_factors_share_one_envelope():
+    wigner._envelope.cache_clear()
+    state = CodeState.logical(3, 0, 0.25)
+    st = realistic_input(CodeParams(3, 2), [state, CodeState.logical(3, 0, 0.25)])
+    st.sampler()
+    info = wigner._envelope.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    env, cum, total = wigner._envelope(state)
+    # the strided maxima equal the blockwise ones
+    period = 3 * state.ell
+    xs = (np.arange(1024) + 0.5) * period / 1024
+    vals = np.abs(RealisticFactor.make(state).wigner_grid(xs, xs))
+    blocks = vals.reshape(256, 4, 256, 4).max(axis=(1, 3)) * wigner.ENVELOPE_HEADROOM
+    assert np.array_equal(env, blocks)
+    assert cum[-1] == pytest.approx(1.0) and total > 0
+
+
 def test_sampled_points_cover_cell_after_gate():
     params = CodeParams(3, 1)
     st = realistic_input(params, [CodeState.logical(3, 0, 0.4)])

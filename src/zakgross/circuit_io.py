@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator as est_mod
-from .measure import MeasurementSpec, binner, exact_probabilities
+from .measure import SLIP_SHARE, MeasurementSpec, binner, exact_probabilities
 from .qudit import GATE_NAMES, CodeParams, Gate
 from .symplectic import IntSymplectic
 from .theta import CodeState
@@ -415,7 +415,8 @@ def run(
                 f"negativity {negativity:.6g}. Use estimate mode instead."
             )
         use_seed = 0 if seed is None else seed
-        bins = binner(state, mspec)
+        # frequencies of n draws err by about 1 / sqrt(n)
+        bins = binner(state, mspec, SLIP_SHARE / math.sqrt(max(n_samples, 1)))
         joint = bins(sample_input(state, use_seed, n_samples)[0])
         shape = mspec.table_shape()
         outcomes = np.stack(np.unravel_index(joint, shape), axis=-1)

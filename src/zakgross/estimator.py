@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import MeasurementSpec, binner
+from .measure import SLIP_SHARE, MeasurementSpec, binner
 from .wigner import WignerState, seed_streams
 
 MAX_SAMPLES = 200_000_000
@@ -107,7 +107,9 @@ def estimate(
     threads: int = 1,
 ) -> EstimateReport:
     t0 = time.perf_counter()
-    bins = binner(state, spec)
+    # a draw that slips a bin biases each cell by at most M / n, so a slip
+    # chance p costs at most M p of the epsilon budget
+    bins = binner(state, spec, SLIP_SHARE * est_plan.epsilon / est_plan.negativity)
     shape = spec.table_shape()
     flat_bins = int(np.prod(shape))
     pos = np.zeros(flat_bins, dtype=np.int64)

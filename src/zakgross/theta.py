@@ -412,16 +412,16 @@ def wigner_theta(state: CodeState, eta) -> np.ndarray:
     return vals.reshape(eta.shape[:-1])
 
 
-def wigner_theta_grid(state: CodeState, eta_x, eta_z, scale: float = 1.0) -> np.ndarray:
-    """scale times the unnormalized Wigner values on the tensor grid eta_x (x) eta_z.
+def wigner_theta_grid(state: CodeState, eta_x, eta_z) -> np.ndarray:
+    """Unnormalized Wigner values on the tensor grid eta_x (x) eta_z.
 
-    Shape (len(eta_x), len(eta_z)): one real product (scale F) H^T of inner
+    Shape (len(eta_x), len(eta_z)): one real product F H^T of inner
     dimension 2d, F and H holding f_c and h_c on the two axes.
     """
     series = _series(state)
     eta_x = np.asarray(eta_x, dtype=float).ravel()
     eta_z = np.asarray(eta_z, dtype=float).ravel()
-    return (scale * _x_factor(series, eta_x)) @ _z_factor(series, eta_z).T
+    return _x_factor(series, eta_x) @ _z_factor(series, eta_z).T
 
 
 def x_bin_integrals(state: CodeState, bins: int, shift: float) -> np.ndarray:

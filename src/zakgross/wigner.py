@@ -87,7 +87,9 @@ class RealisticFactor:
         return wigner_theta(self.state, eta) / (self.d * self.norm)
 
     def wigner_grid(self, eta_x, eta_z) -> np.ndarray:
-        return wigner_theta_grid(self.state, eta_x, eta_z, scale=1.0 / (self.d * self.norm))
+        vals = wigner_theta_grid(self.state, eta_x, eta_z)
+        vals /= self.d * self.norm
+        return vals
 
     def negativity(self, tol: float = 1e-6) -> float:
         return _negativity(self.state, tol)
@@ -358,8 +360,7 @@ def _envelope(state: CodeState):
     """(env, cum, total mass) of the sampling envelope, cached per state.
 
     env is the largest |W| at the 4 x 4 grid points of each envelope cell,
-    times ENVELOPE_HEADROOM: strided maximum passes over the sub-rows, then
-    the sub-columns.
+    times ENVELOPE_HEADROOM.
     """
     grid, cells = ENVELOPE_GRID, ENVELOPE_CELLS
     factor = RealisticFactor.make(state)
@@ -368,8 +369,7 @@ def _envelope(state: CodeState):
     vals = factor.wigner_grid(xs, xs)
     np.abs(vals, out=vals)
     sub = grid // cells
-    rows = functools.reduce(np.maximum, (vals[i::sub] for i in range(sub)))
-    env = functools.reduce(np.maximum, (rows[:, i::sub] for i in range(sub))) * ENVELOPE_HEADROOM
+    env = vals.reshape(cells, sub, cells, sub).max(axis=(1, 3)) * ENVELOPE_HEADROOM
     masses = env.ravel()
     cum = np.cumsum(masses / masses.sum())
     env.setflags(write=False)

@@ -327,6 +327,13 @@ def test_moderate_realistic_column_entry_runs():
     assert sum(result["probabilities"]) == pytest.approx(1.0, abs=0.1)
 
 
+def test_million_realistic_column_entry_runs():
+    # rounding errs by about 1e-9 bins here: far inside epsilon, so no refusal
+    result = run(_swapped_shear(10**6), "estimate")
+    assert sum(result["probabilities"]) == pytest.approx(1.0, abs=0.1)
+    assert all(abs(p - 1 / 3) < 0.1 for p in result["probabilities"])
+
+
 REALISTIC = {"realistic": {"kind": "logical", "j": 0, "delta": 0.5}}
 BOOLEAN_CASES = {
     "n": ({"n": True}, "$.n"),

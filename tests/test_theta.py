@@ -258,6 +258,23 @@ def _state(kind, d, delta):
     return CodeState(d, delta, tuple((1 + k) * np.exp(1j * k * k) for k in range(d)))
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    d=st.sampled_from([3, 5, 7, 9]),
+    delta=st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0, 1.9]),
+    kind=st.sampled_from(["phase", "logical1", "complex"]),
+    shift=st.floats(0.0, 1.0),
+)
+def test_peak_sum_series_matches_sublattice_theta_route(d, delta, kind, shift):
+    state = _state(kind, d, delta)
+    cell = d * state.ell
+    xs = np.linspace(-0.3 * cell, 1.3 * cell, 41) + shift
+    zs = np.linspace(-0.3 * cell, 1.3 * cell, 41) - 0.7 * shift
+    got = wigner_theta_grid(state, xs, zs)
+    ref = dense_series_grid(sublattice_series(state), xs, zs)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
 # every d, delta and kind at least once; the 2-D route is slow for
 # superpositions at small delta (10 s at d = 9, delta = 0.05), so delta = 0.05
 # pairs the d = 3 phase state with the d = 7 logical state
@@ -279,23 +296,23 @@ def _dense_series(kind, d, delta):
 
 @settings(max_examples=12, deadline=None)
 @given(shift=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_peak_sum_series_matches_sublattice_theta_route(shift, seed):
-    # the separable evaluator on grids and on scattered points against the
-    # dense 2-D route, relative to the largest |W|: peaks sit on half-lattice
-    # points, which a coarse grid misses once they are narrow
+def test_separable_series_matches_dense_route_off_the_grid(shift, seed):
+    # scattered points, below 0 and above L included, and at delta = 0.05 the
+    # 41^2 grid, which misses every (narrow) peak: both against the largest
+    # |W| on the half-lattice points, where the peaks sit
     rng = np.random.default_rng(seed)
     for d, delta, kind in SERIES_CASES:
         state = _state(kind, d, delta)
-        dense, scale = _dense_series(kind, d, delta)
+        dense, peak = _dense_series(kind, d, delta)
         cell = d * state.ell
-        xs = np.linspace(-0.3 * cell, 1.3 * cell, 41) + shift
-        zs = np.linspace(-0.3 * cell, 1.3 * cell, 41) - 0.7 * shift
-        got = wigner_theta_grid(state, xs, zs)
-        assert np.max(np.abs(got - dense_series_grid(dense, xs, zs))) <= 1e-11 * scale
-        # points below 0 and above L included
         pts = rng.uniform(-0.5 * cell, 1.5 * cell, size=(400, 2))
         got = wigner_theta(state, pts)
-        assert np.max(np.abs(got - dense_series_points(dense, pts))) <= 1e-11 * scale
+        assert np.max(np.abs(got - dense_series_points(dense, pts))) <= 1e-11 * peak
+        if delta < 0.1:
+            xs = np.linspace(-0.3 * cell, 1.3 * cell, 41) + shift
+            zs = np.linspace(-0.3 * cell, 1.3 * cell, 41) - 0.7 * shift
+            got = wigner_theta_grid(state, xs, zs)
+            assert np.max(np.abs(got - dense_series_grid(dense, xs, zs))) <= 1e-11 * peak
 
 
 def test_runtime_never_sums_a_theta_box(monkeypatch):

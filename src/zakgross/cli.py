@@ -119,13 +119,15 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     from . import oracles
 
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    seed = args.seed if args.seed is not None else 0
+    rng = np.random.default_rng(seed)
     checks = [
         ("gottesman-knill agreement", oracles.check_gottesman_knill, (rng, (3,), (2,), 20)),
         ("theta vs direct-definition oracle", oracles.check_theta_oracle, ((0.3,), 5)),
         ("normalization (cell integral = 1)", oracles.check_normalization, ((0.3,),)),
         ("symplectic decompose round-trip", oracles.check_decompose_roundtrip, (rng, 20)),
         ("estimator calibration", oracles.check_calibration, (10, 0.1, 0.2)),
+        ("realistic sampler law", oracles.check_realistic_sampler, ((0.5, 0.05), 0.05, 0.01, seed)),
     ]
     lines = []
     failed = 0

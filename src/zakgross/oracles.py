@@ -18,7 +18,7 @@ imports this one.
 - Measurement: the POVM indicator and marginals from |psi|^2 alone.
 - Symplectic: the covariance shift t(S) and the exponent parity identity.
 - Quadrature: the cell integral and 1-D bin integrals.
-- Checks: the five desk-scale checks that `zakgross verify` runs and the
+- Checks: the six desk-scale checks that `zakgross verify` runs and the
   acceptance criteria run at their own sizes. Each returns (ok, detail).
 """
 from __future__ import annotations
@@ -31,7 +31,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import estimator as est_mod
-from .measure import MeasurementSpec, bin_of_position, exact_probabilities_ideal
+from .measure import (
+    MeasurementSpec,
+    bin_of_position,
+    exact_probabilities_ideal,
+    quadrature_probabilities,
+)
 from .quadrature import escalate, integrate_bins_x, panel_rule
 from .qudit import CodeParams, Gate, clifford_oracle_probabilities
 from .symplectic import IntSymplectic, decompose, symplectic_form, t_bar, word_symplectic
@@ -48,7 +53,7 @@ from .theta import (
     wigner_theta,
     wigner_theta_grid,
 )
-from .wigner import RealisticFactor, ideal_input
+from .wigner import RealisticFactor, ideal_input, realistic_input
 
 ONE_MODE = ["F", "F_inv", "P", "P_inv", "X", "Z"]
 TWO_MODE = ["SUM", "SUM_inv", "CZ", "CZ_inv"]
@@ -592,4 +597,28 @@ def check_calibration(n_seeds: int, epsilon: float, delta_fail: float):
         f"2-mode ideal, {n_seeds} seeds at eps={epsilon}, delta={delta_fail}: "
         f"{c['fails']} failures (allowed {c['allowed']:.1f}), bias {c['bias']:.2f} "
         f"pooled SEs (tol 3), seed 0 repeats exactly: {c['repeatable']}"
+    )
+
+
+def check_realistic_sampler(deltas, epsilon: float, delta_fail: float, seed: int):
+    """Displacement-only realistic estimates against quadrature_probabilities.
+
+    A d = 3 phase state, displaced by 0.3 ell in x and measured in 2d bins,
+    at each width: every sample of the estimate comes from the realistic
+    rejection sampler, and the closed-form table comes from the Fourier
+    series, so agreement within epsilon checks the sampler's law.
+    """
+    d = 3
+    params = CodeParams(d=d, n=1)
+    spec = MeasurementSpec.from_params(params, (0,), K=2 * d)
+    worst = 0.0
+    for delta in deltas:
+        state = realistic_input(params, [CodeState.phase_state(d, delta)])
+        state = state.apply_displacement([0.3, 0.0])
+        est_plan = est_mod.plan(epsilon, delta_fail, state.negativity())
+        got = est_mod.estimate(state, spec, est_plan, seed=seed).probabilities
+        worst = max(worst, float(np.abs(got - quadrature_probabilities(state, spec)).max()))
+    return worst <= epsilon, (
+        f"displaced phase state, widths {tuple(deltas)}, estimate vs quadrature table: "
+        f"max dev {worst:.2e} (tol {epsilon}, delta {delta_fail}, seed {seed})"
     )

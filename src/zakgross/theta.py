@@ -12,9 +12,11 @@ frequencies, Kz ~ 1/(ell delta), from a table of phases built with O(sqrt
 Kz) products per point. So a scattered point costs O(2d + Kz), not the
 O(Kx Kz) of the dense 2-D series, which is never built; a grid is one real
 product of inner dimension 2d; position-bin masses and the norm come in
-closed form from the kz = 0 column. Its references (the dense series from
-2-D sub-lattice theta sums, the wavefunction, the 4-variable Wigner sum,
-the Gaussian vacuum) live in oracles.py.
+closed form from the kz = 0 column. As every f_c >= 0, |W| <= sum_c f_c(x)
+|h_c(z)|, and abs_envelope bounds each |h_c| on equal z cells by Taylor
+expansion: the rejection sampler's certified envelope. Its references (the
+dense series from 2-D sub-lattice theta sums, the wavefunction, the
+4-variable Wigner sum, the Gaussian vacuum) live in oracles.py.
 
 theta(Gamma, z) = sum_{t in Z^m} exp(i pi t.Gamma t + 2 pi i t.z), Im Gamma > 0,
 is off the runtime path: oracles.py builds on it, and the benchmark tracer
@@ -343,6 +345,56 @@ def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
     # tooth j of column (teeth + j) mod 2d has class (near + j) mod 2d
     cols = np.arange(classes) - np.mod(near, classes).astype(np.intp)[:, None] + series.teeth
     return np.take_along_axis(folded, np.mod(cols, classes), axis=1) / series.ell
+
+
+class AbsEnvelope(NamedTuple):
+    """Certified bounds on each class's |h_c| over equal z cells; see abs_envelope."""
+
+    series: Series
+    bound: np.ndarray  # (2d, N): bound[c, j] >= |h_c| on z cell j of N; read-only
+    cum: np.ndarray  # cumulative share of bound.ravel(), ending at exactly 1
+    mass: float  # integral over one cell of sum_c f_c(x) bound[c, j(z)]
+
+    def at(self, x: np.ndarray, cell: np.ndarray) -> np.ndarray:
+        """sum_c f_c(x) bound[c, cell] >= |W| at points x (N,) in z cells `cell` (N,)."""
+        return np.einsum("nc,cn->n", _x_factor(self.series, x), self.bound[:, cell])
+
+
+@functools.lru_cache(maxsize=64)
+def abs_envelope(state: CodeState) -> AbsEnvelope:
+    """A certified rejection-sampling envelope of |W|, cached per state.
+
+    Every comb f_c is >= 0, so |W(x, z)| <= sum_c f_c(x) |h_c(z)|. For N >=
+    4 (2Kz + 1) equal z cells, Taylor's theorem about each cell's midpoint m
+    bounds |h_c| on the cell by sum_{k<P} |h_c^(k)(m)| r^k / k! + R, with
+    r = L / 2N and h_c^(k)(m) r^k / k! = Re sum_b (i pi b / N)^k / k! u[c, b]
+    exp(2 pi i b m / L), one inverse FFT per order. R <= (pi Kz / N)^P / P!
+    sum_b |u[c, b]|; P is the least order that puts this factor below
+    SERIES_TOL, and the table adds SERIES_TOL sum_b |u[c, b]| to cover R and
+    the rounding of the FFTs and of h_c. Each comb has mass delta sqrt(pi) / ell.
+    """
+    series = _series(state)
+    u, kz = series.u, series.kz
+    cells = 1 << (4 * u.shape[1] - 1).bit_length()  # a power of two >= 4 (2Kz + 1)
+    at = kz.astype(np.intp) % cells
+    step = np.zeros(cells)
+    step[at] = math.pi * kz / cells  # pi b / N, also b's phase at the first midpoint L / 2N
+    coef = np.zeros((u.shape[0], cells), dtype=complex)
+    coef[:, at] = u * np.exp(1j * step[at])
+    bound = np.zeros(coef.shape)
+    order, rest, reach = 0, 1.0, math.pi * float(np.max(np.abs(kz))) / cells
+    while rest > SERIES_TOL:  # rest = (pi Kz / N)^order / order!
+        bound += np.abs((cells * np.fft.ifft(coef, axis=1)).real)
+        order += 1
+        coef *= (1j / order) * step
+        rest *= reach / order
+    bound += SERIES_TOL * np.abs(u).sum(axis=1)[:, None]
+    cum = np.cumsum(bound.ravel())
+    mass = float(cum[-1]) * (series.cell / cells) * series.delta * math.sqrt(math.pi) / series.ell
+    cum /= cum[-1]
+    bound.setflags(write=False)
+    cum.setflags(write=False)
+    return AbsEnvelope(series, bound, cum, mass)
 
 
 def _cis_powers(t: np.ndarray, count: int) -> np.ndarray:

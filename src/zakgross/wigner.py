@@ -9,8 +9,10 @@ manifestly invariant under gates, since the map drops out of any integral
 over a full cell.
 
 Ideal factors carry a d x d table of discrete Wigner weights supported on
-the integer lattice ell * Z^2 (one cell); realistic factors carry a
-finite-envelope CodeState evaluated through the theta machinery.
+the integer lattice ell * Z^2 (one cell), and sample it directly; realistic
+factors carry a finite-envelope CodeState, evaluated through its separable
+series and sampled by rejection under the certified bound theta.abs_envelope
+builds from the same series.
 """
 from __future__ import annotations
 
@@ -23,12 +25,9 @@ import numpy as np
 
 from .qudit import CodeParams, Gate, gross_wigner_table
 from .symplectic import AffineMap, IntSymplectic
-from .theta import CodeState, code_state_norm, wigner_theta, wigner_theta_grid
+from .theta import CodeState, abs_envelope, code_state_norm, wigner_theta, wigner_theta_grid
 
 MAX_STREAM = 100_000  # draws per seed stream at most
-ENVELOPE_GRID = 1024  # Wigner grid points per axis behind the sampling envelope
-ENVELOPE_CELLS = 256  # envelope cells per axis
-ENVELOPE_HEADROOM = 1.15  # factor on the largest sampled |W| per cell
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,7 @@ def _abs_integral(eval_grid, period: float, tol: float) -> float:
             return 1.0 + 2.0 * neg_mass
         prev = neg_mass
     raise RuntimeError(
-        f"negative-mass refinement did not settle below {tol:.1e}: "
-        f"{prev} -> {neg_mass}"
-    )
+        f"negative-mass refinement did not settle below {tol:.1e}: {prev} -> {neg_mass}")
 
 
 @dataclass(frozen=True)
@@ -135,9 +132,7 @@ class WignerState:
 
     def __post_init__(self):
         if len(self.factors) != self.params.n:
-            raise ValueError(
-                f"need {self.params.n} factors, got {len(self.factors)}"
-            )
+            raise ValueError(f"need {self.params.n} factors, got {len(self.factors)}")
         for f in self.factors:
             if f.d != self.params.d:
                 raise ValueError("factor dimension differs from params.d")
@@ -154,10 +149,7 @@ class WignerState:
         return replace(self, amap=self.amap.then(gate))
 
     def apply_word(self, gates) -> "WignerState":
-        out = self
-        for g in gates:
-            out = out.apply_gate(g)
-        return out
+        return functools.reduce(WignerState.apply_gate, gates, self)
 
     def apply_displacement(self, c_vec) -> "WignerState":
         return replace(self, amap=self.amap.then_displacement(c_vec))
@@ -220,31 +212,21 @@ class WignerState:
         """
         if not self.is_ideal():
             raise ValueError("lattice support requires all-ideal factors")
-        d, n = self.params.d, self.params.n
-        pts = [np.zeros((1, 0), dtype=int)]
-        wts = [np.ones(1)]
+        pts, wts = np.zeros((1, 0), dtype=int), np.ones(1)
         for f in self.factors:
             tx, tz = np.nonzero(f.table)
-            w = f.table[tx, tz] / d
-            old_p = pts[-1]
-            old_w = wts[-1]
-            rep = np.repeat(old_p, tx.size, axis=0)
-            tile_x = np.tile(tx, old_p.shape[0])[:, None]
-            tile_z = np.tile(tz, old_p.shape[0])[:, None]
-            pts.append(np.hstack([rep, tile_x, tile_z]))
-            wts.append(np.repeat(old_w, tx.size) * np.tile(w, old_w.size))
-        raw = pts[-1]
-        # columns currently (x1, z1, x2, z2, ...): regroup to (x..., z...)
-        xcols = raw[:, 0::2]
-        zcols = raw[:, 1::2]
-        return np.hstack([2 * xcols, 2 * zcols]), wts[-1]
+            pts = np.hstack([np.repeat(pts, tx.size, axis=0),
+                             np.tile(tx, len(pts))[:, None], np.tile(tz, len(pts))[:, None]])
+            wts = np.repeat(wts, tx.size) * np.tile(f.table[tx, tz] / self.params.d, wts.size)
+        # columns (x1, z1, x2, z2, ...): regroup to (x..., z...), in ell/2 units
+        return 2 * np.hstack([pts[:, 0::2], pts[:, 1::2]]), wts
 
     def sampler(self):
         """Build a per-state sampler of (input-frame points, signs).
 
         The returned callable maps (count, rng) to (eta_in (N, 2n) floats,
         signs (N,)), drawn per factor; measure.binner pushes them forward.
-        Envelope tables for realistic factors are built once.
+        Each realistic factor's envelope table is built once per state.
         """
         factor_samplers = [
             _ideal_sampler(f, self.params) if isinstance(f, IdealFactor) else _rejection_sampler(f)
@@ -253,17 +235,10 @@ class WignerState:
         n = self.params.n
 
         def sample(count: int, rng: np.random.Generator):
-            cols = []
-            signs = np.ones(count)
-            for fs in factor_samplers:
-                eta_i, sg = fs(count, rng)
-                cols.append(eta_i)
-                signs = signs * sg
-            eta_in = np.empty((count, 2 * n))
-            for i, eta_i in enumerate(cols):
-                eta_in[:, i] = eta_i[:, 0]
-                eta_in[:, n + i] = eta_i[:, 1]
-            return eta_in, signs
+            draws = [fs(count, rng) for fs in factor_samplers]
+            # (count, 2, n): x of every mode, then z of every mode
+            eta_in = np.stack([p for p, _ in draws], axis=-1).reshape(count, 2 * n)
+            return eta_in, np.prod([s for _, s in draws], axis=0)
 
         return sample
 
@@ -274,13 +249,10 @@ def ideal_input(params: CodeParams, kets) -> WignerState:
     if len(entries) != params.n:
         raise ValueError(f"need {params.n} mode entries, got {len(entries)}")
     single = CodeParams(params.d, 1)
-    factors = []
-    for e in entries:
-        if np.ndim(e) == 0:
-            factors.append(IdealFactor.logical(params.d, int(e)))
-        else:
-            factors.append(IdealFactor.from_density_matrix(single, np.asarray(e)))
-    return WignerState.from_factors(params, factors)
+    return WignerState.from_factors(params, [
+        IdealFactor.logical(params.d, int(e)) if np.ndim(e) == 0
+        else IdealFactor.from_density_matrix(single, np.asarray(e)) for e in entries
+    ])
 
 
 def realistic_input(params: CodeParams, states) -> WignerState:
@@ -313,10 +285,7 @@ def sample_input(state: WignerState, seed: int, count: int):
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     sampler = state.sampler()
-    draws = [
-        sampler(size, np.random.default_rng(seq))
-        for seq, size in seed_streams(seed, count)
-    ]
+    draws = [sampler(size, np.random.default_rng(seq)) for seq, size in seed_streams(seed, count)]
     return np.vstack([p for p, _ in draws]), np.concatenate([s for _, s in draws])
 
 
@@ -340,13 +309,11 @@ def _ideal_comb_value(factor: IdealFactor, coords: np.ndarray, ell: float):
 
 
 def _ideal_sampler(factor: IdealFactor, params: CodeParams):
-    d = factor.d
-    ell = params.ell
     tx, tz = np.nonzero(factor.table)
     w = factor.table[tx, tz]
     probs = np.abs(w) / np.abs(w).sum()
     signs_tab = np.sign(w)
-    pts = np.stack([tx, tz], axis=-1).astype(float) * ell
+    pts = np.stack([tx, tz], axis=-1).astype(float) * params.ell
 
     def sample(count, rng):
         idx = rng.choice(probs.size, size=count, p=probs)
@@ -355,67 +322,46 @@ def _ideal_sampler(factor: IdealFactor, params: CodeParams):
     return sample
 
 
-@functools.lru_cache(maxsize=64)
-def _envelope(state: CodeState):
-    """(env, cum, total mass) of the sampling envelope, cached per state.
-
-    env is the largest |W| at the 4 x 4 grid points of each envelope cell,
-    times ENVELOPE_HEADROOM.
-    """
-    grid, cells = ENVELOPE_GRID, ENVELOPE_CELLS
-    factor = RealisticFactor.make(state)
-    period = factor.d * state.ell
-    xs = (np.arange(grid) + 0.5) * period / grid
-    vals = factor.wigner_grid(xs, xs)
-    np.abs(vals, out=vals)
-    sub = grid // cells
-    env = vals.reshape(cells, sub, cells, sub).max(axis=(1, 3)) * ENVELOPE_HEADROOM
-    masses = env.ravel()
-    cum = np.cumsum(masses / masses.sum())
-    env.setflags(write=False)
-    cum.setflags(write=False)
-    return env, cum, masses.sum() * (period / cells) ** 2
+class EnvelopeViolated(RuntimeError):
+    """A proposal's |W| exceeded the certified envelope; only rounding could do it."""
 
 
 def _rejection_sampler(factor: RealisticFactor):
-    cells = ENVELOPE_CELLS
-    env, cum, total_env = _envelope(factor.state)
-    cell_w = factor.d * factor.state.ell / cells
+    """Draws from |W| / M of one realistic factor, under theta.abs_envelope.
+
+    Each proposal picks a (class c, z cell j) pair in proportion to
+    bound[c, j] (every comb has the same mass), z uniformly in cell j and x
+    exactly from the comb f_c, a wrapped Gaussian of width delta / sqrt 2
+    about c ell / 2; it is accepted with chance |W| / sum_c f_c(x) bound[c, j].
+    """
+    state = factor.state
+    env = abs_envelope(state)
+    cells = env.bound.shape[1]
+    period = factor.d * state.ell
+    scale = factor.d * factor.norm  # factor.wigner divides the series by it
+    total_env = env.mass / scale
 
     def sample(count, rng):
-        out = np.empty((count, 2))
-        out_signs = np.empty(count)
-        filled = 0
-        proposed = 0
-        accepted = 0
-        while filled < count:
-            batch = max(1024, int(1.3 * (count - filled) * total_env))
-            u = rng.random(batch)
-            cell_idx = np.searchsorted(cum, u)
-            ix, iz = np.unravel_index(cell_idx, (cells, cells))
-            px = (ix + rng.random(batch)) * cell_w
-            pz = (iz + rng.random(batch)) * cell_w
-            w_here = factor.wigner(np.stack([px, pz], axis=-1))
-            bound = env[ix, iz]
-            ratio = np.abs(w_here) / bound
+        draws, proposed, accepted = [], 0, 0
+        while accepted < count:
+            # proposals per draw: a first round assumes 1, later ones the rate seen,
+            # at most total_env (the acceptance rate is M / total_env, and M >= 1)
+            per_draw = min(proposed / max(accepted, 1), total_env) if proposed else 1.0
+            batch = max(1024, int((count - accepted) * per_draw))
+            c, j = np.divmod(np.searchsorted(env.cum, rng.random(batch), side="right"), cells)
+            gauss = state.delta / math.sqrt(2) * rng.standard_normal(batch)
+            eta = np.stack([np.mod(c * (state.ell / 2) + gauss, period),
+                            (j + rng.random(batch)) * (period / cells)], axis=-1)
+            w_here = factor.wigner(eta)
+            ratio = np.abs(w_here) * scale / env.at(eta[:, 0], j)
             if np.any(ratio > 1.0):
-                raise RuntimeError(
-                    f"envelope violated by factor {float(ratio.max()):.3f}; "
-                    "increase the headroom"
-                )
-            acc = rng.random(batch) < ratio
+                raise EnvelopeViolated(f"envelope violated by factor {float(ratio.max()):.3f}")
+            acc = np.flatnonzero(rng.random(batch) < ratio)
             proposed += batch
-            accepted += int(acc.sum())
+            accepted += acc.size
             if proposed > 20000 and accepted < 0.01 * proposed:
-                raise RuntimeError(
-                    "rejection sampling efficiency fell below 1 percent"
-                )
-            take = min(count - filled, int(acc.sum()))
-            sel = np.where(acc)[0][:take]
-            out[filled: filled + take, 0] = px[sel]
-            out[filled: filled + take, 1] = pz[sel]
-            out_signs[filled: filled + take] = np.sign(w_here[sel])
-            filled += take
-        return out, out_signs
+                raise RuntimeError("rejection sampling efficiency fell below 1 percent")
+            draws.append((eta[acc], np.sign(w_here[acc])))
+        return tuple(np.concatenate(parts)[:count] for parts in zip(*draws))
 
     return sample

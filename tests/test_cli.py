@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from zakgross.cli import main, write_atomic
+from zakgross.measure import MeasurementSpec, quadrature_probabilities
+from zakgross.qudit import CodeParams, Gate
+from zakgross.theta import CodeState
+from zakgross.wigner import realistic_input
 
 
 def circuit_file(tmp_path, **overrides):
@@ -231,7 +235,7 @@ def test_verify_passes(capsys):
     rc = main(["verify", "--seed", "1"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.count("[PASS]") == 5
+    assert out.count("[PASS]") == 6
     assert "FAIL" not in out
 
 
@@ -239,7 +243,7 @@ def test_verify_writes_out_file(tmp_path):
     out = tmp_path / "verify.txt"
     assert main(["verify", "--seed", "1", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert sum(line.startswith("[PASS]") for line in lines) == 5
+    assert sum(line.startswith("[PASS]") for line in lines) == 6
 
 
 def fresh_python(code):
@@ -270,21 +274,51 @@ def test_cli_import_leaves_quadrature_unloaded():
 
 
 def test_estimate_threads_agree(tmp_path):
+    ideal = [{"ideal_logical": 0}, {"ideal_logical": 1}]
+    realistic = [{"realistic": {"kind": "phase_state", "delta": 0.5}}, {"ideal_logical": 1}]
+    # each epsilon is small enough that the plan spans several sample streams
+    for inputs, epsilon in ((ideal, 0.005), (realistic, 0.008)):
+        cpath = circuit_file(
+            tmp_path,
+            n=2,
+            inputs=inputs,
+            ops=[{"gate": "F", "modes": [0]}, {"gate": "CZ", "modes": [0, 1]}],
+            measurement={"modes": [0, 1], "K": 3},
+            estimator={"epsilon": epsilon, "delta_fail": 0.2, "seed": 8},
+        )
+        out1 = tmp_path / "r1.json"
+        out2 = tmp_path / "r2.json"
+        assert main(["run", cpath, "--mode", "estimate", "--out", str(out1)]) == 0
+        assert main([
+            "run", cpath, "--mode", "estimate", "--threads", "4", "--out", str(out2),
+        ]) == 0
+        r1 = json.loads(out1.read_text())
+        r2 = json.loads(out2.read_text())
+        assert r1["n_samples"] > 100_000
+        assert r1["probabilities"] == r2["probabilities"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sharp_phase_state_estimate_after_fourier(tmp_path, seed):
+    # F acts on the phase state at delta = 0.05 as the qudit DFT of its
+    # coefficients, up to terms of order exp(-1 / delta^2): the estimate's
+    # closed-form table is the DFT state's position marginal
+    d, delta = 3, 0.05
     cpath = circuit_file(
         tmp_path,
-        n=2,
-        inputs=[{"ideal_logical": 0}, {"ideal_logical": 1}],
-        ops=[{"gate": "F", "modes": [0]}, {"gate": "CZ", "modes": [0, 1]}],
-        measurement={"modes": [0, 1], "K": 3},
-        # epsilon small enough that the plan spans several sample streams
-        estimator={"epsilon": 0.005, "delta_fail": 0.2, "seed": 8},
+        inputs=[{"realistic": {"kind": "phase_state", "delta": delta}}],
+        ops=[{"gate": "F", "modes": [0]}],
+        estimator={"epsilon": 0.1, "delta_fail": 0.2, "seed": seed},
     )
-    out1 = tmp_path / "r1.json"
-    out2 = tmp_path / "r2.json"
-    assert main(["run", cpath, "--mode", "estimate", "--out", str(out1)]) == 0
-    assert main([
-        "run", cpath, "--mode", "estimate", "--threads", "4", "--out", str(out2),
-    ]) == 0
-    r1 = json.loads(out1.read_text())
-    r2 = json.loads(out2.read_text())
-    assert r1["probabilities"] == r2["probabilities"]
+    out = tmp_path / "r.json"
+    assert main(["run", cpath, "--mode", "estimate", "--out", str(out)]) == 0
+    phase = CodeState.phase_state(d, delta)
+    dft = np.exp(2j * np.pi * np.outer(range(d), range(d)) / d) / np.sqrt(d) @ np.array(phase.eps)
+    rotated = realistic_input(CodeParams(d, 1), [phase]).apply_gate(Gate("F", (0,)))
+    fourier = realistic_input(CodeParams(d, 1), [CodeState(d, delta, tuple(dft))])
+    eta = np.random.default_rng(0).random((2000, 2)) * d * phase.ell
+    assert np.allclose(rotated.evaluate(eta), fourier.evaluate(eta), rtol=0, atol=1e-9)
+    spec = MeasurementSpec.from_params(CodeParams(d, 1), (0,), K=3)
+    table = quadrature_probabilities(fourier, spec)
+    got = np.array(json.loads(out.read_text())["probabilities"])
+    assert np.abs(got - table).max() <= 0.1

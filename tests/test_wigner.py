@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from zakgross import wigner
+from zakgross import theta, wigner
+from zakgross.oracles import check_realistic_sampler
 from zakgross.qudit import CodeParams, Gate
 from zakgross.symplectic import generator_symplectic
 from zakgross.theta import CodeState
@@ -12,6 +13,7 @@ from zakgross.wigner import (
     ideal_input,
     realistic_input,
     sample_abs,
+    sample_input,
     seed_streams,
 )
 
@@ -209,7 +211,6 @@ def test_realistic_negative_sign_fraction():
 
 
 def test_sharp_phase_state_sampler_envelope_holds():
-    # sharp peaks stress the grid envelope; must not raise
     st = realistic_input(CodeParams(3, 1), [CodeState.phase_state(3, 0.2)])
     pts, signs = sample_abs(st, 5, 8000)
     assert pts.shape == (8000, 2)
@@ -218,14 +219,66 @@ def test_sharp_phase_state_sampler_envelope_holds():
 
 
 def test_equal_factors_share_one_envelope():
-    wigner._envelope.cache_clear()
+    theta.abs_envelope.cache_clear()
     state = CodeState.logical(3, 0, 0.25)
     st = realistic_input(CodeParams(3, 2), [state, CodeState.logical(3, 0, 0.25)])
     st.sampler()
-    info = wigner._envelope.cache_info()
+    info = theta.abs_envelope.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-    _, cum, total = wigner._envelope(state)
-    assert cum[-1] == pytest.approx(1.0) and total > 0
+    env = theta.abs_envelope(state)
+    assert env.cum[-1] == 1.0 and env.mass > 0
+
+
+def z_bin_integrals(state, bins):
+    """Unnormalized mass of W in equal z bins of one period, in closed form.
+
+    Each comb f_c has mass delta sqrt(pi) / ell over x, and a bin of width w
+    integrates exp(2 pi i b z / L) to w exp(2 pi i b mid / L) sinc(b / bins).
+    """
+    series = theta._series(state)
+    width = series.cell / bins
+    mid = (np.arange(bins) + 0.5) * width
+    phase = np.exp(2j * np.pi * np.outer(mid, series.kz) / series.cell) * np.sinc(series.kz / bins)
+    comb = series.delta * np.sqrt(np.pi) / series.ell
+    return comb * width * (phase @ series.u.sum(axis=0)).real
+
+
+@pytest.mark.parametrize("kind", ["logical", "phase_state"])
+@pytest.mark.parametrize("delta", [0.05, 0.25, 0.5, 1.0])
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_realistic_sampler_draws_its_law(d, delta, kind):
+    state = CodeState.logical(d, 0, delta) if kind == "logical" else CodeState.phase_state(d, delta)
+    period = d * state.ell
+    # the table bounds every |h_c| on a probe grid 16 times finer than its cells
+    bound = theta.abs_envelope(state).bound
+    probe = np.arange(16 * bound.shape[1])
+    h = theta._z_factor(theta._series(state), probe * period / probe.size)
+    assert np.all(np.abs(h) <= bound[:, probe // 16].T)
+    # 100k draws; the sampler raises EnvelopeViolated on any draw above the envelope
+    pts, signs = sample_input(realistic_input(CodeParams(d, 1), [state]), 1, 100_000)
+    # E[s 1_b] = p_b / M and E[s] = 1 / M, so s (1_b - p_b) has mean 0 in every
+    # bin b, and variance q_b (1 - 2 p_b) + p_b^2 for the |W| share q_b >= |p_b| / M
+    bins, scale = 32, d * RealisticFactor.make(state).norm
+    masses = (theta.x_bin_integrals(state, bins, 0.0), z_bin_integrals(state, bins))
+    for coord, p in enumerate(m / scale for m in masses):
+        assert p.sum() == pytest.approx(1.0, abs=1e-9)
+        hit = np.floor(np.mod(pts[:, coord], period) * bins / period) == np.arange(bins)[:, None]
+        q = np.maximum(hit.mean(axis=1), np.abs(p) * signs.mean())
+        sigma = np.sqrt((q * (1 - 2 * p) + p * p) / signs.size)
+        assert np.all(np.abs((signs * (hit - p[:, None])).mean(axis=1)) <= 4 * sigma)
+
+
+def test_a_draw_above_the_envelope_raises(monkeypatch):
+    state = CodeState.phase_state(3, 0.5)
+    env = theta.abs_envelope(state)
+    monkeypatch.setattr(wigner, "abs_envelope", lambda s: env._replace(bound=env.bound / 2))
+    with pytest.raises(wigner.EnvelopeViolated, match="envelope violated by factor"):
+        sample_abs(realistic_input(CodeParams(3, 1), [state]), 1, 1000)
+
+
+def test_realistic_sampler_law_check_passes():
+    ok, detail = check_realistic_sampler((0.5, 0.05), 0.05, 0.01, seed=0)
+    assert ok, detail
 
 
 def test_sampled_points_cover_cell_after_gate():

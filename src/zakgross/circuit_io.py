@@ -18,7 +18,7 @@ Schema "zakgross-circuit/1" (all keys required unless noted):
         {"gate": "displace", "c": [1, 0, 0.5, 0]}
       ],
       "measurement": {"modes": [0], "K": 3},
-      "estimator": {"epsilon": 0.05, "delta_fail": 0.1, "seed": 7}   // optional
+      "estimator": {"epsilon": 0.05, "delta_fail": 0.1, "seed": 7}   // optional, seed >= 0
     }
 
 ideal_table entries are numbers or [re, im] pairs. Displacements are in
@@ -38,10 +38,11 @@ from .measure import SLIP_SHARE, MeasurementSpec, binner, exact_probabilities
 from .qudit import GATE_NAMES, CodeParams, Gate
 from .symplectic import IntSymplectic
 from .theta import CodeState
-from .wigner import IdealFactor, RealisticFactor, WignerState, sample_input
+from .wigner import NEGATIVITY_TOL, IdealFactor, RealisticFactor, WignerState, sample_streams
 
 FORMAT_TAG = "zakgross-circuit/1"
 RESULT_TAG = "zakgross-result/1"
+SAMPLES = 10_000  # sample-mode draws unless a run asks for another count
 
 
 class SchemaError(ValueError):
@@ -264,7 +265,7 @@ def _parse_ops(raw, params, err):
 
 
 def _parse_measurement(raw, params, err):
-    fallback = MeasurementSpec.from_params(params, (0,), params.d)
+    fallback = MeasurementSpec((0,), params.d)
     if not isinstance(raw, dict):
         err("$.measurement", "must be an object with modes and K")
         return fallback
@@ -280,7 +281,7 @@ def _parse_measurement(raw, params, err):
         err("$.measurement.K", f"must be a positive integer, got {k!r}")
         return fallback
     try:
-        return MeasurementSpec.from_params(params, modes, k)
+        return MeasurementSpec(modes, k)
     except ValueError as exc:
         err("$.measurement", str(exc))
         return fallback
@@ -302,8 +303,8 @@ def _parse_estimator(raw, err):
     if not _is_number(delta) or not 0 < delta < 1:
         err("$.estimator.delta_fail", f"must be a number in (0, 1), got {delta!r}")
         ok = False
-    if not _is_int(seed):
-        err("$.estimator.seed", f"must be an integer, got {seed!r}")
+    if not _is_int(seed) or seed < 0:
+        err("$.estimator.seed", f"must be a non-negative integer, got {seed!r}")
         ok = False
     if not ok:
         return None
@@ -370,7 +371,7 @@ def build_state(spec: CircuitSpec) -> WignerState:
             rho = np.array(val, dtype=complex)
             factors.append(IdealFactor.from_density_matrix(CodeParams(params.d, 1), rho))
         else:
-            factors.append(RealisticFactor.make(val))
+            factors.append(RealisticFactor(val))
     state = WignerState.from_factors(params, factors)
     for kind, val in spec.ops:
         if kind == "gate":
@@ -386,7 +387,7 @@ def run(
     spec: CircuitSpec,
     mode: str,
     seed: int | None = None,
-    n_samples: int = 10_000,
+    n_samples: int = SAMPLES,
     threads: int = 1,
 ) -> dict:
     """Execute a parsed circuit and return a result document (JSON-ready)."""
@@ -417,7 +418,8 @@ def run(
         use_seed = 0 if seed is None else seed
         # frequencies of n draws err by about 1 / sqrt(n)
         bins = binner(state, mspec, SLIP_SHARE / math.sqrt(max(n_samples, 1)))
-        joint = bins(sample_input(state, use_seed, n_samples)[0])
+        joint = np.concatenate(
+            sample_streams(state, use_seed, n_samples, lambda pts, _: bins(pts), threads))
         shape = mspec.table_shape()
         outcomes = np.stack(np.unravel_index(joint, shape), axis=-1)
         counts = np.bincount(joint, minlength=math.prod(shape)).reshape(shape)
@@ -447,7 +449,7 @@ def run(
     return base
 
 
-def negativity_sweep(kind: str, deltas, d: int, tol: float = 1e-6) -> list:
+def negativity_sweep(kind: str, deltas, d: int, tol: float = NEGATIVITY_TOL) -> list:
     """Rows (delta, negativity, log negativity) for one input family."""
     if kind not in ("logical_0", "phase_state"):
         raise ValueError(f"kind must be logical_0 or phase_state, got {kind!r}")
@@ -460,7 +462,7 @@ def negativity_sweep(kind: str, deltas, d: int, tol: float = 1e-6) -> list:
             state = CodeState.logical(d, 0, delta)
         else:
             state = CodeState.phase_state(d, delta)
-        m = RealisticFactor.make(state).negativity(tol)
+        m = RealisticFactor(state).negativity(tol)
         rows.append((delta, m, float(np.log(m))))
     return rows
 

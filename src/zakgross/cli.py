@@ -23,6 +23,7 @@ import tempfile
 import numpy as np
 
 from .circuit_io import (
+    SAMPLES,
     SchemaError,
     negativity_sweep,
     parse_circuit,
@@ -32,7 +33,7 @@ from .circuit_io import (
 from .estimator import InfeasiblePlan
 from .symplectic import IntSymplectic, decompose
 from .theta import CodeState
-from .wigner import RealisticFactor
+from .wigner import NEGATIVITY_TOL, RealisticFactor
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -77,7 +78,7 @@ def _make_state(args) -> CodeState:
 
 
 def _cmd_wigner(args) -> int:
-    factor = RealisticFactor.make(_make_state(args))
+    factor = RealisticFactor(_make_state(args))
     period = args.d * factor.state.ell
     xs = (np.arange(args.grid) + 0.5) * period / args.grid
     vals = factor.wigner_grid(xs, xs)
@@ -153,6 +154,15 @@ def _positive_tol(text: str) -> float:
     return val
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if not text.lstrip("+-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zakgross",
@@ -162,11 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for sampling"
+        "--threads", type=_int_at_least(1), default=1, help="worker threads for sampling"
     )
     common.add_argument("--out", default=None, help="output file (default stdout)")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="override RNG seed")
+    seeded.add_argument("--seed", type=_int_at_least(0), default=None, help="override RNG seed")
 
     p_run = sub.add_parser("run", parents=[common, seeded], help="execute a circuit JSON")
     p_run.add_argument("circuit", help="path to a zakgross-circuit/1 JSON file")
@@ -174,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["exact", "sample", "estimate"], default="exact"
     )
     p_run.add_argument(
-        "--samples", type=int, default=10_000, help="draw count for sample mode"
+        "--samples", type=int, default=SAMPLES, help="draw count for sample mode"
     )
     p_run.set_defaults(func=_cmd_run)
 
@@ -185,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wig.add_argument("--kind", choices=["logical", "phase_state"], default="logical")
     p_wig.add_argument("--j", type=int, default=0, help="logical index")
     p_wig.add_argument("--delta", type=float, required=True)
-    p_wig.add_argument("--grid", type=int, default=81, help="points per axis")
+    p_wig.add_argument("--grid", type=_int_at_least(1), default=81, help="points per axis")
     p_wig.set_defaults(func=_cmd_wigner)
 
     p_neg = sub.add_parser(
@@ -199,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--deltas", required=True, help="comma-separated squeezing values"
     )
     p_neg.add_argument(
-        "--tol", type=_positive_tol, default=1e-6, help="negativity integral tolerance"
+        "--tol", type=_positive_tol, default=NEGATIVITY_TOL, help="integral tolerance"
     )
     p_neg.set_defaults(func=_cmd_negativity)
 

@@ -9,27 +9,26 @@ negativity): every single-sample contribution to a bin is exactly -M, 0, or
 
 so that each fixed bin estimate is within epsilon of truth except with
 probability delta_fail. One sample stream serves all bins at once; the bound
-still holds per bin. Samples come from wigner.seed_streams, equal streams
+still holds per bin. Samples come from wigner.sample_streams, equal streams
 seeded through SeedSequence.spawn, so a run is reproducible for a given seed
-regardless of how streams are assigned to workers.
+regardless of how streams are assigned to threads.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measure import SLIP_SHARE, MeasurementSpec, binner
-from .wigner import WignerState, seed_streams
+from .wigner import WignerState, sample_streams
 
 MAX_SAMPLES = 200_000_000
 
 
 class InfeasiblePlan(ValueError):
-    """The Hoeffding sample count exceeds the configured cap."""
+    """The Hoeffding sample count exceeds MAX_SAMPLES."""
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,7 @@ class EstimateReport:
         }
 
 
-def plan(
-    epsilon: float,
-    delta_fail: float,
-    negativity: float,
-    max_samples: int = MAX_SAMPLES,
-) -> EstimatePlan:
+def plan(epsilon: float, delta_fail: float, negativity: float) -> EstimatePlan:
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < delta_fail < 1:
@@ -88,11 +82,10 @@ def plan(
     n = math.ceil(
         (2.0 / epsilon ** 2) * negativity ** 2 * math.log(2.0 / delta_fail)
     )
-    if n > max_samples:
+    if n > MAX_SAMPLES:
         raise InfeasiblePlan(
-            f"required sample count {n} exceeds the cap {max_samples}; raise "
-            f"the cap to at least {n} or relax epsilon/delta_fail "
-            f"(negativity {negativity:.6g})"
+            f"required sample count {n} exceeds the cap {MAX_SAMPLES}; relax "
+            f"epsilon/delta_fail (negativity {negativity:.6g})"
         )
     return EstimatePlan(
         n_samples=n, negativity=negativity, epsilon=epsilon, delta_fail=delta_fail
@@ -111,32 +104,17 @@ def estimate(
     # chance p costs at most M p of the epsilon budget
     bins = binner(state, spec, SLIP_SHARE * est_plan.epsilon / est_plan.negativity)
     shape = spec.table_shape()
-    flat_bins = int(np.prod(shape))
-    pos = np.zeros(flat_bins, dtype=np.int64)
-    neg = np.zeros(flat_bins, dtype=np.int64)
+    flat_bins = math.prod(shape)
 
-    streams = seed_streams(seed, est_plan.n_samples)
-
-    sampler = state.sampler()
-
-    def run_stream(seq, size):
-        pts, sgn = sampler(size, np.random.default_rng(seq))
+    def counts(pts, sgn):
         idx, spos = bins(pts), sgn > 0
         return (
             np.bincount(idx[spos], minlength=flat_bins),
             np.bincount(idx[~spos], minlength=flat_bins),
         )
 
-    # streams are seed-indexed, counts integer: the reduction is exact and
-    # order-independent, so threading cannot change the result
-    if threads > 1 and len(streams) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_stream, *zip(*streams)))
-    else:
-        results = [run_stream(sq, sz) for sq, sz in streams]
-    for pos_part, neg_part in results:
-        pos += pos_part
-        neg += neg_part
+    # counts are integer, so their sum over streams is exact
+    pos, neg = map(sum, zip(*sample_streams(state, seed, est_plan.n_samples, counts, threads)))
 
     m_total = est_plan.negativity
     n_tot = est_plan.n_samples

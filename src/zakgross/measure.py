@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,14 @@ class ImprecisePush(RuntimeError):
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """Which modes are read out, how many bins per mode, and the period.
+    """Which modes are read out and how many bins per mode.
 
-    Bin k covers [k * period / K, (k+1) * period / K); edges belong to the
-    bin on their right.
+    Bin k covers [k * period / K, (k+1) * period / K) of the state's torus
+    period d * ell; edges belong to the bin on their right.
     """
 
     measured_modes: tuple
     K: int
-    period: float
 
     def __post_init__(self):
         modes = tuple(int(m) for m in self.measured_modes)
@@ -58,15 +58,9 @@ class MeasurementSpec:
             raise ValueError(f"measured modes must be distinct, got {modes}")
         if any(m < 0 for m in modes):
             raise ValueError(f"mode indices must be non-negative, got {modes}")
-        if self.K < 1:
-            raise ValueError(f"bin count must be positive, got {self.K}")
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if isinstance(self.K, bool) or not isinstance(self.K, numbers.Integral) or self.K < 1:
+            raise ValueError(f"bin count must be a positive integer, got {self.K!r}")
         object.__setattr__(self, "measured_modes", modes)
-
-    @classmethod
-    def from_params(cls, params, measured_modes, K: int) -> "MeasurementSpec":
-        return cls(tuple(measured_modes), int(K), params.torus_period)
 
     def table_shape(self) -> tuple:
         return (self.K,) * len(self.measured_modes)
@@ -189,12 +183,6 @@ def _check_spec(state: WignerState, spec: MeasurementSpec) -> None:
     if any(m >= n for m in spec.measured_modes):
         raise ValueError(
             f"measured modes {spec.measured_modes} out of range for n={n}"
-        )
-    period = state.params.torus_period
-    if abs(spec.period - period) > 1e-9 * period:
-        raise ValueError(
-            f"measurement period {spec.period} does not match the state's "
-            f"torus period {period}"
         )
 
 

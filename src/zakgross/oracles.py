@@ -324,9 +324,10 @@ def gaussian_wigner(d: int, eta_x, eta_z, width: float = 1.0, tol: float = 1e-16
 # ---- measurement ---------------------------------------------------------------
 
 
-def povm_indicator(spec: MeasurementSpec, z, eta) -> np.ndarray:
+def povm_indicator(spec: MeasurementSpec, period: float, z, eta) -> np.ndarray:
     """1 where points (..., 2n) have every measured position in its z-bin.
 
+    Bins split one period (the state's torus period) into spec.K equal parts.
     z gives one bin index per measured mode, in spec.measured_modes order.
     The position coordinate of mode i sits at component i of eta.
     """
@@ -338,7 +339,7 @@ def povm_indicator(spec: MeasurementSpec, z, eta) -> np.ndarray:
         raise ValueError(f"bin indices must lie in [0, {spec.K}), got {z}")
     ok = np.ones(eta.shape[:-1], dtype=bool)
     for mode, want in zip(spec.measured_modes, z):
-        got = bin_of_position(eta[..., mode], spec.period, spec.K)
+        got = bin_of_position(eta[..., mode], period, spec.K)
         ok &= got == want
     return ok.astype(float)
 
@@ -471,7 +472,7 @@ def check_gottesman_knill(rng, ds, ns, circuits: int):
 
                 state = ideal_input(params, inputs)
                 state = state.apply_word(word).apply_displacement(disp.tolist())
-                spec = MeasurementSpec.from_params(params, measured, K=d)
+                spec = MeasurementSpec(measured, d)
                 got = exact_probabilities_ideal(state, spec)
 
                 oracle_gates = list(word)
@@ -554,7 +555,7 @@ def calibration(n_seeds: int, epsilon: float, delta_fail: float, threads: int = 
     word = [Gate("F", (0,)), Gate("SUM", (0, 1)), Gate("P", (1,)), Gate("Z", (0,))]
     disp = [0, 1, 2, 0]
     state = ideal_input(params, [1, 0]).apply_word(word).apply_displacement(disp)
-    spec = MeasurementSpec.from_params(params, (0, 1), K=d)
+    spec = MeasurementSpec((0, 1), d)
     oracle_gates = list(word) + [Gate("Z", (0,))] * disp[2] + [Gate("X", (1,))] * disp[1]
     exact = clifford_oracle_probabilities(params, [1, 0], oracle_gates, (0, 1))
 
@@ -610,7 +611,7 @@ def check_realistic_sampler(deltas, epsilon: float, delta_fail: float, seed: int
     """
     d = 3
     params = CodeParams(d=d, n=1)
-    spec = MeasurementSpec.from_params(params, (0,), K=2 * d)
+    spec = MeasurementSpec((0,), 2 * d)
     worst = 0.0
     for delta in deltas:
         state = realistic_input(params, [CodeState.phase_state(d, delta)])

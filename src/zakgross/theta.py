@@ -189,16 +189,12 @@ class Series(NamedTuple):
     ell: float
     delta: float
     teeth: int  # comb teeth summed on each side of the one nearest x
+    norm: float  # <psi|psi>: the cell integral of W, L^2 Re M[0, 0] / d
 
 
 def code_state_norm(state: CodeState) -> float:
     """<psi|psi>: the cell integral of the Wigner function, L^2 Re M[0, 0], over d."""
-    series = _series(state)
-    kx, col = _kz0_column(series)
-    total = series.cell ** 2 * float(col[kx == 0][0].real) / state.d
-    if not total > 0.0:
-        raise RuntimeError(f"state norm must be positive, got {total}")
-    return total
+    return _series(state).norm
 
 
 def _k_range(d, delta, ell, tol):
@@ -264,7 +260,7 @@ def _series(state: CodeState) -> Series:
     comb (1/ell) sum_m exp(-(x - c ell/2 - m L)^2 / delta^2), and
     h_c(z) = Re sum_b u[c, b] exp(2 pi i kz[b] z / L). M itself is never
     built. u is truncated where its columns fall below SERIES_TOL of their
-    peak; cached per state.
+    peak; the norm comes from the kz = 0 column. Cached per state.
     """
     d, delta, ell = state.d, state.delta, state.ell
     root = 2.0 * math.sqrt(math.log(1.0 / SERIES_TOL))
@@ -290,9 +286,13 @@ def _series(state: CodeState) -> Series:
     # (-1)^(a b) exp(i pi a c / d) = exp(i pi a (c + d) / d) for odd b: shift the class by d
     u[:, b % 2 == 1] = np.roll(u[:, b % 2 == 1], d, axis=0)
     u.setflags(write=False)
-    series = Series(u, b, int(reach), d * ell, ell, delta, _comb_teeth(ell, delta))
+    series = Series(u, b, int(reach), d * ell, ell, delta, _comb_teeth(ell, delta), math.nan)
     _check_real(series)
-    return series
+    kx, col = _kz0_column(series)
+    norm = series.cell ** 2 * float(col[kx == 0][0].real) / d
+    if not norm > 0.0:
+        raise RuntimeError(f"state norm must be positive, got {norm}")
+    return series._replace(norm=norm)
 
 
 def _check_real(series: Series) -> None:

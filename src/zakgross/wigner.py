@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from .symplectic import AffineMap, IntSymplectic
 from .theta import CodeState, abs_envelope, code_state_norm, wigner_theta, wigner_theta_grid
 
 MAX_STREAM = 100_000  # draws per seed stream at most
+NEGATIVITY_TOL = 1e-6  # default tolerance of the negativity cell integral
 
 
 @dataclass(frozen=True)
@@ -39,28 +41,31 @@ class IdealFactor:
     table[t]/d on the point ell * t of each cell.
     """
 
-    d: int
     table: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
-        if t.shape != (self.d, self.d):
-            raise ValueError(f"table shape {t.shape}, expected {(self.d, self.d)}")
-        if abs(t.sum() - self.d) > 1e-9:
-            raise ValueError(f"table sums to {t.sum()}, expected d = {self.d}")
+        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+            raise ValueError(f"table shape {t.shape} is not square")
+        if abs(t.sum() - t.shape[0]) > 1e-9:
+            raise ValueError(f"table sums to {t.sum()}, expected d = {t.shape[0]}")
         object.__setattr__(self, "table", t)
+
+    @property
+    def d(self) -> int:
+        return self.table.shape[0]
 
     @classmethod
     def logical(cls, d: int, j: int) -> "IdealFactor":
         table = np.zeros((d, d))
         table[j % d, :] = 1.0
-        return cls(d, table)
+        return cls(table)
 
     @classmethod
     def from_density_matrix(cls, params_1mode: CodeParams, rho) -> "IdealFactor":
         if params_1mode.n != 1:
             raise ValueError(f"need single-mode params, got n={params_1mode.n}")
-        return cls(params_1mode.d, gross_wigner_table(params_1mode, rho))
+        return cls(gross_wigner_table(params_1mode, rho))
 
     def negativity(self) -> float:
         return float(np.abs(self.table).sum() / self.d)
@@ -68,14 +73,16 @@ class IdealFactor:
 
 @dataclass(frozen=True)
 class RealisticFactor:
-    """A finite-envelope code state on one mode, with its norm cached."""
+    """A finite-envelope code state on one mode."""
 
     state: CodeState
-    norm: float
 
-    @classmethod
-    def make(cls, state: CodeState) -> "RealisticFactor":
-        return cls(state, code_state_norm(state))
+    def __post_init__(self):
+        code_state_norm(self.state)  # builds the series: a bad state fails here
+
+    @property
+    def norm(self) -> float:
+        return code_state_norm(self.state)
 
     @property
     def d(self) -> int:
@@ -90,14 +97,14 @@ class RealisticFactor:
         vals /= self.d * self.norm
         return vals
 
-    def negativity(self, tol: float = 1e-6) -> float:
+    def negativity(self, tol: float = NEGATIVITY_TOL) -> float:
         return _negativity(self.state, tol)
 
 
 @functools.lru_cache(maxsize=64)
 def _negativity(state: CodeState, tol: float) -> float:
     """Cell integral of |W| for the unit-norm state, cached per (state, tol)."""
-    factor = RealisticFactor.make(state)
+    factor = RealisticFactor(state)
     return _abs_integral(factor.wigner_grid, factor.d * state.ell, tol)
 
 
@@ -126,9 +133,12 @@ def _abs_integral(eval_grid, period: float, tol: float) -> float:
 class WignerState:
     """Product input factors transported by the accumulated affine map."""
 
-    params: CodeParams
     factors: tuple
     amap: AffineMap
+
+    @property
+    def params(self) -> CodeParams:
+        return self.amap.params
 
     def __post_init__(self):
         if len(self.factors) != self.params.n:
@@ -141,7 +151,7 @@ class WignerState:
 
     @classmethod
     def from_factors(cls, params: CodeParams, factors) -> "WignerState":
-        return cls(params, tuple(factors), AffineMap.identity(params))
+        return cls(tuple(factors), AffineMap.identity(params))
 
     # -- circuit action --
 
@@ -260,7 +270,7 @@ def realistic_input(params: CodeParams, states) -> WignerState:
     states = list(states)
     if len(states) != params.n:
         raise ValueError(f"need {params.n} mode states, got {len(states)}")
-    return WignerState.from_factors(params, (RealisticFactor.make(s) for s in states))
+    return WignerState.from_factors(params, map(RealisticFactor, states))
 
 
 def seed_streams(seed: int, total: int) -> list:
@@ -276,16 +286,28 @@ def seed_streams(seed: int, total: int) -> list:
     return [(seq, base + (i < extra)) for i, seq in enumerate(seqs)]
 
 
-def sample_input(state: WignerState, seed: int, count: int):
-    """Draw (input-frame points (N, 2n), signs (N,)) from |W|/M.
+def sample_streams(state: WignerState, seed: int, count: int, reduce, threads: int = 1) -> list:
+    """[reduce(points, signs)] per seed_streams(seed, count) stream, in stream order.
 
-    Deterministic per seed: the seed_streams draws, concatenated in stream
-    order.
+    Each stream draws input-frame points and signs from |W|/M with its own
+    generator, so no result depends on `threads` (a thread pool when > 1).
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    sampler = state.sampler()
-    draws = [sampler(size, np.random.default_rng(seq)) for seq, size in seed_streams(seed, count)]
+    sampler, streams = state.sampler(), seed_streams(seed, count)
+
+    def one(seq, size):
+        return reduce(*sampler(size, np.random.default_rng(seq)))
+
+    if threads > 1 and len(streams) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, *zip(*streams)))
+    return [one(seq, size) for seq, size in streams]
+
+
+def sample_input(state: WignerState, seed: int, count: int):
+    """Draw (input-frame points (N, 2n), signs (N,)) from |W|/M: the sample_streams draws."""
+    draws = sample_streams(state, seed, count, lambda pts, signs: (pts, signs))
     return np.vstack([p for p, _ in draws]), np.concatenate([s for _, s in draws])
 
 

@@ -104,7 +104,7 @@ def test_criterion_5_negativity_headline_and_trends():
                 st = CodeState.phase_state(d, delta)
             else:
                 st = CodeState.logical(d, 0, delta)
-            log_m[(kind, delta)] = math.log(RealisticFactor.make(st).negativity(tol=1e-7))
+            log_m[(kind, delta)] = math.log(RealisticFactor(st).negativity(tol=1e-7))
 
     headline = log_m[("logical", 0.25)]
     headline_ok = 1.5e-4 <= headline <= 6.0e-4
@@ -120,8 +120,8 @@ def test_criterion_5_negativity_headline_and_trends():
     vac = math.log(
         wigner._abs_integral(lambda xs, zs: gaussian_wigner(d, xs, zs) / d, period, 1e-7)
     )
-    lim_logical = math.log(RealisticFactor.make(CodeState.logical(d, 0, 1.0)).negativity(tol=1e-7))
-    phase_fac = RealisticFactor.make(CodeState.phase_state(d, 1.0))
+    lim_logical = math.log(RealisticFactor(CodeState.logical(d, 0, 1.0)).negativity(tol=1e-7))
+    phase_fac = RealisticFactor(CodeState.phase_state(d, 1.0))
     lim_phase = math.log(phase_fac.negativity(tol=1e-7))
     oracle = math.log(
         wigner._abs_integral(
@@ -156,7 +156,7 @@ def test_criterion_6_estimator_calibration():
 
     params1 = CodeParams(d=d, n=1)
     rstate = realistic_input(params1, [CodeState.logical(d, 0, 0.3)])
-    rspec = MeasurementSpec.from_params(params1, (0,), K=d)
+    rspec = MeasurementSpec((0,), K=d)
     ref = quadrature_probabilities(rstate, rspec)
     rplan = plan(0.02, 0.05, rstate.negativity())
     rep = estimate(rstate, rspec, rplan, seed=11)
@@ -182,8 +182,8 @@ def test_criterion_7_negativity_multiplicativity_and_invariance():
     state = realistic_input(params, [st_a, st_b])
 
     m_joint = state.negativity()
-    m_a = RealisticFactor.make(st_a).negativity()
-    m_b = RealisticFactor.make(st_b).negativity()
+    m_a = RealisticFactor(st_a).negativity()
+    m_b = RealisticFactor(st_b).negativity()
     rel = abs(m_joint - m_a * m_b) / (m_a * m_b)
     product_ok = rel < 1e-8
 
@@ -192,8 +192,8 @@ def test_criterion_7_negativity_multiplicativity_and_invariance():
     period = params.torus_period
     pts = rng.uniform(0.0, period, size=(200, 4))
     joint = np.array([state.evaluate(p) for p in pts])
-    fac_a = RealisticFactor.make(st_a)
-    fac_b = RealisticFactor.make(st_b)
+    fac_a = RealisticFactor(st_a)
+    fac_b = RealisticFactor(st_b)
     split = np.array(
         [
             float(fac_a.wigner(np.array([p[0], p[2]])) * fac_b.wigner(np.array([p[1], p[3]])))

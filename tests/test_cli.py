@@ -116,6 +116,28 @@ def test_flags_a_command_ignores_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["wigner", "--delta", "0.5", "--grid", "0"], "--grid: must be an integer >= 1"),
+    (["wigner", "--delta", "0.5", "--grid", "-4"], "--grid: must be an integer >= 1"),
+    (["run", "c.json", "--seed", "-2"], "--seed: must be an integer >= 0"),
+    (["verify", "--seed", "-2"], "--seed: must be an integer >= 0"),
+    (["run", "c.json", "--threads", "0"], "--threads: must be an integer >= 1"),
+    (["run", "c.json", "--threads", "two"], "--threads: must be an integer >= 1"),
+], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
+def test_out_of_range_integer_flags_are_usage_errors(argv, message, capsys):
+    # refused before any work; a grid of 0 would otherwise write a header-only CSV
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_schema_seed_exit_code(tmp_path, capsys):
+    cpath = circuit_file(tmp_path, estimator={"epsilon": 0.1, "delta_fail": 0.1, "seed": -3})
+    assert main(["run", cpath, "--mode", "estimate"]) == 2
+    assert "schema error: at $.estimator.seed: must be a non-negative" in capsys.readouterr().err
+
+
 def test_tiny_delta_is_a_numeric_failure(capsys):
     assert main(["wigner", "--delta", "1e-5", "--grid", "3"]) == 3
     assert "numeric failure" in capsys.readouterr().err
@@ -298,6 +320,27 @@ def test_estimate_threads_agree(tmp_path):
         assert r1["probabilities"] == r2["probabilities"]
 
 
+def test_sample_threads_agree(tmp_path):
+    # 200,001 draws span three seed streams, so --threads 2 runs a pool
+    cpath = circuit_file(
+        tmp_path,
+        n=2,
+        inputs=[{"ideal_logical": 0}, {"ideal_logical": 1}],
+        ops=[{"gate": "F", "modes": [0]}, {"gate": "SUM", "modes": [0, 1]}],
+        measurement={"modes": [0, 1], "K": 3},
+    )
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"s{threads}.json"
+        assert main([
+            "run", cpath, "--mode", "sample", "--samples", "200001", "--seed", "5",
+            "--threads", threads, "--out", str(out),
+        ]) == 0
+        docs.append(out.read_text())
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["n_samples"] == 200_001
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_sharp_phase_state_estimate_after_fourier(tmp_path, seed):
     # F acts on the phase state at delta = 0.05 as the qudit DFT of its
@@ -318,7 +361,7 @@ def test_sharp_phase_state_estimate_after_fourier(tmp_path, seed):
     fourier = realistic_input(CodeParams(d, 1), [CodeState(d, delta, tuple(dft))])
     eta = np.random.default_rng(0).random((2000, 2)) * d * phase.ell
     assert np.allclose(rotated.evaluate(eta), fourier.evaluate(eta), rtol=0, atol=1e-9)
-    spec = MeasurementSpec.from_params(CodeParams(d, 1), (0,), K=3)
+    spec = MeasurementSpec((0,), 3)
     table = quadrature_probabilities(fourier, spec)
     got = np.array(json.loads(out.read_text())["probabilities"])
     assert np.abs(got - table).max() <= 0.1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zakgross.estimator import EstimatePlan, estimate, plan
+from zakgross.estimator import EstimatePlan, InfeasiblePlan, estimate, plan
 from zakgross.measure import MeasurementSpec, bin_of_position, exact_probabilities
 from zakgross.qudit import CodeParams, Gate
 from zakgross.theta import CodeState
@@ -33,8 +33,8 @@ def test_plan_monotone_in_delta():
 
 
 def test_plan_cap_error_names_requirement():
-    with pytest.raises(ValueError, match="raise the cap to at least"):
-        plan(0.001, 0.01, 5.0, max_samples=1000)
+    with pytest.raises(InfeasiblePlan, match="exceeds the cap 200000000"):
+        plan(0.0001, 0.01, 5.0)
 
 
 def test_plan_validation():
@@ -45,7 +45,7 @@ def test_plan_validation():
 
 def test_estimate_deterministic_per_seed():
     params, st = bell_state()
-    spec = MeasurementSpec.from_params(params, (0, 1), 3)
+    spec = MeasurementSpec((0, 1), 3)
     pl = plan(0.1, 0.2, st.negativity())
     r1 = estimate(st, spec, pl, seed=42)
     r2 = estimate(st, spec, pl, seed=42)
@@ -58,7 +58,7 @@ def test_estimate_deterministic_per_seed():
 def test_single_sample_contributions_are_quantized():
     # N * p_hat / M must recover integer signed counts exactly
     params, st = bell_state()
-    spec = MeasurementSpec.from_params(params, (0, 1), 3)
+    spec = MeasurementSpec((0, 1), 3)
     pl = plan(0.1, 0.2, st.negativity())
     rep = estimate(st, spec, pl, seed=5)
     counts = rep.probabilities * rep.n_samples / rep.negativity
@@ -67,7 +67,7 @@ def test_single_sample_contributions_are_quantized():
 
 def test_ideal_estimate_matches_exact_within_errors():
     params, st = bell_state()
-    spec = MeasurementSpec.from_params(params, (0, 1), 3)
+    spec = MeasurementSpec((0, 1), 3)
     exact = exact_probabilities(st, spec)
     pl = plan(0.05, 0.1, st.negativity())
     rep = estimate(st, spec, pl, seed=11)
@@ -79,7 +79,7 @@ def test_ideal_estimate_matches_exact_within_errors():
 
 def test_ideal_estimate_draws_per_mode_without_the_support(monkeypatch):
     params, st = bell_state()
-    spec = MeasurementSpec.from_params(params, (0, 1), 3)
+    spec = MeasurementSpec((0, 1), 3)
     exact = exact_probabilities(st, spec)
 
     def no_support(self):
@@ -93,7 +93,7 @@ def test_ideal_estimate_draws_per_mode_without_the_support(monkeypatch):
 
 def test_calibration_smoke():
     params, st = bell_state()
-    spec = MeasurementSpec.from_params(params, (0, 1), 3)
+    spec = MeasurementSpec((0, 1), 3)
     exact = exact_probabilities(st, spec)
     pl = plan(0.1, 0.2, st.negativity())
     fails = 0
@@ -111,7 +111,7 @@ def test_calibration_smoke():
 def test_realistic_estimate_matches_quadrature():
     params = CodeParams(3, 1)
     st = realistic_input(params, [CodeState.logical(3, 0, 0.3)])
-    spec = MeasurementSpec.from_params(params, (0,), 3)
+    spec = MeasurementSpec((0,), 3)
     exact = exact_probabilities(st, spec)
     pl = plan(0.05, 0.1, st.negativity())
     rep = estimate(st, spec, pl, seed=17)
@@ -122,18 +122,18 @@ def test_realistic_estimate_is_signed_count_of_sample_abs_draws():
     # estimate and sample_abs draw from the same seed streams
     params = CodeParams(3, 1)
     st = realistic_input(params, [CodeState.logical(3, 0, 0.3)])
-    spec = MeasurementSpec.from_params(params, (0,), 3)
+    spec = MeasurementSpec((0,), 3)
     m, n = st.negativity(), 3000
     rep = estimate(st, spec, EstimatePlan(n, m, 0.1, 0.1), seed=9)
     pts, signs = sample_abs(st, 9, n)
-    bins = bin_of_position(pts[:, 0], spec.period, spec.K)
+    bins = bin_of_position(pts[:, 0], params.torus_period, spec.K)
     signed = np.bincount(bins, weights=signs, minlength=spec.K)
     assert np.array_equal(rep.probabilities, signed * m / n)
 
 
 def test_report_serializes_and_clamps():
     params, st = bell_state()
-    spec = MeasurementSpec.from_params(params, (0, 1), 3)
+    spec = MeasurementSpec((0, 1), 3)
     rep = estimate(st, spec, EstimatePlan(500, 1.0, 0.2, 0.2), seed=1)
     d = rep.to_dict()
     assert d["n_samples"] == 500 and d["seed"] == 1
@@ -143,17 +143,7 @@ def test_report_serializes_and_clamps():
 
 def test_estimate_rejects_bad_modes():
     params, st = bell_state()
-    spec = MeasurementSpec((5,), 3, params.torus_period)
+    spec = MeasurementSpec((5,), 3)
     with pytest.raises(ValueError):
         estimate(st, spec, EstimatePlan(100, 1.0, 0.2, 0.2), seed=0)
 
-
-def test_estimate_rejects_period_mismatch():
-    # the same spec check as exact_probabilities: a wrong period is an error
-    params = CodeParams(3, 1)
-    st = ideal_input(params, [0])
-    spec = MeasurementSpec((0,), 3, 2 * params.torus_period)
-    with pytest.raises(ValueError, match="period"):
-        exact_probabilities(st, spec)
-    with pytest.raises(ValueError, match="period"):
-        estimate(st, spec, EstimatePlan(100, 1.0, 0.2, 0.2), seed=0)

@@ -130,7 +130,7 @@ def test_internal_maps_skip_the_symplectic_check(monkeypatch):
     word = random_word(np.random.default_rng(8), 3, 40)
     state = ideal_input(p, [0, 1, 2]).apply_word(word)
     assert state.amap.S.inverse().n == 3
-    bins = binner(state, MeasurementSpec.from_params(p, [0, 2], 3))
+    bins = binner(state, MeasurementSpec([0, 2], 3))
     assert bins(np.zeros((1, 6))).shape == (1,)
     with pytest.raises(AssertionError, match="internal"):
         IntSymplectic(state.amap.S.mat)  # the public constructor still checks

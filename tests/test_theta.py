@@ -327,10 +327,10 @@ def test_runtime_never_sums_a_theta_box(monkeypatch):
     state = CodeState.phase_state(3, 0.4)
     series = theta._series(state)
     assert series.u.shape == (2 * state.d, series.kz.size)
-    assert RealisticFactor.make(state).negativity() > 1.0
+    assert RealisticFactor(state).negativity() > 1.0
     params = CodeParams(3, 1)
     st1 = realistic_input(params, [state])
-    spec = MeasurementSpec.from_params(params, (0,), 3)
+    spec = MeasurementSpec((0,), 3)
     rep = estimate(st1, spec, plan(0.1, 0.2, st1.negativity()), seed=3)
     assert np.max(np.abs(rep.probabilities - exact_probabilities(st1, spec))) <= 0.1
     with pytest.raises(AssertionError, match="theta box"):

@@ -4,7 +4,7 @@ import pytest
 from zakgross import theta, wigner
 from zakgross.oracles import check_realistic_sampler
 from zakgross.qudit import CodeParams, Gate
-from zakgross.symplectic import generator_symplectic
+from zakgross.symplectic import AffineMap, generator_symplectic
 from zakgross.theta import CodeState
 from zakgross.wigner import (
     IdealFactor,
@@ -34,18 +34,25 @@ def test_ideal_phase_state_negativity_value():
 
 
 def test_ideal_table_validation():
-    with pytest.raises(ValueError):
-        IdealFactor(3, np.ones((3, 3)))  # sums to 9, not 3
-    with pytest.raises(ValueError):
-        IdealFactor(3, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="sums to 9"):
+        IdealFactor(np.ones((3, 3)))  # sums to 9, not 3
+    assert IdealFactor(np.eye(5)).d == 5
     with pytest.raises(ValueError, match="single-mode"):
         IdealFactor.from_density_matrix(CodeParams(3, 2), np.eye(9) / 9)
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3), (3,), (3, 3, 1)])
+def test_ideal_table_must_be_square(shape):
+    # each table sums to its first dimension, so only the shape is wrong
+    table = np.ones(shape) * shape[0] / np.prod(shape)
+    with pytest.raises(ValueError, match="not square"):
+        IdealFactor(table)
+
+
 def test_negativity_product_and_gate_invariance():
     params = CodeParams(3, 2)
-    f = RealisticFactor.make(CodeState.logical(3, 0, 0.35))
-    g = RealisticFactor.make(CodeState.phase_state(3, 0.35))
+    f = RealisticFactor(CodeState.logical(3, 0, 0.35))
+    g = RealisticFactor(CodeState.phase_state(3, 0.35))
     st = WignerState.from_factors(params, [f, g])
     prod = f.negativity() * g.negativity()
     assert st.negativity() == prod
@@ -55,7 +62,7 @@ def test_negativity_product_and_gate_invariance():
 
 
 def test_negativity_matches_brute_force_grid():
-    f = RealisticFactor.make(CodeState.logical(3, 0, 0.3))
+    f = RealisticFactor(CodeState.logical(3, 0, 0.3))
     period = 3 * f.state.ell
     n = 1536
     xs = (np.arange(n) + 0.5) * period / n
@@ -67,23 +74,23 @@ def test_negativity_matches_brute_force_grid():
 
 def test_positive_state_negativity_is_one():
     # squeezed enough that the coarse scan finds no negative cell
-    f = RealisticFactor.make(CodeState.logical(3, 0, 0.999))
+    f = RealisticFactor(CodeState.logical(3, 0, 0.999))
     assert f.negativity() >= 1.0
 
 
 @pytest.mark.parametrize("d,delta", [(3, 0.1), (3, 0.05), (5, 0.05)])
 def test_high_squeezing_reaches_ideal_negativity(d, delta):
     # some sub-lattice blocks keep no term here; they must drop out, not crash
-    assert abs(RealisticFactor.make(CodeState.logical(d, 0, delta)).negativity() - 1) < 1e-6
+    assert abs(RealisticFactor(CodeState.logical(d, 0, delta)).negativity() - 1) < 1e-6
     state = CodeState.phase_state(d, delta)
     ket = np.array(state.eps)
     ideal = IdealFactor.from_density_matrix(CodeParams(d, 1), np.outer(ket, ket.conj()))
-    assert abs(RealisticFactor.make(state).negativity() - ideal.negativity()) < 1e-6
+    assert abs(RealisticFactor(state).negativity() - ideal.negativity()) < 1e-6
 
 
 def test_forty_db_phase_state_reaches_thirteen_ninths():
     # delta = 0.01 (40 dB): the ideal discrete-Wigner negativity 13/9 of the d = 3 phase state
-    assert abs(RealisticFactor.make(CodeState.phase_state(3, 0.01)).negativity() - 13 / 9) < 1e-8
+    assert abs(RealisticFactor(CodeState.phase_state(3, 0.01)).negativity() - 13 / 9) < 1e-8
 
 
 def test_evaluate_factorizes(rng=np.random.default_rng(5)):
@@ -159,7 +166,7 @@ def test_negativity_cache_keys_on_exact_tolerance(monkeypatch):
     monkeypatch.setattr(wigner, "_abs_integral", fake_abs_integral)
     wigner._negativity.cache_clear()
     try:
-        f = RealisticFactor.make(CodeState.logical(3, 0, 0.45))
+        f = RealisticFactor(CodeState.logical(3, 0, 0.45))
         for tol in (2e-6, 1e-6, 5e-7, 5e-7):
             assert f.negativity(tol) == 1.0 + tol
         assert calls == [2e-6, 1e-6, 5e-7]
@@ -258,7 +265,7 @@ def test_realistic_sampler_draws_its_law(d, delta, kind):
     pts, signs = sample_input(realistic_input(CodeParams(d, 1), [state]), 1, 100_000)
     # E[s 1_b] = p_b / M and E[s] = 1 / M, so s (1_b - p_b) has mean 0 in every
     # bin b, and variance q_b (1 - 2 p_b) + p_b^2 for the |W| share q_b >= |p_b| / M
-    bins, scale = 32, d * RealisticFactor.make(state).norm
+    bins, scale = 32, d * RealisticFactor(state).norm
     masses = (theta.x_bin_integrals(state, bins, 0.0), z_bin_integrals(state, bins))
     for coord, p in enumerate(m / scale for m in masses):
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
@@ -301,3 +308,26 @@ def test_input_constructors_validate():
         WignerState.from_factors(
             CodeParams(5, 1), [IdealFactor.logical(3, 0)]
         )
+    with pytest.raises(ValueError, match="factor dimension"):
+        WignerState((IdealFactor.logical(5, 0),), AffineMap.identity(CodeParams(3, 1)))
+
+
+def test_state_params_are_the_maps():
+    params = CodeParams(3, 2)
+    st = (
+        realistic_input(params, [CodeState.logical(3, 0, 0.4), CodeState.phase_state(3, 0.4)])
+        .apply_word([Gate.fourier(0), Gate.sum_(0, 1)])
+        .apply_displacement([1, 0, 0.5, 0])
+    )
+    assert st.params is st.amap.params is params
+
+
+def test_realistic_factor_norm_is_the_series_norm():
+    for state in (CodeState.logical(3, 0, 0.3), CodeState.phase_state(5, 0.5)):
+        assert RealisticFactor(state).norm == theta.code_state_norm(state)
+    assert abs(RealisticFactor(CodeState.logical(3, 0, 0.3)).norm - 0.728) < 1e-3
+
+
+def test_bad_realistic_state_fails_where_the_factor_is_made():
+    with pytest.raises(theta.TruncationOverflow):
+        RealisticFactor(CodeState.logical(9, 0, 0.01))

@@ -1,7 +1,7 @@
 """Phase-space simulator for GKP qudit Clifford circuits on the torus."""
 
 from .circuit_io import CircuitSpec, SchemaError, parse_circuit, run
-from .estimator import EstimatePlan, EstimateReport, InfeasiblePlan, estimate, plan
+from .estimator import EstimateReport, InfeasiblePlan, estimate, sample_count
 from .measure import MeasurementSpec, exact_probabilities, exact_probabilities_ideal
 from .qudit import CodeParams, Gate, QuditVec
 from .symplectic import AffineMap, IntSymplectic, NotSymplectic, decompose
@@ -13,7 +13,6 @@ __all__ = [
     "CircuitSpec",
     "CodeParams",
     "CodeState",
-    "EstimatePlan",
     "EstimateReport",
     "Gate",
     "InfeasiblePlan",
@@ -29,9 +28,9 @@ __all__ = [
     "exact_probabilities_ideal",
     "ideal_input",
     "parse_circuit",
-    "plan",
     "realistic_input",
     "run",
     "sample_abs",
+    "sample_count",
 ]
 __version__ = "0.1.0"

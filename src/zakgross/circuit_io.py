@@ -38,7 +38,7 @@ from .measure import SLIP_SHARE, MeasurementSpec, binner, exact_probabilities
 from .qudit import GATE_NAMES, CodeParams, Gate
 from .symplectic import IntSymplectic
 from .theta import CodeState
-from .wigner import NEGATIVITY_TOL, IdealFactor, RealisticFactor, WignerState, sample_streams
+from .wigner import NEGATIVITY_TOL, SEED, IdealFactor, RealisticFactor, WignerState, sample_streams
 
 FORMAT_TAG = "zakgross-circuit/1"
 RESULT_TAG = "zakgross-result/1"
@@ -295,7 +295,7 @@ def _parse_estimator(raw, err):
         return None
     eps = raw.get("epsilon")
     delta = raw.get("delta_fail")
-    seed = raw.get("seed", 0)
+    seed = raw.get("seed", SEED)
     ok = True
     if not _is_number(eps) or not 0 < eps < 1:
         err("$.estimator.epsilon", f"must be a number in (0, 1), got {eps!r}")
@@ -415,7 +415,7 @@ def run(
                 "positive Wigner function (negativity = 1); this input has "
                 f"negativity {negativity:.6g}. Use estimate mode instead."
             )
-        use_seed = 0 if seed is None else seed
+        use_seed = SEED if seed is None else seed
         # frequencies of n draws err by about 1 / sqrt(n)
         bins = binner(state, mspec, SLIP_SHARE / math.sqrt(max(n_samples, 1)))
         joint = np.concatenate(
@@ -438,13 +438,9 @@ def run(
         raise ValueError(
             "estimate mode needs an 'estimator' section (epsilon, delta_fail, seed)"
         )
-    use_seed = spec.estimator["seed"] if seed is None else seed
-    pl = est_mod.plan(
-        spec.estimator["epsilon"],
-        spec.estimator["delta_fail"],
-        state.negativity(),
-    )
-    report = est_mod.estimate(state, mspec, pl, use_seed, threads=threads)
+    est = spec.estimator
+    use_seed = est["seed"] if seed is None else seed
+    report = est_mod.estimate(state, mspec, est["epsilon"], est["delta_fail"], use_seed, threads)
     base.update(report.to_dict())
     return base
 

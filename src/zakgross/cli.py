@@ -33,7 +33,7 @@ from .circuit_io import (
 from .estimator import InfeasiblePlan
 from .symplectic import IntSymplectic, decompose
 from .theta import CodeState
-from .wigner import NEGATIVITY_TOL, RealisticFactor
+from .wigner import NEGATIVITY_TOL, SEED, RealisticFactor
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -120,7 +120,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     from . import oracles
 
-    seed = args.seed if args.seed is not None else 0
+    seed = SEED if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     checks = [
         ("gottesman-knill agreement", oracles.check_gottesman_knill, (rng, (3,), (2,), 20)),
@@ -154,7 +154,8 @@ def _positive_tol(text: str) -> float:
     return val
 
 
-def _int_at_least(low: int):
+def int_at_least(low: int):
+    """An argparse type: a decimal integer >= low, else a usage error (exit 2)."""
     def parse(text: str) -> int:
         if not text.lstrip("+-").isdecimal() or int(text) < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
@@ -172,11 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--threads", type=_int_at_least(1), default=1, help="worker threads for sampling"
+        "--threads", type=int_at_least(1), default=1, help="worker threads for sampling"
     )
     common.add_argument("--out", default=None, help="output file (default stdout)")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_int_at_least(0), default=None, help="override RNG seed")
+    seeded.add_argument("--seed", type=int_at_least(0), default=None, help="override RNG seed")
 
     p_run = sub.add_parser("run", parents=[common, seeded], help="execute a circuit JSON")
     p_run.add_argument("circuit", help="path to a zakgross-circuit/1 JSON file")
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wig.add_argument("--kind", choices=["logical", "phase_state"], default="logical")
     p_wig.add_argument("--j", type=int, default=0, help="logical index")
     p_wig.add_argument("--delta", type=float, required=True)
-    p_wig.add_argument("--grid", type=_int_at_least(1), default=81, help="points per axis")
+    p_wig.add_argument("--grid", type=int_at_least(1), default=81, help="points per axis")
     p_wig.set_defaults(func=_cmd_wigner)
 
     p_neg = sub.add_parser(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,20 +31,12 @@ class InfeasiblePlan(ValueError):
     """The Hoeffding sample count exceeds MAX_SAMPLES."""
 
 
-@dataclass(frozen=True)
-class EstimatePlan:
-    n_samples: int
-    negativity: float
-    epsilon: float
-    delta_fail: float
-
-
 @dataclass
 class EstimateReport:
     """Raw per-bin estimates; values may leave [0, 1] and that is meaningful.
 
-    Clamping would bias the estimator, so the raw table is primary and
-    clamped() is only a convenience view.
+    Clamping would bias the estimator, so the table is reported raw. Only
+    estimate builds a report, so its sample count always backs its epsilon.
     """
 
     probabilities: np.ndarray
@@ -56,23 +48,13 @@ class EstimateReport:
     seed: int
     wall_time_s: float = field(compare=False, default=0.0)
 
-    def clamped(self) -> np.ndarray:
-        return np.clip(self.probabilities, 0.0, 1.0)
-
     def to_dict(self) -> dict:
-        return {
-            "probabilities": self.probabilities.tolist(),
-            "std_errors": self.std_errors.tolist(),
-            "n_samples": self.n_samples,
-            "negativity": self.negativity,
-            "epsilon": self.epsilon,
-            "delta_fail": self.delta_fail,
-            "seed": self.seed,
-            "wall_time_s": self.wall_time_s,
-        }
+        """Every field in declaration order, the tables as nested lists."""
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(self).items()}
 
 
-def plan(epsilon: float, delta_fail: float, negativity: float) -> EstimatePlan:
+def sample_count(epsilon: float, delta_fail: float, negativity: float) -> int:
+    """The Hoeffding sample count N for (epsilon, delta_fail) at negativity M."""
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 0 < delta_fail < 1:
@@ -87,22 +69,23 @@ def plan(epsilon: float, delta_fail: float, negativity: float) -> EstimatePlan:
             f"required sample count {n} exceeds the cap {MAX_SAMPLES}; relax "
             f"epsilon/delta_fail (negativity {negativity:.6g})"
         )
-    return EstimatePlan(
-        n_samples=n, negativity=negativity, epsilon=epsilon, delta_fail=delta_fail
-    )
+    return n
 
 
 def estimate(
     state: WignerState,
     spec: MeasurementSpec,
-    est_plan: EstimatePlan,
+    epsilon: float,
+    delta_fail: float,
     seed: int,
     threads: int = 1,
 ) -> EstimateReport:
     t0 = time.perf_counter()
+    m_total = state.negativity()
+    n_tot = sample_count(epsilon, delta_fail, m_total)
     # a draw that slips a bin biases each cell by at most M / n, so a slip
     # chance p costs at most M p of the epsilon budget
-    bins = binner(state, spec, SLIP_SHARE * est_plan.epsilon / est_plan.negativity)
+    bins = binner(state, spec, SLIP_SHARE * epsilon / m_total)
     shape = spec.table_shape()
     flat_bins = math.prod(shape)
 
@@ -114,10 +97,8 @@ def estimate(
         )
 
     # counts are integer, so their sum over streams is exact
-    pos, neg = map(sum, zip(*sample_streams(state, seed, est_plan.n_samples, counts, threads)))
+    pos, neg = map(sum, zip(*sample_streams(state, seed, n_tot, counts, threads)))
 
-    m_total = est_plan.negativity
-    n_tot = est_plan.n_samples
     est = m_total * (pos - neg) / n_tot
     second = m_total ** 2 * (pos + neg) / n_tot
     var = np.maximum(second - est ** 2, 0.0) / n_tot
@@ -126,8 +107,8 @@ def estimate(
         std_errors=np.sqrt(var).reshape(shape),
         n_samples=n_tot,
         negativity=m_total,
-        epsilon=est_plan.epsilon,
-        delta_fail=est_plan.delta_fail,
+        epsilon=epsilon,
+        delta_fail=delta_fail,
         seed=seed,
         wall_time_s=time.perf_counter() - t0,
     )

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .qudit import is_integer
 from .theta import x_bin_integrals
 from .wigner import IdealFactor, WignerState
 
@@ -51,6 +51,8 @@ class MeasurementSpec:
     K: int
 
     def __post_init__(self):
+        if not all(map(is_integer, self.measured_modes)):
+            raise ValueError(f"mode indices must be integers, got {self.measured_modes!r}")
         modes = tuple(int(m) for m in self.measured_modes)
         if len(modes) == 0:
             raise ValueError("at least one mode must be measured")
@@ -58,7 +60,7 @@ class MeasurementSpec:
             raise ValueError(f"measured modes must be distinct, got {modes}")
         if any(m < 0 for m in modes):
             raise ValueError(f"mode indices must be non-negative, got {modes}")
-        if isinstance(self.K, bool) or not isinstance(self.K, numbers.Integral) or self.K < 1:
+        if not is_integer(self.K) or self.K < 1:
             raise ValueError(f"bin count must be a positive integer, got {self.K!r}")
         object.__setattr__(self, "measured_modes", modes)
 

@@ -545,10 +545,11 @@ def calibration(n_seeds: int, epsilon: float, delta_fail: float, threads: int = 
     """Estimator calibration on a fixed 2-mode stabilizer circuit.
 
     Estimates the outcome table at seeds 0..n_seeds-1 against the dense
-    oracle. Returns the plan, the failure count (largest bin error above
-    epsilon), the count allowed at delta_fail plus three binomial standard
-    deviations, the worst bin error, the largest pooled bias in standard
-    errors, the wall time, and whether a repeat of seed 0 is identical.
+    oracle. Returns the sample count and negativity of each estimate, the
+    failure count (largest bin error above epsilon), the count allowed at
+    delta_fail plus three binomial standard deviations, the worst bin error,
+    the largest pooled bias in standard errors, the wall time, and whether a
+    repeat of seed 0 is identical.
     """
     d, n = 3, 2
     params = CodeParams(d=d, n=n)
@@ -559,14 +560,15 @@ def calibration(n_seeds: int, epsilon: float, delta_fail: float, threads: int = 
     oracle_gates = list(word) + [Gate("Z", (0,))] * disp[2] + [Gate("X", (1,))] * disp[1]
     exact = clifford_oracle_probabilities(params, [1, 0], oracle_gates, (0, 1))
 
+    if n_seeds < 1:
+        raise ValueError(f"need at least one seed, got {n_seeds}")
     t0 = time.time()
-    est_plan = est_mod.plan(epsilon, delta_fail, state.negativity())
     fails = 0
     worst = 0.0
     err_sum = np.zeros_like(exact)
     se_sq = np.zeros_like(exact)
     for seed in range(n_seeds):
-        rep = est_mod.estimate(state, spec, est_plan, seed=seed, threads=threads)
+        rep = est_mod.estimate(state, spec, epsilon, delta_fail, seed=seed, threads=threads)
         if seed == 0:
             first = rep.probabilities
         err = rep.probabilities - exact
@@ -575,10 +577,11 @@ def calibration(n_seeds: int, epsilon: float, delta_fail: float, threads: int = 
         top = float(np.abs(err).max())
         worst = max(worst, top)
         fails += top > epsilon
-    again = est_mod.estimate(state, spec, est_plan, seed=0, threads=threads)
+    again = est_mod.estimate(state, spec, epsilon, delta_fail, seed=0, threads=threads)
     pooled_se = np.sqrt(se_sq / n_seeds / n_seeds)
     return {
-        "plan": est_plan,
+        "n_samples": again.n_samples,
+        "negativity": again.negativity,
         "fails": fails,
         "allowed": n_seeds * delta_fail + 3.0 * math.sqrt(n_seeds * delta_fail * (1 - delta_fail)),
         "worst": worst,
@@ -616,8 +619,7 @@ def check_realistic_sampler(deltas, epsilon: float, delta_fail: float, seed: int
     for delta in deltas:
         state = realistic_input(params, [CodeState.phase_state(d, delta)])
         state = state.apply_displacement([0.3, 0.0])
-        est_plan = est_mod.plan(epsilon, delta_fail, state.negativity())
-        got = est_mod.estimate(state, spec, est_plan, seed=seed).probabilities
+        got = est_mod.estimate(state, spec, epsilon, delta_fail, seed=seed).probabilities
         worst = max(worst, float(np.abs(got - quadrature_probabilities(state, spec)).max()))
     return worst <= epsilon, (
         f"displaced phase state, widths {tuple(deltas)}, estimate vs quadrature table: "

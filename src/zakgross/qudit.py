@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,18 @@ _INVERSE = {
     # X and Z are displacements; their inverses are d-1 fold repeats, but as
     # gate tags we keep them self-describing and invert at the matrix level.
 }
+
+
+def is_integer(x) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def logical_index(d: int, j) -> int:
+    """j as an index of the d logical states; anything outside [0, d) raises."""
+    if not is_integer(j) or not 0 <= j < d:
+        raise ValueError(f"logical index must be an integer in [0, {d}), got {j!r}")
+    return int(j)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .qudit import logical_index
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -164,7 +166,7 @@ class CodeState:
     @classmethod
     def logical(cls, d: int, j: int, delta: float) -> "CodeState":
         eps = [0.0] * d
-        eps[j % d] = 1.0
+        eps[logical_index(d, j)] = 1.0
         return cls(d, delta, tuple(eps))
 
     @classmethod

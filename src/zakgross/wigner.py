@@ -24,11 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qudit import CodeParams, Gate, gross_wigner_table
+from .qudit import CodeParams, Gate, gross_wigner_table, logical_index
 from .symplectic import AffineMap, IntSymplectic
 from .theta import CodeState, abs_envelope, code_state_norm, wigner_theta, wigner_theta_grid
 
 MAX_STREAM = 100_000  # draws per seed stream at most
+SEED = 0  # the seed of sample mode, estimates and verify when none is given
 NEGATIVITY_TOL = 1e-6  # default tolerance of the negativity cell integral
 
 
@@ -58,7 +59,7 @@ class IdealFactor:
     @classmethod
     def logical(cls, d: int, j: int) -> "IdealFactor":
         table = np.zeros((d, d))
-        table[j % d, :] = 1.0
+        table[logical_index(d, j), :] = 1.0
         return cls(table)
 
     @classmethod
@@ -260,7 +261,7 @@ def ideal_input(params: CodeParams, kets) -> WignerState:
         raise ValueError(f"need {params.n} mode entries, got {len(entries)}")
     single = CodeParams(params.d, 1)
     return WignerState.from_factors(params, [
-        IdealFactor.logical(params.d, int(e)) if np.ndim(e) == 0
+        IdealFactor.logical(params.d, e) if np.ndim(e) == 0
         else IdealFactor.from_density_matrix(single, np.asarray(e)) for e in entries
     ])
 

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from zakgross import wigner
-from zakgross.estimator import estimate, plan
+from zakgross.estimator import estimate
 from zakgross.measure import MeasurementSpec, quadrature_probabilities
 from zakgross.oracles import (
     SP_TAGS,
@@ -158,8 +158,7 @@ def test_criterion_6_estimator_calibration():
     rstate = realistic_input(params1, [CodeState.logical(d, 0, 0.3)])
     rspec = MeasurementSpec((0,), K=d)
     ref = quadrature_probabilities(rstate, rspec)
-    rplan = plan(0.02, 0.05, rstate.negativity())
-    rep = estimate(rstate, rspec, rplan, seed=11)
+    rep = estimate(rstate, rspec, 0.02, 0.05, seed=11)
     rdev = float(np.abs(rep.probabilities - ref).max())
     realistic_ok = rdev < 0.02
 

@@ -138,6 +138,12 @@ def test_negative_schema_seed_exit_code(tmp_path, capsys):
     assert "schema error: at $.estimator.seed: must be a non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("j", ["7", "-1"])
+def test_wigner_logical_index_out_of_range_exit_code(j, capsys):
+    assert main(["wigner", "--delta", "0.5", "--j", j, "--grid", "3"]) == 2
+    assert "logical index must be an integer in [0, 3)" in capsys.readouterr().err
+
+
 def test_tiny_delta_is_a_numeric_failure(capsys):
     assert main(["wigner", "--delta", "1e-5", "--grid", "3"]) == 3
     assert "numeric failure" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zakgross.estimator import EstimatePlan, InfeasiblePlan, estimate, plan
+from zakgross.estimator import InfeasiblePlan, estimate, sample_count
 from zakgross.measure import MeasurementSpec, bin_of_position, exact_probabilities
 from zakgross.qudit import CodeParams, Gate
 from zakgross.theta import CodeState
@@ -17,41 +17,41 @@ def bell_state():
 
 
 def test_plan_reference_count():
-    assert plan(0.01, 0.05, 1.0).n_samples == 73778
+    assert sample_count(0.01, 0.05, 1.0) == 73778
 
 
 def test_plan_scales_with_negativity_squared():
     m = math.exp(3e-4)
-    n1 = plan(0.01, 0.05, 1.0).n_samples
-    nm = plan(0.01, 0.05, m).n_samples
+    n1 = sample_count(0.01, 0.05, 1.0)
+    nm = sample_count(0.01, 0.05, m)
     assert abs(nm / n1 - m ** 2) < 1e-4
 
 
 def test_plan_monotone_in_delta():
-    counts = [plan(0.05, d, 1.0).n_samples for d in (0.01, 0.05, 0.2, 0.9)]
+    counts = [sample_count(0.05, d, 1.0) for d in (0.01, 0.05, 0.2, 0.9)]
     assert counts == sorted(counts, reverse=True)
 
 
 def test_plan_cap_error_names_requirement():
     with pytest.raises(InfeasiblePlan, match="exceeds the cap 200000000"):
-        plan(0.0001, 0.01, 5.0)
+        sample_count(0.0001, 0.01, 5.0)
 
 
 def test_plan_validation():
     for eps, dl, m in ((0.0, 0.1, 1.0), (0.1, 1.0, 1.0), (0.1, 0.1, 0.5)):
         with pytest.raises(ValueError):
-            plan(eps, dl, m)
+            sample_count(eps, dl, m)
 
 
 def test_estimate_deterministic_per_seed():
     params, st = bell_state()
     spec = MeasurementSpec((0, 1), 3)
-    pl = plan(0.1, 0.2, st.negativity())
-    r1 = estimate(st, spec, pl, seed=42)
-    r2 = estimate(st, spec, pl, seed=42)
+    eps, dl = 0.1, 0.2
+    r1 = estimate(st, spec, eps, dl, seed=42)
+    r2 = estimate(st, spec, eps, dl, seed=42)
     assert np.array_equal(r1.probabilities, r2.probabilities)
     assert np.array_equal(r1.std_errors, r2.std_errors)
-    r3 = estimate(st, spec, pl, seed=43)
+    r3 = estimate(st, spec, eps, dl, seed=43)
     assert not np.array_equal(r1.probabilities, r3.probabilities)
 
 
@@ -59,8 +59,7 @@ def test_single_sample_contributions_are_quantized():
     # N * p_hat / M must recover integer signed counts exactly
     params, st = bell_state()
     spec = MeasurementSpec((0, 1), 3)
-    pl = plan(0.1, 0.2, st.negativity())
-    rep = estimate(st, spec, pl, seed=5)
+    rep = estimate(st, spec, 0.1, 0.2, seed=5)
     counts = rep.probabilities * rep.n_samples / rep.negativity
     assert np.max(np.abs(counts - np.rint(counts))) < 1e-9
 
@@ -69,9 +68,9 @@ def test_ideal_estimate_matches_exact_within_errors():
     params, st = bell_state()
     spec = MeasurementSpec((0, 1), 3)
     exact = exact_probabilities(st, spec)
-    pl = plan(0.05, 0.1, st.negativity())
-    rep = estimate(st, spec, pl, seed=11)
-    assert np.max(np.abs(rep.probabilities - exact)) <= pl.epsilon
+    eps, dl = 0.05, 0.1
+    rep = estimate(st, spec, eps, dl, seed=11)
+    assert np.max(np.abs(rep.probabilities - exact)) <= eps
     # diagonal bins carry 1/3 each; standard errors should cover the residual
     resid = np.abs(rep.probabilities - exact)
     assert np.all(resid <= 5 * rep.std_errors + 1e-12)
@@ -86,22 +85,22 @@ def test_ideal_estimate_draws_per_mode_without_the_support(monkeypatch):
         raise AssertionError("enumerated the lattice support")
 
     monkeypatch.setattr(WignerState, "lattice_support", no_support)
-    pl = plan(0.05, 0.1, st.negativity())
-    rep = estimate(st, spec, pl, seed=11)
-    assert np.max(np.abs(rep.probabilities - exact)) <= pl.epsilon
+    eps, dl = 0.05, 0.1
+    rep = estimate(st, spec, eps, dl, seed=11)
+    assert np.max(np.abs(rep.probabilities - exact)) <= eps
 
 
 def test_calibration_smoke():
     params, st = bell_state()
     spec = MeasurementSpec((0, 1), 3)
     exact = exact_probabilities(st, spec)
-    pl = plan(0.1, 0.2, st.negativity())
+    eps, dl = 0.1, 0.2
     fails = 0
     acc = np.zeros_like(exact)
     for seed in range(30):
-        rep = estimate(st, spec, pl, seed=seed)
+        rep = estimate(st, spec, eps, dl, seed=seed)
         acc += rep.probabilities
-        if np.max(np.abs(rep.probabilities - exact)) > pl.epsilon:
+        if np.max(np.abs(rep.probabilities - exact)) > eps:
             fails += 1
     assert fails <= 6  # far looser than delta_fail; the bound is not tight
     mean_err = np.max(np.abs(acc / 30 - exact))
@@ -113,9 +112,9 @@ def test_realistic_estimate_matches_quadrature():
     st = realistic_input(params, [CodeState.logical(3, 0, 0.3)])
     spec = MeasurementSpec((0,), 3)
     exact = exact_probabilities(st, spec)
-    pl = plan(0.05, 0.1, st.negativity())
-    rep = estimate(st, spec, pl, seed=17)
-    assert np.max(np.abs(rep.probabilities - exact)) <= pl.epsilon
+    eps, dl = 0.05, 0.1
+    rep = estimate(st, spec, eps, dl, seed=17)
+    assert np.max(np.abs(rep.probabilities - exact)) <= eps
 
 
 def test_realistic_estimate_is_signed_count_of_sample_abs_draws():
@@ -123,27 +122,39 @@ def test_realistic_estimate_is_signed_count_of_sample_abs_draws():
     params = CodeParams(3, 1)
     st = realistic_input(params, [CodeState.logical(3, 0, 0.3)])
     spec = MeasurementSpec((0,), 3)
-    m, n = st.negativity(), 3000
-    rep = estimate(st, spec, EstimatePlan(n, m, 0.1, 0.1), seed=9)
+    rep = estimate(st, spec, 0.05, 0.1, seed=9)
+    m, n = rep.negativity, rep.n_samples
     pts, signs = sample_abs(st, 9, n)
     bins = bin_of_position(pts[:, 0], params.torus_period, spec.K)
     signed = np.bincount(bins, weights=signs, minlength=spec.K)
     assert np.array_equal(rep.probabilities, signed * m / n)
 
 
-def test_report_serializes_and_clamps():
+def test_report_serializes():
     params, st = bell_state()
     spec = MeasurementSpec((0, 1), 3)
-    rep = estimate(st, spec, EstimatePlan(500, 1.0, 0.2, 0.2), seed=1)
+    rep = estimate(st, spec, 0.2, 0.2, seed=1)
     d = rep.to_dict()
-    assert d["n_samples"] == 500 and d["seed"] == 1
+    assert d["n_samples"] == 116 and d["seed"] == 1  # ceil(50 ln 10)
     assert np.asarray(d["probabilities"]).shape == (3, 3)
-    assert np.all(rep.clamped() >= 0.0) and np.all(rep.clamped() <= 1.0)
+
+
+@pytest.mark.parametrize("kind", ["ideal", "realistic"])
+def test_report_sample_count_is_the_hoeffding_count_at_the_states_negativity(kind):
+    if kind == "ideal":
+        params, st = bell_state()
+    else:
+        params = CodeParams(3, 1)
+        st = realistic_input(params, [CodeState.phase_state(3, 0.5)])
+    rep = estimate(st, MeasurementSpec((0,), 3), 0.1, 0.2, seed=2)
+    assert rep.negativity == st.negativity()
+    assert rep.n_samples == sample_count(rep.epsilon, rep.delta_fail, rep.negativity)
+    assert (rep.epsilon, rep.delta_fail) == (0.1, 0.2)
 
 
 def test_estimate_rejects_bad_modes():
     params, st = bell_state()
     spec = MeasurementSpec((5,), 3)
     with pytest.raises(ValueError):
-        estimate(st, spec, EstimatePlan(100, 1.0, 0.2, 0.2), seed=0)
+        estimate(st, spec, 0.2, 0.2, seed=0)
 

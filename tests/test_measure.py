@@ -258,4 +258,7 @@ def test_spec_validation():
     for k in (2.5, True, "3"):
         with pytest.raises(ValueError, match="positive integer"):
             MeasurementSpec((0,), k)
+    for modes in ((0.7, True), (0, True), (1.0,), ("0",)):
+        with pytest.raises(ValueError, match="mode indices must be integers"):
+            MeasurementSpec(modes, 3)
     assert MeasurementSpec([np.int64(1)], np.int64(4)) == MeasurementSpec((1,), 4)

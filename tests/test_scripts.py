@@ -1,0 +1,29 @@
+"""The command-line scripts under scripts/ run against the current API."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_calibration_script_runs(capsys):
+    calib = load("estimator_calibration")
+    assert calib.main(["--seeds", "5", "--epsilon", "0.2", "--delta-fail", "0.3"]) == 0
+    # ceil(2 ln(2 / 0.3) / 0.2^2) samples for the positive calibration circuit
+    assert "# plan: 95 samples per seed (M = 1.000000)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--threads"])
+@pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+def test_calibration_script_refuses_counts_below_one(flag, value):
+    with pytest.raises(SystemExit) as exc:
+        load("estimator_calibration").main([flag, value])
+    assert exc.value.code == 2

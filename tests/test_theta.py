@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zakgross import theta
-from zakgross.estimator import estimate, plan
+from zakgross.estimator import estimate
 from zakgross.measure import MeasurementSpec, exact_probabilities
 from zakgross.oracles import (
     dense_series_grid,
@@ -331,7 +331,7 @@ def test_runtime_never_sums_a_theta_box(monkeypatch):
     params = CodeParams(3, 1)
     st1 = realistic_input(params, [state])
     spec = MeasurementSpec((0,), 3)
-    rep = estimate(st1, spec, plan(0.1, 0.2, st1.negativity()), seed=3)
+    rep = estimate(st1, spec, 0.1, 0.2, seed=3)
     assert np.max(np.abs(rep.probabilities - exact_probabilities(st1, spec))) <= 0.1
     with pytest.raises(AssertionError, match="theta box"):
         siegel_theta_batch(np.array([[1j]]), [0j], [[0.0]])

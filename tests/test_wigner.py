@@ -312,6 +312,21 @@ def test_input_constructors_validate():
         WignerState((IdealFactor.logical(5, 0),), AffineMap.identity(CodeParams(3, 1)))
 
 
+@pytest.mark.parametrize("j", [3, 5, -1, 0.7, 1.0, True, "1"])
+def test_logical_index_outside_range_or_not_an_integer_is_refused(j):
+    builds = (
+        lambda: IdealFactor.logical(3, j),
+        lambda: CodeState.logical(3, j, 0.3),
+        lambda: ideal_input(CodeParams(3, 1), [j]),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="logical index"):
+            build()
+    two = np.int64(2)
+    assert np.array_equal(IdealFactor.logical(3, two).table, IdealFactor.logical(3, 2).table)
+    assert CodeState.logical(3, two, 0.3) == CodeState.logical(3, 2, 0.3)
+
+
 def test_state_params_are_the_maps():
     params = CodeParams(3, 2)
     st = (

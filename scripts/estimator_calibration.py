@@ -19,10 +19,18 @@ from zakgross.cli import int_at_least
 from zakgross.oracles import calibration
 
 
+def open_unit(text: str) -> float:
+    """An argparse type: a number in the open interval (0, 1), else a usage error (exit 2)."""
+    val = float(text)
+    if not 0 < val < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+    return val
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--epsilon", type=float, default=0.05)
-    parser.add_argument("--delta-fail", type=float, default=0.1)
+    parser.add_argument("--epsilon", type=open_unit, default=0.05)
+    parser.add_argument("--delta-fail", type=open_unit, default=0.1)
     parser.add_argument("--seeds", type=int_at_least(1), default=200)
     parser.add_argument("--threads", type=int_at_least(1), default=1)
     args = parser.parse_args(argv)

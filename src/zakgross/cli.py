@@ -73,7 +73,9 @@ def _cmd_run(args) -> int:
 
 def _make_state(args) -> CodeState:
     if args.kind == "logical":
-        return CodeState.logical(args.d, args.j, args.delta)
+        return CodeState.logical(args.d, 0 if args.j is None else args.j, args.delta)
+    if args.j is not None:
+        raise ValueError("--j applies only to --kind logical")
     return CodeState.phase_state(args.d, args.delta)
 
 
@@ -194,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_wig.add_argument("--d", type=int, default=3)
     p_wig.add_argument("--kind", choices=["logical", "phase_state"], default="logical")
-    p_wig.add_argument("--j", type=int, default=0, help="logical index")
+    p_wig.add_argument("--j", type=int, default=None, help="logical index (--kind logical; default 0)")
     p_wig.add_argument("--delta", type=float, required=True)
     p_wig.add_argument("--grid", type=int_at_least(1), default=81, help="points per axis")
     p_wig.set_defaults(func=_cmd_wigner)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -54,6 +54,7 @@ class ImaginaryResidue(RuntimeError):
 MAX_RADIUS = 220  # per-axis box cap of the theta sums
 MAX_TERMS = 6_000_000
 SERIES_TOL = 1e-14  # truncation tolerance of every code state's Wigner series
+_BLOCK_ROWS = 64  # grid rows per wigner_theta_blocks block: 1 MiB at 2048 columns
 
 
 # ---- lattice theta sums: the oracles' and the tracer's, not the runtime's ----
@@ -476,6 +477,23 @@ def wigner_theta_grid(state: CodeState, eta_x, eta_z) -> np.ndarray:
     eta_x = np.asarray(eta_x, dtype=float).ravel()
     eta_z = np.asarray(eta_z, dtype=float).ravel()
     return _x_factor(series, eta_x) @ _z_factor(series, eta_z).T
+
+
+def wigner_theta_blocks(state: CodeState, eta) -> Iterator[np.ndarray]:
+    """wigner_theta_grid(state, eta, eta), yielded _BLOCK_ROWS rows at a time.
+
+    F and H are built once; each block F[lo:hi] H^T is written into one
+    reused buffer, so a consumer must be done with a block before it asks
+    for the next, and no more than one block of the N^2 grid ever exists.
+    """
+    series = _series(state)
+    eta = np.asarray(eta, dtype=float).ravel()
+    f, h = _x_factor(series, eta), _z_factor(series, eta)
+    buf = np.empty((min(_BLOCK_ROWS, eta.size), eta.size))
+    for lo in range(0, eta.size, _BLOCK_ROWS):
+        block = buf[: min(_BLOCK_ROWS, eta.size - lo)]
+        np.matmul(f[lo: lo + _BLOCK_ROWS], h.T, out=block)
+        yield block
 
 
 def x_bin_integrals(state: CodeState, bins: int, shift: float) -> np.ndarray:

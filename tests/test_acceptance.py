@@ -118,14 +118,14 @@ def test_criterion_5_negativity_headline_and_trends():
     # through the package's own midpoint escalation
     period = params.torus_period
     vac = math.log(
-        wigner._abs_integral(lambda xs, zs: gaussian_wigner(d, xs, zs) / d, period, 1e-7)
+        wigner._abs_integral(lambda xs: [gaussian_wigner(d, xs, xs) / d], period, 1e-7)
     )
     lim_logical = math.log(RealisticFactor(CodeState.logical(d, 0, 1.0)).negativity(tol=1e-7))
     phase_fac = RealisticFactor(CodeState.phase_state(d, 1.0))
     lim_phase = math.log(phase_fac.negativity(tol=1e-7))
     oracle = math.log(
         wigner._abs_integral(
-            lambda xs, zs: wigner_oracle(phase_fac.state, xs, zs) / (d * phase_fac.norm),
+            lambda xs: [wigner_oracle(phase_fac.state, xs, xs) / (d * phase_fac.norm)],
             period,
             1e-7,
         )

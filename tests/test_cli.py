@@ -144,6 +144,18 @@ def test_wigner_logical_index_out_of_range_exit_code(j, capsys):
     assert "logical index must be an integer in [0, 3)" in capsys.readouterr().err
 
 
+def test_wigner_logical_index_with_the_phase_state_is_a_usage_error(tmp_path, capsys):
+    for j in ("7", "0"):
+        assert main(["wigner", "--kind", "phase_state", "--delta", "0.5", "--j", j,
+                     "--grid", "3"]) == 2
+        assert "--j applies only to --kind logical" in capsys.readouterr().err
+    # logical without --j keeps j = 0
+    outs = [tmp_path / "default.csv", tmp_path / "j0.csv"]
+    for out, extra in zip(outs, ([], ["--j", "0"])):
+        assert main(["wigner", "--delta", "0.5", "--grid", "3", "--out", str(out)] + extra) == 0
+    assert outs[0].read_text() == outs[1].read_text()
+
+
 def test_tiny_delta_is_a_numeric_failure(capsys):
     assert main(["wigner", "--delta", "1e-5", "--grid", "3"]) == 3
     assert "numeric failure" in capsys.readouterr().err

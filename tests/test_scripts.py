@@ -27,3 +27,13 @@ def test_calibration_script_refuses_counts_below_one(flag, value):
     with pytest.raises(SystemExit) as exc:
         load("estimator_calibration").main([flag, value])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--epsilon", "--delta-fail"])
+@pytest.mark.parametrize("value", ["2", "1", "0", "-0.1", "nan"])
+def test_calibration_script_refuses_rates_outside_the_open_unit_interval(flag, value, capsys):
+    # exit 1 means a failure rate above the bound, so a bad rate must not end there
+    with pytest.raises(SystemExit) as exc:
+        load("estimator_calibration").main([flag, value])
+    assert exc.value.code == 2
+    assert f"{flag}: must lie in (0, 1)" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,66 @@ def test_negativity_cache_keys_on_exact_tolerance(monkeypatch):
         assert calls == [2e-6, 1e-6, 5e-7]
     finally:
         wigner._negativity.cache_clear()  # drop the fake values
+
+
+NEGATIVITY_STATES = [
+    CodeState.phase_state(3, 0.5),
+    CodeState.phase_state(7, 0.5),
+    CodeState.logical(3, 0, 0.25),
+]
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+@pytest.mark.parametrize("state", NEGATIVITY_STATES, ids=lambda st: f"d{st.d}-{st.delta}")
+def test_blocked_negative_mass_matches_the_dense_grid(state, n):
+    f = RealisticFactor(state)
+    xs = (np.arange(n) + 0.5) * state.d * state.ell / n
+    dense = float(-np.minimum(f.wigner_grid(xs, xs), 0.0).sum())
+    blocked = wigner._negative_sum(f.wigner_blocks(xs))
+    assert dense > 0 and abs(blocked - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("state", NEGATIVITY_STATES, ids=lambda st: f"d{st.d}-{st.delta}")
+def test_one_whole_grid_block_gives_the_blocked_negativity(state):
+    f = RealisticFactor(state)
+    whole = wigner._abs_integral(lambda xs: [f.wigner_grid(xs, xs)], state.d * state.ell, 1e-6)
+    assert abs(whole - wigner._negativity.__wrapped__(state, 1e-6)) <= 1e-12 * whole
+
+
+@pytest.mark.parametrize("state, tol, top", [
+    (CodeState.phase_state(3, 0.5), 1e-6, 2048),
+    (CodeState.logical(3, 0, 0.5), 1e-7, 4096),  # a dense 4096^2 level is 128 MiB
+])
+def test_negativity_never_holds_a_whole_level(monkeypatch, state, tol, top):
+    levels = []
+
+    def recorded(st, xs):
+        levels.append(len(xs))
+        return theta.wigner_theta_blocks(st, xs)
+
+    monkeypatch.setattr(wigner, "wigner_theta_blocks", recorded)
+    RealisticFactor(state)  # the series is cached; measure the integral alone
+    tracemalloc.start()
+    try:
+        m = wigner._negativity.__wrapped__(state, tol)  # bypasses the value cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(levels) == top and m > 1.0
+    assert peak <= 8 * 2 ** 20
+
+
+def test_refinement_that_never_settles_reports_its_last_two_levels():
+    # negative mass 1 / n on an n^2 grid of one period: the levels halve forever
+    def level_blocks(xs):
+        yield np.full((1, 1), -float(xs.size))
+
+    with pytest.raises(RuntimeError) as exc:
+        wigner._abs_integral(level_blocks, 1.0, 1e-6)
+    got = re.search(r"below 1\.0e-06: (\S+) -> (\S+) at 4096\^2 points, a change of (\S+)$",
+                    str(exc.value))
+    assert got is not None, str(exc.value)
+    assert [float(v) for v in got.groups()] == [1 / 2048, 1 / 4096, float(f"{1 / 4096:.1e}")]
 
 
 def test_seed_streams_split_equally_and_repeat():

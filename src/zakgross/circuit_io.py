@@ -56,7 +56,7 @@ class SchemaError(ValueError):
 @dataclass(frozen=True, eq=False)
 class CircuitSpec:
     params: CodeParams
-    inputs: tuple  # ("ideal_logical", j) | ("ideal_table", tuple rows) | ("realistic", CodeState)
+    inputs: tuple  # one IdealFactor or RealisticFactor per mode
     ops: tuple  # ("gate", Gate) | ("symplectic", IntSymplectic) | ("displace", tuple)
     measurement: MeasurementSpec
     estimator: dict | None
@@ -121,10 +121,13 @@ def parse_circuit(text: str) -> CircuitSpec:
 
     if errors:
         raise SchemaError(errors)
-    return CircuitSpec(params, tuple(inputs), tuple(ops), measurement, est)
+    # a series may overflow (exit 3), so none is built before the document is valid (exit 2)
+    factors = tuple(RealisticFactor(x) if isinstance(x, CodeState) else x for x in inputs)
+    return CircuitSpec(params, factors, tuple(ops), measurement, est)
 
 
 def _parse_inputs(raw, params, err):
+    """One IdealFactor or (still unbuilt) CodeState per mode."""
     out = []
     if not isinstance(raw, list) or len(raw) != params.n:
         err("$.inputs", f"must be a list with one entry per mode (n={params.n})")
@@ -137,23 +140,21 @@ def _parse_inputs(raw, params, err):
             continue
         (key, val), = item.items()
         if key == "ideal_logical":
-            if not _is_int(val) or not 0 <= val < d:
-                err(f"{path}.ideal_logical", f"must be an integer in [0, {d})")
-            else:
-                out.append(("ideal_logical", val))
+            try:
+                out.append(IdealFactor.logical(d, val))
+            except ValueError as exc:
+                err(f"{path}.ideal_logical", str(exc))
         elif key == "ideal_table":
             rho = _parse_complex_matrix(val, d, f"{path}.ideal_table", err)
             if rho is not None:
                 try:
-                    IdealFactor.from_density_matrix(CodeParams(d, 1), rho)
+                    out.append(IdealFactor.from_density_matrix(CodeParams(d, 1), rho))
                 except ValueError as exc:
                     err(f"{path}.ideal_table", str(exc))
-                else:
-                    out.append(("ideal_table", _freeze_matrix(rho)))
         elif key == "realistic":
             state = _parse_realistic(val, d, f"{path}.realistic", err)
             if state is not None:
-                out.append(("realistic", state))
+                out.append(state)
         else:
             err(path, f"unknown input key {key!r}")
     return out
@@ -183,10 +184,6 @@ def _parse_complex_matrix(val, d, path, err):
     return rho
 
 
-def _freeze_matrix(rho):
-    return tuple(tuple(complex(x) for x in row) for row in rho)
-
-
 def _parse_realistic(val, d, path, err):
     if not isinstance(val, dict):
         err(path, "must be an object with kind/delta")
@@ -197,12 +194,15 @@ def _parse_realistic(val, d, path, err):
         err(f"{path}.delta", f"must be a number in (0, 2), got {delta!r}")
         return None
     if kind == "logical":
-        j = val.get("j")
-        if not _is_int(j) or not 0 <= j < d:
-            err(f"{path}.j", f"must be an integer in [0, {d})")
+        try:
+            return CodeState.logical(d, val.get("j"), float(delta))
+        except ValueError as exc:
+            err(f"{path}.j", str(exc))
             return None
-        return CodeState.logical(d, j, float(delta))
     if kind == "phase_state":
+        if "j" in val:
+            err(f"{path}.j", "applies only to kind 'logical'")
+            return None
         return CodeState.phase_state(d, float(delta))
     err(f"{path}.kind", f"must be 'logical' or 'phase_state', got {kind!r}")
     return None
@@ -311,68 +311,9 @@ def _parse_estimator(raw, err):
     return {"epsilon": float(eps), "delta_fail": float(delta), "seed": seed}
 
 
-def emit_circuit(spec: CircuitSpec) -> str:
-    """Serialize back to schema JSON; parse(emit(spec)) reproduces spec."""
-    inputs = []
-    for kind, val in spec.inputs:
-        if kind == "ideal_logical":
-            inputs.append({"ideal_logical": val})
-        elif kind == "ideal_table":
-            rows = [
-                [x.real if x.imag == 0 else [x.real, x.imag] for x in row]
-                for row in val
-            ]
-            inputs.append({"ideal_table": rows})
-        else:
-            state = val
-            if state.eps == CodeState.phase_state(state.d, state.delta).eps:
-                inputs.append(
-                    {"realistic": {"kind": "phase_state", "delta": state.delta}}
-                )
-            else:
-                j = max(range(state.d), key=lambda i: abs(state.eps[i]))
-                inputs.append(
-                    {"realistic": {"kind": "logical", "j": j, "delta": state.delta}}
-                )
-    ops = []
-    for kind, val in spec.ops:
-        if kind == "gate":
-            ops.append({"gate": val.name, "modes": list(val.modes)})
-        elif kind == "symplectic":
-            ops.append(
-                {"gate": "symplectic", "matrix": [[int(x) for x in r] for r in val.mat]}
-            )
-        else:
-            ops.append({"gate": "displace", "c": list(val)})
-    doc = {
-        "format": FORMAT_TAG,
-        "d": spec.params.d,
-        "n": spec.params.n,
-        "inputs": inputs,
-        "ops": ops,
-        "measurement": {
-            "modes": list(spec.measurement.measured_modes),
-            "K": spec.measurement.K,
-        },
-    }
-    if spec.estimator is not None:
-        doc["estimator"] = spec.estimator
-    return json.dumps(doc, indent=2)
-
-
 def build_state(spec: CircuitSpec) -> WignerState:
-    """Materialize the input product state and apply every op."""
-    params = spec.params
-    factors = []
-    for kind, val in spec.inputs:
-        if kind == "ideal_logical":
-            factors.append(IdealFactor.logical(params.d, val))
-        elif kind == "ideal_table":
-            rho = np.array(val, dtype=complex)
-            factors.append(IdealFactor.from_density_matrix(CodeParams(params.d, 1), rho))
-        else:
-            factors.append(RealisticFactor(val))
-    state = WignerState.from_factors(params, factors)
+    """The input product state with every op applied."""
+    state = WignerState.from_factors(spec.params, spec.inputs)
     for kind, val in spec.ops:
         if kind == "gate":
             state = state.apply_gate(val)

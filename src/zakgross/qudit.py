@@ -294,10 +294,10 @@ def _validate_density(params: CodeParams, mat: np.ndarray):
     if mat.shape != (params.dim, params.dim):
         raise ValueError(f"density matrix shape {mat.shape}, expected {(params.dim,) * 2}")
     herm = np.max(np.abs(mat - mat.conj().T))
-    if herm > 1e-10:
+    if not herm <= 1e-10:  # a NaN or infinite entry fails too
         raise ValueError(f"rho is not Hermitian (max deviation {herm:.2e})")
     tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > 1e-10:
+    if not abs(tr - 1.0) <= 1e-10:
         raise ValueError(f"rho must have unit trace, got {tr}")
 
 

@@ -160,6 +160,8 @@ class CodeState:
         eps = tuple(complex(e) for e in self.eps)
         if len(eps) != self.d:
             raise ValueError(f"need {self.d} coefficients, got {len(eps)}")
+        if not all(math.isfinite(abs(e)) for e in eps):
+            raise ValueError(f"state coefficients must be finite, got {eps}")
         if max(abs(e) for e in eps) == 0:
             raise ValueError("state coefficients are all zero")
         object.__setattr__(self, "eps", eps)

@@ -55,7 +55,7 @@ class IdealFactor:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError(f"table shape {t.shape} is not square")
-        if abs(t.sum() - t.shape[0]) > 1e-9:
+        if not abs(t.sum() - t.shape[0]) <= 1e-9:  # a NaN entry fails too
             raise ValueError(f"table sums to {t.sum()}, expected d = {t.shape[0]}")
         object.__setattr__(self, "table", t)
 

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from zakgross import wigner
 from zakgross.circuit_io import (
     SchemaError,
     build_state,
-    emit_circuit,
     negativity_sweep,
     parse_circuit,
     run,
@@ -14,6 +14,8 @@ from zakgross.circuit_io import (
 )
 from zakgross.measure import ImprecisePush, exact_probabilities
 from zakgross.qudit import CodeParams, Gate, clifford_oracle_probabilities
+from zakgross.theta import CodeState, TruncationOverflow
+from zakgross.wigner import IdealFactor, RealisticFactor
 
 
 def doc(**overrides):
@@ -32,7 +34,8 @@ def doc(**overrides):
 def test_parse_minimal():
     spec = parse_circuit(doc())
     assert spec.params.d == 3 and spec.params.n == 1
-    assert spec.inputs == (("ideal_logical", 0),)
+    (factor,) = spec.inputs
+    assert np.array_equal(factor.table, IdealFactor.logical(3, 0).table)
     assert spec.measurement.K == 3
     assert spec.estimator is None
 
@@ -71,8 +74,6 @@ def test_ideal_table_input_roundtrips():
     state = build_state(spec)
     p = exact_probabilities(state, spec.measurement)
     assert np.allclose(p, [0, 1, 0], atol=1e-12)
-    again = parse_circuit(emit_circuit(spec))
-    assert emit_circuit(again) == emit_circuit(spec)
 
 
 def test_ideal_table_rejects_non_density():
@@ -88,9 +89,11 @@ def test_complex_entries_as_pairs():
         [0, 0, 0],
     ]
     spec = parse_circuit(doc(inputs=[{"ideal_table": rho}]))
-    (kind, table), = spec.inputs
-    assert kind == "ideal_table"
-    assert table[0][1] == -0.5j
+    (factor,) = spec.inputs
+    want = np.array([[0.5, -0.5j, 0], [0.5j, 0.5, 0], [0, 0, 0]])
+    assert np.array_equal(
+        factor.table, IdealFactor.from_density_matrix(CodeParams(3, 1), want).table
+    )
 
 
 def test_realistic_inputs_parse():
@@ -104,11 +107,9 @@ def test_realistic_inputs_parse():
             measurement={"modes": [0, 1], "K": 3},
         )
     )
-    kinds = [k for k, _ in spec.inputs]
-    assert kinds == ["realistic", "realistic"]
-    assert spec.inputs[0][1].delta == 0.3
-    again = parse_circuit(emit_circuit(spec))
-    assert emit_circuit(again) == emit_circuit(spec)
+    assert all(isinstance(f, RealisticFactor) for f in spec.inputs)
+    assert spec.inputs[0].state == CodeState.logical(3, 1, 0.3)
+    assert spec.inputs[1].state == CodeState.phase_state(3, 0.25)
 
 
 def test_realistic_validation():
@@ -118,6 +119,39 @@ def test_realistic_validation():
         parse_circuit(doc(inputs=[{"realistic": {"kind": "magic", "delta": 0.3}}]))
     with pytest.raises(SchemaError, match=r"\.j"):
         parse_circuit(doc(inputs=[{"realistic": {"kind": "logical", "j": 7, "delta": 0.3}}]))
+
+
+@pytest.mark.parametrize("j", [2, 0])
+def test_phase_state_refuses_a_logical_index(j):
+    bad = {"realistic": {"kind": "phase_state", "delta": 0.3, "j": j}}
+    with pytest.raises(SchemaError) as info:
+        parse_circuit(doc(inputs=[bad]))
+    assert info.value.errors == ["at $.inputs[0].realistic.j: applies only to kind 'logical'"]
+
+
+def test_ideal_table_builds_its_wigner_table_once(monkeypatch):
+    calls = []
+    real = wigner.gross_wigner_table
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wigner, "gross_wigner_table", counted)
+    rho = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+    build_state(parse_circuit(doc(inputs=[{"ideal_table": rho}])))
+    assert len(calls) == 1
+
+
+def test_no_series_is_built_before_the_document_is_valid():
+    tiny = {"realistic": {"kind": "logical", "j": 0, "delta": 0.001}}
+    with pytest.raises(TruncationOverflow):
+        RealisticFactor(CodeState.logical(3, 0, 0.001))
+    with pytest.raises(TruncationOverflow):
+        parse_circuit(doc(inputs=[tiny]))
+    with pytest.raises(SchemaError) as info:
+        parse_circuit(doc(inputs=[tiny], measurement={"modes": [5], "K": 3}))
+    assert info.value.errors == ["at $.measurement.modes: mode indices must lie in [0, 1)"]
 
 
 def test_roundtrip_full_document():
@@ -134,7 +168,10 @@ def test_roundtrip_full_document():
         estimator={"epsilon": 0.05, "delta_fail": 0.1, "seed": 9},
     )
     spec = parse_circuit(text)
-    assert emit_circuit(parse_circuit(emit_circuit(spec))) == emit_circuit(spec)
+    assert [kind for kind, _ in spec.ops] == ["gate", "gate", "symplectic", "displace"]
+    assert spec.ops[3][1] == (1, 0, 0.5, 2)
+    assert spec.measurement.K == 6
+    assert spec.estimator == {"epsilon": 0.05, "delta_fail": 0.1, "seed": 9}
 
 
 def test_run_exact_matches_oracle():

@@ -161,6 +161,15 @@ def test_tiny_delta_is_a_numeric_failure(capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_schema_error_outranks_a_series_overflow(tmp_path, capsys):
+    tiny = {"realistic": {"kind": "logical", "j": 0, "delta": 0.001}}
+    assert main(["run", circuit_file(tmp_path, inputs=[tiny])]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    bad = circuit_file(tmp_path, inputs=[tiny], measurement={"modes": [5], "K": 3})
+    assert main(["run", bad]) == 2
+    assert "schema error: at $.measurement.modes" in capsys.readouterr().err
+
+
 def test_imaginary_series_residue_is_a_numeric_failure(monkeypatch, capsys):
     from zakgross import theta
 

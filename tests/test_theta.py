@@ -379,6 +379,12 @@ def test_code_state_validation():
         CodeState(3, 0.3, (1, 0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_code_state_refuses_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        CodeState(3, 0.3, (bad, 0, 0))
+
+
 def test_gaussian_wigner_integral_and_value():
     d = 3
     ell = math.sqrt(TWO_PI / d)

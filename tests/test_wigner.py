@@ -375,6 +375,16 @@ def test_input_constructors_validate():
         WignerState((IdealFactor.logical(5, 0),), AffineMap.identity(CodeParams(3, 1)))
 
 
+def test_ideal_table_with_a_nan_is_refused():
+    with pytest.raises(ValueError, match="table sums to nan"):
+        IdealFactor(np.full((3, 3), np.nan))
+
+
+def test_ideal_input_refuses_a_non_finite_density_matrix():
+    with pytest.raises(ValueError, match="max deviation nan"):
+        ideal_input(CodeParams(3, 1), [np.full((3, 3), np.nan)])
+
+
 @pytest.mark.parametrize("j", [3, 5, -1, 0.7, 1.0, True, "1"])
 def test_logical_index_outside_range_or_not_an_integer_is_refused(j):
     builds = (

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import estimator as est_mod
 from .measure import SLIP_SHARE, MeasurementSpec, binner, exact_probabilities
-from .qudit import GATE_NAMES, CodeParams, Gate
+from .qudit import GATE_NAMES, CodeParams, Gate, is_integer
 from .symplectic import IntSymplectic
 from .theta import CodeState
 from .wigner import NEGATIVITY_TOL, SEED, IdealFactor, RealisticFactor, WignerState, sample_streams
@@ -75,13 +75,9 @@ def _finite_float(text: str) -> float:
     return val
 
 
-def _is_int(x) -> bool:
-    # JSON true and false load as bool, a subclass of int; neither is a number
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    # JSON true and false load as bool, a subclass of int; neither is a number
+    return is_integer(x) or isinstance(x, float)
 
 
 def parse_circuit(text: str) -> CircuitSpec:
@@ -103,13 +99,13 @@ def parse_circuit(text: str) -> CircuitSpec:
 
     d = doc.get("d")
     n = doc.get("n")
-    if not _is_int(d) or d < 3:
+    if not is_integer(d) or d < 3:
         err("$.d", f"must be an odd integer >= 3, got {d!r}")
         d = 3
     elif d % 2 == 0:
         err("$.d", "d must be odd")
         d = 3
-    if not _is_int(n) or n < 1:
+    if not is_integer(n) or n < 1:
         err("$.n", f"must be a positive integer, got {n!r}")
         n = 1
     params = CodeParams(d, n)
@@ -226,7 +222,7 @@ def _parse_ops(raw, params, err):
         if tag in GATE_NAMES:
             modes = item.get("modes")
             if not isinstance(modes, list) or not all(
-                _is_int(m) for m in modes
+                is_integer(m) for m in modes
             ):
                 err(f"{path}.modes", "must be a list of integers")
                 continue
@@ -271,13 +267,13 @@ def _parse_measurement(raw, params, err):
         return fallback
     modes = raw.get("modes")
     k = raw.get("K")
-    if not isinstance(modes, list) or not all(_is_int(m) for m in modes):
+    if not isinstance(modes, list) or not all(is_integer(m) for m in modes):
         err("$.measurement.modes", "must be a list of integers")
         return fallback
     if any(not 0 <= m < params.n for m in modes):
         err("$.measurement.modes", f"mode indices must lie in [0, {params.n})")
         return fallback
-    if not _is_int(k) or k < 1:
+    if not is_integer(k) or k < 1:
         err("$.measurement.K", f"must be a positive integer, got {k!r}")
         return fallback
     try:
@@ -303,7 +299,7 @@ def _parse_estimator(raw, err):
     if not _is_number(delta) or not 0 < delta < 1:
         err("$.estimator.delta_fail", f"must be a number in (0, 1), got {delta!r}")
         ok = False
-    if not _is_int(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         err("$.estimator.seed", f"must be a non-negative integer, got {seed!r}")
         ok = False
     if not ok:
@@ -312,16 +308,8 @@ def _parse_estimator(raw, err):
 
 
 def build_state(spec: CircuitSpec) -> WignerState:
-    """The input product state with every op applied."""
-    state = WignerState.from_factors(spec.params, spec.inputs)
-    for kind, val in spec.ops:
-        if kind == "gate":
-            state = state.apply_gate(val)
-        elif kind == "symplectic":
-            state = state.apply_symplectic(val)
-        else:
-            state = state.apply_displacement(val)
-    return state
+    """The input product state with every op applied, composed at once."""
+    return WignerState.from_factors(spec.params, spec.inputs).apply_ops(spec.ops)
 
 
 def run(

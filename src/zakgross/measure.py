@@ -7,10 +7,14 @@ logical outcome; the dense qudit oracle pins which coordinate block carries
 that outcome (the first, position block, in this package's layout).
 
 One binner, made once per (state, spec), maps input-frame draws to joint
-bin indices for the exact all-ideal table (over the lattice support), for
-sample mode and for the estimator. It pushes ideal columns exactly, mod 2d in
-units of ell/2, and the rest in float; bin_of_position, floor(x K / period +
-EDGE_TOL) mod K, bins the total, exactly on every half-lattice point.
+bin indices for sample mode and for the estimator. It pushes ideal columns
+exactly, mod 2d in units of ell/2, and the rest in float; bin_of_position,
+floor(x K / period + EDGE_TOL) mod K, bins the total, exactly on every
+half-lattice point. The exact all-ideal table never lists support points:
+the measured rows of S^-1 reduced mod d push each factor's d x d weights
+onto Z_d^r (r measured modes), where the law of the measured positions is
+the convolution of those pushes, and each point of Z_d^r is binned by the
+same offset split and rule as the binner's draws.
 Displacement-only circuits on product inputs factorize into per-mode
 marginals, squeezed ones integrated from their Fourier series in closed
 form. Anything beyond that is the estimator's job. The references these
@@ -78,6 +82,29 @@ def bin_of_position(x, period: float, bins: int) -> np.ndarray:
     return np.mod(np.floor(scaled + EDGE_TOL).astype(np.int64), bins)
 
 
+def _offset_binner(state: WignerState, spec: MeasurementSpec):
+    """bins(lattice, rest): flat joint bins of measured positions in units of ell/2.
+
+    lattice (N, r) int64 is the exact part of each position and rest the
+    float part; 2c of the measured rows is split once, its integer part
+    joining lattice mod 2d and its fraction joining rest, and
+    bin_of_position bins the total. Both the exact table and binner bin
+    through here, so the rule and its EDGE_TOL tie live in one place.
+    """
+    d = state.params.d
+    c2 = [2 * state.amap.c[m] for m in spec.measured_modes]
+    whole = np.array([math.floor(x) % (2 * d) for x in c2], dtype=np.int64)
+    frac = np.array([float(x - math.floor(x)) for x in c2])
+
+    def bins(lattice, rest=0.0):
+        units = (lattice + whole) % (2 * d) + (rest + frac)
+        return np.ravel_multi_index(
+            tuple(bin_of_position(units, 2 * d, spec.K).T), spec.table_shape()
+        )
+
+    return bins
+
+
 def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
     """Map from input-frame draws (N, 2n) to flat joint bin indices, made once.
 
@@ -101,9 +128,6 @@ def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
     rows = state.amap.S.inverse().mat[list(spec.measured_modes)]
     lattice = np.mod(rows[:, ideal], 2 * d).astype(np.int64).T
     real = rows[:, ~ideal].astype(float).T * (2 / ell)
-    c2 = [2 * state.amap.c[m] for m in spec.measured_modes]
-    whole = np.array([math.floor(x) % (2 * d) for x in c2], dtype=np.int64)
-    frac = np.array([float(x - math.floor(x)) for x in c2])
     err = np.abs(real).sum(axis=0) * state.params.torus_period * (real.shape[0] + 2) * 2.0 ** -53
     err *= spec.K / (2 * d)
     slip = 2.0 * float(err.sum())
@@ -113,13 +137,11 @@ def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
             f"moving up to {slip:.2e} of the draws across an edge, beyond the "
             f"budget {slip_budget:.2e}"
         )
+    to_bins = _offset_binner(state, spec)
 
     def bins(eta):
         m2 = np.rint(eta[:, ideal] * (2 / ell)).astype(np.int64)
-        units = (m2 @ lattice + whole) % (2 * d) + (eta[:, ~ideal] @ real + frac)
-        return np.ravel_multi_index(
-            tuple(bin_of_position(units, 2 * d, spec.K).T), spec.table_shape()
-        )
+        return to_bins(m2 @ lattice, eta[:, ~ideal] @ real)
 
     return bins
 
@@ -127,7 +149,7 @@ def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
 def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
     """Exact outcome table, shape (K,) * m, summing to 1.
 
-    Dispatches to the lattice support for all-ideal states and to
+    Dispatches to the convolution on Z_d^r for all-ideal states and to
     per-mode marginals for displacement-only circuits on product inputs.
     """
     if state.is_ideal():
@@ -138,13 +160,41 @@ def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray
 def exact_probabilities_ideal(
     state: WignerState, spec: MeasurementSpec
 ) -> np.ndarray:
-    """Outcome table of an all-ideal state: its lattice support, binned."""
-    m2, weights = state.lattice_support()
-    bins = binner(state, spec)
-    joint = bins(m2 * (state.params.ell / 2))
+    """Outcome table of an all-ideal state, by convolution on Z_d^r.
+
+    The r measured positions of the input lattice point ell t are, in ell/2
+    units, 2 u + 2c with u = R t mod d, R the measured rows of S^-1 reduced
+    mod d (exact on the Python ints). u is a sum of independent per-factor
+    terms t_x a + t_z b, a and b the factor's two columns of R, so its law on
+    Z_d^r is the convolution of the factors' signed weights pushed there: a
+    dense (d,)*r array starting as a unit mass at 0, rolled by each support
+    point's term. A factor whose columns vanish mod d (every mode outside the
+    light cone of the measured ones) only scales the mass by its total.
+    Each u is then binned once. The cost is O(n d^2 d^r), never above the
+    d^n support points.
+    """
+    _check_spec(state, spec)
+    if not state.is_ideal():
+        raise ValueError("the exact ideal table requires all-ideal factors")
+    d, n = state.params.d, state.params.n
+    rows = np.mod(state.amap.S.inverse().mat[list(spec.measured_modes)], d).astype(np.int64)
+    r = rows.shape[0]
+    axes = tuple(range(r))
+    mass = np.zeros((d,) * r)
+    mass[(0,) * r] = 1.0
+    for i, f in enumerate(state.factors):
+        tx, tz = np.nonzero(f.table)
+        weights = f.table[tx, tz] / d
+        a, b = rows[:, i], rows[:, n + i]
+        if not (a.any() or b.any()):
+            mass *= weights.sum()
+            continue
+        shifts = (np.outer(tx, a) + np.outer(tz, b)) % d
+        mass = sum(w * np.roll(mass, tuple(sh), axes) for w, sh in zip(weights, shifts))
+    u = np.indices((d,) * r).reshape(r, -1).T
+    joint = _offset_binner(state, spec)(2 * u)
     shape = spec.table_shape()
-    flat = np.bincount(joint, weights=weights, minlength=math.prod(shape))
-    table = flat.reshape(shape)
+    table = np.bincount(joint, weights=mass.ravel(), minlength=math.prod(shape)).reshape(shape)
     total = table.sum()
     if not abs(total - 1.0) < 1e-12:
         raise RuntimeError(f"ideal probabilities sum to {total}")

@@ -293,8 +293,10 @@ def gross_wigner_table(params: CodeParams, rho) -> np.ndarray:
 def _validate_density(params: CodeParams, mat: np.ndarray):
     if mat.shape != (params.dim, params.dim):
         raise ValueError(f"density matrix shape {mat.shape}, expected {(params.dim,) * 2}")
+    if not np.isfinite(mat).all():
+        raise ValueError("rho has non-finite entries")
     herm = np.max(np.abs(mat - mat.conj().T))
-    if not herm <= 1e-10:  # a NaN or infinite entry fails too
+    if not herm <= 1e-10:
         raise ValueError(f"rho is not Hermitian (max deviation {herm:.2e})")
     tr = complex(np.trace(mat))
     if not abs(tr - 1.0) <= 1e-10:

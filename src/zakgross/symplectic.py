@@ -8,15 +8,20 @@ where it enters through the IntSymplectic constructor; all others are
 symplectic by construction and are not checked again.
 
 Each generator tag is written once, in BLOCKS: the small integer block it
-applies on the coordinates (x_i.., z_i..) of the modes it touches. Every op
+applies on the coordinates (x_i.., z_i..) of the modes it touches, with its
+inverse and covariance shift computed once beside it, in ACTIONS. Every op
 is a block on some coordinates (an explicit matrix on all of them, a
-displacement none), so AffineMap.then_affine, word_symplectic and decompose
-compose by O(n) column or row operations. An op's half-integer covariance
-shift enters through t_bar of its block; the stand-alone shift t(S) and the
-exponent parity identity are references in oracles.py.
+displacement none), so AffineMap.then_ops, word_symplectic and decompose
+compose by O(n) column or row operations. then_ops composes a whole op list
+on one private working copy of the map and returns it frozen at the end;
+then_affine and then are the same kernel on one op. An op's half-integer
+covariance shift enters through t_bar of its block; the stand-alone shift
+t(S) and the exponent parity identity are references in oracles.py.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,33 +149,66 @@ BLOCKS = {
 }
 
 
+def _action(block: IntSymplectic) -> tuple:
+    """(B, rows of B^{-1}, Omega^{-1} t_bar(B)): all that composing a block needs."""
+    tb = [int(v) for v in t_bar(block)]
+    k = block.n
+    return block.mat, block.inverse().mat.tolist(), [-v for v in tb[k:]] + tb[:k]
+
+
+# each tag's action, computed once
+ACTIONS = {name: _action(b) for name, b in BLOCKS.items() if b is not None}
+
+
 def _coords(modes, n: int) -> list:
     """Indices of (x_i.., z_i..) of the given modes in a 2n-vector."""
     return [*modes, *(n + i for i in modes)]
 
 
-def generator_block(gate: Gate, params: CodeParams):
-    """(coords, B, cg) of a gate tag: the coordinates of the modes it touches,
-    its block there (None for X and Z) and its own offset there, as Fractions
-    in units of ell (half-integer for P and P_inv)."""
+def _gate_step(gate: Gate, params: CodeParams) -> tuple:
+    """(coords, action, offset) of a gate tag: the coordinates of the modes it
+    touches, its action there (None for X and Z) and its own offset there as
+    (integer numerators, denominator 2) in units of ell."""
     n = params.n
     if max(gate.modes) >= n:
         raise ValueError(f"gate {gate} touches mode >= n={n}")
     coords = _coords(gate.modes, n)
-    h = Fraction(params.d, 2)
-    offset = {"P": (0, h), "P_inv": (0, -h), "X": (1, 0), "Z": (0, 1)}
-    cg = tuple(Fraction(v) for v in offset.get(gate.name, (0,) * len(coords)))
-    return coords, BLOCKS[gate.name], cg
+    d = params.d
+    halves = {"P": (0, d), "P_inv": (0, -d), "X": (2, 0), "Z": (0, 2)}.get(gate.name)
+    return coords, ACTIONS.get(gate.name), None if halves is None else (halves, 2)
+
+
+def _offset(c) -> tuple:
+    """Offsets in units of ell (any exact numbers) as (integer numerators, common denominator)."""
+    fr = [Fraction(x) for x in c]
+    den = math.lcm(*(x.denominator for x in fr))
+    return [x.numerator * (den // x.denominator) for x in fr], den
+
+
+def _op_step(op, params: CodeParams) -> tuple:
+    """(coords, action, offset) of one op ("gate", Gate), ("symplectic",
+    IntSymplectic) or ("displace", c); coords None means all 2n."""
+    kind, val = op
+    if kind == "gate":
+        return _gate_step(val, params)
+    if kind == "symplectic":
+        return None, _action(val), None
+    if kind != "displace":
+        raise ValueError(f"unknown op kind {kind!r}")
+    c = [x.item() if hasattr(x, "item") else x for x in np.asarray(val).ravel()]
+    if len(c) != 2 * params.n:
+        raise ValueError(f"displacement needs length {2 * params.n}, got {len(c)}")
+    return None, None, _offset(c)
 
 
 def generator_symplectic(gate: Gate, params: CodeParams):
     """Dense (S, c) of a gate tag: its block embedded in the identity, its
     offset in the zero 2n-vector."""
-    coords, block, cg = generator_block(gate, params)
+    coords, action, offset = _gate_step(gate, params)
     m = IntSymplectic.identity(params.n).mat
-    if block is not None:
-        m[np.ix_(coords, coords)] = block.mat
-    own = dict(zip(coords, cg))
+    if action is not None:
+        m[np.ix_(coords, coords)] = action[0]
+    own = dict(zip(coords, [Fraction(v, offset[1]) for v in offset[0]])) if offset else {}
     return _trusted(m), tuple(own.get(i, Fraction(0)) for i in range(2 * params.n))
 
 
@@ -196,9 +234,19 @@ class AffineMap:
     def identity(cls, params: CodeParams) -> "AffineMap":
         return cls(IntSymplectic.identity(params.n), tuple([Fraction(0)] * (2 * params.n)), params)
 
+    def then_ops(self, ops) -> "AffineMap":
+        """Compose with a list of ops, each ("gate", Gate), ("symplectic",
+        IntSymplectic) or ("displace", c in units of ell, any reals).
+
+        The whole list is composed on one private working copy of S, and c
+        is held as integer numerators over one common denominator (2 for a
+        generator word, raised only where a displacement needs it), so no op
+        copies the map or touches a Fraction. This map is left as it is.
+        """
+        return _compose(self, [_op_step(op, self.params) for op in ops])
+
     def then(self, gate: Gate) -> "AffineMap":
-        coords, block, cg = generator_block(gate, self.params)
-        return self.then_affine(block, cg, coords)
+        return self.then_ops([("gate", gate)])
 
     def then_displacement(self, c_vec) -> "AffineMap":
         """Append a displacement by c in units of ell.
@@ -207,14 +255,7 @@ class AffineMap:
         integer entries keep the lattice paths available, non-integers
         restrict the state to float evaluation and sampling.
         """
-        n = self.params.n
-        c = tuple(
-            Fraction(x.item() if hasattr(x, "item") else x)
-            for x in np.asarray(c_vec).ravel()
-        )
-        if len(c) != 2 * n:
-            raise ValueError(f"displacement needs length {2 * n}, got {len(c)}")
-        return self.then_affine(None, c)
+        return self.then_ops([("displace", c_vec)])
 
     def then_affine(self, sg, cg, coords=None) -> "AffineMap":
         """Compose with a further op: block sg (None for a pure displacement)
@@ -225,21 +266,7 @@ class AffineMap:
         The op's whole matrix is the identity off coords, so this is plain
         affine composition with it; a full-size sg is an explicit matrix.
         """
-        coords = list(range(2 * self.params.n)) if coords is None else coords
-        mat = self.S.mat
-        c = list(self.c)
-        if sg is not None:
-            mat = mat.copy()
-            mat[:, coords] = mat[:, coords] @ sg.mat
-            tb = t_bar(sg)
-            own = np.concatenate([-tb[sg.n:], tb[:sg.n]])  # Omega^{-1} = -Omega
-            half_d = Fraction(self.params.d, 2)
-            moved = sg.inverse().mat @ np.array([c[i] for i in coords], dtype=object)
-            for i, m, o in zip(coords, moved, own):
-                c[i] = m + half_d * int(o)
-        for i, g in zip(coords, cg):
-            c[i] += g
-        return AffineMap(_trusted(mat), tuple(c), self.params)
+        return _compose(self, [(coords, None if sg is None else _action(sg), _offset(cg))])
 
     # -- evaluation and transport helpers --
 
@@ -273,13 +300,46 @@ class AffineMap:
         return all((2 * x).denominator == 1 for x in self.c)
 
 
+def _compose(amap: AffineMap, steps) -> AffineMap:
+    """amap followed by steps (coords, action, offset), composed in place on
+    one private copy of S and of c's numerators over a common denominator.
+
+    An action (B, B^{-1}, Omega^{-1} t_bar(B)) on coords sets
+    S[:, coords] <- S[:, coords] B and
+    c[coords] <- B^{-1} c[coords] + (d/2) Omega^{-1} t_bar(B); the op's
+    offset (numerators, denominator) is then added on coords.
+    """
+    params = amap.params
+    everything = list(range(2 * params.n))
+    mat = amap.S.mat.copy()
+    den = math.lcm(2, *(x.denominator for x in amap.c))  # even, so den d / 2 is whole
+    num = [x.numerator * (den // x.denominator) for x in amap.c]
+    for coords, action, offset in steps:
+        coords = everything if coords is None else coords
+        if action is not None:
+            block, inv, shift = action
+            mat[:, coords] = mat[:, coords] @ block
+            old = [num[i] for i in coords]
+            half = den // 2 * params.d
+            for i, row, s in zip(coords, inv, shift):
+                num[i] = sum(map(operator.mul, row, old)) + half * s
+        if offset is not None:
+            vals, q = offset
+            if den % q:
+                grow = math.lcm(den, q) // den
+                num, den = [v * grow for v in num], den * grow
+            for i, v in zip(coords, vals):
+                num[i] += v * (den // q)
+    return AffineMap(_trusted(mat), tuple(Fraction(v, den) for v in num), params)
+
+
 def word_symplectic(gates, params: CodeParams) -> IntSymplectic:
     """S of a temporal gate word: S_tot = S_1 S_2 ... S_N, first gate leftmost."""
     m = IntSymplectic.identity(params.n).mat
     for g in gates:
-        coords, block, _ = generator_block(g, params)
-        if block is not None:
-            m[:, coords] = m[:, coords] @ block.mat
+        coords, action, _ = _gate_step(g, params)
+        if action is not None:
+            m[:, coords] = m[:, coords] @ action[0]
     return _trusted(m)
 
 

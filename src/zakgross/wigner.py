@@ -1,12 +1,14 @@
 """Phase-space states: per-mode input factors plus an accumulated affine map.
 
-A circuit acting on a product input never needs more than this pair: gates
-only update the affine map (exactly, in integer/Fraction arithmetic), while
-the input factors hold all the state-specific data. Evaluation pulls points
-back through the map; sampling draws input points, which measure.binner
-pushes forward. The total negativity is a product over factors and is
-manifestly invariant under gates, since the map drops out of any integral
-over a full cell.
+A circuit acting on a product input never needs more than this pair: ops
+only update the affine map, exactly, a whole op list at once on one working
+copy (AffineMap.then_ops), while the input factors hold all the
+state-specific data. Evaluation pulls points back through the map; sampling
+draws input points, which measure.binner pushes forward, and the exact
+all-ideal table pushes each factor's weights onto the measured rows alone
+(measure.exact_probabilities_ideal). The total negativity is a product over
+factors and is manifestly invariant under gates, since the map drops out of
+any integral over a full cell.
 
 Ideal factors carry a d x d table of discrete Wigner weights supported on
 the integer lattice ell * Z^2 (one cell), and sample it directly; realistic
@@ -20,7 +22,6 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -184,14 +185,20 @@ class WignerState:
 
     # -- circuit action --
 
+    def apply_ops(self, ops) -> "WignerState":
+        """Apply a list of ops ("gate", Gate), ("symplectic", IntSymplectic)
+        or ("displace", c), composed at once (AffineMap.then_ops); this
+        state's map is left as it is."""
+        return replace(self, amap=self.amap.then_ops(ops))
+
     def apply_gate(self, gate: Gate) -> "WignerState":
-        return replace(self, amap=self.amap.then(gate))
+        return self.apply_ops([("gate", gate)])
 
     def apply_word(self, gates) -> "WignerState":
-        return functools.reduce(WignerState.apply_gate, gates, self)
+        return self.apply_ops([("gate", g) for g in gates])
 
     def apply_displacement(self, c_vec) -> "WignerState":
-        return replace(self, amap=self.amap.then_displacement(c_vec))
+        return self.apply_ops([("displace", c_vec)])
 
     def apply_symplectic(self, s_mat) -> "WignerState":
         """Apply the Gaussian action of an explicit integer symplectic matrix.
@@ -205,8 +212,7 @@ class WignerState:
             raise ValueError(
                 f"matrix acts on {sg.n} modes, state has {self.params.n}"
             )
-        zero = tuple([Fraction(0)] * (2 * self.params.n))
-        return replace(self, amap=self.amap.then_affine(sg, zero))
+        return self.apply_ops([("symplectic", sg)])
 
     # -- queries --
 
@@ -247,7 +253,9 @@ class WignerState:
         """All jointly supported lattice points of an all-ideal state.
 
         Returns (m2 (N, 2n) ints in ell/2 units, weights (N,) signed,
-        summing to 1). Zero-weight points are dropped.
+        summing to 1). Zero-weight points are dropped. N grows as d^n, so no
+        runtime path calls this: it is the enumeration the exact ideal
+        table is checked against.
         """
         if not self.is_ideal():
             raise ValueError("lattice support requires all-ideal factors")

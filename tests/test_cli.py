@@ -38,6 +38,23 @@ def test_run_exact_to_file(tmp_path):
     assert result["probabilities"] == [1.0, 0.0, 0.0]
 
 
+def test_run_exact_at_200_modes_reads_the_closed_form(tmp_path):
+    # F(0) then SUM(0, i) for every i makes the GHZ state sum_j |j...j> / sqrt 3:
+    # every measured triple agrees, each value with chance 1/3
+    n = 200
+    ops = [{"gate": "F", "modes": [0]}]
+    ops += [{"gate": "SUM", "modes": [0, i]} for i in range(1, n)]
+    cpath = circuit_file(tmp_path, n=n, inputs=[{"ideal_logical": 0}] * n, ops=ops,
+                         measurement={"modes": [0, 57, 199], "K": 3})
+    out = tmp_path / "result.json"
+    assert main(["run", cpath, "--mode", "exact", "--out", str(out)]) == 0
+    table = np.array(json.loads(out.read_text())["probabilities"])
+    want = np.zeros((3, 3, 3))
+    for j in range(3):
+        want[j, j, j] = 1 / 3
+    assert np.max(np.abs(table - want)) <= 1e-12
+
+
 def test_schema_error_exit_code(tmp_path, capsys):
     cpath = circuit_file(tmp_path, d=4)
     rc = main(["run", cpath])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,56 @@ def test_binner_is_exact_push_on_lattice_support(seed, d, a):
     pushed = state.amap.push_lattice_half(m2, modes)
     want = (np.mod(pushed, 2 * d) * spec.K // (2 * d)).astype(np.int64)
     assert np.array_equal(got, np.ravel_multi_index(tuple(want.T), spec.table_shape()))
+
+
+SUPPORT_CAP = 20_000  # enumerated support points per example at most
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([3, 5, 7, 9]))
+def test_exact_table_equals_the_binned_lattice_support(seed, d):
+    # the enumeration is the reference: every support point, pushed and
+    # binned by the binner, its signed weights added per bin by math.fsum
+    # (added in order, as np.bincount does, they err by up to 1.3e-12 here)
+    rng = np.random.default_rng(seed)
+    n = min(int(rng.integers(1, 7)), int(np.log(SUPPORT_CAP) / np.log(d)))
+    params = CodeParams(d, n)
+    kets, size = [], 1
+    for _ in range(n):
+        if size * d * d <= SUPPORT_CAP and rng.random() < 0.4:
+            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+            psi /= np.linalg.norm(psi)
+            kets.append(np.outer(psi, psi.conj()))  # a signed d x d table
+            size *= d * d
+        else:
+            kets.append(int(rng.integers(d)))
+            size *= d
+    shear = np.eye(2 * n, dtype=object)
+    i, j = (int(v) for v in rng.integers(n, size=2))
+    a = int(rng.integers(-5, 6))
+    shear[i, n + j] += a
+    if i != j:
+        shear[j, n + i] += a
+    disp = rng.integers(-2 * d, 2 * d, size=2 * n) / 2
+    disp[int(rng.integers(2 * n))] = 0.3  # off the lattice
+    state = (
+        ideal_input(params, kets)
+        .apply_word(random_word(rng, n, int(rng.integers(0, 12))))
+        .apply_symplectic(shear)
+        .apply_word(random_word(rng, n, int(rng.integers(0, 12))))
+        .apply_displacement(disp)
+    )
+    r = int(rng.integers(1, min(n, 3) + 1))  # (2d)^r bins stay small
+    modes = tuple(int(m) for m in rng.permutation(n)[:r])
+    spec = MeasurementSpec(modes, int(rng.choice([1, 2, 3, d, 2 * d, 7])))
+    m2, weights = state.lattice_support()
+    joint = binner(state, spec)(m2 * (params.ell / 2))
+    order = np.argsort(joint, kind="stable")
+    hit, starts = np.unique(joint[order], return_index=True)
+    want = np.zeros(spec.K ** len(modes))
+    want[hit] = [math.fsum(part) for part in np.split(weights[order], starts[1:])]
+    got = exact_probabilities_ideal(state, spec)
+    assert np.max(np.abs(got.ravel() - want)) <= 1e-12
 
 
 def test_povm_indicator_single_bin_always_one():

@@ -5,6 +5,7 @@ shift/clock direction, the half-integer phase in T(a), the parity form of
 the phase point operator at the origin, and the dense circuit simulator.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,18 @@ def test_wigner_validates_input():
         gross_wigner(p, bad, [0, 0])
     with pytest.raises(ValueError, match="trace"):
         gross_wigner(p, np.eye(3, dtype=complex), [0, 0])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_density_is_named_before_the_hermitian_check(value):
+    p = CodeParams(3, 1)
+    bad = np.eye(3, dtype=complex) / 3
+    bad[1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        for table in (gross_wigner_table, lambda q, rho: gross_wigner(q, rho, [0, 0])):
+            with pytest.raises(ValueError, match="rho has non-finite entries"):
+                table(p, bad)
 
 
 def test_hudson_positivity_for_reachable_stabilizer_states():

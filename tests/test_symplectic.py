@@ -346,6 +346,9 @@ def test_block_composition_equals_dense_composition(seed, d, n):
     ops.insert(int(rng.integers(0, len(ops) + 1)), ("symplectic", IntSymplectic(explicit)))
     shift = rng.integers(-9, 10, size=2 * n) / 4  # non-integer in units of ell
     ops.insert(int(rng.integers(0, len(ops) + 1)), ("displace", shift))
+    off_grid = np.zeros(2 * n)
+    off_grid[int(rng.integers(2 * n))] = 0.3  # a binary fraction of denominator 2^54
+    ops.insert(int(rng.integers(0, len(ops) + 1)), ("displace", off_grid))
     amap = AffineMap.identity(p)
     s_ref, c_ref = np.eye(2 * n, dtype=int).astype(object), [Fraction(0)] * (2 * n)
     for kind, val in ops:
@@ -361,6 +364,14 @@ def test_block_composition_equals_dense_composition(seed, d, n):
         s_ref, c_ref = _dense_then(s_ref, c_ref, sg, cg, d)
     assert amap.S.mat.tolist() == s_ref.tolist()
     assert list(amap.c) == c_ref
+    # the whole list at once, on one working copy, gives the same map
+    cut = int(rng.integers(0, len(ops) + 1))
+    head = AffineMap.identity(p).then_ops(ops[:cut])
+    head_s, head_c = head.S.mat.tolist(), head.c
+    batched = head.then_ops(ops[cut:])
+    assert batched.S.mat.tolist() == s_ref.tolist()
+    assert list(batched.c) == c_ref
+    assert head.S.mat.tolist() == head_s and head.c == head_c  # left as it was
 
 
 def test_gate_words_never_build_a_dense_generator(monkeypatch):
@@ -394,6 +405,8 @@ def test_then_displacement_validates_length():
     p = CodeParams(3, 1)
     with pytest.raises(ValueError):
         AffineMap.identity(p).then_displacement([1, 2, 3])
+    with pytest.raises(ValueError, match="unknown op kind"):
+        AffineMap.identity(p).then_ops([("shift", [1, 0])])
 
 
 # ---- decomposition ---------------------------------------------------------------

@@ -381,7 +381,7 @@ def test_ideal_table_with_a_nan_is_refused():
 
 
 def test_ideal_input_refuses_a_non_finite_density_matrix():
-    with pytest.raises(ValueError, match="max deviation nan"):
+    with pytest.raises(ValueError, match="rho has non-finite entries"):
         ideal_input(CodeParams(3, 1), [np.full((3, 3), np.nan)])
 
 

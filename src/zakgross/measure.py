@@ -10,11 +10,12 @@ One binner, made once per (state, spec), maps input-frame draws to joint
 bin indices for sample mode and for the estimator. It pushes ideal columns
 exactly, mod 2d in units of ell/2, and the rest in float; bin_of_position,
 floor(x K / period + EDGE_TOL) mod K, bins the total, exactly on every
-half-lattice point. The exact all-ideal table never lists support points:
-the measured rows of S^-1 reduced mod d push each factor's d x d weights
-onto Z_d^r (r measured modes), where the law of the measured positions is
-the convolution of those pushes, and each point of Z_d^r is binned by the
-same offset split and rule as the binner's draws.
+half-lattice point. The exact all-ideal table lists the joint lattice
+support only when r, the number of measured modes, is close to n, so that
+it has few points; otherwise the measured rows of S^-1 reduced mod d push
+each factor's d x d weights onto Z_d^r, where the law of the measured
+positions is the convolution of those pushes, and each point of Z_d^r is
+binned by the same offset split and rule as the binner's draws.
 Displacement-only circuits on product inputs factorize into per-mode
 marginals, squeezed ones integrated from their Fourier series in closed
 form. Anything beyond that is the estimator's job. The references these
@@ -149,7 +150,8 @@ def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
 def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
     """Exact outcome table, shape (K,) * m, summing to 1.
 
-    Dispatches to the convolution on Z_d^r for all-ideal states and to
+    Dispatches to the convolution on Z_d^r (or, when r is close to n, the
+    lattice support) for all-ideal states and to
     per-mode marginals for displacement-only circuits on product inputs.
     """
     if state.is_ideal():
@@ -160,24 +162,53 @@ def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray
 def exact_probabilities_ideal(
     state: WignerState, spec: MeasurementSpec
 ) -> np.ndarray:
-    """Outcome table of an all-ideal state, by convolution on Z_d^r.
+    """Outcome table of an all-ideal state, by the cheaper of two exact sums.
 
-    The r measured positions of the input lattice point ell t are, in ell/2
-    units, 2 u + 2c with u = R t mod d, R the measured rows of S^-1 reduced
-    mod d (exact on the Python ints). u is a sum of independent per-factor
-    terms t_x a + t_z b, a and b the factor's two columns of R, so its law on
-    Z_d^r is the convolution of the factors' signed weights pushed there: a
-    dense (d,)*r array starting as a unit mass at 0, rolled by each support
-    point's term. A factor whose columns vanish mod d (every mode outside the
-    light cone of the measured ones) only scales the mass by its total.
-    Each u is then binned once. The cost is O(n d^2 d^r), never above the
-    d^n support points.
+    The convolution on Z_d^r (_convolution_terms) touches s_i d^r cells per
+    factor i in the light cone of the measured modes, s_i its support size;
+    listing the joint lattice support (_support_terms) touches prod_i s_i
+    points. The convolution wins by far once n exceeds r by a few modes
+    (n = 10, r = 3, d = 3: 810 cells against 59049 points), the listing
+    when r is close to n (n = r = 3: 27 points against 243 cells).
     """
     _check_spec(state, spec)
     if not state.is_ideal():
         raise ValueError("the exact ideal table requires all-ideal factors")
     d, n = state.params.d, state.params.n
-    rows = np.mod(state.amap.S.inverse().mat[list(spec.measured_modes)], d).astype(np.int64)
+    rows = _measured_rows_mod_d(state, spec)
+    sizes = [int(np.count_nonzero(f.table)) for f in state.factors]
+    cells = sum(s for i, s in enumerate(sizes) if rows[:, [i, n + i]].any()) * d ** len(rows)
+    if math.prod(sizes) <= cells:
+        return _table(spec, *_support_terms(state, spec))
+    return _table(spec, *_convolution_terms(state, spec, rows))
+
+
+def _measured_rows_mod_d(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
+    """The measured rows of S^-1 reduced mod d, (r, 2n) int64, exact on the Python ints."""
+    d = state.params.d
+    return np.mod(state.amap.S.inverse().mat[list(spec.measured_modes)], d).astype(np.int64)
+
+
+def _support_terms(state: WignerState, spec: MeasurementSpec) -> tuple:
+    """(joint bins, signed weights) of every joint lattice support point."""
+    m2, weights = state.lattice_support()
+    return binner(state, spec)(m2 * (state.params.ell / 2)), weights
+
+
+def _convolution_terms(state: WignerState, spec: MeasurementSpec, rows) -> tuple:
+    """(joint bins, signed masses) of every point of Z_d^r, by convolution.
+
+    The r measured positions of the input lattice point ell t are, in ell/2
+    units, 2 u + 2c with u = R t mod d, R = rows. u is a sum of independent
+    per-factor terms t_x a + t_z b, a and b the factor's two columns of R, so
+    its law on Z_d^r is the convolution of the factors' signed weights
+    pushed there: a dense (d,)*r array starting as a unit mass at 0, rolled
+    by each support point's term. A factor whose columns vanish mod d (every
+    mode outside the light cone of the measured ones) only scales the mass
+    by its total. Each u is then binned once by the binner's offset split
+    and rule. The cost is O(n d^2 d^r), never above d^n cells.
+    """
+    d, n = state.params.d, state.params.n
     r = rows.shape[0]
     axes = tuple(range(r))
     mass = np.zeros((d,) * r)
@@ -192,9 +223,13 @@ def exact_probabilities_ideal(
         shifts = (np.outer(tx, a) + np.outer(tz, b)) % d
         mass = sum(w * np.roll(mass, tuple(sh), axes) for w, sh in zip(weights, shifts))
     u = np.indices((d,) * r).reshape(r, -1).T
-    joint = _offset_binner(state, spec)(2 * u)
+    return _offset_binner(state, spec)(2 * u), mass.ravel()
+
+
+def _table(spec: MeasurementSpec, joint, weights) -> np.ndarray:
+    """Signed weights added per joint bin: the exact table, checked to be a distribution."""
     shape = spec.table_shape()
-    table = np.bincount(joint, weights=mass.ravel(), minlength=math.prod(shape)).reshape(shape)
+    table = np.bincount(joint, weights=weights, minlength=math.prod(shape)).reshape(shape)
     total = table.sum()
     if not abs(total - 1.0) < 1e-12:
         raise RuntimeError(f"ideal probabilities sum to {total}")

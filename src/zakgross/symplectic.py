@@ -11,10 +11,12 @@ Each generator tag is written once, in BLOCKS: the small integer block it
 applies on the coordinates (x_i.., z_i..) of the modes it touches, with its
 inverse and covariance shift computed once beside it, in ACTIONS. Every op
 is a block on some coordinates (an explicit matrix on all of them, a
-displacement none), so AffineMap.then_ops, word_symplectic and decompose
-compose by O(n) column or row operations. then_ops composes a whole op list
-on one private working copy of the map and returns it frozen at the end;
-then_affine and then are the same kernel on one op. An op's half-integer
+displacement none), so AffineMap.then_affine, word_symplectic and decompose
+compose by O(n) column or row operations. then_affine composes one op;
+then_ops calls it once per op of a list, on working maps that own one
+private copy of S and update it in place, and returns the last one frozen.
+c is updated in integer numerators over one denominator, and only its
+entries on the op's coordinates become new Fractions. An op's half-integer
 covariance shift enters through t_bar of its block; the stand-alone shift
 t(S) and the exponent parity identity are references in oracles.py.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -156,8 +158,10 @@ def _action(block: IntSymplectic) -> tuple:
     return block.mat, block.inverse().mat.tolist(), [-v for v in tb[k:]] + tb[:k]
 
 
-# each tag's action, computed once
-ACTIONS = {name: _action(b) for name, b in BLOCKS.items() if b is not None}
+# each block's action, computed once and found by the block object itself
+# (BLOCKS holds every block for the life of the module, so no other object
+# can come to share its id)
+ACTIONS = {id(b): _action(b) for b in BLOCKS.values() if b is not None}
 
 
 def _coords(modes, n: int) -> list:
@@ -165,17 +169,16 @@ def _coords(modes, n: int) -> list:
     return [*modes, *(n + i for i in modes)]
 
 
-def _gate_step(gate: Gate, params: CodeParams) -> tuple:
-    """(coords, action, offset) of a gate tag: the coordinates of the modes it
-    touches, its action there (None for X and Z) and its own offset there as
-    (integer numerators, denominator 2) in units of ell."""
+def _gate_args(gate: Gate, params: CodeParams) -> tuple:
+    """then_affine's (sg, cg, coords) for a gate tag: its block (None for X
+    and Z), its own offset in units of ell (None if zero; half-integer for P
+    and P_inv) and the coordinates of the modes it touches."""
     n = params.n
     if max(gate.modes) >= n:
         raise ValueError(f"gate {gate} touches mode >= n={n}")
-    coords = _coords(gate.modes, n)
-    d = params.d
-    halves = {"P": (0, d), "P_inv": (0, -d), "X": (2, 0), "Z": (0, 2)}.get(gate.name)
-    return coords, ACTIONS.get(gate.name), None if halves is None else (halves, 2)
+    h = Fraction(params.d, 2)
+    own = {"P": (0, h), "P_inv": (0, -h), "X": (1, 0), "Z": (0, 1)}.get(gate.name)
+    return BLOCKS[gate.name], own, _coords(gate.modes, n)
 
 
 def _offset(c) -> tuple:
@@ -185,31 +188,31 @@ def _offset(c) -> tuple:
     return [x.numerator * (den // x.denominator) for x in fr], den
 
 
-def _op_step(op, params: CodeParams) -> tuple:
-    """(coords, action, offset) of one op ("gate", Gate), ("symplectic",
-    IntSymplectic) or ("displace", c); coords None means all 2n."""
+def _op_args(op, params: CodeParams) -> tuple:
+    """then_affine's (sg, cg, coords) for one op ("gate", Gate),
+    ("symplectic", IntSymplectic) or ("displace", c)."""
     kind, val = op
     if kind == "gate":
-        return _gate_step(val, params)
+        return _gate_args(val, params)
     if kind == "symplectic":
-        return None, _action(val), None
+        return val, None, None
     if kind != "displace":
         raise ValueError(f"unknown op kind {kind!r}")
     c = [x.item() if hasattr(x, "item") else x for x in np.asarray(val).ravel()]
     if len(c) != 2 * params.n:
         raise ValueError(f"displacement needs length {2 * params.n}, got {len(c)}")
-    return None, None, _offset(c)
+    return None, c, None
 
 
 def generator_symplectic(gate: Gate, params: CodeParams):
     """Dense (S, c) of a gate tag: its block embedded in the identity, its
     offset in the zero 2n-vector."""
-    coords, action, offset = _gate_step(gate, params)
+    block, own, coords = _gate_args(gate, params)
     m = IntSymplectic.identity(params.n).mat
-    if action is not None:
-        m[np.ix_(coords, coords)] = action[0]
-    own = dict(zip(coords, [Fraction(v, offset[1]) for v in offset[0]])) if offset else {}
-    return _trusted(m), tuple(own.get(i, Fraction(0)) for i in range(2 * params.n))
+    if block is not None:
+        m[np.ix_(coords, coords)] = block.mat
+    own = dict(zip(coords, own or ()))
+    return _trusted(m), tuple(Fraction(own.get(i, 0)) for i in range(2 * params.n))
 
 
 # ---- affine phase-space map of a whole circuit -------------------------------
@@ -229,6 +232,9 @@ class AffineMap:
     S: IntSymplectic
     c: tuple
     params: CodeParams
+    # True only for the maps inside then_ops, which own their S: then_affine
+    # updates it in place instead of copying it
+    working: bool = field(default=False, compare=False, repr=False)
 
     @classmethod
     def identity(cls, params: CodeParams) -> "AffineMap":
@@ -238,15 +244,17 @@ class AffineMap:
         """Compose with a list of ops, each ("gate", Gate), ("symplectic",
         IntSymplectic) or ("displace", c in units of ell, any reals).
 
-        The whole list is composed on one private working copy of S, and c
-        is held as integer numerators over one common denominator (2 for a
-        generator word, raised only where a displacement needs it), so no op
-        copies the map or touches a Fraction. This map is left as it is.
+        Each op is one then_affine call, on a working map that owns one
+        private copy of S made here, so no op copies S again and a gate
+        costs O(n). This map is left as it is.
         """
-        return _compose(self, [_op_step(op, self.params) for op in ops])
+        amap = replace(self, S=_trusted(self.S.mat.copy()), working=True)
+        for op in ops:
+            amap = amap.then_affine(*_op_args(op, self.params))
+        return replace(amap, working=False)
 
     def then(self, gate: Gate) -> "AffineMap":
-        return self.then_ops([("gate", gate)])
+        return self.then_affine(*_gate_args(gate, self.params))
 
     def then_displacement(self, c_vec) -> "AffineMap":
         """Append a displacement by c in units of ell.
@@ -259,14 +267,18 @@ class AffineMap:
 
     def then_affine(self, sg, cg, coords=None) -> "AffineMap":
         """Compose with a further op: block sg (None for a pure displacement)
-        and own offset cg on the coordinates coords (default: all 2n).
+        and own offset cg (None for none) on the coordinates coords
+        (default: all 2n).
 
         S[:, coords] -> S[:, coords] sg,
         c[coords] -> sg^{-1} c[coords] + (d/2) Omega^{-1} t_bar(sg) + cg.
         The op's whole matrix is the identity off coords, so this is plain
         affine composition with it; a full-size sg is an explicit matrix.
+        A generator block's inverse and shift come from ACTIONS. S is
+        copied first unless this is a working map of then_ops.
         """
-        return _compose(self, [(coords, None if sg is None else _action(sg), _offset(cg))])
+        action = None if sg is None else (ACTIONS.get(id(sg)) or _action(sg))
+        return _compose(self, coords, action, None if cg is None else _offset(cg))
 
     # -- evaluation and transport helpers --
 
@@ -300,46 +312,46 @@ class AffineMap:
         return all((2 * x).denominator == 1 for x in self.c)
 
 
-def _compose(amap: AffineMap, steps) -> AffineMap:
-    """amap followed by steps (coords, action, offset), composed in place on
-    one private copy of S and of c's numerators over a common denominator.
+def _compose(amap: AffineMap, coords, action, offset) -> AffineMap:
+    """amap followed by one op: an action (B, B^{-1}, Omega^{-1} t_bar(B))
+    and an offset (integer numerators, denominator) on coords (None: all 2n).
 
-    An action (B, B^{-1}, Omega^{-1} t_bar(B)) on coords sets
-    S[:, coords] <- S[:, coords] B and
-    c[coords] <- B^{-1} c[coords] + (d/2) Omega^{-1} t_bar(B); the op's
-    offset (numerators, denominator) is then added on coords.
+    S[:, coords] <- S[:, coords] B, in place on a working map's S and on a
+    copy of any other (S itself is shared when there is no action), and
+    c[coords] <- B^{-1} c[coords] + (d/2) Omega^{-1} t_bar(B) + offset, in
+    integer numerators over one denominator; only the entries of c on
+    coords become new Fractions.
     """
     params = amap.params
-    everything = list(range(2 * params.n))
-    mat = amap.S.mat.copy()
-    den = math.lcm(2, *(x.denominator for x in amap.c))  # even, so den d / 2 is whole
-    num = [x.numerator * (den // x.denominator) for x in amap.c]
-    for coords, action, offset in steps:
-        coords = everything if coords is None else coords
-        if action is not None:
-            block, inv, shift = action
-            mat[:, coords] = mat[:, coords] @ block
-            old = [num[i] for i in coords]
-            half = den // 2 * params.d
-            for i, row, s in zip(coords, inv, shift):
-                num[i] = sum(map(operator.mul, row, old)) + half * s
-        if offset is not None:
-            vals, q = offset
-            if den % q:
-                grow = math.lcm(den, q) // den
-                num, den = [v * grow for v in num], den * grow
-            for i, v in zip(coords, vals):
-                num[i] += v * (den // q)
-    return AffineMap(_trusted(mat), tuple(Fraction(v, den) for v in num), params)
+    coords = list(range(2 * params.n)) if coords is None else coords
+    touched = [amap.c[i] for i in coords]
+    # even, so den d / 2 is whole
+    den = math.lcm(2, offset[1] if offset else 1, *(x.denominator for x in touched))
+    num = [x.numerator * (den // x.denominator) for x in touched]
+    mat = amap.S.mat
+    if action is not None:
+        block, inv, shift = action
+        if not amap.working:
+            mat = mat.copy()
+        mat[:, coords] = mat[:, coords] @ block
+        half = den // 2 * params.d
+        num = [sum(map(operator.mul, row, num)) + half * s for row, s in zip(inv, shift)]
+    if offset is not None:
+        vals, q = offset
+        num = [v + w * (den // q) for v, w in zip(num, vals)]
+    c = list(amap.c)
+    for i, v in zip(coords, num):
+        c[i] = Fraction(v, den)
+    return AffineMap(_trusted(mat), tuple(c), params, amap.working)
 
 
 def word_symplectic(gates, params: CodeParams) -> IntSymplectic:
     """S of a temporal gate word: S_tot = S_1 S_2 ... S_N, first gate leftmost."""
     m = IntSymplectic.identity(params.n).mat
     for g in gates:
-        coords, action, _ = _gate_step(g, params)
-        if action is not None:
-            m[:, coords] = m[:, coords] @ action[0]
+        block, _, coords = _gate_args(g, params)
+        if block is not None:
+            m[:, coords] = m[:, coords] @ block.mat
     return _trusted(m)
 
 

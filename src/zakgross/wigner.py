@@ -1,11 +1,12 @@
 """Phase-space states: per-mode input factors plus an accumulated affine map.
 
 A circuit acting on a product input never needs more than this pair: ops
-only update the affine map, exactly, a whole op list at once on one working
-copy (AffineMap.then_ops), while the input factors hold all the
-state-specific data. Evaluation pulls points back through the map; sampling
-draws input points, which measure.binner pushes forward, and the exact
-all-ideal table pushes each factor's weights onto the measured rows alone
+only update the affine map, exactly, a whole op list on one working copy
+(AffineMap.then_ops), while the input factors hold all the state-specific
+data. Evaluation pulls points back through the map; sampling draws input
+points, which measure.binner pushes forward, and the exact all-ideal table
+pushes each factor's weights onto the measured rows alone, or lists the
+joint lattice support when that has fewer points
 (measure.exact_probabilities_ideal). The total negativity is a product over
 factors and is manifestly invariant under gates, since the map drops out of
 any integral over a full cell.
@@ -187,8 +188,8 @@ class WignerState:
 
     def apply_ops(self, ops) -> "WignerState":
         """Apply a list of ops ("gate", Gate), ("symplectic", IntSymplectic)
-        or ("displace", c), composed at once (AffineMap.then_ops); this
-        state's map is left as it is."""
+        or ("displace", c), composed on one working copy of the map
+        (AffineMap.then_ops); this state's map is left as it is."""
         return replace(self, amap=self.amap.then_ops(ops))
 
     def apply_gate(self, gate: Gate) -> "WignerState":
@@ -253,8 +254,9 @@ class WignerState:
         """All jointly supported lattice points of an all-ideal state.
 
         Returns (m2 (N, 2n) ints in ell/2 units, weights (N,) signed,
-        summing to 1). Zero-weight points are dropped. N grows as d^n, so no
-        runtime path calls this: it is the enumeration the exact ideal
+        summing to 1). Zero-weight points are dropped. N grows as d^n, so
+        the exact ideal table lists it only when it has fewer points than
+        the convolution on Z_d^r has cells; it is also the enumeration that
         table is checked against.
         """
         if not self.is_ideal():

@@ -364,7 +364,7 @@ def test_block_composition_equals_dense_composition(seed, d, n):
         s_ref, c_ref = _dense_then(s_ref, c_ref, sg, cg, d)
     assert amap.S.mat.tolist() == s_ref.tolist()
     assert list(amap.c) == c_ref
-    # the whole list at once, on one working copy, gives the same map
+    # the whole list through then_ops gives the same map
     cut = int(rng.integers(0, len(ops) + 1))
     head = AffineMap.identity(p).then_ops(ops[:cut])
     head_s, head_c = head.S.mat.tolist(), head.c
@@ -372,6 +372,17 @@ def test_block_composition_equals_dense_composition(seed, d, n):
     assert batched.S.mat.tolist() == s_ref.tolist()
     assert list(batched.c) == c_ref
     assert head.S.mat.tolist() == head_s and head.c == head_c  # left as it was
+
+
+def test_maps_from_then_ops_are_left_alone_by_later_ops():
+    # then_ops updates S in place on its own working copy; the map it
+    # returns is frozen like any other
+    p = CodeParams(3, 2)
+    m = AffineMap.identity(p).then_ops([("gate", Gate.fourier(0))])
+    s, c = m.S.mat.tolist(), m.c
+    m.then(Gate("SUM", (0, 1)))
+    m.then_ops([("gate", Gate("CZ", (0, 1))), ("displace", [1, 0, 0, 0])])
+    assert not m.working and m.S.mat.tolist() == s and m.c == c
 
 
 def test_gate_words_never_build_a_dense_generator(monkeypatch):

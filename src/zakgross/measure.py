@@ -11,8 +11,8 @@ bin indices for sample mode and for the estimator. It pushes ideal columns
 exactly, mod 2d in units of ell/2, and the rest in float; bin_of_position,
 floor(x K / period + EDGE_TOL) mod K, bins the total, exactly on every
 half-lattice point. The exact all-ideal table lists the joint lattice
-support only when r, the number of measured modes, is close to n, so that
-it has few points; otherwise the measured rows of S^-1 reduced mod d push
+support only when r, the number of measured modes, is close to n and n is
+small, so that it has few points; otherwise the measured rows of S^-1 reduced mod d push
 each factor's d x d weights onto Z_d^r, where the law of the measured
 positions is the convolution of those pushes, and each point of Z_d^r is
 binned by the same offset split and rule as the binner's draws.
@@ -38,6 +38,10 @@ EDGE_TOL = 1e-9  # bin units: a float position this close below an edge is on it
 # share of a sampled table's statistical error that rounding in the float
 # push may add; sample mode and the estimator set the binner's budget from it
 SLIP_SHARE = 0.01
+# listed support points that cost about as much as one roll of the exact
+# table's Z_d^r convolution: numpy's per-call cost against its per-element
+# one, timed over d in {3, 5, 7, 9} and n - r in 0..4 (BENCH_19.json)
+ROLL_POINTS = 50
 
 
 class ImprecisePush(RuntimeError):
@@ -150,8 +154,8 @@ def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
 def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
     """Exact outcome table, shape (K,) * m, summing to 1.
 
-    Dispatches to the convolution on Z_d^r (or, when r is close to n, the
-    lattice support) for all-ideal states and to
+    Dispatches to the convolution on Z_d^r (or, when r is close to n and n
+    is small, the lattice support) for all-ideal states and to
     per-mode marginals for displacement-only circuits on product inputs.
     """
     if state.is_ideal():
@@ -162,23 +166,26 @@ def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray
 def exact_probabilities_ideal(
     state: WignerState, spec: MeasurementSpec
 ) -> np.ndarray:
-    """Outcome table of an all-ideal state, by the cheaper of two exact sums.
+    """Outcome table of an all-ideal state, by the faster of two exact sums.
 
-    The convolution on Z_d^r (_convolution_terms) touches s_i d^r cells per
-    factor i in the light cone of the measured modes, s_i its support size;
-    listing the joint lattice support (_support_terms) touches prod_i s_i
-    points. The convolution wins by far once n exceeds r by a few modes
-    (n = 10, r = 3, d = 3: 810 cells against 59049 points), the listing
-    when r is close to n (n = r = 3: 27 points against 243 cells).
+    The convolution on Z_d^r (_convolution_terms) makes one roll of a
+    (d,)*r array per support point of each factor in the light cone of the
+    measured modes, sum_i s_i rolls; listing the joint lattice support
+    (_support_terms) bins prod_i s_i points. A roll costs about as much as
+    ROLL_POINTS listed points, so the support is listed only when it has
+    at most ROLL_POINTS points per roll: r close to n and few modes in all
+    (n = r = 3, d = 3: 27 points against 9 rolls). Otherwise the
+    convolution wins by far (n = 10, r = 3, d = 3: 59049 points against 30
+    rolls).
     """
     _check_spec(state, spec)
     if not state.is_ideal():
         raise ValueError("the exact ideal table requires all-ideal factors")
-    d, n = state.params.d, state.params.n
+    n = state.params.n
     rows = _measured_rows_mod_d(state, spec)
     sizes = [int(np.count_nonzero(f.table)) for f in state.factors]
-    cells = sum(s for i, s in enumerate(sizes) if rows[:, [i, n + i]].any()) * d ** len(rows)
-    if math.prod(sizes) <= cells:
+    rolls = sum(s for i, s in enumerate(sizes) if rows[:, [i, n + i]].any())
+    if math.prod(sizes) <= ROLL_POINTS * rolls:
         return _table(spec, *_support_terms(state, spec))
     return _table(spec, *_convolution_terms(state, spec, rows))
 

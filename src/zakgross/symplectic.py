@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +195,8 @@ def _op_args(op, params: CodeParams) -> tuple:
     if kind == "gate":
         return _gate_args(val, params)
     if kind == "symplectic":
+        if val.n != params.n:
+            raise ValueError(f"matrix acts on {val.n} modes, state has {params.n}")
         return val, None, None
     if kind != "displace":
         raise ValueError(f"unknown op kind {kind!r}")
@@ -232,9 +234,6 @@ class AffineMap:
     S: IntSymplectic
     c: tuple
     params: CodeParams
-    # True only for the maps inside then_ops, which own their S: then_affine
-    # updates it in place instead of copying it
-    working: bool = field(default=False, compare=False, repr=False)
 
     @classmethod
     def identity(cls, params: CodeParams) -> "AffineMap":
@@ -244,14 +243,14 @@ class AffineMap:
         """Compose with a list of ops, each ("gate", Gate), ("symplectic",
         IntSymplectic) or ("displace", c in units of ell, any reals).
 
-        Each op is one then_affine call, on a working map that owns one
+        Each op is one then_affine call, on a _WorkingMap that owns one
         private copy of S made here, so no op copies S again and a gate
         costs O(n). This map is left as it is.
         """
-        amap = replace(self, S=_trusted(self.S.mat.copy()), working=True)
+        amap = _WorkingMap(_trusted(self.S.mat.copy()), self.c, self.params)
         for op in ops:
             amap = amap.then_affine(*_op_args(op, self.params))
-        return replace(amap, working=False)
+        return AffineMap(amap.S, amap.c, self.params)
 
     def then(self, gate: Gate) -> "AffineMap":
         return self.then_affine(*_gate_args(gate, self.params))
@@ -275,7 +274,7 @@ class AffineMap:
         The op's whole matrix is the identity off coords, so this is plain
         affine composition with it; a full-size sg is an explicit matrix.
         A generator block's inverse and shift come from ACTIONS. S is
-        copied first unless this is a working map of then_ops.
+        copied first unless this is a _WorkingMap of then_ops.
         """
         action = None if sg is None else (ACTIONS.get(id(sg)) or _action(sg))
         return _compose(self, coords, action, None if cg is None else _offset(cg))
@@ -316,7 +315,7 @@ def _compose(amap: AffineMap, coords, action, offset) -> AffineMap:
     """amap followed by one op: an action (B, B^{-1}, Omega^{-1} t_bar(B))
     and an offset (integer numerators, denominator) on coords (None: all 2n).
 
-    S[:, coords] <- S[:, coords] B, in place on a working map's S and on a
+    S[:, coords] <- S[:, coords] B, in place on a _WorkingMap's S and on a
     copy of any other (S itself is shared when there is no action), and
     c[coords] <- B^{-1} c[coords] + (d/2) Omega^{-1} t_bar(B) + offset, in
     integer numerators over one denominator; only the entries of c on
@@ -331,7 +330,7 @@ def _compose(amap: AffineMap, coords, action, offset) -> AffineMap:
     mat = amap.S.mat
     if action is not None:
         block, inv, shift = action
-        if not amap.working:
+        if not isinstance(amap, _WorkingMap):
             mat = mat.copy()
         mat[:, coords] = mat[:, coords] @ block
         half = den // 2 * params.d
@@ -342,7 +341,13 @@ def _compose(amap: AffineMap, coords, action, offset) -> AffineMap:
     c = list(amap.c)
     for i, v in zip(coords, num):
         c[i] = Fraction(v, den)
-    return AffineMap(_trusted(mat), tuple(c), params, amap.working)
+    return type(amap)(_trusted(mat), tuple(c), params)
+
+
+class _WorkingMap(AffineMap):
+    """A map inside AffineMap.then_ops, the sole owner of its S: then_affine
+    updates that S in place and returns another _WorkingMap on it. then_ops
+    returns a plain AffineMap, so none of these leaves it."""
 
 
 def word_symplectic(gates, params: CodeParams) -> IntSymplectic:

@@ -6,7 +6,7 @@ only update the affine map, exactly, a whole op list on one working copy
 data. Evaluation pulls points back through the map; sampling draws input
 points, which measure.binner pushes forward, and the exact all-ideal table
 pushes each factor's weights onto the measured rows alone, or lists the
-joint lattice support when that has fewer points
+joint lattice support when that is faster, for a few modes
 (measure.exact_probabilities_ideal). The total negativity is a product over
 factors and is manifestly invariant under gates, since the map drops out of
 any integral over a full cell.
@@ -209,10 +209,6 @@ class WignerState:
         offsets through their tagged constructors instead).
         """
         sg = s_mat if isinstance(s_mat, IntSymplectic) else IntSymplectic(s_mat)
-        if sg.n != self.params.n:
-            raise ValueError(
-                f"matrix acts on {sg.n} modes, state has {self.params.n}"
-            )
         return self.apply_ops([("symplectic", sg)])
 
     # -- queries --
@@ -255,9 +251,9 @@ class WignerState:
 
         Returns (m2 (N, 2n) ints in ell/2 units, weights (N,) signed,
         summing to 1). Zero-weight points are dropped. N grows as d^n, so
-        the exact ideal table lists it only when it has fewer points than
-        the convolution on Z_d^r has cells; it is also the enumeration that
-        table is checked against.
+        the exact ideal table lists it only when it has at most
+        measure.ROLL_POINTS points per roll of the convolution on Z_d^r; it
+        is also the enumeration that table is checked against.
         """
         if not self.is_ideal():
             raise ValueError("lattice support requires all-ideal factors")

@@ -140,26 +140,6 @@ def test_exact_table_equals_the_binned_lattice_support(seed, d):
     assert np.max(np.abs(by_convolution.ravel() - want)) <= 1e-12
 
 
-def test_exact_table_lists_the_support_only_when_it_has_fewer_points(monkeypatch):
-    listed = []
-    original = measure.WignerState.lattice_support
-
-    def counted(self):
-        listed.append(self.params.n)
-        return original(self)
-
-    monkeypatch.setattr(measure.WignerState, "lattice_support", counted)
-    word = random_word(np.random.default_rng(3), 6, 40)
-    wide = ideal_input(CodeParams(3, 6), [0] * 6).apply_word(word)
-    # 3^6 = 729 support points against 6 * 3 * 3 = 54 cells of Z_3
-    exact_probabilities_ideal(wide, MeasurementSpec((2,), 3))
-    assert listed == []
-    narrow = ideal_input(CodeParams(3, 2), [0, 1]).apply_gate(Gate.fourier(0))
-    # 3^2 = 9 support points against 2 * 3 * 3^2 = 54 cells of Z_3^2
-    exact_probabilities_ideal(narrow, MeasurementSpec((0, 1), 3))
-    assert listed == [2]
-
-
 def test_povm_indicator_single_bin_always_one():
     params = CodeParams(3, 2)
     spec = MeasurementSpec((0, 1), 1)

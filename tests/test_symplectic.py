@@ -382,7 +382,7 @@ def test_maps_from_then_ops_are_left_alone_by_later_ops():
     s, c = m.S.mat.tolist(), m.c
     m.then(Gate("SUM", (0, 1)))
     m.then_ops([("gate", Gate("CZ", (0, 1))), ("displace", [1, 0, 0, 0])])
-    assert not m.working and m.S.mat.tolist() == s and m.c == c
+    assert type(m) is AffineMap and m.S.mat.tolist() == s and m.c == c
 
 
 def test_gate_words_never_build_a_dense_generator(monkeypatch):
@@ -418,6 +418,19 @@ def test_then_displacement_validates_length():
         AffineMap.identity(p).then_displacement([1, 2, 3])
     with pytest.raises(ValueError, match="unknown op kind"):
         AffineMap.identity(p).then_ops([("shift", [1, 0])])
+
+
+def test_then_ops_validates_the_size_of_an_explicit_matrix():
+    from zakgross.wigner import ideal_input
+
+    one = _shear(1, [1])
+    with pytest.raises(ValueError, match="matrix acts on 1 modes, state has 2"):
+        AffineMap.identity(CodeParams(3, 2)).then_ops([("symplectic", one)])
+    state = ideal_input(CodeParams(3, 2), [0, 1])
+    for apply in (lambda: state.apply_ops([("symplectic", one)]),
+                  lambda: state.apply_symplectic(one.mat)):
+        with pytest.raises(ValueError, match="matrix acts on 1 modes, state has 2"):
+            apply()
 
 
 # ---- decomposition ---------------------------------------------------------------

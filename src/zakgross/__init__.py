@@ -3,7 +3,7 @@
 from .circuit_io import CircuitSpec, SchemaError, parse_circuit, run
 from .estimator import EstimateReport, InfeasiblePlan, estimate, sample_count
 from .measure import MeasurementSpec, exact_probabilities, exact_probabilities_ideal
-from .qudit import CodeParams, Gate, QuditVec
+from .qudit import CodeParams, Gate
 from .symplectic import AffineMap, IntSymplectic, NotSymplectic, decompose
 from .theta import CodeState
 from .wigner import WignerState, ideal_input, realistic_input, sample_abs
@@ -19,7 +19,6 @@ __all__ = [
     "IntSymplectic",
     "MeasurementSpec",
     "NotSymplectic",
-    "QuditVec",
     "SchemaError",
     "WignerState",
     "decompose",

@@ -57,7 +57,7 @@ class SchemaError(ValueError):
 class CircuitSpec:
     params: CodeParams
     inputs: tuple  # one IdealFactor or RealisticFactor per mode
-    ops: tuple  # ("gate", Gate) | ("symplectic", IntSymplectic) | ("displace", tuple)
+    ops: tuple  # each a Gate, an IntSymplectic or a displacement tuple of 2n reals
     measurement: MeasurementSpec
     estimator: dict | None
 
@@ -230,7 +230,7 @@ def _parse_ops(raw, params, err):
                 err(f"{path}.modes", f"mode indices must lie in [0, {n})")
                 continue
             try:
-                out.append(("gate", Gate(tag, tuple(modes))))
+                out.append(Gate(tag, tuple(modes)))
             except ValueError as exc:
                 err(path, str(exc))
         elif tag == "symplectic":
@@ -242,7 +242,7 @@ def _parse_ops(raw, params, err):
                 arr = np.array(mat, dtype=object)
                 if arr.shape != (2 * n, 2 * n):
                     raise ValueError(f"shape {arr.shape}, expected {(2*n, 2*n)}")
-                out.append(("symplectic", IntSymplectic(arr)))
+                out.append(IntSymplectic(arr))
             except ValueError as exc:
                 err(f"{path}.matrix", str(exc))
         elif tag == "displace":
@@ -254,7 +254,7 @@ def _parse_ops(raw, params, err):
             ):
                 err(f"{path}.c", f"must be a list of 2n = {2*n} numbers")
                 continue
-            out.append(("displace", tuple(c)))
+            out.append(tuple(c))
         else:
             err(f"{path}.gate", f"unknown gate tag {tag!r}")
     return out

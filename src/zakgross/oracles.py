@@ -471,7 +471,7 @@ def check_gottesman_knill(rng, ds, ns, circuits: int):
                 measured = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
 
                 state = ideal_input(params, inputs)
-                state = state.apply_word(word).apply_displacement(disp.tolist())
+                state = state.apply_ops([*word, disp.tolist()])
                 spec = MeasurementSpec(measured, d)
                 got = exact_probabilities_ideal(state, spec)
 
@@ -555,7 +555,7 @@ def calibration(n_seeds: int, epsilon: float, delta_fail: float, threads: int = 
     params = CodeParams(d=d, n=n)
     word = [Gate("F", (0,)), Gate("SUM", (0, 1)), Gate("P", (1,)), Gate("Z", (0,))]
     disp = [0, 1, 2, 0]
-    state = ideal_input(params, [1, 0]).apply_word(word).apply_displacement(disp)
+    state = ideal_input(params, [1, 0]).apply_ops([*word, disp])
     spec = MeasurementSpec((0, 1), d)
     oracle_gates = list(word) + [Gate("Z", (0,))] * disp[2] + [Gate("X", (1,))] * disp[1]
     exact = clifford_oracle_probabilities(params, [1, 0], oracle_gates, (0, 1))
@@ -618,7 +618,7 @@ def check_realistic_sampler(deltas, epsilon: float, delta_fail: float, seed: int
     worst = 0.0
     for delta in deltas:
         state = realistic_input(params, [CodeState.phase_state(d, delta)])
-        state = state.apply_displacement([0.3, 0.0])
+        state = state.apply_ops([[0.3, 0.0]])
         got = est_mod.estimate(state, spec, epsilon, delta_fail, seed=seed).probabilities
         worst = max(worst, float(np.abs(got - quadrature_probabilities(state, spec)).max()))
     return worst <= epsilon, (

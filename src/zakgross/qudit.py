@@ -52,10 +52,12 @@ class CodeParams:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 3 or self.d % 2 == 0:
-            raise ValueError(f"d must be an odd integer >= 3, got {self.d}")
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        if not is_integer(self.d) or self.d < 3 or self.d % 2 == 0:
+            raise ValueError(f"d must be an odd integer >= 3, got {self.d!r}")
+        if not is_integer(self.n) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def ell(self) -> float:
@@ -80,44 +82,6 @@ class CodeParams:
 
 
 @dataclass(frozen=True)
-class QuditVec:
-    """Integer displacement exponent (a_X; a_Z) with entries in Z_d."""
-
-    ax: tuple
-    az: tuple
-
-    @classmethod
-    def from_vec(cls, params: CodeParams, vec) -> "QuditVec":
-        v = np.asarray(vec, dtype=int).ravel()
-        if v.size != 2 * params.n:
-            raise ValueError(
-                f"expected a length-{2 * params.n} integer vector, got {v.size}"
-            )
-        v = np.mod(v, params.d)
-        n = params.n
-        return cls(ax=tuple(int(x) for x in v[:n]), az=tuple(int(x) for x in v[n:]))
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array(self.ax + self.az, dtype=int)
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """A d^n x d^n complex matrix tied to its CodeParams."""
-
-    matrix: np.ndarray
-    params: CodeParams
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.shape != (self.params.dim, self.params.dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match d^n = {self.params.dim}"
-            )
-
-
-@dataclass(frozen=True)
 class Gate:
     """A Clifford gate tag: name plus the modes it touches.
 
@@ -136,38 +100,14 @@ class Gate:
             raise ValueError(f"{self.name} takes {want} mode(s), got {self.modes}")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"{self.name} modes must be distinct, got {self.modes}")
-        if any((not isinstance(m, int)) or m < 0 for m in self.modes):
+        if any(not is_integer(m) or m < 0 for m in self.modes):
             raise ValueError(f"modes must be non-negative integers, got {self.modes}")
+        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
 
     def inverse(self) -> "Gate":
         if self.name in ("X", "Z"):
             raise ValueError("X/Z gate tags have no tag-level inverse; repeat d-1 times")
         return Gate(_INVERSE[self.name], self.modes)
-
-    # convenience constructors
-    @staticmethod
-    def fourier(i: int) -> "Gate":
-        return Gate("F", (i,))
-
-    @staticmethod
-    def phase(i: int) -> "Gate":
-        return Gate("P", (i,))
-
-    @staticmethod
-    def sum_(control: int, target: int) -> "Gate":
-        return Gate("SUM", (control, target))
-
-    @staticmethod
-    def cz(i: int, j: int) -> "Gate":
-        return Gate("CZ", (i, j))
-
-    @staticmethod
-    def x(i: int) -> "Gate":
-        return Gate("X", (i,))
-
-    @staticmethod
-    def z(i: int) -> "Gate":
-        return Gate("Z", (i,))
 
 
 def _check_cap(params: CodeParams):
@@ -215,23 +155,29 @@ def phase_matrix(d: int) -> np.ndarray:
 
 # ---- displacement and phase point operators ---------------------------------
 
-def pauli_displacement(params: CodeParams, a) -> DenseOperator:
+def _exponent(params: CodeParams, vec) -> tuple:
+    """An integer 2n-vector, reduced mod d, as its halves (a_X, a_Z)."""
+    v = np.mod(np.asarray(vec, dtype=int).ravel(), params.d)
+    if v.size != 2 * params.n:
+        raise ValueError(f"expected a length-{2 * params.n} integer vector, got {v.size}")
+    return v[:params.n], v[params.n:]
+
+
+def pauli_displacement(params: CodeParams, a) -> np.ndarray:
     """T(a) = omega^{2^{-1} a_X . a_Z} X^{a_X} Z^{a_Z} over n modes."""
     _check_cap(params)
-    if not isinstance(a, QuditVec):
-        a = QuditVec.from_vec(params, a)
-    d, n = params.d, params.n
+    ax, az = _exponent(params, a)
+    d = params.d
     xm = x_matrix(d)
     zm = z_matrix(d)
     op = np.ones((1, 1), dtype=complex)
-    for i in range(n):
-        factor = np.linalg.matrix_power(xm, a.ax[i]) @ np.linalg.matrix_power(zm, a.az[i])
-        op = np.kron(op, factor)
-    phase = params.omega ** ((params.two_inv * int(np.dot(a.ax, a.az))) % d)
-    return DenseOperator(phase * op, params)
+    for x, z in zip(ax, az):
+        op = np.kron(op, np.linalg.matrix_power(xm, x) @ np.linalg.matrix_power(zm, z))
+    phase = params.omega ** ((params.two_inv * int(ax @ az)) % d)
+    return phase * op
 
 
-def gross_phase_point(params: CodeParams, t) -> DenseOperator:
+def gross_phase_point(params: CodeParams, t) -> np.ndarray:
     """Discrete phase point operator A(t) = d^{-n} sum_a T(a) omega^{-[t,a]}.
 
     Computed in closed form: A(t)[m, k] = delta(2^{-1}(m+k) = t_X) omega^{t_Z.(m-k)},
@@ -239,19 +185,15 @@ def gross_phase_point(params: CodeParams, t) -> DenseOperator:
     The definitional lattice sum is exercised against this in the tests.
     """
     _check_cap(params)
-    if not isinstance(t, QuditVec):
-        t = QuditVec.from_vec(params, t)
+    tx, tz = _exponent(params, t)
     d, n = params.d, params.n
-    dim = params.dim
-    digits = _index_digits(d, n)  # shape (dim, n)
-    tx = np.array(t.ax)
-    tz = np.array(t.az)
+    digits = _index_digits(d, n)  # shape (d^n, n)
     m = digits[:, None, :]   # row index digits
     k = digits[None, :, :]   # column index digits
     cond = np.all((params.two_inv * (m + k) - tx) % d == 0, axis=2)
     expo = np.tensordot((m - k) % d, tz, axes=([2], [0])) % d
     mat = np.where(cond, np.power(params.omega, expo), 0.0)
-    return DenseOperator(mat.astype(complex), params)
+    return mat.astype(complex)
 
 
 def _index_digits(d: int, n: int) -> np.ndarray:
@@ -266,9 +208,9 @@ def _index_digits(d: int, n: int) -> np.ndarray:
 
 def gross_wigner(params: CodeParams, rho, t) -> float:
     """Discrete Wigner value Tr(A(t) rho) of a unit-trace Hermitian rho."""
-    mat = rho.matrix if isinstance(rho, DenseOperator) else np.asarray(rho, dtype=complex)
+    mat = np.asarray(rho, dtype=complex)
     _validate_density(params, mat)
-    val = complex(np.trace(gross_phase_point(params, t).matrix @ mat))
+    val = complex(np.trace(gross_phase_point(params, t) @ mat))
     return _drop_imag(val)
 
 
@@ -277,7 +219,7 @@ def gross_wigner_table(params: CodeParams, rho) -> np.ndarray:
 
     Sums to d^n * Tr(rho) in the convention used throughout this package.
     """
-    mat = rho.matrix if isinstance(rho, DenseOperator) else np.asarray(rho, dtype=complex)
+    mat = np.asarray(rho, dtype=complex)
     _validate_density(params, mat)
     d, n = params.d, params.n
     shape = (d,) * (2 * n)
@@ -285,7 +227,7 @@ def gross_wigner_table(params: CodeParams, rho) -> np.ndarray:
     for flat in range(d ** (2 * n)):
         t = np.unravel_index(flat, shape)
         vec = np.array(t, dtype=int)
-        val = complex(np.trace(gross_phase_point(params, vec).matrix @ mat))
+        val = complex(np.trace(gross_phase_point(params, vec) @ mat))
         table[t] = _drop_imag(val)
     return table
 

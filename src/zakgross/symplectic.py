@@ -7,7 +7,9 @@ Python-int object arrays, exact at any magnitude. A matrix is checked once,
 where it enters through the IntSymplectic constructor; all others are
 symplectic by construction and are not checked again.
 
-Each generator tag is written once, in BLOCKS: the small integer block it
+An op is a plain value, told apart by type: a Gate, an IntSymplectic on
+all n modes, or 2n finite reals (a displacement in units of ell). Each
+generator tag is written once, in BLOCKS: the small integer block it
 applies on the coordinates (x_i.., z_i..) of the modes it touches, with its
 inverse and covariance shift computed once beside it, in ACTIONS. Every op
 is a block on some coordinates (an explicit matrix on all of them, a
@@ -23,6 +25,7 @@ t(S) and the exponent parity identity are references in oracles.py.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,10 +161,8 @@ def _action(block: IntSymplectic) -> tuple:
     return block.mat, block.inverse().mat.tolist(), [-v for v in tb[k:]] + tb[:k]
 
 
-# each block's action, computed once and found by the block object itself
-# (BLOCKS holds every block for the life of the module, so no other object
-# can come to share its id)
-ACTIONS = {id(b): _action(b) for b in BLOCKS.values() if b is not None}
+# each tag's action, computed once
+ACTIONS = {name: _action(b) for name, b in BLOCKS.items() if b is not None}
 
 
 def _coords(modes, n: int) -> list:
@@ -170,9 +171,9 @@ def _coords(modes, n: int) -> list:
 
 
 def _gate_args(gate: Gate, params: CodeParams) -> tuple:
-    """then_affine's (sg, cg, coords) for a gate tag: its block (None for X
-    and Z), its own offset in units of ell (None if zero; half-integer for P
-    and P_inv) and the coordinates of the modes it touches."""
+    """A gate tag's block (None for X and Z), its own offset in units of ell
+    (None if zero; half-integer for P and P_inv) and the coordinates of the
+    modes it touches."""
     n = params.n
     if max(gate.modes) >= n:
         raise ValueError(f"gate {gate} touches mode >= n={n}")
@@ -189,21 +190,26 @@ def _offset(c) -> tuple:
 
 
 def _op_args(op, params: CodeParams) -> tuple:
-    """then_affine's (sg, cg, coords) for one op ("gate", Gate),
-    ("symplectic", IntSymplectic) or ("displace", c)."""
-    kind, val = op
-    if kind == "gate":
-        return _gate_args(val, params)
-    if kind == "symplectic":
-        if val.n != params.n:
-            raise ValueError(f"matrix acts on {val.n} modes, state has {params.n}")
-        return val, None, None
-    if kind != "displace":
-        raise ValueError(f"unknown op kind {kind!r}")
-    c = [x.item() if hasattr(x, "item") else x for x in np.asarray(val).ravel()]
+    """_compose's (coords, action, offset) for one op: a Gate, an
+    IntSymplectic on all n modes, or a displacement of 2n finite reals in
+    units of ell. Anything else raises ValueError."""
+    if isinstance(op, Gate):
+        _, own, coords = _gate_args(op, params)
+        return coords, ACTIONS.get(op.name), None if own is None else _offset(own)
+    if isinstance(op, IntSymplectic):
+        if op.n != params.n:
+            raise ValueError(f"matrix acts on {op.n} modes, state has {params.n}")
+        return None, _action(op), None
+    if not hasattr(op, "__iter__"):
+        raise ValueError(f"an op is a Gate, an IntSymplectic or 2n reals, got {op!r}")
+    c = [x.item() if isinstance(x, np.generic) else x for x in op]
     if len(c) != 2 * params.n:
         raise ValueError(f"displacement needs length {2 * params.n}, got {len(c)}")
-    return None, c, None
+    for i, x in enumerate(c):
+        finite = isinstance(x, numbers.Rational) or isinstance(x, numbers.Real) and math.isfinite(x)
+        if isinstance(x, bool) or not finite:
+            raise ValueError(f"displacement entry {i} is {x!r}, not a finite real")
+    return None, None, _offset(c)
 
 
 def generator_symplectic(gate: Gate, params: CodeParams):
@@ -240,8 +246,7 @@ class AffineMap:
         return cls(IntSymplectic.identity(params.n), tuple([Fraction(0)] * (2 * params.n)), params)
 
     def then_ops(self, ops) -> "AffineMap":
-        """Compose with a list of ops, each ("gate", Gate), ("symplectic",
-        IntSymplectic) or ("displace", c in units of ell, any reals).
+        """Compose with a list of ops (see then_affine), first to last.
 
         Each op is one then_affine call, on a _WorkingMap that owns one
         private copy of S made here, so no op copies S again and a gate
@@ -249,35 +254,25 @@ class AffineMap:
         """
         amap = _WorkingMap(_trusted(self.S.mat.copy()), self.c, self.params)
         for op in ops:
-            amap = amap.then_affine(*_op_args(op, self.params))
+            amap = amap.then_affine(op)
         return AffineMap(amap.S, amap.c, self.params)
 
-    def then(self, gate: Gate) -> "AffineMap":
-        return self.then_affine(*_gate_args(gate, self.params))
+    def then_affine(self, op) -> "AffineMap":
+        """Compose with one op: a Gate, an IntSymplectic on all n modes, or
+        a displacement by 2n reals in units of ell.
 
-    def then_displacement(self, c_vec) -> "AffineMap":
-        """Append a displacement by c in units of ell.
-
-        c entries may be any reals (held exactly as binary fractions);
-        integer entries keep the lattice paths available, non-integers
-        restrict the state to float evaluation and sampling.
-        """
-        return self.then_ops([("displace", c_vec)])
-
-    def then_affine(self, sg, cg, coords=None) -> "AffineMap":
-        """Compose with a further op: block sg (None for a pure displacement)
-        and own offset cg (None for none) on the coordinates coords
-        (default: all 2n).
-
-        S[:, coords] -> S[:, coords] sg,
-        c[coords] -> sg^{-1} c[coords] + (d/2) Omega^{-1} t_bar(sg) + cg.
+        An op is a block B on some coordinates (a gate's 2x2 or 4x4 block
+        on its modes, a matrix on all 2n, a displacement none) plus its own
+        offset b: S[:, coords] -> S[:, coords] B and
+        c[coords] -> B^{-1} c[coords] + (d/2) Omega^{-1} t_bar(B) + b.
         The op's whole matrix is the identity off coords, so this is plain
-        affine composition with it; a full-size sg is an explicit matrix.
-        A generator block's inverse and shift come from ACTIONS. S is
-        copied first unless this is a _WorkingMap of then_ops.
+        affine composition with it. A generator block's inverse and shift
+        come from ACTIONS. Displacement entries are held exactly as binary
+        fractions; integer ones keep the lattice paths available, others
+        restrict the state to float evaluation and sampling. S is copied
+        first unless this is a _WorkingMap of then_ops.
         """
-        action = None if sg is None else (ACTIONS.get(id(sg)) or _action(sg))
-        return _compose(self, coords, action, None if cg is None else _offset(cg))
+        return _compose(self, *_op_args(op, self.params))
 
     # -- evaluation and transport helpers --
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qudit import CodeParams, Gate, gross_wigner_table, logical_index
-from .symplectic import AffineMap, IntSymplectic
+from .qudit import CodeParams, gross_wigner_table, logical_index
+from .symplectic import AffineMap
 from .theta import (
     CodeState,
     abs_envelope,
@@ -187,29 +187,11 @@ class WignerState:
     # -- circuit action --
 
     def apply_ops(self, ops) -> "WignerState":
-        """Apply a list of ops ("gate", Gate), ("symplectic", IntSymplectic)
-        or ("displace", c), composed on one working copy of the map
-        (AffineMap.then_ops); this state's map is left as it is."""
+        """Apply a list of ops, each a Gate, an IntSymplectic or a
+        displacement by 2n reals in units of ell, composed on one working
+        copy of the map (AffineMap.then_ops); this state's map is left as
+        it is."""
         return replace(self, amap=self.amap.then_ops(ops))
-
-    def apply_gate(self, gate: Gate) -> "WignerState":
-        return self.apply_ops([("gate", gate)])
-
-    def apply_word(self, gates) -> "WignerState":
-        return self.apply_ops([("gate", g) for g in gates])
-
-    def apply_displacement(self, c_vec) -> "WignerState":
-        return self.apply_ops([("displace", c_vec)])
-
-    def apply_symplectic(self, s_mat) -> "WignerState":
-        """Apply the Gaussian action of an explicit integer symplectic matrix.
-
-        The matrix's covariance shift is folded into the map's offset; no
-        extra half-lattice offset is added (generator gates carry their own
-        offsets through their tagged constructors instead).
-        """
-        sg = s_mat if isinstance(s_mat, IntSymplectic) else IntSymplectic(s_mat)
-        return self.apply_ops([("symplectic", sg)])
 
     # -- queries --
 

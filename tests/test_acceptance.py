@@ -204,8 +204,8 @@ def test_criterion_7_negativity_multiplicativity_and_invariance():
 
     evolved = state
     for _ in range(3):
-        evolved = evolved.apply_word(random_word(rng, 2, 4, tags=SP_TAGS))
-        evolved = evolved.apply_displacement(rng.integers(-3, 4, size=4).tolist())
+        evolved = evolved.apply_ops([*random_word(rng, 2, 4, tags=SP_TAGS),
+                                     rng.integers(-3, 4, size=4).tolist()])
     invariance_ok = evolved.negativity() == m_joint
 
     ok = product_ok and factor_ok and invariance_ok

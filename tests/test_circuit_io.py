@@ -14,6 +14,7 @@ from zakgross.circuit_io import (
 )
 from zakgross.measure import ImprecisePush, exact_probabilities
 from zakgross.qudit import CodeParams, Gate, clifford_oracle_probabilities
+from zakgross.symplectic import IntSymplectic
 from zakgross.theta import CodeState, TruncationOverflow
 from zakgross.wigner import IdealFactor, RealisticFactor
 
@@ -168,8 +169,8 @@ def test_roundtrip_full_document():
         estimator={"epsilon": 0.05, "delta_fail": 0.1, "seed": 9},
     )
     spec = parse_circuit(text)
-    assert [kind for kind, _ in spec.ops] == ["gate", "gate", "symplectic", "displace"]
-    assert spec.ops[3][1] == (1, 0, 0.5, 2)
+    assert [type(op) for op in spec.ops] == [Gate, Gate, IntSymplectic, tuple]
+    assert spec.ops[3] == (1, 0, 0.5, 2)
     assert spec.measurement.K == 6
     assert spec.estimator == {"epsilon": 0.05, "delta_fail": 0.1, "seed": 9}
 
@@ -184,7 +185,7 @@ def test_run_exact_matches_oracle():
     result = run(parse_circuit(text), "exact")
     params = CodeParams(3, 2)
     oracle = clifford_oracle_probabilities(
-        params, [0, 0], [Gate.fourier(0), Gate.sum_(0, 1)], (0, 1)
+        params, [0, 0], [Gate("F", (0,)), Gate("SUM", (0, 1))], (0, 1)
     )
     assert np.max(np.abs(np.array(result["probabilities"]) - oracle)) < 1e-12
     assert result["mode"] == "exact" and result["format"] == "zakgross-result/1"

@@ -401,7 +401,7 @@ def test_sharp_phase_state_estimate_after_fourier(tmp_path, seed):
     assert main(["run", cpath, "--mode", "estimate", "--out", str(out)]) == 0
     phase = CodeState.phase_state(d, delta)
     dft = np.exp(2j * np.pi * np.outer(range(d), range(d)) / d) / np.sqrt(d) @ np.array(phase.eps)
-    rotated = realistic_input(CodeParams(d, 1), [phase]).apply_gate(Gate("F", (0,)))
+    rotated = realistic_input(CodeParams(d, 1), [phase]).apply_ops([Gate("F", (0,))])
     fourier = realistic_input(CodeParams(d, 1), [CodeState(d, delta, tuple(dft))])
     eta = np.random.default_rng(0).random((2000, 2)) * d * phase.ell
     assert np.allclose(rotated.evaluate(eta), fourier.evaluate(eta), rtol=0, atol=1e-9)

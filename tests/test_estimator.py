@@ -12,8 +12,8 @@ from zakgross.wigner import WignerState, ideal_input, realistic_input, sample_ab
 
 def bell_state():
     params = CodeParams(3, 2)
-    word = [Gate.fourier(0), Gate.sum_(0, 1)]
-    return params, ideal_input(params, [0, 0]).apply_word(word)
+    word = [Gate("F", (0,)), Gate("SUM", (0, 1))]
+    return params, ideal_input(params, [0, 0]).apply_ops(word)
 
 
 def test_plan_reference_count():

@@ -45,3 +45,9 @@ def test_no_assert_statements_in_the_package():
             for f in files for node in ast.walk(ast.parse(f.read_text(), filename=str(f)))
             if isinstance(node, ast.Assert)]
     assert hits == []
+
+
+def test_every_exported_name_exists():
+    import zakgross
+
+    assert [name for name in zakgross.__all__ if not hasattr(zakgross, name)] == []

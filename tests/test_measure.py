@@ -16,6 +16,7 @@ from zakgross.measure import (
     quadrature_probabilities,
 )
 from zakgross.oracles import povm_indicator, random_word, wavefunction_bin_probabilities
+from zakgross.symplectic import IntSymplectic
 from zakgross.theta import CodeState
 from zakgross.wigner import RealisticFactor, ideal_input, realistic_input
 
@@ -72,10 +73,10 @@ def test_binner_is_exact_push_on_lattice_support(seed, d, a):
     shear[j, n + i] += a * (i != j)
     state = (
         ideal_input(params, [int(v) for v in rng.integers(d, size=n)])
-        .apply_word(random_word(rng, n, int(rng.integers(0, 8))))
-        .apply_symplectic(shear)
-        .apply_word(random_word(rng, n, int(rng.integers(0, 8))))
-        .apply_displacement(rng.integers(-4 * d, 4 * d, size=2 * n) / 2)
+        .apply_ops([*random_word(rng, n, int(rng.integers(0, 8))),
+                    IntSymplectic(shear),
+                    *random_word(rng, n, int(rng.integers(0, 8))),
+                    rng.integers(-4 * d, 4 * d, size=2 * n) / 2])
     )
     modes = tuple(int(m) for m in rng.permutation(n)[: int(rng.integers(1, n + 1))])
     spec = MeasurementSpec(modes, int(rng.integers(1, 2 * d + 2)))
@@ -118,10 +119,10 @@ def test_exact_table_equals_the_binned_lattice_support(seed, d):
     disp[int(rng.integers(2 * n))] = 0.3  # off the lattice
     state = (
         ideal_input(params, kets)
-        .apply_word(random_word(rng, n, int(rng.integers(0, 12))))
-        .apply_symplectic(shear)
-        .apply_word(random_word(rng, n, int(rng.integers(0, 12))))
-        .apply_displacement(disp)
+        .apply_ops([*random_word(rng, n, int(rng.integers(0, 12))),
+                    IntSymplectic(shear),
+                    *random_word(rng, n, int(rng.integers(0, 12))),
+                    disp])
     )
     r = int(rng.integers(1, min(n, 3) + 1))  # (2d)^r bins stay small
     modes = tuple(int(m) for m in rng.permutation(n)[:r])
@@ -173,7 +174,7 @@ def test_logical_zero_is_deterministic():
 
 def test_fourier_gives_uniform():
     params = CodeParams(3, 1)
-    st = ideal_input(params, [0]).apply_gate(Gate.fourier(0))
+    st = ideal_input(params, [0]).apply_ops([Gate("F", (0,))])
     p = exact_probabilities_ideal(st, MeasurementSpec((0,), 3))
     assert np.allclose(p, 1 / 3, atol=1e-12)
 
@@ -194,7 +195,7 @@ def test_ideal_matches_dense_oracle_random_words(d):
                 word.append(Gate(t, (i, j)))
             else:
                 word.append(Gate(t, (i,)))
-        st = ideal_input(params, kets).apply_word(word)
+        st = ideal_input(params, kets).apply_ops(word)
         p = exact_probabilities_ideal(st, MeasurementSpec((0, 1), d))
         po = clifford_oracle_probabilities(params, kets, word, (0, 1))
         assert np.max(np.abs(p - po)) < 1e-12
@@ -202,7 +203,7 @@ def test_ideal_matches_dense_oracle_random_words(d):
 
 def test_ideal_with_lattice_displacement():
     params = CodeParams(5, 1)
-    st = ideal_input(params, [2]).apply_displacement([3, 0])  # X^3
+    st = ideal_input(params, [2]).apply_ops([[3, 0]])  # X^3
     p = exact_probabilities_ideal(st, MeasurementSpec((0,), 5))
     want = np.zeros(5)
     want[0] = 1.0  # 2 + 3 = 0 mod 5
@@ -211,7 +212,7 @@ def test_ideal_with_lattice_displacement():
 
 def test_marginalization_matches_single_mode():
     params = CodeParams(3, 2)
-    st2 = ideal_input(params, [1, 2]).apply_gate(Gate.fourier(1))
+    st2 = ideal_input(params, [1, 2]).apply_ops([Gate("F", (1,))])
     p_joint = exact_probabilities_ideal(st2, MeasurementSpec((0, 1), 3))
     p_mode0 = exact_probabilities_ideal(st2, MeasurementSpec((0,), 3))
     assert np.allclose(p_joint.sum(axis=1), p_mode0, atol=1e-12)
@@ -231,8 +232,8 @@ def test_measured_mode_order_sets_axes():
 
 def test_bin_refinement_ideal():
     params = CodeParams(3, 2)
-    word = [Gate.fourier(0), Gate.sum_(0, 1)]
-    st = ideal_input(params, [0, 1]).apply_word(word)
+    word = [Gate("F", (0,)), Gate("SUM", (0, 1))]
+    st = ideal_input(params, [0, 1]).apply_ops(word)
     coarse = exact_probabilities_ideal(st, MeasurementSpec((0,), 3))
     fine = exact_probabilities_ideal(st, MeasurementSpec((0,), 6))
     assert np.max(np.abs(coarse - fine.reshape(3, 2).sum(axis=1))) < 1e-12
@@ -260,7 +261,7 @@ def test_quadrature_with_displacement_matches_shifted_oracle():
     params = CodeParams(3, 1)
     state = CodeState.phase_state(3, 0.35)
     factor = RealisticFactor(state)
-    st = realistic_input(params, [state]).apply_displacement([1, 2])
+    st = realistic_input(params, [state]).apply_ops([[1, 2]])
     q = quadrature_probabilities(st, MeasurementSpec((0,), 6))
     w = wavefunction_bin_probabilities(factor, 6, shift=params.ell)
     assert np.max(np.abs(q - w)) < 1e-8
@@ -294,7 +295,7 @@ def test_dispatch_and_errors():
         exact_probabilities_ideal(ideal, spec),
     )
     # entangling map on realistic input has no exact path
-    entangled = real.apply_gate(Gate.fourier(0))
+    entangled = real.apply_ops([Gate("F", (0,))])
     with pytest.raises(ValueError, match="estimator"):
         exact_probabilities(entangled, spec)
     with pytest.raises(ValueError, match="ideal"):

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from zakgross.qudit import (
     CodeParams,
-    DenseOperator,
     Gate,
-    QuditVec,
     clifford_oracle_probabilities,
     fourier_matrix,
     gross_phase_point,
@@ -47,6 +45,13 @@ def test_params_rejects_even_or_small_d():
         CodeParams(3, 0)
 
 
+def test_params_refuse_a_bool_and_store_ints():
+    with pytest.raises(ValueError, match="n must be a positive integer, got True"):
+        CodeParams(3, True)
+    p = CodeParams(np.int64(5), np.int64(2))
+    assert type(p.d) is int and type(p.n) is int and p == CodeParams(5, 2)
+
+
 def test_x_is_shift_z_is_clock():
     d = 3
     x = x_matrix(d)
@@ -61,15 +66,14 @@ def test_x_is_shift_z_is_clock():
 def test_pauli_displacement_d3_example():
     # for d=3, a=(1,1): T(a) = omega^{2^{-1}} X Z = omega^2 X Z
     p = CodeParams(3, 1)
-    t = pauli_displacement(p, [1, 1]).matrix
+    t = pauli_displacement(p, [1, 1])
     expected = p.omega ** 2 * (x_matrix(3) @ z_matrix(3))
     assert np.allclose(t, expected)
 
 
 def test_pauli_displacement_is_unitary_and_multimode():
     p = CodeParams(5, 2)
-    a = QuditVec.from_vec(p, [1, 4, 2, 3])
-    t = pauli_displacement(p, a).matrix
+    t = pauli_displacement(p, [1, 4, 2, 3])
     assert np.allclose(t @ t.conj().T, np.eye(p.dim))
 
 
@@ -83,9 +87,9 @@ def test_displacement_composition_rule(d, data):
     p = CodeParams(d, 1)
     a = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2))
     b = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2))
-    ta = pauli_displacement(p, a).matrix
-    tb = pauli_displacement(p, b).matrix
-    tab = pauli_displacement(p, np.add(a, b)).matrix
+    ta = pauli_displacement(p, a)
+    tb = pauli_displacement(p, b)
+    tab = pauli_displacement(p, np.add(a, b))
     phase = p.omega ** (p.two_inv * symplectic_product(b, a) % d)
     assert np.allclose(ta @ tb, phase * tab, atol=1e-12)
 
@@ -94,7 +98,7 @@ def test_phase_point_origin_is_parity():
     # A(0) = sum_k |-k><k| for each mode
     for d, n in [(3, 1), (5, 1), (3, 2), (5, 2)]:
         p = CodeParams(d, n)
-        a0 = gross_phase_point(p, [0] * (2 * n)).matrix
+        a0 = gross_phase_point(p, [0] * (2 * n))
         single = np.zeros((d, d))
         for k in range(d):
             single[(-k) % d, k] = 1.0
@@ -112,14 +116,14 @@ def test_phase_point_matches_definitional_sum():
         for ax in range(3):
             for az in range(3):
                 phase = p.omega ** (-symplectic_product(t, [ax, az]) % 3)
-                acc += phase * pauli_displacement(p, [ax, az]).matrix
+                acc += phase * pauli_displacement(p, [ax, az])
         acc /= 3
-        assert np.allclose(acc, gross_phase_point(p, t).matrix, atol=1e-12)
+        assert np.allclose(acc, gross_phase_point(p, t), atol=1e-12)
 
 
 def test_phase_point_eigenvalues_pm1():
     p = CodeParams(5, 1)
-    a = gross_phase_point(p, [2, 3]).matrix
+    a = gross_phase_point(p, [2, 3])
     evals = np.sort(np.linalg.eigvalsh(a))
     # parity has eigenvalue +1 with multiplicity (d+1)/2 and -1 otherwise
     assert np.allclose(evals, [-1, -1, 1, 1, 1], atol=1e-10)
@@ -129,9 +133,9 @@ def test_phase_point_covariance():
     # A(t) = T(t) A(0) T(t)^dagger, checked at d=5, t=(2,3)
     p = CodeParams(5, 1)
     t = [2, 3]
-    tt = pauli_displacement(p, t).matrix
-    lhs = gross_phase_point(p, t).matrix
-    rhs = tt @ gross_phase_point(p, [0, 0]).matrix @ tt.conj().T
+    tt = pauli_displacement(p, t)
+    lhs = gross_phase_point(p, t)
+    rhs = tt @ gross_phase_point(p, [0, 0]) @ tt.conj().T
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -206,8 +210,8 @@ def test_hudson_positivity_for_reachable_stabilizer_states():
                 i = int(rng.integers(0, n))
                 j = int((i + 1 + rng.integers(0, n - 1)) % n)
                 gates.append(
-                    [Gate.fourier(i), Gate.phase(i), Gate.sum_(i, j),
-                     Gate.x(i), Gate.z(i)][kind]
+                    [Gate("F", (i,)), Gate("P", (i,)), Gate("SUM", (i, j)),
+                     Gate("X", (i,)), Gate("Z", (i,))][kind]
                 )
             psi = np.zeros((d,) * n, dtype=complex)
             psi[(0,) * n] = 1.0
@@ -227,14 +231,24 @@ def test_gate_tag_validation():
         Gate("SUM", (1, 1))
     with pytest.raises(ValueError):
         Gate("F", (0, 1))
-    assert Gate.sum_(0, 1).inverse().name == "SUM_inv"
+    assert Gate("SUM", (0, 1)).inverse().name == "SUM_inv"
+
+
+def test_gate_refuses_a_bool_mode():
+    with pytest.raises(ValueError, match="non-negative integers"):
+        Gate("F", (True,))
+
+
+def test_gate_takes_numpy_integer_modes_and_stores_ints():
+    g = Gate("SUM", (np.int64(0), np.int32(1)))
+    assert g == Gate("SUM", (0, 1)) and all(type(m) is int for m in g.modes)
 
 
 def test_oracle_bell_pair():
     # F on mode 0 then SUM(0,1) on |00>: P(outcome (j,j)) = 1/3
     p = CodeParams(3, 2)
     probs = clifford_oracle_probabilities(
-        p, [0, 0], [Gate.fourier(0), Gate.sum_(0, 1)], [0, 1]
+        p, [0, 0], [Gate("F", (0,)), Gate("SUM", (0, 1))], [0, 1]
     )
     expected = np.eye(3) / 3
     assert np.allclose(probs, expected, atol=1e-12)
@@ -244,16 +258,16 @@ def test_oracle_bell_pair():
 def test_oracle_marginalizes_and_orders_modes():
     p = CodeParams(3, 2)
     # SUM(0,1) applied to |1,0> gives |1,1>
-    probs = clifford_oracle_probabilities(p, [1, 0], [Gate.sum_(0, 1)], [1])
+    probs = clifford_oracle_probabilities(p, [1, 0], [Gate("SUM", (0, 1))], [1])
     assert np.allclose(probs, [0, 1, 0])
     # order (1, 0) transposes the joint table
-    joint = clifford_oracle_probabilities(p, [1, 0], [Gate.sum_(0, 1)], [1, 0])
+    joint = clifford_oracle_probabilities(p, [1, 0], [Gate("SUM", (0, 1))], [1, 0])
     assert joint[1, 1] == pytest.approx(1.0)
 
 
 def test_oracle_gate_inverses():
     p = CodeParams(5, 2)
-    word = [Gate.fourier(0), Gate.phase(1), Gate.sum_(0, 1), Gate.cz(0, 1)]
+    word = [Gate("F", (0,)), Gate("P", (1,)), Gate("SUM", (0, 1)), Gate("CZ", (0, 1))]
     gates = word + [g.inverse() for g in reversed(word)]
     probs = clifford_oracle_probabilities(p, [2, 3], gates, [0, 1])
     assert probs[2, 3] == pytest.approx(1.0, abs=1e-12)
@@ -271,7 +285,8 @@ def test_fourier_and_phase_shapes():
     assert np.allclose(np.abs(np.diagonal(ph)), 1.0)
 
 
-def test_dense_operator_shape_check():
+def test_pauli_displacement_checks_its_length():
     p = CodeParams(3, 2)
-    with pytest.raises(ValueError):
-        DenseOperator(np.eye(3), p)
+    with pytest.raises(ValueError, match="length-4 integer vector, got 2"):
+        pauli_displacement(p, [1, 0])
+    assert isinstance(pauli_displacement(p, [1, 0, 0, 2]), np.ndarray)

@@ -107,10 +107,10 @@ def test_unchecked_products_and_inverses_stay_symplectic(seed, n, entries):
     p = CodeParams(3, n)
     amap = AffineMap.identity(p)
     for g in random_word(rng, n, int(rng.integers(0, 12))):
-        amap = amap.then(g)
-    amap = amap.then_affine(_shear(n, entries), tuple([Fraction(0)] * (2 * n)))
+        amap = amap.then_affine(g)
+    amap = amap.then_affine(_shear(n, entries))
     for g in random_word(rng, n, int(rng.integers(0, 12))):
-        amap = amap.then(g)
+        amap = amap.then_affine(g)
     s = amap.S
     assert np.array_equal(IntSymplectic(s.mat).mat, s.mat)
     assert np.array_equal(IntSymplectic(s.inverse().mat).mat, s.inverse().mat)
@@ -128,7 +128,7 @@ def test_internal_maps_skip_the_symplectic_check(monkeypatch):
     monkeypatch.setattr(symplectic, "symplectic_form", refuse)
     p = CodeParams(3, 3)
     word = random_word(np.random.default_rng(8), 3, 40)
-    state = ideal_input(p, [0, 1, 2]).apply_word(word)
+    state = ideal_input(p, [0, 1, 2]).apply_ops(word)
     assert state.amap.S.inverse().n == 3
     bins = binner(state, MeasurementSpec([0, 2], 3))
     assert bins(np.zeros((1, 6))).shape == (1,)
@@ -173,9 +173,9 @@ def test_generator_matches_dense_heisenberg_action(name, modes):
     u = _dense_gate(params, gate)
     for flat in range(d ** 4):
         a = np.unravel_index(flat, (d,) * 4)
-        ta = pauli_displacement(params, a).matrix
+        ta = pauli_displacement(params, a)
         sa = np.mod(np.einsum("ij,j->i", s.mat, np.array(a, dtype=object)).astype(int), d)
-        tsa = pauli_displacement(params, sa).matrix
+        tsa = pauli_displacement(params, sa)
         assert np.allclose(u.conj().T @ ta @ u, tsa, atol=1e-11), (name, a, sa)
 
 
@@ -193,7 +193,7 @@ def test_displacement_tags_commute_with_phase(name):
 
     for ax in range(d):
         for az in range(d):
-            ta = pauli_displacement(params, (ax, az)).matrix
+            ta = pauli_displacement(params, (ax, az))
             phase = params.omega ** (symplectic_product(cv, (ax, az)) % d)
             assert np.allclose(u.conj().T @ ta @ u, phase * ta, atol=1e-12)
 
@@ -210,7 +210,7 @@ def test_shift_example_single_mode_shear():
 
 def test_shift_vanishes_for_fourier():
     p = CodeParams(5, 1)
-    s, _ = generator_symplectic(Gate.fourier(0), p)
+    s, _ = generator_symplectic(Gate("F", (0,)), p)
     assert list(t_bar(s)) == [0, 0]
     assert np.allclose(covariance_shift(s, p), 0.0)
 
@@ -247,7 +247,7 @@ def test_affine_identity_roundtrip():
 def test_affine_single_phase_gate_pushforward():
     # net transport of lattice points under P: (mx, mz) -> (mx, mx + mz)
     p = CodeParams(3, 1)
-    m = AffineMap.identity(p).then(Gate.phase(0))
+    m = AffineMap.identity(p).then_ops([Gate("P", (0,))])
     for mx in range(-2, 3):
         for mz in range(-2, 3):
             m2 = np.array([2 * mx, 2 * mz], dtype=object)  # units of ell/2
@@ -257,7 +257,7 @@ def test_affine_single_phase_gate_pushforward():
 
 def test_affine_x_z_displacements():
     p = CodeParams(3, 1)
-    m = AffineMap.identity(p).then(Gate.x(0)).then(Gate.z(0))
+    m = AffineMap.identity(p).then_ops([Gate("X", (0,)), Gate("Z", (0,))])
     out = m.push_lattice_half(np.array([0, 0], dtype=object), range(2))
     assert list(out) == [2, 2]
 
@@ -266,10 +266,8 @@ def test_affine_pullback_inverts_pushforward():
     p = CodeParams(3, 2)
     rng = np.random.default_rng(11)
     for _ in range(25):
-        word = random_word(rng, 2, 8) + [Gate.x(0), Gate.z(1)]
-        m = AffineMap.identity(p)
-        for g in word:
-            m = m.then(g)
+        word = random_word(rng, 2, 8) + [Gate("X", (0,)), Gate("Z", (1,))]
+        m = AffineMap.identity(p).then_ops(word)
         assert m.is_half_integer()
         m2 = rng.integers(-6, 7, size=(4, 2 * p.n)).astype(object) * 2
         pushed = m.push_lattice_half(m2, range(2 * p.n))
@@ -281,9 +279,7 @@ def test_affine_pullback_inverts_pushforward():
 def test_push_lattice_rows_select_output_coordinates():
     p = CodeParams(5, 3)
     rng = np.random.default_rng(17)
-    m = AffineMap.identity(p)
-    for g in random_word(rng, 3, 10) + [Gate.x(1), Gate.z(2)]:
-        m = m.then(g)
+    m = AffineMap.identity(p).then_ops(random_word(rng, 3, 10) + [Gate("X", (1,)), Gate("Z", (2,))])
     m2 = rng.integers(-6, 7, size=(5, 2 * p.n)).astype(object) * 2
     full = m.push_lattice_half(m2, range(2 * p.n))
     rows = (4, 0, 2)
@@ -296,15 +292,9 @@ def test_affine_composition_matches_sequential_pullback():
     rng = np.random.default_rng(13)
     w1 = random_word(rng, 2, 6)
     w2 = random_word(rng, 2, 6)
-    m1 = AffineMap.identity(p)
-    for g in w1:
-        m1 = m1.then(g)
-    m12 = m1
-    for g in w2:
-        m12 = m12.then(g)
-    m2only = AffineMap.identity(p)
-    for g in w2:
-        m2only = m2only.then(g)
+    m1 = AffineMap.identity(p).then_ops(w1)
+    m12 = m1.then_ops(w2)
+    m2only = AffineMap.identity(p).then_ops(w2)
     eta = rng.normal(size=(9, 4))
     assert np.allclose(m12.pullback(eta), m1.pullback(m2only.pullback(eta)), atol=1e-9)
 
@@ -317,8 +307,7 @@ def test_explicit_op_pullback_matches_covariance_shift(seed, d):
     n = int(rng.integers(1, 4))
     p = CodeParams(d, n)
     s = word_symplectic(random_word(rng, n, int(rng.integers(1, 9))), p)
-    zero = tuple([Fraction(0)] * (2 * n))
-    m = AffineMap.identity(p).then_affine(s, zero)
+    m = AffineMap.identity(p).then_affine(s)
     eta = rng.normal(size=(7, 2 * n))
     t = np.array([float(x) for x in shift_over_ell(s, p)]) * p.ell
     want = eta @ s.as_float().T - t
@@ -340,27 +329,25 @@ def _dense_then(S, c, sg, cg, d):
 def test_block_composition_equals_dense_composition(seed, d, n):
     rng = np.random.default_rng(seed)
     p = CodeParams(d, n)
-    ops = [("gate", g) for g in random_word(rng, n, int(rng.integers(0, 16)), ALL_TAGS + ["X", "Z"])]
+    ops = random_word(rng, n, int(rng.integers(0, 16)), ALL_TAGS + ["X", "Z"])
     entries = [int(v) for v in rng.integers(-4, 5, size=n * (n + 1) // 2)]
-    explicit = (_shear(n, entries).mat @ generator_symplectic(Gate.fourier(0), p)[0].mat).tolist()
-    ops.insert(int(rng.integers(0, len(ops) + 1)), ("symplectic", IntSymplectic(explicit)))
+    explicit = (_shear(n, entries).mat @ generator_symplectic(Gate("F", (0,)), p)[0].mat).tolist()
+    ops.insert(int(rng.integers(0, len(ops) + 1)), IntSymplectic(explicit))
     shift = rng.integers(-9, 10, size=2 * n) / 4  # non-integer in units of ell
-    ops.insert(int(rng.integers(0, len(ops) + 1)), ("displace", shift))
+    ops.insert(int(rng.integers(0, len(ops) + 1)), shift)
     off_grid = np.zeros(2 * n)
     off_grid[int(rng.integers(2 * n))] = 0.3  # a binary fraction of denominator 2^54
-    ops.insert(int(rng.integers(0, len(ops) + 1)), ("displace", off_grid))
+    ops.insert(int(rng.integers(0, len(ops) + 1)), off_grid)
     amap = AffineMap.identity(p)
     s_ref, c_ref = np.eye(2 * n, dtype=int).astype(object), [Fraction(0)] * (2 * n)
-    for kind, val in ops:
-        if kind == "gate":
-            amap = amap.then(val)
-            sg, cg = generator_symplectic(val, p)
-        elif kind == "symplectic":
-            amap = amap.then_affine(val, tuple([Fraction(0)] * (2 * n)))
-            sg, cg = val, [Fraction(0)] * (2 * n)
+    for op in ops:
+        amap = amap.then_affine(op)
+        if isinstance(op, Gate):
+            sg, cg = generator_symplectic(op, p)
+        elif isinstance(op, IntSymplectic):
+            sg, cg = op, [Fraction(0)] * (2 * n)
         else:
-            amap = amap.then_displacement(val)
-            sg, cg = IntSymplectic.identity(n), [Fraction(float(v)) for v in val]
+            sg, cg = IntSymplectic.identity(n), [Fraction(float(v)) for v in op]
         s_ref, c_ref = _dense_then(s_ref, c_ref, sg, cg, d)
     assert amap.S.mat.tolist() == s_ref.tolist()
     assert list(amap.c) == c_ref
@@ -378,10 +365,10 @@ def test_maps_from_then_ops_are_left_alone_by_later_ops():
     # then_ops updates S in place on its own working copy; the map it
     # returns is frozen like any other
     p = CodeParams(3, 2)
-    m = AffineMap.identity(p).then_ops([("gate", Gate.fourier(0))])
+    m = AffineMap.identity(p).then_ops([Gate("F", (0,))])
     s, c = m.S.mat.tolist(), m.c
-    m.then(Gate("SUM", (0, 1)))
-    m.then_ops([("gate", Gate("CZ", (0, 1))), ("displace", [1, 0, 0, 0])])
+    m.then_affine(Gate("SUM", (0, 1)))
+    m.then_ops([Gate("CZ", (0, 1)), [1, 0, 0, 0]])
     assert type(m) is AffineMap and m.S.mat.tolist() == s and m.c == c
 
 
@@ -396,7 +383,7 @@ def test_gate_words_never_build_a_dense_generator(monkeypatch):
     word = random_word(np.random.default_rng(4), 3, 60, ALL_TAGS + ["X", "Z"])
     amap = AffineMap.identity(p)
     for g in word:
-        amap = amap.then(g)
+        amap = amap.then_affine(g)
     s = word_symplectic(word, p)
     assert np.array_equal(amap.S.mat, s.mat)
     assert np.array_equal(word_symplectic(decompose(s), p).mat, s.mat)
@@ -406,7 +393,7 @@ def test_gate_words_never_build_a_dense_generator(monkeypatch):
 
 def test_push_lattice_rejects_non_half_integer_offset():
     p = CodeParams(3, 1)
-    m = AffineMap.identity(p).then_displacement([0.25, 0])
+    m = AffineMap.identity(p).then_ops([[0.25, 0]])
     assert not m.is_half_integer()
     with pytest.raises(NotInteger):
         m.push_lattice_half(np.array([0, 0], dtype=object), range(2))
@@ -414,10 +401,20 @@ def test_push_lattice_rejects_non_half_integer_offset():
 
 def test_then_displacement_validates_length():
     p = CodeParams(3, 1)
-    with pytest.raises(ValueError):
-        AffineMap.identity(p).then_displacement([1, 2, 3])
-    with pytest.raises(ValueError, match="unknown op kind"):
-        AffineMap.identity(p).then_ops([("shift", [1, 0])])
+    with pytest.raises(ValueError, match="needs length 2, got 3"):
+        AffineMap.identity(p).then_ops([[1, 2, 3]])
+
+
+@pytest.mark.parametrize("op,bad", [
+    ([float("inf"), 0], "entry 0 is inf"),
+    ([0, float("nan")], "entry 1 is nan"),
+    ([True, 0], "entry 0 is True"),
+    (["a", "b"], "entry 0 is 'a'"),
+    (("shift", [1, 0]), "entry 0 is 'shift'"),
+])
+def test_a_malformed_displacement_names_its_bad_entry(op, bad):
+    with pytest.raises(ValueError, match=bad):
+        AffineMap.identity(CodeParams(3, 1)).then_ops([op])
 
 
 def test_then_ops_validates_the_size_of_an_explicit_matrix():
@@ -425,12 +422,10 @@ def test_then_ops_validates_the_size_of_an_explicit_matrix():
 
     one = _shear(1, [1])
     with pytest.raises(ValueError, match="matrix acts on 1 modes, state has 2"):
-        AffineMap.identity(CodeParams(3, 2)).then_ops([("symplectic", one)])
+        AffineMap.identity(CodeParams(3, 2)).then_ops([one])
     state = ideal_input(CodeParams(3, 2), [0, 1])
-    for apply in (lambda: state.apply_ops([("symplectic", one)]),
-                  lambda: state.apply_symplectic(one.mat)):
-        with pytest.raises(ValueError, match="matrix acts on 1 modes, state has 2"):
-            apply()
+    with pytest.raises(ValueError, match="matrix acts on 1 modes, state has 2"):
+        state.apply_ops([one])
 
 
 # ---- decomposition ---------------------------------------------------------------

@@ -59,8 +59,8 @@ def test_negativity_product_and_gate_invariance():
     st = WignerState.from_factors(params, [f, g])
     prod = f.negativity() * g.negativity()
     assert st.negativity() == prod
-    word = [Gate.fourier(0), Gate.sum_(0, 1), Gate.phase(1), Gate.cz(0, 1)]
-    evolved = st.apply_word(word).apply_displacement([1, 0, 0, 2])
+    word = [Gate("F", (0,)), Gate("SUM", (0, 1)), Gate("P", (1,)), Gate("CZ", (0, 1))]
+    evolved = st.apply_ops([*word, [1, 0, 0, 2]])
     assert evolved.negativity() == prod  # exact: factors untouched
 
 
@@ -115,7 +115,7 @@ def test_evaluate_pullback_consistency():
     rng = np.random.default_rng(9)
     eta = rng.random((50, 2)) * params.torus_period
     base = st.evaluate(eta)
-    evolved = st.apply_word([Gate.fourier(0), Gate.phase(0)])
+    evolved = st.apply_ops([Gate("F", (0,)), Gate("P", (0,))])
     pushed = evolved.amap.push_float(eta)
     after = evolved.evaluate(pushed)
     scale = np.max(np.abs(base))
@@ -135,25 +135,27 @@ def test_evaluate_ideal_comb_snap():
 
 def test_apply_symplectic_matches_gate_map():
     params = CodeParams(3, 1)
-    sF, _c = generator_symplectic(Gate.fourier(0), params)
+    sF, _c = generator_symplectic(Gate("F", (0,)), params)
     st = realistic_input(params, [CodeState.logical(3, 0, 0.4)])
-    via_gate = st.apply_gate(Gate.fourier(0))
-    via_mat = st.apply_symplectic(sF)
+    via_gate = st.apply_ops([Gate("F", (0,))])
+    via_mat = st.apply_ops([sF])
     assert np.array_equal(via_gate.amap.S.mat, via_mat.amap.S.mat)
 
 
 def test_apply_symplectic_rejects_bad_matrix():
     st = ideal_input(CodeParams(3, 1), [0])
-    from zakgross.symplectic import NotSymplectic
+    from zakgross.symplectic import IntSymplectic, NotSymplectic
 
     with pytest.raises(NotSymplectic):
-        st.apply_symplectic(np.array([[1, 1], [1, 1]]))
+        st.apply_ops([IntSymplectic(np.array([[1, 1], [1, 1]]))])
+    with pytest.raises(ValueError, match="not a finite real"):
+        st.apply_ops([np.array([[1, 0], [0, 1]])])  # a bare matrix is not an op
 
 
 def test_displacement_roundtrip_restores_identity():
     params = CodeParams(3, 2)
     st = ideal_input(params, [0, 1])
-    fwd = st.apply_displacement([1, 2, 0, 1]).apply_displacement([-1, -2, 0, -1])
+    fwd = st.apply_ops([[1, 2, 0, 1]]).apply_ops([[-1, -2, 0, -1]])
     assert np.array_equal(fwd.amap.S.mat, np.eye(4, dtype=object))
     assert all(x == 0 for x in fwd.amap.c)
 
@@ -354,7 +356,7 @@ def test_realistic_sampler_law_check_passes():
 def test_sampled_points_cover_cell_after_gate():
     params = CodeParams(3, 1)
     st = realistic_input(params, [CodeState.logical(3, 0, 0.4)])
-    evolved = st.apply_word([Gate.fourier(0), Gate.phase(0), Gate.x(0)])
+    evolved = st.apply_ops([Gate("F", (0,)), Gate("P", (0,)), Gate("X", (0,))])
     pts, _ = sample_abs(evolved, 31, 2000)
     back = evolved.amap.pullback(pts)
     vals_in = st.evaluate(back)
@@ -404,8 +406,7 @@ def test_state_params_are_the_maps():
     params = CodeParams(3, 2)
     st = (
         realistic_input(params, [CodeState.logical(3, 0, 0.4), CodeState.phase_state(3, 0.4)])
-        .apply_word([Gate.fourier(0), Gate.sum_(0, 1)])
-        .apply_displacement([1, 0, 0.5, 0])
+        .apply_ops([Gate("F", (0,)), Gate("SUM", (0, 1)), [1, 0, 0.5, 0]])
     )
     assert st.params is st.amap.params is params
 

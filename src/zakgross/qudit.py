@@ -34,7 +34,7 @@ _INVERSE = {
 
 def is_integer(x) -> bool:
     """A Python or numpy integer, and not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def logical_index(d: int, j) -> int:
@@ -102,7 +102,7 @@ class Gate:
             raise ValueError(f"{self.name} modes must be distinct, got {self.modes}")
         if any(not is_integer(m) or m < 0 for m in self.modes):
             raise ValueError(f"modes must be non-negative integers, got {self.modes}")
-        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
+        object.__setattr__(self, "modes", tuple(map(int, self.modes)))
 
     def inverse(self) -> "Gate":
         if self.name in ("X", "Z"):

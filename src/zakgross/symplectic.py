@@ -172,13 +172,13 @@ def _coords(modes, n: int) -> list:
 
 def _gate_args(gate: Gate, params: CodeParams) -> tuple:
     """A gate tag's block (None for X and Z), its own offset in units of ell
-    (None if zero; half-integer for P and P_inv) and the coordinates of the
-    modes it touches."""
-    n = params.n
+    as _offset gives it (None if zero; half-integer for P and P_inv) and the
+    coordinates of the modes it touches."""
+    n, d = params.n, params.d
     if max(gate.modes) >= n:
         raise ValueError(f"gate {gate} touches mode >= n={n}")
-    h = Fraction(params.d, 2)
-    own = {"P": (0, h), "P_inv": (0, -h), "X": (1, 0), "Z": (0, 1)}.get(gate.name)
+    own = {"P": ([0, d], 2), "P_inv": ([0, -d], 2),
+           "X": ([1, 0], 1), "Z": ([0, 1], 1)}.get(gate.name)
     return BLOCKS[gate.name], own, _coords(gate.modes, n)
 
 
@@ -195,7 +195,7 @@ def _op_args(op, params: CodeParams) -> tuple:
     units of ell. Anything else raises ValueError."""
     if isinstance(op, Gate):
         _, own, coords = _gate_args(op, params)
-        return coords, ACTIONS.get(op.name), None if own is None else _offset(own)
+        return coords, ACTIONS.get(op.name), own
     if isinstance(op, IntSymplectic):
         if op.n != params.n:
             raise ValueError(f"matrix acts on {op.n} modes, state has {params.n}")
@@ -219,8 +219,9 @@ def generator_symplectic(gate: Gate, params: CodeParams):
     m = IntSymplectic.identity(params.n).mat
     if block is not None:
         m[np.ix_(coords, coords)] = block.mat
-    own = dict(zip(coords, own or ()))
-    return _trusted(m), tuple(Fraction(own.get(i, 0)) for i in range(2 * params.n))
+    vals, den = own or ((), 1)
+    own = dict(zip(coords, vals))
+    return _trusted(m), tuple(Fraction(own.get(i, 0), den) for i in range(2 * params.n))
 
 
 # ---- affine phase-space map of a whole circuit -------------------------------

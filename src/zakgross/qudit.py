@@ -95,13 +95,15 @@ class Gate:
     def __post_init__(self):
         if self.name not in GATE_NAMES:
             raise ValueError(f"unknown gate tag {self.name!r}")
+        if not isinstance(self.modes, (tuple, list)) or any(
+                not is_integer(m) or m < 0 for m in self.modes):
+            raise ValueError(
+                f"modes must be a tuple or list of non-negative integers, got {self.modes!r}")
         want = 1 if self.name in _ONE_MODE else 2
         if len(self.modes) != want:
             raise ValueError(f"{self.name} takes {want} mode(s), got {self.modes}")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"{self.name} modes must be distinct, got {self.modes}")
-        if any(not is_integer(m) or m < 0 for m in self.modes):
-            raise ValueError(f"modes must be non-negative integers, got {self.modes}")
         object.__setattr__(self, "modes", tuple(map(int, self.modes)))
 
     def inverse(self) -> "Gate":

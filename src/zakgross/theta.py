@@ -54,7 +54,9 @@ class ImaginaryResidue(RuntimeError):
 MAX_RADIUS = 220  # per-axis box cap of the theta sums
 MAX_TERMS = 6_000_000
 SERIES_TOL = 1e-14  # truncation tolerance of every code state's Wigner series
-_BLOCK_ROWS = 64  # grid rows per wigner_theta_blocks block: 1 MiB at 2048 columns
+TILE = 16  # grid points per side of a wigner_theta_blocks tile
+BLOCK_VALUES = 1 << 17  # evaluated grid values per wigner_theta_blocks buffer: 1 MiB
+BAND = 64  # grid rows at most per band of wigner_theta_blocks, whose products run fastest
 
 
 # ---- lattice theta sums: the oracles' and the tracer's, not the runtime's ----
@@ -482,20 +484,82 @@ def wigner_theta_grid(state: CodeState, eta_x, eta_z) -> np.ndarray:
 
 
 def wigner_theta_blocks(state: CodeState, eta) -> Iterator[np.ndarray]:
-    """wigner_theta_grid(state, eta, eta), yielded _BLOCK_ROWS rows at a time.
+    """Arrays whose clipped sums add up to that of wigner_theta_grid(state, eta, eta).
 
-    F and H are built once; each block F[lo:hi] H^T is written into one
-    reused buffer, so a consumer must be done with a block before it asks
-    for the next, and no more than one block of the N^2 grid ever exists.
+    F and H, f_c and h_c on the grid, are built once and cut into TILE x
+    TILE tiles, the last one padded with zero rows (zero values).
+    _tile_signs bounds each tile's values from its least and greatest F and
+    H. A tile shown nonnegative adds nothing and is skipped. A tile shown
+    negative adds its sum in closed form, sum_c (sum of F_c)(sum of H_c):
+    these sums make the last array. The tile rows are taken in bands of at
+    most BAND grid rows. A band whose tiles are mostly undecided is
+    evaluated whole, F[band] H^T, in one product, and its certified tiles
+    count through their values instead; in any other band each tile row is
+    evaluated over its undecided tiles alone. The values go into one reused
+    buffer of BLOCK_VALUES (at least one row of tiles), so a consumer must
+    be done with a block before it asks for the next, and no more than one
+    buffer of the N^2 grid ever exists. A closed-form sum differs from the
+    sum of the tile's computed values by rounding alone, at most about
+    (2 TILE + 2d) u of the tile's sum of |F_c H_c|, u = 2^-53.
     """
     series = _series(state)
     eta = np.asarray(eta, dtype=float).ravel()
-    f, h = _x_factor(series, eta), _z_factor(series, eta)
-    buf = np.empty((min(_BLOCK_ROWS, eta.size), eta.size))
-    for lo in range(0, eta.size, _BLOCK_ROWS):
-        block = buf[: min(_BLOCK_ROWS, eta.size - lo)]
-        np.matmul(f[lo: lo + _BLOCK_ROWS], h.T, out=block)
-        yield block
+    f, h = _tiles(_x_factor(series, eta)), _tiles(_z_factor(series, eta))
+    negative, undecided = _tile_signs(f, h)
+    classes = f.shape[2]
+    h_all = h.reshape(-1, classes)
+    buf = np.empty(max(BLOCK_VALUES, TILE * h_all.shape[0]))
+    band_rows = max(1, min(BAND, buf.size // h_all.shape[0]) // TILE)
+    used = 0
+    for lo in range(0, f.shape[0], band_rows):
+        band = undecided[lo: lo + band_rows]
+        if 2 * np.count_nonzero(band) > band.size:  # mostly undecided: the whole band
+            negative[lo: lo + band_rows] = False
+            parts = [(f[lo: lo + band_rows].reshape(-1, classes), h_all)]
+        else:
+            parts = [(f[lo + i], h[cols].reshape(-1, classes))
+                     for i, cols in enumerate(band) if cols.any()]
+        for rows, cols in parts:
+            size = rows.shape[0] * cols.shape[0]
+            if used + size > buf.size:
+                yield buf[:used]
+                used = 0
+            np.matmul(rows, cols.T, out=buf[used: used + size].reshape(rows.shape[0], -1))
+            used += size
+    yield buf[:used]
+    yield (f.sum(axis=1) @ h.sum(axis=1).T)[negative]
+
+
+def _tile_signs(f: np.ndarray, h: np.ndarray):
+    """(negative, undecided) masks over the tile pairs (i, j) of tiled F and H.
+
+    On a tile, class by class, F_c lies in [f_lo, f_hi] with f_lo >= 0 and
+    H_c in [h_lo, h_hi], so F_c H_c >= f_hi min(h_lo, 0) + f_lo max(h_lo, 0)
+    and F_c H_c <= f_hi max(h_hi, 0) + f_lo min(h_hi, 0); summed over c,
+    these are the tile's lower and upper bounds. A tile is negative when
+    upper < -margin, nonnegative (in neither mask) when lower >= margin, and
+    undecided otherwise.
+
+    Rounding: a computed grid value, or a computed bound, is within
+    (2d + 1) u A of the exact one (Higham's dot-product bound, u = 2^-53),
+    where A = sum_c f_hi max(h_hi, -h_lo) bounds sum_c |F_c H_c| on the
+    tile. The margin 4 (2d + 1) u A covers both roundings twice, so every
+    computed value of a nonnegative tile is >= 0 and every one of a negative
+    tile is < 0: clipping the computed grid would treat them the same way.
+    """
+    f_lo, f_hi, h_lo, h_hi = f.min(axis=1), f.max(axis=1), h.min(axis=1), h.max(axis=1)
+    lower = f_hi @ np.minimum(h_lo, 0.0).T + f_lo @ np.maximum(h_lo, 0.0).T
+    upper = f_hi @ np.maximum(h_hi, 0.0).T + f_lo @ np.minimum(h_hi, 0.0).T
+    margin = (4 * f.shape[2] + 4) * 2.0 ** -53 * (f_hi @ np.maximum(h_hi, -h_lo).T)
+    negative = upper < -margin
+    return negative, ~negative & (lower < margin)
+
+
+def _tiles(values: np.ndarray) -> np.ndarray:
+    """values (N, 2d) as (ceil(N / TILE), TILE, 2d), the last tile padded with zero rows."""
+    padded = np.zeros((-(-values.shape[0] // TILE) * TILE, values.shape[1]))
+    padded[: values.shape[0]] = values
+    return padded.reshape(-1, TILE, values.shape[1])
 
 
 def x_bin_integrals(state: CodeState, bins: int, shift: float) -> np.ndarray:

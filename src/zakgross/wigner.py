@@ -9,7 +9,10 @@ pushes each factor's weights onto the measured rows alone, or lists the
 joint lattice support when that is faster, for a few modes
 (measure.exact_probabilities_ideal). The total negativity is a product over
 factors and is manifestly invariant under gates, since the map drops out of
-any integral over a full cell.
+any integral over a full cell. A realistic factor's negativity integrates
+|W| over one cell by midpoint sums on doubling grids; on each level only the
+tiles whose sign the separable bounds of theta.wigner_theta_blocks leave
+undecided are evaluated, and the rest are settled in closed form.
 
 Ideal factors carry a d x d table of discrete Wigner weights supported on
 the integer lattice ell * Z^2 (one cell), and sample it directly; realistic
@@ -108,11 +111,14 @@ class RealisticFactor:
         return vals
 
     def wigner_blocks(self, eta):
-        """wigner_grid(eta, eta) in row blocks of one reused buffer (theta.wigner_theta_blocks)."""
+        """The clipped sum of wigner_grid(eta, eta), as one block of one value.
+
+        theta.wigner_theta_blocks settles most tiles of the unnormalized grid
+        from their sign bounds and yields the rest; their clipped sum is
+        divided by d * norm once, not value by value.
+        """
         scale = self.d * self.norm
-        for block in wigner_theta_blocks(self.state, eta):
-            block /= scale
-            yield block
+        yield np.array([-_negative_sum(wigner_theta_blocks(self.state, eta)) / scale])
 
     def negativity(self, tol: float = NEGATIVITY_TOL) -> float:
         return _negativity(self.state, tol)
@@ -128,10 +134,17 @@ def _negativity(state: CodeState, tol: float) -> float:
 def _abs_integral(level_blocks, period: float, tol: float) -> float:
     """integral of |W| over one cell [0, period)^2 = 1 + 2 * (negative mass).
 
-    level_blocks(xs) yields arrays whose rows, in order, form the grid of
-    normalized values on xs (x) xs; _negative_sum clips each block in place
-    before it asks for the next, so a block may be a reused buffer and a
-    level holds one block, never the N^2 grid. The positive part integrates
+    level_blocks(xs) yields arrays whose clipped sums add up to that of the
+    grid of normalized values on xs (x) xs: the whole grid as one block (the
+    criterion 5 oracles), or a realistic factor's level (wigner_blocks),
+    where theta.wigner_theta_blocks evaluates only the tiles whose sign its
+    bounds leave undecided. That level equals the whole grid's up to
+    rounding: the tiles it settles are those whose computed values clipping
+    would drop or keep whole (theta._tile_signs), and a kept tile's
+    closed-form sum differs from its values' sum by at most about
+    (2 TILE + 2d) u of its mass of |F_c H_c| (u = 2^-53). _negative_sum
+    clips each block in place before it asks for the next, so a block may
+    be a reused buffer. The positive part integrates
     to exactly 1, so only the negative mass is computed numerically:
     midpoint sums on the full cell at doubling resolutions until two levels
     agree. Midpoint handles the |.| kinks at the sign boundary at second
@@ -149,15 +162,12 @@ def _abs_integral(level_blocks, period: float, tol: float) -> float:
 
 
 def _negative_sum(blocks) -> float:
-    """-sum of min(v, 0) over the values of blocks, each clipped in place.
+    """-sum of min(v, 0) over the values of blocks.
 
-    The block sums are added in halves, as numpy adds one array, so blocks
-    of 2^k equal rows give the whole grid's sum bit for bit.
+    Each block is clipped in place before the next is drawn, so the blocks
+    may share one buffer.
     """
-    parts = [float(np.minimum(block, 0.0, out=block).sum()) for block in blocks]
-    while len(parts) > 1:
-        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1:]
-    return -parts[0]
+    return -sum(float(np.minimum(block, 0.0, out=block).sum()) for block in blocks)
 
 
 @dataclass(frozen=True)

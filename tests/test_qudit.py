@@ -239,6 +239,12 @@ def test_gate_refuses_a_bool_mode():
         Gate("F", (True,))
 
 
+@pytest.mark.parametrize("modes", [0, ([0],)], ids=["bare-int", "nested-list"])
+def test_gate_refuses_modes_of_the_wrong_type(modes):
+    with pytest.raises(ValueError, match="modes must be a tuple or list of non-negative integers"):
+        Gate("F", modes)
+
+
 def test_gate_takes_numpy_integer_modes_and_stores_ints():
     g = Gate("SUM", (np.int64(0), np.int32(1)))
     assert g == Gate("SUM", (0, 1)) and all(type(m) is int for m in g.modes)

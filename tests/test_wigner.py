@@ -203,6 +203,39 @@ def test_one_whole_grid_block_gives_the_blocked_negativity(state):
     assert abs(whole - wigner._negativity.__wrapped__(state, 1e-6)) <= 1e-12 * whole
 
 
+TILE_RULE_STATES = [
+    CodeState.logical(d, 0, delta) if kind == "logical" else CodeState.phase_state(d, delta)
+    for d in (3, 5, 7, 9) for kind in ("logical", "phase") for delta in (1.0, 0.5, 0.25, 0.1, 0.05)
+]
+
+
+@pytest.mark.parametrize("n", [512, 1000])  # at 1000 the last tile row and column are partial
+@pytest.mark.parametrize("state", TILE_RULE_STATES,
+                         ids=lambda st: f"d{st.d}-{'logical' if st.eps[0] == 1 else 'phase'}"
+                                        f"-{st.delta}")
+def test_tile_rule_matches_the_dense_grid_and_its_signs_hold(state, n):
+    f = RealisticFactor(state)
+    xs = (np.arange(n) + 0.5) * state.d * state.ell / n
+    dense = f.wigner_grid(xs, xs)
+    series = theta._series(state)
+    negative, undecided = theta._tile_signs(theta._tiles(theta._x_factor(series, xs)),
+                                            theta._tiles(theta._z_factor(series, xs)))
+    tile = np.arange(n) // theta.TILE
+    on_grid = np.ix_(tile, tile)
+    assert np.all(dense[negative[on_grid]] < 0.0)
+    assert np.all(dense[~(negative | undecided)[on_grid]] >= 0.0)
+    expect = float(-np.minimum(dense, 0.0).sum())
+    got = wigner._negative_sum(f.wigner_blocks(xs))
+    assert abs(got - expect) <= 1e-12 * expect
+
+
+def test_tile_rule_evaluates_a_small_share_of_the_level():
+    state = CodeState.phase_state(3, 0.5)
+    xs = (np.arange(2048) + 0.5) * state.d * state.ell / 2048
+    evaluated = sum(block.size for block in theta.wigner_theta_blocks(state, xs))
+    assert evaluated <= 0.15 * 2048 ** 2
+
+
 @pytest.mark.parametrize("state, tol, top", [
     (CodeState.phase_state(3, 0.5), 1e-6, 2048),
     (CodeState.logical(3, 0, 0.5), 1e-7, 4096),  # a dense 4096^2 level is 128 MiB

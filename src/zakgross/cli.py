@@ -93,9 +93,7 @@ def _cmd_wigner(args) -> int:
 
 
 def _cmd_negativity(args) -> int:
-    deltas = [float(tok) for tok in args.deltas.split(",") if tok.strip()]
-    rows = negativity_sweep(args.kind, deltas, args.d, tol=args.tol)
-    _emit(args, sweep_csv(rows))
+    _emit(args, sweep_csv(negativity_sweep(args.kind, args.deltas, args.d, tol=args.tol)))
     return 0
 
 
@@ -156,6 +154,14 @@ def _positive_tol(text: str) -> float:
     return val
 
 
+def _deltas(text: str) -> list:
+    """An argparse type: comma-separated floats, at least one, else a usage error."""
+    deltas = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not deltas:
+        raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
+    return deltas
+
+
 def int_at_least(low: int):
     """An argparse type: a decimal integer >= low, else a usage error (exit 2)."""
     def parse(text: str) -> int:
@@ -187,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["exact", "sample", "estimate"], default="exact"
     )
     p_run.add_argument(
-        "--samples", type=int, default=SAMPLES, help="draw count for sample mode"
+        "--samples", type=int_at_least(1), default=SAMPLES, help="draw count for sample mode"
     )
     p_run.set_defaults(func=_cmd_run)
 
@@ -209,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=["logical_0", "phase_state"], default="logical_0"
     )
     p_neg.add_argument(
-        "--deltas", required=True, help="comma-separated squeezing values"
+        "--deltas", type=_deltas, required=True, help="comma-separated squeezing values"
     )
     p_neg.add_argument(
         "--tol", type=_positive_tol, default=NEGATIVITY_TOL, help="integral tolerance"

@@ -130,7 +130,7 @@ def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
     _check_spec(state, spec)
     d, ell = state.params.d, state.params.ell
     ideal = np.array([isinstance(f, IdealFactor) for f in state.factors] * 2)
-    rows = state.amap.S.inverse().mat[list(spec.measured_modes)]
+    rows = state.amap.S.inverse_rows(spec.measured_modes)
     lattice = np.mod(rows[:, ideal], 2 * d).astype(np.int64).T
     real = rows[:, ~ideal].astype(float).T * (2 / ell)
     err = np.abs(real).sum(axis=0) * state.params.torus_period * (real.shape[0] + 2) * 2.0 ** -53
@@ -192,8 +192,7 @@ def exact_probabilities_ideal(
 
 def _measured_rows_mod_d(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
     """The measured rows of S^-1 reduced mod d, (r, 2n) int64, exact on the Python ints."""
-    d = state.params.d
-    return np.mod(state.amap.S.inverse().mat[list(spec.measured_modes)], d).astype(np.int64)
+    return np.mod(state.amap.S.inverse_rows(spec.measured_modes), state.params.d).astype(np.int64)
 
 
 def _support_terms(state: WignerState, spec: MeasurementSpec) -> tuple:

@@ -20,7 +20,6 @@ GATE_NAMES = frozenset(
     ["F", "F_inv", "P", "P_inv", "SUM", "SUM_inv", "CZ", "CZ_inv", "X", "Z"]
 )
 _ONE_MODE = frozenset(["F", "F_inv", "P", "P_inv", "X", "Z"])
-_TWO_MODE = frozenset(["SUM", "SUM_inv", "CZ", "CZ_inv"])
 
 _INVERSE = {
     "F": "F_inv", "F_inv": "F",

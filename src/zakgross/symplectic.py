@@ -103,10 +103,16 @@ class IntSymplectic:
         return m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:]
 
     def inverse(self) -> "IntSymplectic":
-        a, b, c, d = self.blocks()
-        top = np.hstack([d.T, -b.T])
-        bot = np.hstack([-c.T, a.T])
-        return _trusted(np.vstack([top, bot]))
+        return _trusted(self.inverse_rows(range(2 * self.n)))
+
+    def inverse_rows(self, rows) -> np.ndarray:
+        """Rows `rows` of S^-1 = -Omega S^T Omega, exactly: row m < n is
+        (S[n:, n + m], -S[:n, n + m]) and row n + m is (-S[n:, m], S[:n, m])."""
+        n, rows = self.n, np.asarray(rows, dtype=np.intp)
+        cols = self.mat[:, (rows + n) % (2 * n)].T
+        out = np.hstack([cols[:, n:], -cols[:, :n]])
+        out[rows >= n] *= -1
+        return out
 
     def __matmul__(self, other: "IntSymplectic") -> "IntSymplectic":
         return _trusted(self.mat @ other.mat)
@@ -300,7 +306,7 @@ class AffineMap:
             raise NotInteger("affine offset is not half-integer; cannot use lattice path")
         rows = list(rows)
         cc = np.array([int(2 * self.c[r]) for r in rows], dtype=object)
-        s_inv = self.S.inverse().mat[rows]
+        s_inv = self.S.inverse_rows(rows)
         return np.einsum("ij,...j->...i", s_inv, np.asarray(m2).astype(object)) + cc
 
     def is_half_integer(self) -> bool:

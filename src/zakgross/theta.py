@@ -11,12 +11,13 @@ asks for. The z factor h_c(z) is a real trigonometric sum over 2Kz + 1
 frequencies, Kz ~ 1/(ell delta), from a table of phases built with O(sqrt
 Kz) products per point. So a scattered point costs O(2d + Kz), not the
 O(Kx Kz) of the dense 2-D series, which is never built; a grid is one real
-product of inner dimension 2d; position-bin masses and the norm come in
-closed form from the kz = 0 column. As every f_c >= 0, |W| <= sum_c f_c(x)
-|h_c(z)|, and abs_envelope bounds each |h_c| on equal z cells by Taylor
-expansion: the rejection sampler's certified envelope. Its references (the
-dense series from 2-D sub-lattice theta sums, the wavefunction, the
-4-variable Wigner sum, the Gaussian vacuum) live in oracles.py.
+product of inner dimension 2d, and negative_sum evaluates only its tiles of
+undecided sign; position-bin masses and the norm come in closed form from
+the kz = 0 column. As every f_c >= 0, |W| <= sum_c f_c(x) |h_c(z)|, and
+abs_envelope bounds each |h_c| on equal z cells by Taylor expansion: the
+rejection sampler's certified envelope. Its references (the dense series
+from 2-D sub-lattice theta sums, the wavefunction, the 4-variable Wigner
+sum, the Gaussian vacuum) live in oracles.py.
 
 theta(Gamma, z) = sum_{t in Z^m} exp(i pi t.Gamma t + 2 pi i t.z), Im Gamma > 0,
 is off the runtime path: oracles.py builds on it, and the benchmark tracer
@@ -30,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,9 +55,7 @@ class ImaginaryResidue(RuntimeError):
 MAX_RADIUS = 220  # per-axis box cap of the theta sums
 MAX_TERMS = 6_000_000
 SERIES_TOL = 1e-14  # truncation tolerance of every code state's Wigner series
-TILE = 16  # grid points per side of a wigner_theta_blocks tile
-BLOCK_VALUES = 1 << 17  # evaluated grid values per wigner_theta_blocks buffer: 1 MiB
-BAND = 64  # grid rows at most per band of wigner_theta_blocks, whose products run fastest
+TILE = 16  # grid points per side of a negative_sum tile
 
 
 # ---- lattice theta sums: the oracles' and the tracer's, not the runtime's ----
@@ -483,51 +482,27 @@ def wigner_theta_grid(state: CodeState, eta_x, eta_z) -> np.ndarray:
     return _x_factor(series, eta_x) @ _z_factor(series, eta_z).T
 
 
-def wigner_theta_blocks(state: CodeState, eta) -> Iterator[np.ndarray]:
-    """Arrays whose clipped sums add up to that of wigner_theta_grid(state, eta, eta).
+def negative_sum(state: CodeState, eta) -> float:
+    """-sum of min(v, 0) over the values v of wigner_theta_grid(state, eta, eta).
 
-    F and H, f_c and h_c on the grid, are built once and cut into TILE x
-    TILE tiles, the last one padded with zero rows (zero values).
-    _tile_signs bounds each tile's values from its least and greatest F and
-    H. A tile shown nonnegative adds nothing and is skipped. A tile shown
-    negative adds its sum in closed form, sum_c (sum of F_c)(sum of H_c):
-    these sums make the last array. The tile rows are taken in bands of at
-    most BAND grid rows. A band whose tiles are mostly undecided is
-    evaluated whole, F[band] H^T, in one product, and its certified tiles
-    count through their values instead; in any other band each tile row is
-    evaluated over its undecided tiles alone. The values go into one reused
-    buffer of BLOCK_VALUES (at least one row of tiles), so a consumer must
-    be done with a block before it asks for the next, and no more than one
-    buffer of the N^2 grid ever exists. A closed-form sum differs from the
-    sum of the tile's computed values by rounding alone, at most about
-    (2 TILE + 2d) u of the tile's sum of |F_c H_c|, u = 2^-53.
+    F and H, f_c and h_c on the grid, are cut into TILE x TILE tiles, the
+    last padded with zero rows. _tile_signs bounds each tile's values from
+    its least and greatest F and H. A nonnegative tile adds nothing; a
+    negative one adds its sum in closed form, sum_c (sum of F_c)(sum of
+    H_c), which differs from its computed values' sum by rounding alone, at
+    most about (2 TILE + 2d) u of its sum of |F_c H_c|, u = 2^-53. Each tile
+    row evaluates its undecided tiles in one product, clipped and summed.
     """
     series = _series(state)
     eta = np.asarray(eta, dtype=float).ravel()
     f, h = _tiles(_x_factor(series, eta)), _tiles(_z_factor(series, eta))
     negative, undecided = _tile_signs(f, h)
-    classes = f.shape[2]
-    h_all = h.reshape(-1, classes)
-    buf = np.empty(max(BLOCK_VALUES, TILE * h_all.shape[0]))
-    band_rows = max(1, min(BAND, buf.size // h_all.shape[0]) // TILE)
-    used = 0
-    for lo in range(0, f.shape[0], band_rows):
-        band = undecided[lo: lo + band_rows]
-        if 2 * np.count_nonzero(band) > band.size:  # mostly undecided: the whole band
-            negative[lo: lo + band_rows] = False
-            parts = [(f[lo: lo + band_rows].reshape(-1, classes), h_all)]
-        else:
-            parts = [(f[lo + i], h[cols].reshape(-1, classes))
-                     for i, cols in enumerate(band) if cols.any()]
-        for rows, cols in parts:
-            size = rows.shape[0] * cols.shape[0]
-            if used + size > buf.size:
-                yield buf[:used]
-                used = 0
-            np.matmul(rows, cols.T, out=buf[used: used + size].reshape(rows.shape[0], -1))
-            used += size
-    yield buf[:used]
-    yield (f.sum(axis=1) @ h.sum(axis=1).T)[negative]
+    total = 0.0
+    for rows, cols in zip(f, undecided):
+        if cols.any():
+            vals = rows @ h[cols].reshape(-1, f.shape[2]).T
+            total -= float(np.minimum(vals, 0.0, out=vals).sum())
+    return total - float((f.sum(axis=1) @ h.sum(axis=1).T)[negative].sum())
 
 
 def _tile_signs(f: np.ndarray, h: np.ndarray):

@@ -10,9 +10,9 @@ joint lattice support when that is faster, for a few modes
 (measure.exact_probabilities_ideal). The total negativity is a product over
 factors and is manifestly invariant under gates, since the map drops out of
 any integral over a full cell. A realistic factor's negativity integrates
-|W| over one cell by midpoint sums on doubling grids; on each level only the
-tiles whose sign the separable bounds of theta.wigner_theta_blocks leave
-undecided are evaluated, and the rest are settled in closed form.
+|W| over one cell by midpoint sums on doubling grids; each level is one
+theta.negative_sum, which evaluates only the tiles whose sign its separable
+bounds leave undecided and settles the rest in closed form.
 
 Ideal factors carry a d x d table of discrete Wigner weights supported on
 the integer lattice ell * Z^2 (one cell), and sample it directly; realistic
@@ -35,8 +35,8 @@ from .theta import (
     CodeState,
     abs_envelope,
     code_state_norm,
+    negative_sum,
     wigner_theta,
-    wigner_theta_blocks,
     wigner_theta_grid,
 )
 
@@ -110,16 +110,6 @@ class RealisticFactor:
         vals /= self.d * self.norm
         return vals
 
-    def wigner_blocks(self, eta):
-        """The clipped sum of wigner_grid(eta, eta), as one block of one value.
-
-        theta.wigner_theta_blocks settles most tiles of the unnormalized grid
-        from their sign bounds and yields the rest; their clipped sum is
-        divided by d * norm once, not value by value.
-        """
-        scale = self.d * self.norm
-        yield np.array([-_negative_sum(wigner_theta_blocks(self.state, eta)) / scale])
-
     def negativity(self, tol: float = NEGATIVITY_TOL) -> float:
         return _negativity(self.state, tol)
 
@@ -127,47 +117,31 @@ class RealisticFactor:
 @functools.lru_cache(maxsize=64)
 def _negativity(state: CodeState, tol: float) -> float:
     """Cell integral of |W| for the unit-norm state, cached per (state, tol)."""
-    factor = RealisticFactor(state)
-    return _abs_integral(factor.wigner_blocks, factor.d * state.ell, tol)
+    scale = state.d * code_state_norm(state)
+    return _abs_integral(lambda xs: negative_sum(state, xs) / scale, state.d * state.ell, tol)
 
 
-def _abs_integral(level_blocks, period: float, tol: float) -> float:
+def _abs_integral(level, period: float, tol: float) -> float:
     """integral of |W| over one cell [0, period)^2 = 1 + 2 * (negative mass).
 
-    level_blocks(xs) yields arrays whose clipped sums add up to that of the
-    grid of normalized values on xs (x) xs: the whole grid as one block (the
-    criterion 5 oracles), or a realistic factor's level (wigner_blocks),
-    where theta.wigner_theta_blocks evaluates only the tiles whose sign its
-    bounds leave undecided. That level equals the whole grid's up to
-    rounding: the tiles it settles are those whose computed values clipping
-    would drop or keep whole (theta._tile_signs), and a kept tile's
-    closed-form sum differs from its values' sum by at most about
-    (2 TILE + 2d) u of its mass of |F_c H_c| (u = 2^-53). _negative_sum
-    clips each block in place before it asks for the next, so a block may
-    be a reused buffer. The positive part integrates
-    to exactly 1, so only the negative mass is computed numerically:
-    midpoint sums on the full cell at doubling resolutions until two levels
-    agree. Midpoint handles the |.| kinks at the sign boundary at second
-    order, which the agreement check verifies.
+    level(xs) returns -sum of min(v, 0) over the grid of normalized values
+    on xs (x) xs: summed over the whole grid (the criterion 5 oracles), or
+    by theta.negative_sum, which settles most tiles from sign bounds and
+    agrees with the whole grid up to rounding. The positive part
+    integrates to exactly 1, so only the negative mass is computed
+    numerically: midpoint sums on the full cell at doubling resolutions
+    until two levels agree. Midpoint handles the |.| kinks at the sign
+    boundary at second order, which the agreement check verifies.
     """
     prev = neg_mass = None
     for n_grid in (512, 1024, 2048, 4096):
         xs = (np.arange(n_grid) + 0.5) * period / n_grid
-        prev, neg_mass = neg_mass, _negative_sum(level_blocks(xs)) * (period / n_grid) ** 2
+        prev, neg_mass = neg_mass, level(xs) * (period / n_grid) ** 2
         if prev is not None and abs(neg_mass - prev) <= 0.5 * tol:
             return 1.0 + 2.0 * neg_mass
     raise RuntimeError(
         f"negative-mass refinement did not settle below {tol:.1e}: {prev} -> {neg_mass} "
         f"at {n_grid}^2 points, a change of {abs(neg_mass - prev):.1e}")
-
-
-def _negative_sum(blocks) -> float:
-    """-sum of min(v, 0) over the values of blocks.
-
-    Each block is clipped in place before the next is drawn, so the blocks
-    may share one buffer.
-    """
-    return -sum(float(np.minimum(block, 0.0, out=block).sum()) for block in blocks)
 
 
 @dataclass(frozen=True)

@@ -115,17 +115,22 @@ def test_criterion_5_negativity_headline_and_trends():
 
     # at delta=1 the 0-logical state is the vacuum; the phase state keeps its
     # side peaks, so it is held to the literal oracle; both references go
-    # through the package's own midpoint escalation
+    # through the package's own midpoint escalation, each level the negative
+    # part of the whole grid
     period = params.torus_period
+
+    def negative_part(grid):
+        return float(-np.minimum(grid, 0.0).sum())
+
     vac = math.log(
-        wigner._abs_integral(lambda xs: [gaussian_wigner(d, xs, xs) / d], period, 1e-7)
+        wigner._abs_integral(lambda xs: negative_part(gaussian_wigner(d, xs, xs) / d), period, 1e-7)
     )
     lim_logical = math.log(RealisticFactor(CodeState.logical(d, 0, 1.0)).negativity(tol=1e-7))
     phase_fac = RealisticFactor(CodeState.phase_state(d, 1.0))
     lim_phase = math.log(phase_fac.negativity(tol=1e-7))
     oracle = math.log(
         wigner._abs_integral(
-            lambda xs: [wigner_oracle(phase_fac.state, xs, xs) / (d * phase_fac.norm)],
+            lambda xs: negative_part(wigner_oracle(phase_fac.state, xs, xs) / (d * phase_fac.norm)),
             period,
             1e-7,
         )

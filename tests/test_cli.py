@@ -140,6 +140,8 @@ def test_flags_a_command_ignores_are_usage_errors(argv):
     (["verify", "--seed", "-2"], "--seed: must be an integer >= 0"),
     (["run", "c.json", "--threads", "0"], "--threads: must be an integer >= 1"),
     (["run", "c.json", "--threads", "two"], "--threads: must be an integer >= 1"),
+    (["run", "c.json", "--samples", "0"], "--samples: must be an integer >= 1"),
+    (["run", "c.json", "--samples", "-3"], "--samples: must be an integer >= 1"),
 ], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
 def test_out_of_range_integer_flags_are_usage_errors(argv, message, capsys):
     # refused before any work; a grid of 0 would otherwise write a header-only CSV
@@ -147,6 +149,15 @@ def test_out_of_range_integer_flags_are_usage_errors(argv, message, capsys):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("deltas", [",", " "])
+def test_empty_delta_list_is_a_usage_error(deltas, capsys):
+    # refused before any work, not a header-only CSV and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["negativity", "--deltas", deltas])
+    assert exc.value.code == 2
+    assert "--deltas: must list at least one value" in capsys.readouterr().err
 
 
 def test_negative_schema_seed_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every imported name is used in the module that imports it, and no
-runtime check under src/zakgross is an `assert`, which `python -O` strips."""
+"""Every imported name is used in the module that imports it, every
+module-level name of the package is read somewhere, and no runtime check
+under src/zakgross is an `assert`, which `python -O` strips."""
 import ast
 from pathlib import Path
 
@@ -37,6 +38,43 @@ def test_no_unused_imports():
     files = sorted(p for d in SCANNED for p in (ROOT / d).glob("*.py"))
     assert len(files) > 10
     assert [hit for f in files for hit in unused_imports(f)] == []
+
+
+def assigned_names(path: Path) -> dict:
+    """{name: line} of the names that top-level assignments in `path` bind, dunders excluded."""
+    names = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not (name.id.startswith("__")
+                                                       and name.id.endswith("__")):
+                    names.setdefault(name.id, node.lineno)
+    return names
+
+
+def names_read(path: Path) -> set:
+    """Names, attributes and imported names that `path` reads."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_module_level_name_is_read():
+    # a constant or table nothing reads is a leftover: a knob of deleted code
+    files = sorted(p for d in SCANNED for p in (ROOT / d).glob("*.py"))
+    read = set().union(*map(names_read, files))
+    hits = [f"{f.relative_to(ROOT)}:{line} {name}"
+            for f in sorted((ROOT / "src/zakgross").glob("*.py"))
+            for name, line in assigned_names(f).items() if name not in read]
+    assert hits == []
 
 
 def test_no_assert_statements_in_the_package():

@@ -117,6 +117,23 @@ def test_unchecked_products_and_inverses_stay_symplectic(seed, n, entries):
     assert np.array_equal((s @ s.inverse()).mat, IntSymplectic.identity(n).mat)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([3, 5, 7, 9]), n=st.integers(1, 5))
+def test_inverse_rows_are_the_rows_of_the_inverse(seed, d, n):
+    rng = np.random.default_rng(seed)
+    p = CodeParams(d, n)
+    ops = random_word(rng, n, int(rng.integers(0, 16)))
+    entries = [int(v) for v in rng.integers(-4, 5, size=n * (n + 1) // 2)]
+    explicit = _shear(n, entries) @ generator_symplectic(Gate("F", (0,)), p)[0]
+    ops.insert(int(rng.integers(0, len(ops) + 1)), IntSymplectic(explicit.mat))
+    s = AffineMap.identity(p).then_ops(ops).S
+    inverse = s.inverse().mat
+    assert s.inverse_rows(range(2 * n)).tolist() == inverse.tolist()  # x rows and z rows
+    rows = [int(r) for r in rng.choice(2 * n, size=int(rng.integers(0, 2 * n + 1)))]
+    assert s.inverse_rows(rows).tolist() == inverse[rows].tolist()
+    assert s.inverse_rows(rows).shape == (len(rows), 2 * n)
+
+
 def test_internal_maps_skip_the_symplectic_check(monkeypatch):
     from zakgross import symplectic
     from zakgross.measure import MeasurementSpec, binner

@@ -192,14 +192,15 @@ def test_blocked_negative_mass_matches_the_dense_grid(state, n):
     f = RealisticFactor(state)
     xs = (np.arange(n) + 0.5) * state.d * state.ell / n
     dense = float(-np.minimum(f.wigner_grid(xs, xs), 0.0).sum())
-    blocked = wigner._negative_sum(f.wigner_blocks(xs))
-    assert dense > 0 and abs(blocked - dense) <= 1e-12 * dense
+    tiled = theta.negative_sum(state, xs) / (state.d * f.norm)
+    assert dense > 0 and abs(tiled - dense) <= 1e-12 * dense
 
 
 @pytest.mark.parametrize("state", NEGATIVITY_STATES, ids=lambda st: f"d{st.d}-{st.delta}")
 def test_one_whole_grid_block_gives_the_blocked_negativity(state):
     f = RealisticFactor(state)
-    whole = wigner._abs_integral(lambda xs: [f.wigner_grid(xs, xs)], state.d * state.ell, 1e-6)
+    whole = wigner._abs_integral(lambda xs: float(-np.minimum(f.wigner_grid(xs, xs), 0.0).sum()),
+                                 state.d * state.ell, 1e-6)
     assert abs(whole - wigner._negativity.__wrapped__(state, 1e-6)) <= 1e-12 * whole
 
 
@@ -225,14 +226,17 @@ def test_tile_rule_matches_the_dense_grid_and_its_signs_hold(state, n):
     assert np.all(dense[negative[on_grid]] < 0.0)
     assert np.all(dense[~(negative | undecided)[on_grid]] >= 0.0)
     expect = float(-np.minimum(dense, 0.0).sum())
-    got = wigner._negative_sum(f.wigner_blocks(xs))
+    got = theta.negative_sum(state, xs) / (state.d * f.norm)
     assert abs(got - expect) <= 1e-12 * expect
 
 
 def test_tile_rule_evaluates_a_small_share_of_the_level():
     state = CodeState.phase_state(3, 0.5)
     xs = (np.arange(2048) + 0.5) * state.d * state.ell / 2048
-    evaluated = sum(block.size for block in theta.wigner_theta_blocks(state, xs))
+    series = theta._series(state)
+    _negative, undecided = theta._tile_signs(theta._tiles(theta._x_factor(series, xs)),
+                                             theta._tiles(theta._z_factor(series, xs)))
+    evaluated = np.count_nonzero(undecided) * theta.TILE ** 2  # negative_sum evaluates these
     assert evaluated <= 0.15 * 2048 ** 2
 
 
@@ -245,9 +249,9 @@ def test_negativity_never_holds_a_whole_level(monkeypatch, state, tol, top):
 
     def recorded(st, xs):
         levels.append(len(xs))
-        return theta.wigner_theta_blocks(st, xs)
+        return theta.negative_sum(st, xs)
 
-    monkeypatch.setattr(wigner, "wigner_theta_blocks", recorded)
+    monkeypatch.setattr(wigner, "negative_sum", recorded)
     RealisticFactor(state)  # the series is cached; measure the integral alone
     tracemalloc.start()
     try:
@@ -261,11 +265,8 @@ def test_negativity_never_holds_a_whole_level(monkeypatch, state, tol, top):
 
 def test_refinement_that_never_settles_reports_its_last_two_levels():
     # negative mass 1 / n on an n^2 grid of one period: the levels halve forever
-    def level_blocks(xs):
-        yield np.full((1, 1), -float(xs.size))
-
     with pytest.raises(RuntimeError) as exc:
-        wigner._abs_integral(level_blocks, 1.0, 1e-6)
+        wigner._abs_integral(lambda xs: float(xs.size), 1.0, 1e-6)
     got = re.search(r"below 1\.0e-06: (\S+) -> (\S+) at 4096\^2 points, a change of (\S+)$",
                     str(exc.value))
     assert got is not None, str(exc.value)

@@ -15,6 +15,8 @@ imports this one.
   on tensor grids (eta_x, eta_z) like theta.wigner_theta_grid. The literal
   Wigner sum enumerates the same peak pairs as theta._series, so it checks
   the phase conventions rather than the summation.
+  z_factor_sum sums each class's z factor h_c term by term, the reference
+  for theta's table and midpoint FFT.
 - Measurement: the POVM indicator and marginals from |psi|^2 alone.
 - Symplectic: the covariance shift t(S) and the exponent parity identity.
 - Quadrature: the cell integral and 1-D bin integrals.
@@ -223,6 +225,17 @@ def dense_series_points(series, eta) -> np.ndarray:
     """A dense series (M, kx, kz, L) at the points eta (N, 2), one row each."""
     left, ez = _series_axes(series, eta[:, 0], eta[:, 1])
     return (left * ez).real.sum(axis=1)
+
+
+def z_factor_sum(series, z, chunk: int = 1024) -> np.ndarray:
+    """h_c(z) = Re sum_b u[c, b] exp(2 pi i kz[b] z / L) of a theta.Series by
+    the literal sum over its 2Kz + 1 frequencies: shape (N, 2d) at points z
+    (N,), reduced mod L first so that a large z keeps its phase's digits.
+    """
+    z = np.mod(np.asarray(z, dtype=float).ravel(), series.cell)
+    phases = (np.exp((TWO_PI / series.cell) * 1j * np.outer(z[lo: lo + chunk], series.kz))
+              for lo in range(0, z.size, chunk))
+    return np.vstack([(p @ series.u.T).real for p in phases])
 
 
 def wigner_oracle(state: CodeState, eta_x, eta_z, tol: float = 1e-18) -> np.ndarray:

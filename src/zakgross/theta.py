@@ -8,16 +8,17 @@ The x factor is a closed-form comb, the Poisson dual of its Fourier series:
 f_c(x) = (1/ell) sum_m exp(-(x - c ell/2 - m L)^2 / delta^2), L = d ell,
 summed over the few teeth nearest x, as many as a tail bound (_comb_teeth)
 asks for. The z factor h_c(z) is a real trigonometric sum over 2Kz + 1
-frequencies, Kz ~ 1/(ell delta), from a table of phases built with O(sqrt
-Kz) products per point. So a scattered point costs O(2d + Kz), not the
-O(Kx Kz) of the dense 2-D series, which is never built; a grid is one real
-product of inner dimension 2d, and negative_sum evaluates only its tiles of
-undecided sign; position-bin masses and the norm come in closed form from
-the kz = 0 column. As every f_c >= 0, |W| <= sum_c f_c(x) |h_c(z)|, and
-abs_envelope bounds each |h_c| on equal z cells by Taylor expansion: the
-rejection sampler's certified envelope. Its references (the dense series
-from 2-D sub-lattice theta sums, the wavefunction, the 4-variable Wigner
-sum, the Gaussian vacuum) live in oracles.py.
+frequencies, Kz ~ 1/(ell delta); one FFT-built table per state holds its
+Taylor polynomials of P ~ 12 terms on N ~ 8 Kz z cells, so a scattered
+point costs O(2d P), flat in delta, and the dense 2-D series is never
+built. A grid is one real product of inner dimension 2d; negative_sum
+takes h_c on its midpoints from one inverse FFT and evaluates only tiles
+of undecided sign; position-bin masses and the norm come in closed form
+from the kz = 0 column. As every f_c >= 0, |W| <= sum_c f_c(x) |h_c(z)|,
+and abs_envelope bounds each |h_c| on the table's cells: the rejection
+sampler's certified envelope. Its references (the dense series, the
+wavefunction, the 4-variable Wigner sum, the Gaussian vacuum, the literal
+z sum) live in oracles.py.
 
 theta(Gamma, z) = sum_{t in Z^m} exp(i pi t.Gamma t + 2 pi i t.z), Im Gamma > 0,
 is off the runtime path: oracles.py builds on it, and the benchmark tracer
@@ -308,14 +309,13 @@ def _check_real(series: Series) -> None:
     everywhere. The teeth of one class lie L apart, so from any x all but
     the nearest lie at least L/2, 3L/2, ... away on either side, and
     ell max f_c <= 1 + 2 e^(-L^2 / 4 delta^2) / (1 - e^(-L^2 / delta^2)).
-    The probe grid takes x on the comb's tooth centres and z on the 2Kz + 1
-    points where one inverse FFT per class gives h_c exactly.
+    The probe grid takes x on the comb's tooth centres, z on 2Kz + 1 midpoints.
     """
     u, cell, delta = series.u, series.cell, series.delta
     f_max = 1.0 - 2.0 * math.exp(-((cell / delta) ** 2) / 4.0) / math.expm1(-((cell / delta) ** 2))
     residue = f_max / series.ell * 0.5 * float(np.abs(u - np.conjugate(u[:, ::-1])).sum())
-    h = (u.shape[1] * np.fft.ifft(np.fft.ifftshift(u, axes=1), axis=1)).real
-    probe = _x_factor(series, np.arange(u.shape[0]) * series.ell / 2) @ h
+    h = _z_midpoints(u, series.kz, u.shape[1])
+    probe = _x_factor(series, np.arange(u.shape[0]) * series.ell / 2) @ h.T
     if residue > 1e-8 * float(np.max(np.abs(probe))):
         raise ImaginaryResidue(f"Wigner series has imaginary residue {residue:.2e}")
 
@@ -353,6 +353,63 @@ def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
     return np.take_along_axis(folded, np.mod(cols, classes), axis=1) / series.ell
 
 
+@functools.lru_cache(maxsize=64)
+def _z_table(state: CodeState) -> np.ndarray:
+    """T (P, N, 2d): h_c(m_j + t L / 2N) = sum_k T[k, j, c] t^k + R on |t| <= 1.
+
+    N is the least power of two >= 4 (2Kz + 1), m_j = (j + 1/2) L / N, and
+    |R| <= (pi Kz / N)^P / P! sum_b |u[c, b]|, P the least order that puts
+    this factor below SERIES_TOL. Read-only, cached per state; a negativity
+    alone never builds it.
+    """
+    u, kz = _series(state)[:2]  # a Series starts (u, kz)
+    cells = 1 << (4 * u.shape[1] - 1).bit_length()
+    orders, rest, reach = 0, 1.0, math.pi * float(np.max(np.abs(kz))) / cells
+    while rest > SERIES_TOL:  # rest = (pi Kz / N)^orders / orders!
+        orders += 1
+        rest *= reach / orders
+    table = np.empty((orders, cells, u.shape[0]))
+    for k in range(orders):  # order k: h_c at the midpoints, with u[c, b] (i pi b / N)^k / k!
+        table[k] = _z_midpoints(u, kz, cells)
+        u = u * ((1j * math.pi / (cells * (k + 1))) * kz)
+    table.setflags(write=False)
+    return table
+
+
+def _z_factor(state: CodeState, z: np.ndarray) -> np.ndarray:
+    """h_c(z) at points z (N,) for every class: shape (N, 2d).
+
+    z lies in cell j = floor((z mod L) N / L) of _z_table (N - 1 if z mod L
+    rounds to L) at t = 2 frac - 1: Horner's rule, 2^16 table floats a chunk.
+    """
+    table, cell = _z_table(state), state.d * state.ell
+    orders, cells, classes = table.shape
+    pos = np.mod(z, cell) * (cells / cell)
+    j = np.minimum(pos.astype(np.intp), cells - 1)
+    t = 2.0 * (pos - j) - 1.0
+    out = np.empty((z.size, classes))
+    chunk = max(1, (1 << 16) // (classes * orders))
+    for lo in range(0, z.size, chunk):
+        rows = table.take(j[lo: lo + chunk], axis=1).reshape(orders, -1)
+        t_rows = np.repeat(t[lo: lo + chunk], classes)
+        acc = out[lo: lo + chunk].reshape(-1)  # a view: out is contiguous
+        np.copyto(acc, rows[-1])
+        for k in range(orders - 2, -1, -1):
+            acc *= t_rows
+            acc += rows[k]
+    return out
+
+
+def _z_midpoints(u: np.ndarray, kz: np.ndarray, n: int) -> np.ndarray:
+    """h_c at the midpoints (i + 1/2) L / n for every class row of u: shape (n, 2d).
+
+    One inverse FFT per class of u[c, b] exp(i pi b / n) folded onto b mod n.
+    """
+    coef = np.zeros((u.shape[0], n), dtype=complex)
+    np.add.at(coef, (slice(None), kz.astype(np.intp) % n), u * np.exp((math.pi / n) * 1j * kz))
+    return (n * np.fft.ifft(coef, axis=1)).real.T
+
+
 class AbsEnvelope(NamedTuple):
     """Certified bounds on each class's |h_c| over equal z cells; see abs_envelope."""
 
@@ -370,79 +427,21 @@ class AbsEnvelope(NamedTuple):
 def abs_envelope(state: CodeState) -> AbsEnvelope:
     """A certified rejection-sampling envelope of |W|, cached per state.
 
-    Every comb f_c is >= 0, so |W(x, z)| <= sum_c f_c(x) |h_c(z)|. For N >=
-    4 (2Kz + 1) equal z cells, Taylor's theorem about each cell's midpoint m
-    bounds |h_c| on the cell by sum_{k<P} |h_c^(k)(m)| r^k / k! + R, with
-    r = L / 2N and h_c^(k)(m) r^k / k! = Re sum_b (i pi b / N)^k / k! u[c, b]
-    exp(2 pi i b m / L), one inverse FFT per order. R <= (pi Kz / N)^P / P!
-    sum_b |u[c, b]|; P is the least order that puts this factor below
-    SERIES_TOL, and the table adds SERIES_TOL sum_b |u[c, b]| to cover R and
-    the rounding of the FFTs and of h_c. Each comb has mass delta sqrt(pi) / ell.
+    Every comb f_c is >= 0, so |W(x, z)| <= sum_c f_c(x) |h_c(z)|, and on z
+    cell j of _z_table sum_k |T[k, j, c]| + SERIES_TOL sum_b |u[c, b]|
+    bounds |h_c|: the added term covers R and the rounding of the FFTs and
+    of h_c. Each comb has mass delta sqrt(pi) / ell.
     """
     series = _series(state)
-    u, kz = series.u, series.kz
-    cells = 1 << (4 * u.shape[1] - 1).bit_length()  # a power of two >= 4 (2Kz + 1)
-    at = kz.astype(np.intp) % cells
-    step = np.zeros(cells)
-    step[at] = math.pi * kz / cells  # pi b / N, also b's phase at the first midpoint L / 2N
-    coef = np.zeros((u.shape[0], cells), dtype=complex)
-    coef[:, at] = u * np.exp(1j * step[at])
-    bound = np.zeros(coef.shape)
-    order, rest, reach = 0, 1.0, math.pi * float(np.max(np.abs(kz))) / cells
-    while rest > SERIES_TOL:  # rest = (pi Kz / N)^order / order!
-        bound += np.abs((cells * np.fft.ifft(coef, axis=1)).real)
-        order += 1
-        coef *= (1j / order) * step
-        rest *= reach / order
-    bound += SERIES_TOL * np.abs(u).sum(axis=1)[:, None]
+    bound = np.abs(_z_table(state)).sum(axis=0).T
+    bound += SERIES_TOL * np.abs(series.u).sum(axis=1)[:, None]
     cum = np.cumsum(bound.ravel())
-    mass = float(cum[-1]) * (series.cell / cells) * series.delta * math.sqrt(math.pi) / series.ell
+    width = series.cell / bound.shape[1]  # of one z cell
+    mass = float(cum[-1]) * width * series.delta * math.sqrt(math.pi) / series.ell
     cum /= cum[-1]
     bound.setflags(write=False)
     cum.setflags(write=False)
     return AbsEnvelope(series, bound, cum, mass)
-
-
-def _cis_powers(t: np.ndarray, count: int) -> np.ndarray:
-    """exp(i r t) for r = 0..count-1: shape (N, count), by repeated products."""
-    out = np.empty((t.size, count), dtype=complex)
-    out[:, 0] = 1.0
-    if count > 1:
-        out[:, 1:] = (np.cos(t) + 1j * np.sin(t))[:, None]
-        np.cumprod(out, axis=1, out=out)
-    return out
-
-
-def _z_factor(series: Series, z: np.ndarray) -> np.ndarray:
-    """h_c(z) at points z (N,) for every class: shape (N, 2d).
-
-    Folding kz = b and -b, h_c = Re sum_{b >= 0} q[c, b] exp(i b theta) with
-    q[c, 0] = u[c, 0], q[c, b] = u[c, b] + conj u[c, -b] and
-    theta = 2 pi (z mod L) / L. Each phase exp(i (g s + r) theta) is one
-    product of a giant step (g < G) and a baby step (r < s): a point costs
-    two cosines and two sines, s + G = O(sqrt Kz) products for the steps
-    and one product per phase. Viewed as interleaved (cos, sin) floats, the
-    phases meet the table (Re q, -Im q) in one real matrix product.
-    """
-    classes, nkz = series.u.shape
-    k = nkz // 2
-    baby = math.isqrt(k) + 1
-    giant = -(-(k + 1) // baby)
-    fold = series.u[:, k:].copy()
-    fold[:, 1:] += np.conjugate(series.u[:, k - 1::-1])
-    table = np.zeros((giant * baby, 2, classes))
-    table[: k + 1, 0] = fold.real.T
-    table[: k + 1, 1] = -fold.imag.T
-    table = table.reshape(-1, classes)
-
-    theta = np.mod(z, series.cell) * (TWO_PI / series.cell)
-    out = np.empty((z.size, classes))
-    chunk = max(256, (1 << 19) // (giant * baby))
-    for lo in range(0, z.size, chunk):
-        t = theta[lo: lo + chunk]
-        phases = _cis_powers(baby * t, giant)[:, :, None] * _cis_powers(t, baby)[:, None, :]
-        out[lo: lo + chunk] = phases.reshape(t.size, -1).view(np.float64) @ table
-    return out
 
 
 def _kz0_column(series: Series):
@@ -466,7 +465,7 @@ def wigner_theta(state: CodeState, eta) -> np.ndarray:
         raise ValueError(f"eta must have last dimension 2, got {eta.shape}")
     flat = eta.reshape(-1, 2)
     series = _series(state)
-    vals = np.einsum("nc,nc->n", _x_factor(series, flat[:, 0]), _z_factor(series, flat[:, 1]))
+    vals = np.einsum("nc,nc->n", _x_factor(series, flat[:, 0]), _z_factor(state, flat[:, 1]))
     return vals.reshape(eta.shape[:-1])
 
 
@@ -479,14 +478,15 @@ def wigner_theta_grid(state: CodeState, eta_x, eta_z) -> np.ndarray:
     series = _series(state)
     eta_x = np.asarray(eta_x, dtype=float).ravel()
     eta_z = np.asarray(eta_z, dtype=float).ravel()
-    return _x_factor(series, eta_x) @ _z_factor(series, eta_z).T
+    return _x_factor(series, eta_x) @ _z_factor(state, eta_z).T
 
 
-def negative_sum(state: CodeState, eta) -> float:
-    """-sum of min(v, 0) over the values v of wigner_theta_grid(state, eta, eta).
+def negative_sum(state: CodeState, n: int) -> float:
+    """-sum of min(v, 0) over the unnormalized Wigner values on the n x n midpoint grid.
 
-    F and H, f_c and h_c on the grid, are cut into TILE x TILE tiles, the
-    last padded with zero rows. _tile_signs bounds each tile's values from
+    Both axes take the n midpoints (i + 1/2) L / n of one cell. F and H,
+    f_c and h_c on them (H by _z_midpoints), are cut into TILE x TILE
+    tiles, the last padded with zero rows. _tile_signs bounds each tile's values from
     its least and greatest F and H. A nonnegative tile adds nothing; a
     negative one adds its sum in closed form, sum_c (sum of F_c)(sum of
     H_c), which differs from its computed values' sum by rounding alone, at
@@ -494,8 +494,8 @@ def negative_sum(state: CodeState, eta) -> float:
     row evaluates its undecided tiles in one product, clipped and summed.
     """
     series = _series(state)
-    eta = np.asarray(eta, dtype=float).ravel()
-    f, h = _tiles(_x_factor(series, eta)), _tiles(_z_factor(series, eta))
+    eta = (np.arange(n) + 0.5) * series.cell / n
+    f, h = _tiles(_x_factor(series, eta)), _tiles(_z_midpoints(series.u, series.kz, n))
     negative, undecided = _tile_signs(f, h)
     total = 0.0
     for rows, cols in zip(f, undecided):

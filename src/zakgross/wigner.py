@@ -10,15 +10,15 @@ joint lattice support when that is faster, for a few modes
 (measure.exact_probabilities_ideal). The total negativity is a product over
 factors and is manifestly invariant under gates, since the map drops out of
 any integral over a full cell. A realistic factor's negativity integrates
-|W| over one cell by midpoint sums on doubling grids; each level is one
-theta.negative_sum, which evaluates only the tiles whose sign its separable
-bounds leave undecided and settles the rest in closed form.
+|W| over one cell by midpoint sums on doubling n x n grids; each level is
+theta.negative_sum(state, n), which evaluates only the tiles whose sign its
+separable bounds leave undecided and settles the rest in closed form.
 
 Ideal factors carry a d x d table of discrete Wigner weights supported on
 the integer lattice ell * Z^2 (one cell), and sample it directly; realistic
 factors carry a finite-envelope CodeState, evaluated through its separable
-series and sampled by rejection under the certified bound theta.abs_envelope
-builds from the same series.
+series, whose z half is one Taylor table per state, and sampled by rejection
+under the certified bound theta.abs_envelope sums from that table.
 """
 from __future__ import annotations
 
@@ -118,7 +118,7 @@ class RealisticFactor:
 def _negativity(state: CodeState, tol: float) -> float:
     """Cell integral of |W| for the unit-norm state, cached per (state, tol)."""
     scale = state.d * code_state_norm(state)
-    return _abs_integral(lambda xs: negative_sum(state, xs) / scale, state.d * state.ell, tol)
+    return _abs_integral(lambda xs: negative_sum(state, xs.size) / scale, state.d * state.ell, tol)
 
 
 def _abs_integral(level, period: float, tol: float) -> float:

@@ -20,6 +20,7 @@ from zakgross.oracles import (
     sublattice_series,
     sublattice_theta_batch,
     wigner_oracle,
+    z_factor_sum,
 )
 from zakgross.qudit import CodeParams
 from zakgross.theta import (
@@ -346,6 +347,42 @@ def test_series_holds_no_dense_array():
     assert series.u.shape == (14, series.kz.size)
     assert all(f.size <= rows for f in series if isinstance(f, np.ndarray))
     theta._series.cache_clear()
+
+
+Z_STATES = [
+    CodeState.logical(d, 0, delta) if kind == "logical" else CodeState.phase_state(d, delta)
+    for d in (3, 5, 7, 9) for delta in (1.0, 0.5, 0.25, 0.1, 0.05, 0.01) if d <= 7 or delta > 0.01
+    for kind in ("logical", "phase")
+]
+
+
+def _z_state_id(state):
+    return f"d{state.d}-{'logical' if state.eps[0] == 1 else 'phase'}-{state.delta}"
+
+
+@pytest.mark.parametrize("state", Z_STATES, ids=_z_state_id)
+def test_z_table_matches_the_literal_sum(state):
+    series = theta._series(state)
+    period, cells = series.cell, theta._z_table(state).shape[1]
+    rng = np.random.default_rng(state.d)
+    z = np.concatenate([
+        rng.uniform(-3 * period, 4 * period, 500),  # below 0 and above L as well
+        np.arange(0, cells + 1, max(1, cells // 64)) * (period / cells),  # cell edges, 0 and L
+        [-4.4e-16, period, np.nextafter(period, 0.0)],  # np.mod(-4.4e-16, L) rounds to L
+    ])
+    err = np.abs(theta._z_factor(state, z) - z_factor_sum(series, z))
+    assert np.all(err <= 1e-13 * np.abs(series.u).sum(axis=1))
+
+
+@pytest.mark.parametrize("n", [512, 1000])
+@pytest.mark.parametrize("state", Z_STATES, ids=_z_state_id)
+def test_midpoint_fft_matches_the_literal_sum(state, n):
+    series = theta._series(state)
+    if state.delta == 0.01:
+        assert series.kz.size > n  # more frequencies than points: the fold runs
+    z = (np.arange(n) + 0.5) * series.cell / n
+    err = np.abs(theta._z_midpoints(series.u, series.kz, n) - z_factor_sum(series, z))
+    assert np.all(err <= 1e-13 * np.abs(series.u).sum(axis=1))
 
 
 def test_wigner_peaks_at_logical_support():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zakgross import theta, wigner
-from zakgross.oracles import check_realistic_sampler
+from zakgross.oracles import check_realistic_sampler, z_factor_sum
 from zakgross.qudit import CodeParams, Gate
 from zakgross.symplectic import AffineMap, generator_symplectic
 from zakgross.theta import CodeState
@@ -192,7 +192,7 @@ def test_blocked_negative_mass_matches_the_dense_grid(state, n):
     f = RealisticFactor(state)
     xs = (np.arange(n) + 0.5) * state.d * state.ell / n
     dense = float(-np.minimum(f.wigner_grid(xs, xs), 0.0).sum())
-    tiled = theta.negative_sum(state, xs) / (state.d * f.norm)
+    tiled = theta.negative_sum(state, n) / (state.d * f.norm)
     assert dense > 0 and abs(tiled - dense) <= 1e-12 * dense
 
 
@@ -217,16 +217,17 @@ TILE_RULE_STATES = [
 def test_tile_rule_matches_the_dense_grid_and_its_signs_hold(state, n):
     f = RealisticFactor(state)
     xs = (np.arange(n) + 0.5) * state.d * state.ell / n
-    dense = f.wigner_grid(xs, xs)
     series = theta._series(state)
-    negative, undecided = theta._tile_signs(theta._tiles(theta._x_factor(series, xs)),
-                                            theta._tiles(theta._z_factor(series, xs)))
+    # the level's own F and H: the grid FFT is held to the literal sum elsewhere
+    f_x, h_z = theta._x_factor(series, xs), theta._z_midpoints(series.u, series.kz, n)
+    dense = f_x @ h_z.T / (state.d * f.norm)
+    negative, undecided = theta._tile_signs(theta._tiles(f_x), theta._tiles(h_z))
     tile = np.arange(n) // theta.TILE
     on_grid = np.ix_(tile, tile)
     assert np.all(dense[negative[on_grid]] < 0.0)
     assert np.all(dense[~(negative | undecided)[on_grid]] >= 0.0)
     expect = float(-np.minimum(dense, 0.0).sum())
-    got = theta.negative_sum(state, xs) / (state.d * f.norm)
+    got = theta.negative_sum(state, n) / (state.d * f.norm)
     assert abs(got - expect) <= 1e-12 * expect
 
 
@@ -234,8 +235,9 @@ def test_tile_rule_evaluates_a_small_share_of_the_level():
     state = CodeState.phase_state(3, 0.5)
     xs = (np.arange(2048) + 0.5) * state.d * state.ell / 2048
     series = theta._series(state)
+    h_z = theta._z_midpoints(series.u, series.kz, 2048)
     _negative, undecided = theta._tile_signs(theta._tiles(theta._x_factor(series, xs)),
-                                             theta._tiles(theta._z_factor(series, xs)))
+                                             theta._tiles(h_z))
     evaluated = np.count_nonzero(undecided) * theta.TILE ** 2  # negative_sum evaluates these
     assert evaluated <= 0.15 * 2048 ** 2
 
@@ -247,9 +249,9 @@ def test_tile_rule_evaluates_a_small_share_of_the_level():
 def test_negativity_never_holds_a_whole_level(monkeypatch, state, tol, top):
     levels = []
 
-    def recorded(st, xs):
-        levels.append(len(xs))
-        return theta.negative_sum(st, xs)
+    def recorded(st, n):
+        levels.append(n)
+        return theta.negative_sum(st, n)
 
     monkeypatch.setattr(wigner, "negative_sum", recorded)
     RealisticFactor(state)  # the series is cached; measure the integral alone
@@ -261,6 +263,29 @@ def test_negativity_never_holds_a_whole_level(monkeypatch, state, tol, top):
         tracemalloc.stop()
     assert max(levels) == top and m > 1.0
     assert peak <= 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("case", ["sample", "negativity"])
+def test_z_half_holds_no_per_point_phase_table(case):
+    if case == "sample":
+        st = realistic_input(CodeParams(3, 1), [CodeState.logical(3, 0, 0.25)])
+        sample_input(st, 1, 100)  # builds the series, the envelope and the z table
+
+        def run():
+            return sample_input(st, 1, 8141)
+    else:
+        state = CodeState.phase_state(7, 0.01)
+        RealisticFactor(state)  # the series is cached; measure the integral alone
+
+        def run():
+            return wigner._negativity.__wrapped__(state, wigner.NEGATIVITY_TOL)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 def test_refinement_that_never_settles_reports_its_last_two_levels():
@@ -355,10 +380,10 @@ def z_bin_integrals(state, bins):
 def test_realistic_sampler_draws_its_law(d, delta, kind):
     state = CodeState.logical(d, 0, delta) if kind == "logical" else CodeState.phase_state(d, delta)
     period = d * state.ell
-    # the table bounds every |h_c| on a probe grid 16 times finer than its cells
+    # the table bounds every |h_c| (the literal sum) on a probe grid 16 times finer than its cells
     bound = theta.abs_envelope(state).bound
     probe = np.arange(16 * bound.shape[1])
-    h = theta._z_factor(theta._series(state), probe * period / probe.size)
+    h = z_factor_sum(theta._series(state), probe * period / probe.size)
     assert np.all(np.abs(h) <= bound[:, probe // 16].T)
     # 100k draws; the sampler raises EnvelopeViolated on any draw above the envelope
     pts, signs = sample_input(realistic_input(CodeParams(d, 1), [state]), 1, 100_000)

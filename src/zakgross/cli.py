@@ -32,7 +32,7 @@ from .circuit_io import (
 )
 from .estimator import InfeasiblePlan
 from .symplectic import IntSymplectic, decompose
-from .theta import CodeState
+from .theta import CodeState, cell_midpoints
 from .wigner import NEGATIVITY_TOL, SEED, RealisticFactor
 
 
@@ -82,7 +82,7 @@ def _make_state(args) -> CodeState:
 def _cmd_wigner(args) -> int:
     factor = RealisticFactor(_make_state(args))
     period = args.d * factor.state.ell
-    xs = (np.arange(args.grid) + 0.5) * period / args.grid
+    xs = cell_midpoints(period, args.grid)
     vals = factor.wigner_grid(xs, xs)
     lines = ["eta_x,eta_z,wigner"]
     for i, x in enumerate(xs):

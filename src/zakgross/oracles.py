@@ -227,11 +227,12 @@ def dense_series_points(series, eta) -> np.ndarray:
     return (left * ez).real.sum(axis=1)
 
 
-def z_factor_sum(series, z, chunk: int = 1024) -> np.ndarray:
+def z_factor_sum(series, z) -> np.ndarray:
     """h_c(z) = Re sum_b u[c, b] exp(2 pi i kz[b] z / L) of a theta.Series by
     the literal sum over its 2Kz + 1 frequencies: shape (N, 2d) at points z
     (N,), reduced mod L first so that a large z keeps its phase's digits.
     """
+    chunk = 1024  # points per phase block
     z = np.mod(np.asarray(z, dtype=float).ravel(), series.cell)
     phases = (np.exp((TWO_PI / series.cell) * 1j * np.outer(z[lo: lo + chunk], series.kz))
               for lo in range(0, z.size, chunk))

@@ -353,36 +353,13 @@ def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
     return np.take_along_axis(folded, np.mod(cols, classes), axis=1) / series.ell
 
 
-@functools.lru_cache(maxsize=64)
-def _z_table(state: CodeState) -> np.ndarray:
-    """T (P, N, 2d): h_c(m_j + t L / 2N) = sum_k T[k, j, c] t^k + R on |t| <= 1.
-
-    N is the least power of two >= 4 (2Kz + 1), m_j = (j + 1/2) L / N, and
-    |R| <= (pi Kz / N)^P / P! sum_b |u[c, b]|, P the least order that puts
-    this factor below SERIES_TOL. Read-only, cached per state; a negativity
-    alone never builds it.
-    """
-    u, kz = _series(state)[:2]  # a Series starts (u, kz)
-    cells = 1 << (4 * u.shape[1] - 1).bit_length()
-    orders, rest, reach = 0, 1.0, math.pi * float(np.max(np.abs(kz))) / cells
-    while rest > SERIES_TOL:  # rest = (pi Kz / N)^orders / orders!
-        orders += 1
-        rest *= reach / orders
-    table = np.empty((orders, cells, u.shape[0]))
-    for k in range(orders):  # order k: h_c at the midpoints, with u[c, b] (i pi b / N)^k / k!
-        table[k] = _z_midpoints(u, kz, cells)
-        u = u * ((1j * math.pi / (cells * (k + 1))) * kz)
-    table.setflags(write=False)
-    return table
-
-
 def _z_factor(state: CodeState, z: np.ndarray) -> np.ndarray:
     """h_c(z) at points z (N,) for every class: shape (N, 2d).
 
-    z lies in cell j = floor((z mod L) N / L) of _z_table (N - 1 if z mod L
-    rounds to L) at t = 2 frac - 1: Horner's rule, 2^16 table floats a chunk.
+    z lies in cell j = floor((z mod L) N / L) of abs_envelope(state).table (N - 1
+    if z mod L rounds to L) at t = 2 frac - 1: Horner, 2^16 table floats a chunk.
     """
-    table, cell = _z_table(state), state.d * state.ell
+    table, cell = abs_envelope(state).table, state.d * state.ell
     orders, cells, classes = table.shape
     pos = np.mod(z, cell) * (cells / cell)
     j = np.minimum(pos.astype(np.intp), cells - 1)
@@ -400,8 +377,13 @@ def _z_factor(state: CodeState, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def cell_midpoints(period: float, n: int) -> np.ndarray:
+    """(i + 1/2) period / n for i < n: both axes of a negativity level, _z_midpoints' z."""
+    return (np.arange(n) + 0.5) * period / n
+
+
 def _z_midpoints(u: np.ndarray, kz: np.ndarray, n: int) -> np.ndarray:
-    """h_c at the midpoints (i + 1/2) L / n for every class row of u: shape (n, 2d).
+    """h_c at cell_midpoints(L, n) for every class row of u: shape (n, 2d).
 
     One inverse FFT per class of u[c, b] exp(i pi b / n) folded onto b mod n.
     """
@@ -414,6 +396,7 @@ class AbsEnvelope(NamedTuple):
     """Certified bounds on each class's |h_c| over equal z cells; see abs_envelope."""
 
     series: Series
+    table: np.ndarray  # (P, N, 2d): the Taylor table _z_factor sums; read-only
     bound: np.ndarray  # (2d, N): bound[c, j] >= |h_c| on z cell j of N; read-only
     cum: np.ndarray  # cumulative share of bound.ravel(), ending at exactly 1
     mass: float  # integral over one cell of sum_c f_c(x) bound[c, j(z)]
@@ -425,23 +408,37 @@ class AbsEnvelope(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def abs_envelope(state: CodeState) -> AbsEnvelope:
-    """A certified rejection-sampling envelope of |W|, cached per state.
+    """The z Taylor table and a certified sampling envelope of |W|, cached per state.
 
+    Table T (P, N, 2d): h_c(m_j + t L / 2N) = sum_k T[k, j, c] t^k + R on
+    |t| <= 1, with N the least power of two >= 4 (2Kz + 1), m_j = (j + 1/2)
+    L / N and |R| <= (pi Kz / N)^P / P! sum_b |u[c, b]|, P the least order
+    that puts this factor below SERIES_TOL. A negativity never builds it.
     Every comb f_c is >= 0, so |W(x, z)| <= sum_c f_c(x) |h_c(z)|, and on z
-    cell j of _z_table sum_k |T[k, j, c]| + SERIES_TOL sum_b |u[c, b]|
-    bounds |h_c|: the added term covers R and the rounding of the FFTs and
-    of h_c. Each comb has mass delta sqrt(pi) / ell.
+    cell j sum_k |T[k, j, c]| + SERIES_TOL sum_b |u[c, b]| bounds |h_c|:
+    the added term covers R and the rounding of the FFTs and of h_c. Each
+    comb has mass delta sqrt(pi) / ell.
     """
     series = _series(state)
-    bound = np.abs(_z_table(state)).sum(axis=0).T
+    u, kz = series.u, series.kz
+    cells = 1 << (4 * u.shape[1] - 1).bit_length()
+    orders, rest, reach = 0, 1.0, math.pi * float(np.max(np.abs(kz))) / cells
+    while rest > SERIES_TOL:  # rest = (pi Kz / N)^orders / orders!
+        orders += 1
+        rest *= reach / orders
+    table = np.empty((orders, cells, u.shape[0]))
+    for k in range(orders):  # order k: h_c at the midpoints, with u[c, b] (i pi b / N)^k / k!
+        table[k] = _z_midpoints(u, kz, cells)
+        u = u * ((1j * math.pi / (cells * (k + 1))) * kz)
+    bound = np.abs(table).sum(axis=0).T
     bound += SERIES_TOL * np.abs(series.u).sum(axis=1)[:, None]
     cum = np.cumsum(bound.ravel())
     width = series.cell / bound.shape[1]  # of one z cell
     mass = float(cum[-1]) * width * series.delta * math.sqrt(math.pi) / series.ell
     cum /= cum[-1]
-    bound.setflags(write=False)
-    cum.setflags(write=False)
-    return AbsEnvelope(series, bound, cum, mass)
+    for frozen in (table, bound, cum):
+        frozen.setflags(write=False)
+    return AbsEnvelope(series, table, bound, cum, mass)
 
 
 def _kz0_column(series: Series):
@@ -484,17 +481,17 @@ def wigner_theta_grid(state: CodeState, eta_x, eta_z) -> np.ndarray:
 def negative_sum(state: CodeState, n: int) -> float:
     """-sum of min(v, 0) over the unnormalized Wigner values on the n x n midpoint grid.
 
-    Both axes take the n midpoints (i + 1/2) L / n of one cell. F and H,
-    f_c and h_c on them (H by _z_midpoints), are cut into TILE x TILE
-    tiles, the last padded with zero rows. _tile_signs bounds each tile's values from
-    its least and greatest F and H. A nonnegative tile adds nothing; a
-    negative one adds its sum in closed form, sum_c (sum of F_c)(sum of
-    H_c), which differs from its computed values' sum by rounding alone, at
-    most about (2 TILE + 2d) u of its sum of |F_c H_c|, u = 2^-53. Each tile
-    row evaluates its undecided tiles in one product, clipped and summed.
+    Both axes take cell_midpoints(L, n). F and H, f_c and h_c on them (H by
+    _z_midpoints), are cut into TILE x TILE tiles, the last padded with zero
+    rows. _tile_signs bounds each tile's values from its least and greatest
+    F and H. A nonnegative tile adds nothing; a negative one adds its sum in
+    closed form, sum_c (sum of F_c)(sum of H_c), which differs from its
+    computed values' sum by rounding alone, at most about (2 TILE + 2d) u of
+    its sum of |F_c H_c|, u = 2^-53. Each tile row evaluates its undecided
+    tiles in one product, clipped and summed.
     """
     series = _series(state)
-    eta = (np.arange(n) + 0.5) * series.cell / n
+    eta = cell_midpoints(series.cell, n)
     f, h = _tiles(_x_factor(series, eta)), _tiles(_z_midpoints(series.u, series.kz, n))
     negative, undecided = _tile_signs(f, h)
     total = 0.0

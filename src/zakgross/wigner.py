@@ -34,6 +34,7 @@ from .symplectic import AffineMap
 from .theta import (
     CodeState,
     abs_envelope,
+    cell_midpoints,
     code_state_norm,
     negative_sum,
     wigner_theta,
@@ -125,17 +126,18 @@ def _abs_integral(level, period: float, tol: float) -> float:
     """integral of |W| over one cell [0, period)^2 = 1 + 2 * (negative mass).
 
     level(xs) returns -sum of min(v, 0) over the grid of normalized values
-    on xs (x) xs: summed over the whole grid (the criterion 5 oracles), or
-    by theta.negative_sum, which settles most tiles from sign bounds and
-    agrees with the whole grid up to rounding. The positive part
-    integrates to exactly 1, so only the negative mass is computed
-    numerically: midpoint sums on the full cell at doubling resolutions
-    until two levels agree. Midpoint handles the |.| kinks at the sign
-    boundary at second order, which the agreement check verifies.
+    on xs (x) xs, xs = cell_midpoints(period, n): summed over the whole grid
+    (the criterion 5 oracles), or by theta.negative_sum(state, n), which
+    builds the same grid, settles most tiles from sign bounds and agrees
+    with the whole grid up to rounding. The positive part integrates to
+    exactly 1, so only the negative mass is computed numerically: midpoint
+    sums on the full cell at doubling resolutions until two levels agree.
+    Midpoint handles the |.| kinks at the sign boundary at second order,
+    which the agreement check verifies.
     """
     prev = neg_mass = None
     for n_grid in (512, 1024, 2048, 4096):
-        xs = (np.arange(n_grid) + 0.5) * period / n_grid
+        xs = cell_midpoints(period, n_grid)
         prev, neg_mass = neg_mass, level(xs) * (period / n_grid) ** 2
         if prev is not None and abs(neg_mass - prev) <= 0.5 * tol:
             return 1.0 + 2.0 * neg_mass

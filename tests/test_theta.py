@@ -363,7 +363,7 @@ def _z_state_id(state):
 @pytest.mark.parametrize("state", Z_STATES, ids=_z_state_id)
 def test_z_table_matches_the_literal_sum(state):
     series = theta._series(state)
-    period, cells = series.cell, theta._z_table(state).shape[1]
+    period, cells = series.cell, theta.abs_envelope(state).table.shape[1]
     rng = np.random.default_rng(state.d)
     z = np.concatenate([
         rng.uniform(-3 * period, 4 * period, 500),  # below 0 and above L as well
@@ -380,7 +380,7 @@ def test_midpoint_fft_matches_the_literal_sum(state, n):
     series = theta._series(state)
     if state.delta == 0.01:
         assert series.kz.size > n  # more frequencies than points: the fold runs
-    z = (np.arange(n) + 0.5) * series.cell / n
+    z = theta.cell_midpoints(series.cell, n)
     err = np.abs(theta._z_midpoints(series.u, series.kz, n) - z_factor_sum(series, z))
     assert np.all(err <= 1e-13 * np.abs(series.u).sum(axis=1))
 

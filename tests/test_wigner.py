@@ -190,7 +190,7 @@ NEGATIVITY_STATES = [
 @pytest.mark.parametrize("state", NEGATIVITY_STATES, ids=lambda st: f"d{st.d}-{st.delta}")
 def test_blocked_negative_mass_matches_the_dense_grid(state, n):
     f = RealisticFactor(state)
-    xs = (np.arange(n) + 0.5) * state.d * state.ell / n
+    xs = theta.cell_midpoints(state.d * state.ell, n)
     dense = float(-np.minimum(f.wigner_grid(xs, xs), 0.0).sum())
     tiled = theta.negative_sum(state, n) / (state.d * f.norm)
     assert dense > 0 and abs(tiled - dense) <= 1e-12 * dense
@@ -216,7 +216,7 @@ TILE_RULE_STATES = [
                                         f"-{st.delta}")
 def test_tile_rule_matches_the_dense_grid_and_its_signs_hold(state, n):
     f = RealisticFactor(state)
-    xs = (np.arange(n) + 0.5) * state.d * state.ell / n
+    xs = theta.cell_midpoints(state.d * state.ell, n)
     series = theta._series(state)
     # the level's own F and H: the grid FFT is held to the literal sum elsewhere
     f_x, h_z = theta._x_factor(series, xs), theta._z_midpoints(series.u, series.kz, n)
@@ -233,7 +233,7 @@ def test_tile_rule_matches_the_dense_grid_and_its_signs_hold(state, n):
 
 def test_tile_rule_evaluates_a_small_share_of_the_level():
     state = CodeState.phase_state(3, 0.5)
-    xs = (np.arange(2048) + 0.5) * state.d * state.ell / 2048
+    xs = theta.cell_midpoints(state.d * state.ell, 2048)
     series = theta._series(state)
     h_z = theta._z_midpoints(series.u, series.kz, 2048)
     _negative, undecided = theta._tile_signs(theta._tiles(theta._x_factor(series, xs)),

@@ -10,23 +10,24 @@ symplectic by construction and are not checked again.
 An op is a plain value, told apart by type: a Gate, an IntSymplectic on
 all n modes, or 2n finite reals (a displacement in units of ell). Each
 generator tag is written once, in BLOCKS: the small integer block it
-applies on the coordinates (x_i.., z_i..) of the modes it touches, with its
-inverse and covariance shift computed once beside it, in ACTIONS. Every op
-is a block on some coordinates (an explicit matrix on all of them, a
-displacement none), so AffineMap.then_affine, word_symplectic and decompose
-compose by O(n) column or row operations. then_affine composes one op;
-then_ops calls it once per op of a list, on working maps that own one
-private copy of S and update it in place, and returns the last one frozen.
-c is updated in integer numerators over one denominator, and only its
-entries on the op's coordinates become new Fractions. An op's half-integer
-covariance shift enters through t_bar of its block; the stand-alone shift
-t(S) and the exponent parity identity are references in oracles.py.
+applies on the coordinates (x_i.., z_i..) of the modes it touches. ACTIONS
+holds what composing it needs, computed once from the block: the few
+nonzero terms of each column that differs from the identity's, and of each
+offset row that changes. AffineMap.then_ops composes a list of ops on one
+_WorkingMap, which holds S by its columns and c as integer numerators over
+one common denominator, and builds the frozen map's Fractions once, at the
+end. A gate there costs one column sum for P and P_inv, two for SUM, CZ
+and their inverses, and one negation for F and F_inv; an explicit matrix
+is one dense product. then_affine composes one op the same way on a copy.
+word_symplectic and the decompose round trip compose through then_ops too.
+An op's half-integer covariance shift enters through t_bar of its block;
+the stand-alone shift t(S) and the exponent parity identity are references
+in oracles.py.
 """
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,7 +81,7 @@ class IntSymplectic:
         object.__setattr__(self, "mat", m)
         n = m.shape[0] // 2
         om = symplectic_form(n)
-        prod = m.T @ om @ m
+        prod = m.T @ np.vstack([m[n:], -m[:n]])  # Omega S: the row halves swapped, one negated
         diff = prod - om
         for idx in np.ndindex(diff.shape):
             if diff[idx] != 0:
@@ -145,7 +146,8 @@ def _block(rows) -> IntSymplectic:
 
 
 # Each tag's block B on the coordinates (x_i, z_i) of its mode, or
-# (x_i, x_j, z_i, z_j) of its pair (i, j); the displacements X and Z have none.
+# (x_i, x_j, z_i, z_j) of its pair (i, j); the displacements X and Z leave
+# their mode's coordinates as they are.
 BLOCKS = {
     "F": _block([[0, 1], [-1, 0]]),
     "F_inv": _block([[0, -1], [1, 0]]),
@@ -155,79 +157,90 @@ BLOCKS = {
     "SUM_inv": _block([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 0, 1]]),
     "CZ": _block([[1, 0, 0, 0], [0, 1, 0, 0], [0, -1, 1, 0], [-1, 0, 0, 1]]),
     "CZ_inv": _block([[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]),
-    "X": None,
-    "Z": None,
+    "X": _block([[1, 0], [0, 1]]),
+    "Z": _block([[1, 0], [0, 1]]),
+}
+
+# A tag's own offset on (x_i, z_i) in units of ell, as (h, u) for d/2 times
+# h plus u: P and P_inv shift z_i by +-d/2, X and Z shift x_i or z_i by one.
+OWN_OFFSETS = {
+    "P": ((0, 1), (0, 0)),
+    "P_inv": ((0, -1), (0, 0)),
+    "X": ((0, 0), (1, 0)),
+    "Z": ((0, 0), (0, 1)),
 }
 
 
-def _action(block: IntSymplectic) -> tuple:
-    """(B, rows of B^{-1}, Omega^{-1} t_bar(B)): all that composing a block needs."""
-    tb = [int(v) for v in t_bar(block)]
-    k = block.n
-    return block.mat, block.inverse().mat.tolist(), [-v for v in tb[k:]] + tb[:k]
+def _nonzero(vec) -> tuple:
+    return tuple((i, int(v)) for i, v in enumerate(vec) if v != 0)
 
 
-# each tag's action, computed once
-ACTIONS = {name: _action(b) for name, b in BLOCKS.items() if b is not None}
+def _column_terms(mat: np.ndarray) -> tuple:
+    """For every column j of a block B that differs from the identity's,
+    (j, first, rest) over its nonzero terms (i, B[i, j]), the term i = j
+    first: composing with B sets S[:, j] to the sum of B[i, j] S[:, i] on
+    the block's coordinates. In every generator block a column that keeps
+    itself (B[j, j] = 1) adds only columns the block leaves as they are."""
+    eye = np.eye(len(mat), dtype=int)
+    terms = [(j, sorted(_nonzero(mat[:, j]), key=lambda t: t[0] != j))
+             for j in range(len(mat)) if (mat[:, j] != eye[:, j]).any()]
+    return tuple((j, first, tuple(rest)) for j, (first, *rest) in terms)
 
 
-def _coords(modes, n: int) -> list:
-    """Indices of (x_i.., z_i..) of the given modes in a 2n-vector."""
-    return [*modes, *(n + i for i in modes)]
+def _offset_terms(mat: np.ndarray, half=0, unit=0) -> tuple:
+    """For every coordinate j of a block B whose offset composing changes,
+    (j, ((i, B^{-1}[j, i]), ...), h_j, u_j): c_j becomes the sum of
+    B^{-1}[j, i] c_i plus (d/2) h_j + u_j, where h is Omega^{-1} t_bar(B)
+    plus the own offset's d/2 part `half` and u its integer part `unit`."""
+    block = _trusted(mat)
+    k, eye, inv, tb = block.n, np.eye(len(mat), dtype=int), block.inverse().mat, t_bar(block)
+    h = np.concatenate([-tb[k:], tb[:k]]) + half
+    u = np.zeros(len(mat), dtype=int) + unit
+    return tuple((j, _nonzero(inv[j]), int(h[j]), int(u[j])) for j in range(len(mat))
+                 if (inv[j] != eye[j]).any() or h[j] or u[j])
 
 
-def _gate_args(gate: Gate, params: CodeParams) -> tuple:
-    """A gate tag's block (None for X and Z), its own offset in units of ell
-    as _offset gives it (None if zero; half-integer for P and P_inv) and the
-    coordinates of the modes it touches."""
-    n, d = params.n, params.d
-    if max(gate.modes) >= n:
+# each tag's (column terms, offset terms), computed once
+ACTIONS = {name: (_column_terms(b.mat), _offset_terms(b.mat, *OWN_OFFSETS.get(name, (0, 0))))
+           for name, b in BLOCKS.items()}
+
+
+def _coords(gate: Gate, n: int) -> list:
+    """Indices of (x_i.., z_i..) of the modes a gate touches in a 2n-vector;
+    ValueError if one is >= n."""
+    modes = gate.modes
+    if max(modes) >= n:
         raise ValueError(f"gate {gate} touches mode >= n={n}")
-    own = {"P": ([0, d], 2), "P_inv": ([0, -d], 2),
-           "X": ([1, 0], 1), "Z": ([0, 1], 1)}.get(gate.name)
-    return BLOCKS[gate.name], own, _coords(gate.modes, n)
+    return [*modes, *[n + i for i in modes]]
 
 
-def _offset(c) -> tuple:
-    """Offsets in units of ell (any exact numbers) as (integer numerators, common denominator)."""
+def _displacement(op, n: int) -> tuple:
+    """A displacement of 2n finite reals in units of ell, held exactly, as
+    (integer numerators, common denominator). Anything else raises ValueError."""
+    if not hasattr(op, "__iter__"):
+        raise ValueError(f"an op is a Gate, an IntSymplectic or 2n reals, got {op!r}")
+    c = [x.item() if isinstance(x, np.generic) else x for x in op]
+    if len(c) != 2 * n:
+        raise ValueError(f"displacement needs length {2 * n}, got {len(c)}")
+    for i, x in enumerate(c):
+        finite = isinstance(x, numbers.Rational) or isinstance(x, numbers.Real) and math.isfinite(x)
+        if isinstance(x, bool) or not finite:
+            raise ValueError(f"displacement entry {i} is {x!r}, not a finite real")
     fr = [Fraction(x) for x in c]
     den = math.lcm(*(x.denominator for x in fr))
     return [x.numerator * (den // x.denominator) for x in fr], den
 
 
-def _op_args(op, params: CodeParams) -> tuple:
-    """_compose's (coords, action, offset) for one op: a Gate, an
-    IntSymplectic on all n modes, or a displacement of 2n finite reals in
-    units of ell. Anything else raises ValueError."""
-    if isinstance(op, Gate):
-        _, own, coords = _gate_args(op, params)
-        return coords, ACTIONS.get(op.name), own
-    if isinstance(op, IntSymplectic):
-        if op.n != params.n:
-            raise ValueError(f"matrix acts on {op.n} modes, state has {params.n}")
-        return None, _action(op), None
-    if not hasattr(op, "__iter__"):
-        raise ValueError(f"an op is a Gate, an IntSymplectic or 2n reals, got {op!r}")
-    c = [x.item() if isinstance(x, np.generic) else x for x in op]
-    if len(c) != 2 * params.n:
-        raise ValueError(f"displacement needs length {2 * params.n}, got {len(c)}")
-    for i, x in enumerate(c):
-        finite = isinstance(x, numbers.Rational) or isinstance(x, numbers.Real) and math.isfinite(x)
-        if isinstance(x, bool) or not finite:
-            raise ValueError(f"displacement entry {i} is {x!r}, not a finite real")
-    return None, None, _offset(c)
-
-
 def generator_symplectic(gate: Gate, params: CodeParams):
     """Dense (S, c) of a gate tag: its block embedded in the identity, its
-    offset in the zero 2n-vector."""
-    block, own, coords = _gate_args(gate, params)
+    own offset in the zero 2n-vector."""
+    coords = _coords(gate, params.n)
     m = IntSymplectic.identity(params.n).mat
-    if block is not None:
-        m[np.ix_(coords, coords)] = block.mat
-    vals, den = own or ((), 1)
-    own = dict(zip(coords, vals))
-    return _trusted(m), tuple(Fraction(own.get(i, 0), den) for i in range(2 * params.n))
+    m[np.ix_(coords, coords)] = BLOCKS[gate.name].mat
+    c = [Fraction(0)] * (2 * params.n)
+    for i, h, u in zip(coords, *OWN_OFFSETS.get(gate.name, ((0, 0), (0, 0)))):
+        c[i] = Fraction(params.d * h, 2) + u
+    return _trusted(m), tuple(c)
 
 
 # ---- affine phase-space map of a whole circuit -------------------------------
@@ -255,14 +268,16 @@ class AffineMap:
     def then_ops(self, ops) -> "AffineMap":
         """Compose with a list of ops (see then_affine), first to last.
 
-        Each op is one then_affine call, on a _WorkingMap that owns one
-        private copy of S made here, so no op copies S again and a gate
-        costs O(n). This map is left as it is.
+        One _WorkingMap, made here from a copy of this map, takes one
+        then_affine call per op and updates itself in place, so an op builds
+        no new map and no Fractions, and a gate costs a few O(n) column sums.
+        The returned map's S and Fractions are built once, at the end. This
+        map is left as it is.
         """
-        amap = _WorkingMap(_trusted(self.S.mat.copy()), self.c, self.params)
+        amap = _WorkingMap(self)
         for op in ops:
             amap = amap.then_affine(op)
-        return AffineMap(amap.S, amap.c, self.params)
+        return amap.frozen()
 
     def then_affine(self, op) -> "AffineMap":
         """Compose with one op: a Gate, an IntSymplectic on all n modes, or
@@ -273,13 +288,20 @@ class AffineMap:
         offset b: S[:, coords] -> S[:, coords] B and
         c[coords] -> B^{-1} c[coords] + (d/2) Omega^{-1} t_bar(B) + b.
         The op's whole matrix is the identity off coords, so this is plain
-        affine composition with it. A generator block's inverse and shift
-        come from ACTIONS. Displacement entries are held exactly as binary
-        fractions; integer ones keep the lattice paths available, others
-        restrict the state to float evaluation and sampling. S is copied
-        first unless this is a _WorkingMap of then_ops.
+        affine composition with it. A generator's terms come from ACTIONS:
+        only the columns of B and rows of B^{-1} that differ from the
+        identity's, with their nonzero entries. Displacement entries are
+        held exactly as binary fractions; integer ones keep the lattice
+        paths available, others restrict the state to float evaluation and
+        sampling. A plain map copies S and returns a new frozen map; the
+        _WorkingMap of then_ops updates itself and returns itself.
         """
-        return _compose(self, *_op_args(op, self.params))
+        if isinstance(self, _WorkingMap):
+            self.update(op)
+            return self
+        work = _WorkingMap(self)
+        work.update(op)
+        return work.frozen()
 
     # -- evaluation and transport helpers --
 
@@ -313,53 +335,88 @@ class AffineMap:
         return all((2 * x).denominator == 1 for x in self.c)
 
 
-def _compose(amap: AffineMap, coords, action, offset) -> AffineMap:
-    """amap followed by one op: an action (B, B^{-1}, Omega^{-1} t_bar(B))
-    and an offset (integer numerators, denominator) on coords (None: all 2n).
-
-    S[:, coords] <- S[:, coords] B, in place on a _WorkingMap's S and on a
-    copy of any other (S itself is shared when there is no action), and
-    c[coords] <- B^{-1} c[coords] + (d/2) Omega^{-1} t_bar(B) + offset, in
-    integer numerators over one denominator; only the entries of c on
-    coords become new Fractions.
-    """
-    params = amap.params
-    coords = list(range(2 * params.n)) if coords is None else coords
-    touched = [amap.c[i] for i in coords]
-    # even, so den d / 2 is whole
-    den = math.lcm(2, offset[1] if offset else 1, *(x.denominator for x in touched))
-    num = [x.numerator * (den // x.denominator) for x in touched]
-    mat = amap.S.mat
-    if action is not None:
-        block, inv, shift = action
-        if not isinstance(amap, _WorkingMap):
-            mat = mat.copy()
-        mat[:, coords] = mat[:, coords] @ block
-        half = den // 2 * params.d
-        num = [sum(map(operator.mul, row, num)) + half * s for row, s in zip(inv, shift)]
-    if offset is not None:
-        vals, q = offset
-        num = [v + w * (den // q) for v, w in zip(num, vals)]
-    c = list(amap.c)
-    for i, v in zip(coords, num):
-        c[i] = Fraction(v, den)
-    return type(amap)(_trusted(mat), tuple(c), params)
-
-
 class _WorkingMap(AffineMap):
-    """A map inside AffineMap.then_ops, the sole owner of its S: then_affine
-    updates that S in place and returns another _WorkingMap on it. then_ops
-    returns a plain AffineMap, so none of these leaves it."""
+    """The one mutable map, inside AffineMap.then_ops and then_affine.
+
+    It owns one copy of S, held by columns (the rows of a C-ordered S^T,
+    so a column is contiguous), and c as integer numerators over one even
+    denominator, raised only when a displacement needs it. update composes
+    one op in place. S is a view of that copy and c builds its Fractions
+    when read; frozen() returns both as a plain AffineMap, after which this
+    map takes no more ops.
+    """
+
+    def __init__(self, amap: AffineMap):
+        object.__setattr__(self, "params", amap.params)
+        self._cols = np.array(amap.S.mat.T, order="C")
+        self._den = math.lcm(2, *(x.denominator for x in amap.c))
+        self._num = [x.numerator * (self._den // x.denominator) for x in amap.c]
+
+    @property
+    def S(self) -> IntSymplectic:
+        return _trusted(self._cols.T)
+
+    @property
+    def c(self) -> tuple:
+        return tuple(Fraction(v, self._den) for v in self._num)
+
+    def frozen(self) -> AffineMap:
+        return AffineMap(self.S, self.c, self.params)
+
+    def update(self, op) -> None:
+        """Compose with one op (see AffineMap.then_affine), in place."""
+        n = self.params.n
+        if isinstance(op, Gate):
+            cols, offs = ACTIONS[op.name]
+            coords = _coords(op, n)
+        elif isinstance(op, IntSymplectic):
+            if op.n != n:
+                raise ValueError(f"matrix acts on {op.n} modes, state has {n}")
+            self._cols = op.mat.T @ self._cols
+            cols, offs, coords = (), _offset_terms(op.mat), range(2 * n)
+        else:
+            vals, q = _displacement(op, n)
+            if self._den % q:
+                scale = math.lcm(self._den, q) // self._den
+                self._num = [v * scale for v in self._num]
+                self._den *= scale
+            scale = self._den // q
+            self._num = [v + w * scale for v, w in zip(self._num, vals)]
+            return
+        w = self._cols
+        moved = []
+        for j, (i, v), rest in cols:
+            if i == j and v == 1:  # a shear adds columns it keeps, in place
+                col = w[coords[j]]
+            else:  # F and F_inv swap columns: read both before either is written
+                src = w[coords[i]]
+                col = src.copy() if v == 1 else -src if v == -1 else v * src
+                moved.append((j, col))
+            for i, v in rest:
+                other = w[coords[i]]
+                if v == 1:
+                    col += other
+                elif v == -1:
+                    col -= other
+                else:
+                    col += v * other
+        for j, col in moved:
+            w[coords[j]] = col
+        num, den = self._num, self._den
+        half = den // 2 * self.params.d
+        new = []
+        for _, terms, h, u in offs:
+            total = h * half + u * den
+            for i, v in terms:
+                total += v * num[coords[i]]
+            new.append(total)
+        for (j, _, _, _), total in zip(offs, new):
+            num[coords[j]] = total
 
 
 def word_symplectic(gates, params: CodeParams) -> IntSymplectic:
     """S of a temporal gate word: S_tot = S_1 S_2 ... S_N, first gate leftmost."""
-    m = IntSymplectic.identity(params.n).mat
-    for g in gates:
-        block, _, coords = _gate_args(g, params)
-        if block is not None:
-            m[:, coords] = m[:, coords] @ block.mat
-    return _trusted(m)
+    return AffineMap.identity(params).then_ops(gates).S
 
 
 # ---- decomposition into generator words --------------------------------------
@@ -385,10 +442,10 @@ def decompose(S: IntSymplectic) -> list:
         # at q = 1, and exact at any q for the shears P and SUM, as (B - I)^2 = 0
         if q == 0:
             return
-        coords = _coords(modes, n)
+        gate = Gate(name, modes)
+        coords = _coords(gate, n)
         eye = np.eye(len(coords), dtype=int).astype(object)
         m[coords, :] = (eye + q * (BLOCKS[name].mat - eye)) @ m[coords, :]
-        gate = Gate(name, modes)
         mults.extend([gate if q > 0 else gate.inverse()] * abs(q))
 
     def upper_shear(r, q):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -303,6 +302,9 @@ def sample_streams(state: WignerState, seed: int, count: int, reduce, threads: i
         return reduce(*sampler(size, np.random.default_rng(seq)))
 
     if threads > 1 and len(streams) > 1:
+        # imported here: concurrent.futures loads logging, a cost of every CLI start
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, *zip(*streams)))
     return [one(seq, size) for seq, size in streams]

@@ -333,6 +333,12 @@ def fresh_python(code):
     return done.stdout.strip()
 
 
+def test_cli_import_leaves_out_the_thread_pool():
+    # concurrent.futures loads logging; only a sample run with threads > 1 needs it
+    code = "import sys, zakgross.cli\nprint('concurrent.futures' in sys.modules)\n"
+    assert fresh_python(code) == "False"
+
+
 def test_runtime_imports_no_oracles():
     # the CLI and every runtime module load without the brute-force oracles
     code = (

@@ -341,6 +341,23 @@ def _dense_then(S, c, sg, cg, d):
     return S @ sg.mat, [m + g + Fraction(d, 2) * int(o) for m, g, o in zip(moved, cg, own)]
 
 
+def _dense_word(ops, p):
+    # (S, c) after each op of a list, composed densely by _dense_then
+    n = p.n
+    s_ref, c_ref = np.eye(2 * n, dtype=int).astype(object), [Fraction(0)] * (2 * n)
+    out = []
+    for op in ops:
+        if isinstance(op, Gate):
+            sg, cg = generator_symplectic(op, p)
+        elif isinstance(op, IntSymplectic):
+            sg, cg = op, [Fraction(0)] * (2 * n)
+        else:
+            sg, cg = IntSymplectic.identity(n), [Fraction(float(v)) for v in op]
+        s_ref, c_ref = _dense_then(s_ref, c_ref, sg, cg, p.d)
+        out.append((s_ref, c_ref))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([3, 5, 7, 9]), n=st.integers(1, 6))
 def test_block_composition_equals_dense_composition(seed, d, n):
@@ -356,16 +373,9 @@ def test_block_composition_equals_dense_composition(seed, d, n):
     off_grid[int(rng.integers(2 * n))] = 0.3  # a binary fraction of denominator 2^54
     ops.insert(int(rng.integers(0, len(ops) + 1)), off_grid)
     amap = AffineMap.identity(p)
-    s_ref, c_ref = np.eye(2 * n, dtype=int).astype(object), [Fraction(0)] * (2 * n)
     for op in ops:
         amap = amap.then_affine(op)
-        if isinstance(op, Gate):
-            sg, cg = generator_symplectic(op, p)
-        elif isinstance(op, IntSymplectic):
-            sg, cg = op, [Fraction(0)] * (2 * n)
-        else:
-            sg, cg = IntSymplectic.identity(n), [Fraction(float(v)) for v in op]
-        s_ref, c_ref = _dense_then(s_ref, c_ref, sg, cg, d)
+    s_ref, c_ref = _dense_word(ops, p)[-1]
     assert amap.S.mat.tolist() == s_ref.tolist()
     assert list(amap.c) == c_ref
     # the whole list through then_ops gives the same map
@@ -376,6 +386,37 @@ def test_block_composition_equals_dense_composition(seed, d, n):
     assert batched.S.mat.tolist() == s_ref.tolist()
     assert list(batched.c) == c_ref
     assert head.S.mat.tolist() == head_s and head.c == head_c  # left as it was
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([3, 5, 7, 9]), n=st.integers(1, 8))
+def test_then_ops_stays_exact_past_machine_integers_and_rising_denominators(seed, d, n):
+    # one then_ops list in which S passes 2^63 (a shear with entries near
+    # 10^30 between gates) and then c's denominator rises from 2 (0.3 after
+    # P's half-integer offset), against the dense reference after every op
+    rng = np.random.default_rng(seed)
+    p = CodeParams(d, n)
+    tags = ALL_TAGS + ["X", "Z"]
+    k = n * (n + 1) // 2
+    entries = [int(v) * 10 ** 30 + int(w)
+               for v, w in zip(rng.integers(1, 10, size=k), rng.integers(-9, 10, size=k))]
+    off_grid = np.zeros(2 * n)
+    off_grid[int(rng.integers(2 * n))] = 0.3
+    word = [random_word(rng, n, int(rng.integers(0, 6)), tags) for _ in range(3)]
+    big, moved = 1 + len(word[0]), 2 + len(word[0]) + len(word[1])
+    ops = ([Gate("P", (int(rng.integers(n)),))] + word[0] + [_shear(n, entries)] + word[1]
+           + [off_grid] + word[2])
+    dense = _dense_word(ops, p)
+    for cut in (big, big + 1, moved, moved + 1, len(ops)):
+        amap = AffineMap.identity(p).then_ops(ops[:cut])
+        s_ref, c_ref = dense[cut - 1]
+        assert amap.S.mat.tolist() == s_ref.tolist()
+        assert list(amap.c) == c_ref
+        assert all(type(v) is int for v in amap.S.mat.ravel())
+        assert all(type(x) is Fraction for x in amap.c)
+    assert max(abs(v) for v in dense[big][0].ravel()) > 2 ** 63
+    assert max(x.denominator for x in dense[moved - 1][1]) <= 2
+    assert max(x.denominator for x in dense[moved][1]) > 2
 
 
 def test_maps_from_then_ops_are_left_alone_by_later_ops():

@@ -125,15 +125,19 @@ def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
     about 2w bins per measured row for a draw spread over the period; the
     binner raises ImprecisePush where that sum exceeds slip_budget, the
     caller's share of its own statistical error (0 admits an exact push
-    only: all-ideal states).
+    only: all-ideal states). The float push is one product of every draw
+    with a (2n, r) matrix whose ideal rows are zero, so no column is copied
+    out first; a zero row adds an exact zero, so terms counts the realistic
+    columns alone.
     """
     _check_spec(state, spec)
     d, ell = state.params.d, state.params.ell
     ideal = np.array([isinstance(f, IdealFactor) for f in state.factors] * 2)
     rows = state.amap.S.inverse_rows(spec.measured_modes)
     lattice = np.mod(rows[:, ideal], 2 * d).astype(np.int64).T
-    real = rows[:, ~ideal].astype(float).T * (2 / ell)
-    err = np.abs(real).sum(axis=0) * state.params.torus_period * (real.shape[0] + 2) * 2.0 ** -53
+    real = np.where(ideal, 0, rows).astype(float).T * (2 / ell)
+    terms = np.count_nonzero(~ideal)
+    err = np.abs(real).sum(axis=0) * state.params.torus_period * (terms + 2) * 2.0 ** -53
     err *= spec.K / (2 * d)
     slip = 2.0 * float(err.sum())
     if slip > slip_budget:
@@ -146,7 +150,7 @@ def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
 
     def bins(eta):
         m2 = np.rint(eta[:, ideal] * (2 / ell)).astype(np.int64)
-        return to_bins(m2 @ lattice, eta[:, ~ideal] @ real)
+        return to_bins(m2 @ lattice, eta @ real)
 
     return bins
 

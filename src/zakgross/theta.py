@@ -16,7 +16,8 @@ takes h_c on its midpoints from one inverse FFT and evaluates only tiles
 of undecided sign; position-bin masses and the norm come in closed form
 from the kz = 0 column. As every f_c >= 0, |W| <= sum_c f_c(x) |h_c(z)|,
 and abs_envelope bounds each |h_c| on the table's cells: the rejection
-sampler's certified envelope. Its references (the dense series, the
+sampler's certified envelope, which wigner_with_envelope evaluates beside
+W from one f_c per proposal. Its references (the dense series, the
 wavefunction, the 4-variable Wigner sum, the Gaussian vacuum, the literal
 z sum) live in oracles.py.
 
@@ -353,11 +354,17 @@ def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
     return np.take_along_axis(folded, np.mod(cols, classes), axis=1) / series.ell
 
 
+def _chunk(table: np.ndarray) -> int:
+    """Points per chunk of scattered-point work: 2^16 floats of the z table's rows."""
+    orders, _cells, classes = table.shape
+    return max(1, (1 << 16) // (classes * orders))
+
+
 def _z_factor(state: CodeState, z: np.ndarray) -> np.ndarray:
     """h_c(z) at points z (N,) for every class: shape (N, 2d).
 
     z lies in cell j = floor((z mod L) N / L) of abs_envelope(state).table (N - 1
-    if z mod L rounds to L) at t = 2 frac - 1: Horner, 2^16 table floats a chunk.
+    if z mod L rounds to L) at t = 2 frac - 1: Horner, _chunk(table) points a chunk.
     """
     table, cell = abs_envelope(state).table, state.d * state.ell
     orders, cells, classes = table.shape
@@ -365,7 +372,7 @@ def _z_factor(state: CodeState, z: np.ndarray) -> np.ndarray:
     j = np.minimum(pos.astype(np.intp), cells - 1)
     t = 2.0 * (pos - j) - 1.0
     out = np.empty((z.size, classes))
-    chunk = max(1, (1 << 16) // (classes * orders))
+    chunk = _chunk(table)
     for lo in range(0, z.size, chunk):
         rows = table.take(j[lo: lo + chunk], axis=1).reshape(orders, -1)
         t_rows = np.repeat(t[lo: lo + chunk], classes)
@@ -393,17 +400,16 @@ def _z_midpoints(u: np.ndarray, kz: np.ndarray, n: int) -> np.ndarray:
 
 
 class AbsEnvelope(NamedTuple):
-    """Certified bounds on each class's |h_c| over equal z cells; see abs_envelope."""
+    """Certified bounds on each class's |h_c| over equal z cells; see abs_envelope.
+
+    Data only: wigner_with_envelope is the one place the envelope is summed.
+    """
 
     series: Series
     table: np.ndarray  # (P, N, 2d): the Taylor table _z_factor sums; read-only
     bound: np.ndarray  # (2d, N): bound[c, j] >= |h_c| on z cell j of N; read-only
     cum: np.ndarray  # cumulative share of bound.ravel(), ending at exactly 1
     mass: float  # integral over one cell of sum_c f_c(x) bound[c, j(z)]
-
-    def at(self, x: np.ndarray, cell: np.ndarray) -> np.ndarray:
-        """sum_c f_c(x) bound[c, cell] >= |W| at points x (N,) in z cells `cell` (N,)."""
-        return np.einsum("nc,cn->n", _x_factor(self.series, x), self.bound[:, cell])
 
 
 @functools.lru_cache(maxsize=64)
@@ -466,6 +472,25 @@ def wigner_theta(state: CodeState, eta) -> np.ndarray:
     return vals.reshape(eta.shape[:-1])
 
 
+def wigner_with_envelope(state: CodeState, env: AbsEnvelope, x, z, cell):
+    """(W, E) at points (x, z) (N,) lying in z cells `cell` (N,) of env, abs_envelope(state):
+    unnormalized Wigner values and the envelope E = sum_c f_c(x) env.bound[c, cell] >= |W|.
+
+    The rejection sampler's scorer: one f_c per point serves both sums, and W
+    is summed just as wigner_theta sums it, so its values are wigner_theta's.
+    It takes _chunk(env.table) points at a time, so no (N, 2d) array is held
+    whole.
+    """
+    values, bounds = np.empty(x.size), np.empty(x.size)
+    step = _chunk(env.table)
+    for lo in range(0, x.size, step):
+        part = slice(lo, lo + step)
+        f = _x_factor(env.series, x[part])
+        values[part] = np.einsum("nc,nc->n", f, _z_factor(state, z[part]))
+        bounds[part] = np.einsum("nc,cn->n", f, env.bound[:, cell[part]])
+    return values, bounds
+
+
 def wigner_theta_grid(state: CodeState, eta_x, eta_z) -> np.ndarray:
     """Unnormalized Wigner values on the tensor grid eta_x (x) eta_z.
 
@@ -487,19 +512,23 @@ def negative_sum(state: CodeState, n: int) -> float:
     F and H. A nonnegative tile adds nothing; a negative one adds its sum in
     closed form, sum_c (sum of F_c)(sum of H_c), which differs from its
     computed values' sum by rounding alone, at most about (2 TILE + 2d) u of
-    its sum of |F_c H_c|, u = 2^-53. Each tile row evaluates its undecided
-    tiles in one product, clipped and summed.
+    its sum of |F_c H_c|, u = 2^-53. The undecided tile pairs, in row-major
+    order, are evaluated T at a time (T tiles per side: one tile row's worth
+    of values) in one stacked product, clipped and summed.
     """
     series = _series(state)
     eta = cell_midpoints(series.cell, n)
     f, h = _tiles(_x_factor(series, eta)), _tiles(_z_midpoints(series.u, series.kz, n))
     negative, undecided = _tile_signs(f, h)
-    total = 0.0
-    for rows, cols in zip(f, undecided):
-        if cols.any():
-            vals = rows @ h[cols].reshape(-1, f.shape[2]).T
-            total -= float(np.minimum(vals, 0.0, out=vals).sum())
-    return total - float((f.sum(axis=1) @ h.sum(axis=1).T)[negative].sum())
+    settled = float((f.sum(axis=1) @ h.sum(axis=1).T)[negative].sum())
+    h = np.ascontiguousarray(h.transpose(0, 2, 1))  # H^T per tile: a batch gathers whole tiles
+    ti, tj = np.nonzero(undecided)
+    total, step = 0.0, f.shape[0]
+    for lo in range(0, ti.size, step):
+        vals = f[ti[lo: lo + step]] @ h[tj[lo: lo + step]]
+        total -= float(np.minimum(vals, 0.0, out=vals).sum())
+        del vals  # freed before the next batch's product, not after it
+    return total - settled
 
 
 def _tile_signs(f: np.ndarray, h: np.ndarray):

@@ -19,6 +19,10 @@ the integer lattice ell * Z^2 (one cell), and sample it directly; realistic
 factors carry a finite-envelope CodeState, evaluated through its separable
 series, whose z half is one Taylor table per state, and sampled by rejection
 under the certified bound theta.abs_envelope sums from that table.
+theta.wigner_with_envelope scores each proposal's value and envelope from
+one x half, a bounded chunk at a time. A stream's draws are written in
+place: each factor fills its two columns of one (count, 2n) array and
+multiplies its signs into one array.
 """
 from __future__ import annotations
 
@@ -38,6 +42,7 @@ from .theta import (
     negative_sum,
     wigner_theta,
     wigner_theta_grid,
+    wigner_with_envelope,
 )
 
 MAX_STREAM = 100_000  # draws per seed stream at most
@@ -237,8 +242,11 @@ class WignerState:
         """Build a per-state sampler of (input-frame points, signs).
 
         The returned callable maps (count, rng) to (eta_in (N, 2n) floats,
-        signs (N,)), drawn per factor; measure.binner pushes them forward.
-        Each realistic factor's envelope table is built once per state.
+        signs (N,)), drawn per factor in mode order; measure.binner pushes
+        them forward. Each factor writes its draws into its own two columns
+        of eta_in (x of every mode, then z of every mode) and multiplies its
+        signs into the one signs array, so no per-factor copy is kept. Each
+        realistic factor's envelope table is built once per state.
         """
         factor_samplers = [
             _ideal_sampler(f, self.params) if isinstance(f, IdealFactor) else _rejection_sampler(f)
@@ -247,10 +255,10 @@ class WignerState:
         n = self.params.n
 
         def sample(count: int, rng: np.random.Generator):
-            draws = [fs(count, rng) for fs in factor_samplers]
-            # (count, 2, n): x of every mode, then z of every mode
-            eta_in = np.stack([p for p, _ in draws], axis=-1).reshape(count, 2 * n)
-            return eta_in, np.prod([s for _, s in draws], axis=0)
+            eta_in, signs = np.empty((count, 2 * n)), np.ones(count)
+            for i, fs in enumerate(factor_samplers):
+                fs(count, rng, eta_in[:, i::n], signs)  # a view of columns i and n + i
+            return eta_in, signs
 
         return sample
 
@@ -342,9 +350,10 @@ def _ideal_sampler(factor: IdealFactor, params: CodeParams):
     signs_tab = np.sign(w)
     pts = np.stack([tx, tz], axis=-1).astype(float) * params.ell
 
-    def sample(count, rng):
+    def sample(count, rng, out, signs):
         idx = rng.choice(probs.size, size=count, p=probs)
-        return pts[idx], signs_tab[idx]
+        out[:] = pts[idx]
+        signs *= signs_tab[idx]
 
     return sample
 
@@ -360,6 +369,10 @@ def _rejection_sampler(factor: RealisticFactor):
     bound[c, j] (every comb has the same mass), z uniformly in cell j and x
     exactly from the comb f_c, a wrapped Gaussian of width delta / sqrt 2
     about c ell / 2; it is accepted with chance |W| / sum_c f_c(x) bound[c, j].
+    theta.wigner_with_envelope scores a round's proposals in bounded chunks,
+    both sums from one f_c per proposal. The sampler writes the first count
+    accepted draws, in order, into out (count, 2) and multiplies their signs
+    into signs (count,).
     """
     state = factor.state
     env = abs_envelope(state)
@@ -368,8 +381,8 @@ def _rejection_sampler(factor: RealisticFactor):
     scale = factor.d * factor.norm  # factor.wigner divides the series by it
     total_env = env.mass / scale
 
-    def sample(count, rng):
-        draws, proposed, accepted = [], 0, 0
+    def sample(count, rng, out, signs):
+        proposed = accepted = 0
         while accepted < count:
             # proposals per draw: a first round assumes 1, later ones the rate seen,
             # at most total_env (the acceptance rate is M / total_env, and M >= 1)
@@ -377,18 +390,21 @@ def _rejection_sampler(factor: RealisticFactor):
             batch = max(1024, int((count - accepted) * per_draw))
             c, j = np.divmod(np.searchsorted(env.cum, rng.random(batch), side="right"), cells)
             gauss = state.delta / math.sqrt(2) * rng.standard_normal(batch)
-            eta = np.stack([np.mod(c * (state.ell / 2) + gauss, period),
-                            (j + rng.random(batch)) * (period / cells)], axis=-1)
-            w_here = factor.wigner(eta)
-            ratio = np.abs(w_here) * scale / env.at(eta[:, 0], j)
+            x = np.mod(c * (state.ell / 2) + gauss, period)
+            z = (j + rng.random(batch)) * (period / cells)
+            values, bounds = wigner_with_envelope(state, env, x, z, j)
+            w_here = values / scale
+            ratio = np.abs(w_here) * scale / bounds
             if np.any(ratio > 1.0):
                 raise EnvelopeViolated(f"envelope violated by factor {float(ratio.max()):.3f}")
             acc = np.flatnonzero(rng.random(batch) < ratio)
             proposed += batch
-            accepted += acc.size
-            if proposed > 20000 and accepted < 0.01 * proposed:
+            if proposed > 20000 and accepted + acc.size < 0.01 * proposed:
                 raise RuntimeError("rejection sampling efficiency fell below 1 percent")
-            draws.append((eta[acc], np.sign(w_here[acc])))
-        return tuple(np.concatenate(parts)[:count] for parts in zip(*draws))
+            acc = acc[: count - accepted]
+            rows = slice(accepted, accepted + acc.size)
+            out[rows, 0], out[rows, 1] = x[acc], z[acc]
+            signs[rows] *= np.sign(w_here[acc])
+            accepted += acc.size
 
     return sample

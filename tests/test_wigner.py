@@ -17,6 +17,7 @@ from zakgross.wigner import (
     realistic_input,
     sample_abs,
     sample_input,
+    sample_streams,
     seed_streams,
 )
 
@@ -286,6 +287,65 @@ def test_z_half_holds_no_per_point_phase_table(case):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2 ** 20
+
+
+def test_a_sampler_stream_holds_no_per_proposal_class_array():
+    # 100k draws in one stream: the scorer's (proposals, 2d) temporaries are chunked
+    st = realistic_input(CodeParams(3, 1), [CodeState.phase_state(3, 0.5)])
+    sample_streams(st, 1, 100, lambda pts, signs: signs.size)  # builds the series and the tables
+    tracemalloc.start()
+    try:
+        sample_streams(st, 1, 100_000, lambda pts, signs: signs.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
+class CountedNormals:
+    """A generator that counts its Gaussian draws: the sampler takes one per proposal."""
+
+    def __init__(self, seed):
+        self.rng, self.normals = np.random.default_rng(seed), 0
+
+    def random(self, size):
+        return self.rng.random(size)
+
+    def standard_normal(self, size):
+        self.normals += size
+        return self.rng.standard_normal(size)
+
+
+def test_each_proposal_computes_its_x_half_once(monkeypatch):
+    sampler = realistic_input(CodeParams(3, 1), [CodeState.phase_state(3, 0.5)]).sampler()
+    seen = []
+    x_factor = theta._x_factor
+
+    def counted(series, x):
+        seen.append(x.size)
+        return x_factor(series, x)
+
+    monkeypatch.setattr(theta, "_x_factor", counted)
+    rng = CountedNormals(3)
+    pts, _signs = sampler(20_000, rng)
+    assert pts.shape == (20_000, 2) and rng.normals > 20_000
+    assert sum(seen) == rng.normals
+
+
+def test_sampler_lays_out_each_factors_own_draws():
+    # x of every mode, then z of every mode; signs multiply over the modes
+    factors = [IdealFactor.from_density_matrix(CodeParams(3, 1), np.diag([0.5, 0.25, 0.25])),
+               RealisticFactor(CodeState.phase_state(3, 0.4)),
+               RealisticFactor(CodeState.logical(3, 0, 0.3))]
+    joint = WignerState.from_factors(CodeParams(3, 3), factors).sampler()
+    pts, signs = joint(5000, np.random.default_rng(11))
+    rng = np.random.default_rng(11)  # each factor draws from the stream in mode order
+    expect_signs = np.ones(5000)
+    for i, f in enumerate(factors):
+        own, own_signs = WignerState.from_factors(CodeParams(3, 1), [f]).sampler()(5000, rng)
+        assert np.array_equal(pts[:, i], own[:, 0]) and np.array_equal(pts[:, 3 + i], own[:, 1])
+        expect_signs *= own_signs
+    assert np.array_equal(signs, expect_signs) and (signs < 0).any()
 
 
 def test_refinement_that_never_settles_reports_its_last_two_levels():

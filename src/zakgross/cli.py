@@ -8,8 +8,9 @@ Subcommands:
     verify      run the desk-scale oracle-agreement suite
 
 Exit codes: 0 success, 1 verification failure, 2 schema/usage error,
-3 numeric failure (series truncation, non-convergence, sampling abort),
-4 infeasible estimation plan. Output files are written atomically.
+3 numeric failure (series truncation, non-convergence, sampling abort, a
+table too large to allocate), 4 infeasible estimation plan. Output files
+are written atomically.
 """
 from __future__ import annotations
 
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -10,12 +10,13 @@ One binner, made once per (state, spec), maps input-frame draws to joint
 bin indices for sample mode and for the estimator. It pushes ideal columns
 exactly, mod 2d in units of ell/2, and the rest in float; bin_of_position,
 floor(x K / period + EDGE_TOL) mod K, bins the total, exactly on every
-half-lattice point. The exact all-ideal table lists the joint lattice
-support only when r, the number of measured modes, is close to n and n is
-small, so that it has few points; otherwise the measured rows of S^-1 reduced mod d push
+half-lattice point. The exact all-ideal table pushes lattice points in
+integers alone, through the measured rows of S^-1 reduced mod d, and bins
+each by the same offset split and rule as the binner's draws: it lists the
+joint lattice support only when r, the number of measured modes, is close
+to n and n is small, so that it has few points; otherwise those rows push
 each factor's d x d weights onto Z_d^r, where the law of the measured
-positions is the convolution of those pushes, and each point of Z_d^r is
-binned by the same offset split and rule as the binner's draws.
+positions is the convolution of those pushes.
 Displacement-only circuits on product inputs factorize into per-mode
 marginals, squeezed ones integrated from their Fourier series in closed
 form. Anything beyond that is the estimator's job. The references these
@@ -175,12 +176,12 @@ def exact_probabilities_ideal(
     The convolution on Z_d^r (_convolution_terms) makes one roll of a
     (d,)*r array per support point of each factor in the light cone of the
     measured modes, sum_i s_i rolls; listing the joint lattice support
-    (_support_terms) bins prod_i s_i points. A roll costs about as much as
-    ROLL_POINTS listed points, so the support is listed only when it has
-    at most ROLL_POINTS points per roll: r close to n and few modes in all
-    (n = r = 3, d = 3: 27 points against 9 rolls). Otherwise the
-    convolution wins by far (n = 10, r = 3, d = 3: 59049 points against 30
-    rolls).
+    (WignerState.lattice_support) bins prod_i s_i points. A roll costs
+    about as much as ROLL_POINTS listed points, so the support is listed
+    only when it has at most ROLL_POINTS points per roll: r close to n and
+    few modes in all (n = r = 3, d = 3: 27 points against 9 rolls).
+    Otherwise the convolution wins by far (n = 10, r = 3, d = 3: 59049
+    points against 30 rolls).
     """
     _check_spec(state, spec)
     if not state.is_ideal():
@@ -190,19 +191,14 @@ def exact_probabilities_ideal(
     sizes = [int(np.count_nonzero(f.table)) for f in state.factors]
     rolls = sum(s for i, s in enumerate(sizes) if rows[:, [i, n + i]].any())
     if math.prod(sizes) <= ROLL_POINTS * rolls:
-        return _table(spec, *_support_terms(state, spec))
+        m2, weights = state.lattice_support()  # 2t in ell/2 units: 2t R mod 2d is exact
+        return _table(spec, _offset_binner(state, spec)(m2 @ rows.T), weights)
     return _table(spec, *_convolution_terms(state, spec, rows))
 
 
 def _measured_rows_mod_d(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
     """The measured rows of S^-1 reduced mod d, (r, 2n) int64, exact on the Python ints."""
     return np.mod(state.amap.S.inverse_rows(spec.measured_modes), state.params.d).astype(np.int64)
-
-
-def _support_terms(state: WignerState, spec: MeasurementSpec) -> tuple:
-    """(joint bins, signed weights) of every joint lattice support point."""
-    m2, weights = state.lattice_support()
-    return binner(state, spec)(m2 * (state.params.ell / 2)), weights
 
 
 def _convolution_terms(state: WignerState, spec: MeasurementSpec, rows) -> tuple:

@@ -208,7 +208,7 @@ def _index_digits(d: int, n: int) -> np.ndarray:
 
 
 def gross_wigner(params: CodeParams, rho, t) -> float:
-    """Discrete Wigner value Tr(A(t) rho) of a unit-trace Hermitian rho."""
+    """Discrete Wigner value Tr(A(t) rho) of a density matrix rho."""
     mat = np.asarray(rho, dtype=complex)
     _validate_density(params, mat)
     val = complex(np.trace(gross_phase_point(params, t) @ mat))
@@ -244,6 +244,9 @@ def _validate_density(params: CodeParams, mat: np.ndarray):
     tr = complex(np.trace(mat))
     if not abs(tr - 1.0) <= 1e-10:
         raise ValueError(f"rho must have unit trace, got {tr}")
+    low = float(np.linalg.eigvalsh(mat)[0])
+    if not low >= -1e-10:
+        raise ValueError(f"rho is not positive semidefinite (least eigenvalue {low:.2e})")
 
 
 def _drop_imag(val: complex, tol: float = 1e-10) -> float:

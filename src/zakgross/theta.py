@@ -16,10 +16,11 @@ takes h_c on its midpoints from one inverse FFT and evaluates only tiles
 of undecided sign; position-bin masses and the norm come in closed form
 from the kz = 0 column. As every f_c >= 0, |W| <= sum_c f_c(x) |h_c(z)|,
 and abs_envelope bounds each |h_c| on the table's cells: the rejection
-sampler's certified envelope, which wigner_with_envelope evaluates beside
-W from one f_c per proposal. Its references (the dense series, the
-wavefunction, the 4-variable Wigner sum, the Gaussian vacuum, the literal
-z sum) live in oracles.py.
+sampler's certified envelope. propose draws proposals from it and scores
+each, W and envelope from one f_c; _score, which wigner_theta shares, is
+the one scattered-point scorer, a bounded chunk of points at a time. Its
+references (the dense series, the wavefunction, the 4-variable Wigner
+sum, the Gaussian vacuum, the literal z sum) live in oracles.py.
 
 theta(Gamma, z) = sum_{t in Z^m} exp(i pi t.Gamma t + 2 pi i t.z), Im Gamma > 0,
 is off the runtime path: oracles.py builds on it, and the benchmark tracer
@@ -354,34 +355,23 @@ def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
     return np.take_along_axis(folded, np.mod(cols, classes), axis=1) / series.ell
 
 
-def _chunk(table: np.ndarray) -> int:
-    """Points per chunk of scattered-point work: 2^16 floats of the z table's rows."""
-    orders, _cells, classes = table.shape
-    return max(1, (1 << 16) // (classes * orders))
-
-
 def _z_factor(state: CodeState, z: np.ndarray) -> np.ndarray:
     """h_c(z) at points z (N,) for every class: shape (N, 2d).
 
     z lies in cell j = floor((z mod L) N / L) of abs_envelope(state).table (N - 1
-    if z mod L rounds to L) at t = 2 frac - 1: Horner, _chunk(table) points a chunk.
+    if z mod L rounds to L) at t = 2 frac - 1: one Horner pass over all points.
     """
     table, cell = abs_envelope(state).table, state.d * state.ell
     orders, cells, classes = table.shape
     pos = np.mod(z, cell) * (cells / cell)
     j = np.minimum(pos.astype(np.intp), cells - 1)
-    t = 2.0 * (pos - j) - 1.0
-    out = np.empty((z.size, classes))
-    chunk = _chunk(table)
-    for lo in range(0, z.size, chunk):
-        rows = table.take(j[lo: lo + chunk], axis=1).reshape(orders, -1)
-        t_rows = np.repeat(t[lo: lo + chunk], classes)
-        acc = out[lo: lo + chunk].reshape(-1)  # a view: out is contiguous
-        np.copyto(acc, rows[-1])
-        for k in range(orders - 2, -1, -1):
-            acc *= t_rows
-            acc += rows[k]
-    return out
+    t_rows = np.repeat(2.0 * (pos - j) - 1.0, classes)
+    rows = table.take(j, axis=1).reshape(orders, -1)
+    acc = rows[-1].copy()
+    for k in range(orders - 2, -1, -1):
+        acc *= t_rows
+        acc += rows[k]
+    return acc.reshape(z.size, classes)
 
 
 def cell_midpoints(period: float, n: int) -> np.ndarray:
@@ -402,7 +392,7 @@ def _z_midpoints(u: np.ndarray, kz: np.ndarray, n: int) -> np.ndarray:
 class AbsEnvelope(NamedTuple):
     """Certified bounds on each class's |h_c| over equal z cells; see abs_envelope.
 
-    Data only: wigner_with_envelope is the one place the envelope is summed.
+    Data only: propose is the one place the envelope is drawn from and summed.
     """
 
     series: Series
@@ -461,33 +451,54 @@ def wigner_theta(state: CodeState, eta) -> np.ndarray:
     """Unnormalized Wigner values at points eta with shape (..., 2).
 
     Divide by code_state_norm(state) for the unit-norm state; the result then
-    integrates to d over one (d ell)^2 cell. Each point is sum_c f_c h_c.
+    integrates to d over one (d ell)^2 cell. Each point is sum_c f_c h_c,
+    summed by _score a bounded chunk of points at a time.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.shape[-1] != 2:
         raise ValueError(f"eta must have last dimension 2, got {eta.shape}")
     flat = eta.reshape(-1, 2)
-    series = _series(state)
-    vals = np.einsum("nc,nc->n", _x_factor(series, flat[:, 0]), _z_factor(state, flat[:, 1]))
+    vals, _ = _score(state, _series(state), flat[:, 0], flat[:, 1])
     return vals.reshape(eta.shape[:-1])
 
 
-def wigner_with_envelope(state: CodeState, env: AbsEnvelope, x, z, cell):
-    """(W, E) at points (x, z) (N,) lying in z cells `cell` (N,) of env, abs_envelope(state):
-    unnormalized Wigner values and the envelope E = sum_c f_c(x) env.bound[c, cell] >= |W|.
+def propose(state: CodeState, env: AbsEnvelope, batch: int, rng: np.random.Generator):
+    """(x, z, W, E): batch proposals from the envelope env, abs_envelope(state), scored.
 
-    The rejection sampler's scorer: one f_c per point serves both sums, and W
-    is summed just as wigner_theta sums it, so its values are wigner_theta's.
-    It takes _chunk(env.table) points at a time, so no (N, 2d) array is held
-    whole.
+    Each proposal picks a (class c, z cell j) pair in proportion to
+    env.bound[c, j] (every comb has the same mass), x exactly from the comb
+    f_c, a wrapped Gaussian of width delta / sqrt 2 about c ell / 2, and z
+    uniformly in cell j: rng.random(batch), rng.standard_normal(batch) and
+    rng.random(batch), in that order. W is the unnormalized Wigner value,
+    wigner_theta's, and E = sum_c f_c(x) env.bound[c, j] >= |W| its envelope.
     """
-    values, bounds = np.empty(x.size), np.empty(x.size)
-    step = _chunk(env.table)
+    series, cells = env.series, env.bound.shape[1]
+    c, j = np.divmod(np.searchsorted(env.cum, rng.random(batch), side="right"), cells)
+    gauss = series.delta / math.sqrt(2) * rng.standard_normal(batch)
+    x = np.mod(c * (series.ell / 2) + gauss, series.cell)
+    z = (j + rng.random(batch)) * (series.cell / cells)
+    values, bounds = _score(state, series, x, z, env.bound, j)
+    return x, z, values, bounds
+
+
+def _score(state: CodeState, series: Series, x, z, bound=None, cell=None):
+    """(W, E) at points (x, z) (N,): W = sum_c f_c(x) h_c(z), unnormalized, and,
+    with bound given, E = sum_c f_c(x) bound[c, cell] for z cells `cell` (N,), else None.
+
+    The one scattered-point scorer: each chunk of points, as many as hold
+    2^16 floats of the z table's rows, computes f_c once for both sums, so
+    no (N, 2d) array is held whole.
+    """
+    orders, _cells, classes = abs_envelope(state).table.shape
+    step = max(1, (1 << 16) // (classes * orders))
+    values = np.empty(x.size)
+    bounds = None if bound is None else np.empty(x.size)
     for lo in range(0, x.size, step):
         part = slice(lo, lo + step)
-        f = _x_factor(env.series, x[part])
+        f = _x_factor(series, x[part])
         values[part] = np.einsum("nc,nc->n", f, _z_factor(state, z[part]))
-        bounds[part] = np.einsum("nc,cn->n", f, env.bound[:, cell[part]])
+        if bound is not None:
+            bounds[part] = np.einsum("nc,cn->n", f, bound[:, cell[part]])
     return values, bounds
 
 

@@ -19,10 +19,10 @@ the integer lattice ell * Z^2 (one cell), and sample it directly; realistic
 factors carry a finite-envelope CodeState, evaluated through its separable
 series, whose z half is one Taylor table per state, and sampled by rejection
 under the certified bound theta.abs_envelope sums from that table.
-theta.wigner_with_envelope scores each proposal's value and envelope from
-one x half, a bounded chunk at a time. A stream's draws are written in
-place: each factor fills its two columns of one (count, 2n) array and
-multiplies its signs into one array.
+theta.propose draws and scores the proposals, so the rejection loop here
+only sizes rounds and accepts. A stream's draws are written in place: each
+factor fills its two columns of one (count, 2n) array and multiplies its
+signs into one array.
 """
 from __future__ import annotations
 
@@ -40,9 +40,9 @@ from .theta import (
     cell_midpoints,
     code_state_norm,
     negative_sum,
+    propose,
     wigner_theta,
     wigner_theta_grid,
-    wigner_with_envelope,
 )
 
 MAX_STREAM = 100_000  # draws per seed stream at most
@@ -365,19 +365,13 @@ class EnvelopeViolated(RuntimeError):
 def _rejection_sampler(factor: RealisticFactor):
     """Draws from |W| / M of one realistic factor, under theta.abs_envelope.
 
-    Each proposal picks a (class c, z cell j) pair in proportion to
-    bound[c, j] (every comb has the same mass), z uniformly in cell j and x
-    exactly from the comb f_c, a wrapped Gaussian of width delta / sqrt 2
-    about c ell / 2; it is accepted with chance |W| / sum_c f_c(x) bound[c, j].
-    theta.wigner_with_envelope scores a round's proposals in bounded chunks,
-    both sums from one f_c per proposal. The sampler writes the first count
-    accepted draws, in order, into out (count, 2) and multiplies their signs
-    into signs (count,).
+    theta.propose draws each round's proposals from the envelope and scores
+    them; a proposal is accepted with chance |W| / E. The sampler writes the
+    first count accepted draws, in order, into out (count, 2) and multiplies
+    their signs into signs (count,).
     """
     state = factor.state
     env = abs_envelope(state)
-    cells = env.bound.shape[1]
-    period = factor.d * state.ell
     scale = factor.d * factor.norm  # factor.wigner divides the series by it
     total_env = env.mass / scale
 
@@ -388,11 +382,7 @@ def _rejection_sampler(factor: RealisticFactor):
             # at most total_env (the acceptance rate is M / total_env, and M >= 1)
             per_draw = min(proposed / max(accepted, 1), total_env) if proposed else 1.0
             batch = max(1024, int((count - accepted) * per_draw))
-            c, j = np.divmod(np.searchsorted(env.cum, rng.random(batch), side="right"), cells)
-            gauss = state.delta / math.sqrt(2) * rng.standard_normal(batch)
-            x = np.mod(c * (state.ell / 2) + gauss, period)
-            z = (j + rng.random(batch)) * (period / cells)
-            values, bounds = wigner_with_envelope(state, env, x, z, j)
+            x, z, values, bounds = propose(state, env, batch, rng)
             w_here = values / scale
             ratio = np.abs(w_here) * scale / bounds
             if np.any(ratio > 1.0):
@@ -406,5 +396,6 @@ def _rejection_sampler(factor: RealisticFactor):
             out[rows, 0], out[rows, 1] = x[acc], z[acc]
             signs[rows] *= np.sign(w_here[acc])
             accepted += acc.size
+            del x, z, values, bounds  # freed before the next round's proposals, not after
 
     return sample

@@ -92,6 +92,27 @@ def test_sample_mode_positivity_requirement(tmp_path, capsys):
     assert "positive Wigner" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["exact", "sample", "estimate"])
+def test_density_with_a_negative_eigenvalue_is_a_schema_error(tmp_path, capsys, mode):
+    rho = np.diag([1.5, -0.5, 0.0])  # Hermitian, unit trace, not positive
+    cpath = circuit_file(tmp_path, inputs=[{"ideal_table": rho.tolist()}],
+                         estimator={"epsilon": 0.1, "delta_fail": 0.1, "seed": 0})
+    out = tmp_path / "result.json"
+    assert main(["run", cpath, "--mode", mode, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "schema error: at $.inputs[0].ideal_table: rho is not positive semidefinite" in err
+    assert not out.exists()
+
+
+def test_table_too_large_to_allocate_is_a_numeric_failure(tmp_path, capsys):
+    cpath = circuit_file(tmp_path, n=2, inputs=[{"ideal_logical": 0}] * 2,
+                         measurement={"modes": [0, 1], "K": 10 ** 8})
+    out = tmp_path / "result.json"
+    assert main(["run", cpath, "--mode", "exact", "--out", str(out)]) == 3
+    assert "numeric failure: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, literal", [
     ({"inputs": [{"ideal_table": [[0.5, 0, 0], [0, 0, 0], [0, 0, 1]]}]}, "NaN"),
     ({"ops": [{"gate": "displace", "c": [0.5, 0]}]}, "Infinity"),

@@ -1,6 +1,7 @@
 """Lattice sums against independent references, and the two Wigner paths."""
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -383,6 +384,45 @@ def test_midpoint_fft_matches_the_literal_sum(state, n):
     z = theta.cell_midpoints(series.cell, n)
     err = np.abs(theta._z_midpoints(series.u, series.kz, n) - z_factor_sum(series, z))
     assert np.all(err <= 1e-13 * np.abs(series.u).sum(axis=1))
+
+
+def test_propose_replays_from_three_generator_calls():
+    state = CodeState.phase_state(3, 0.5)
+    env, batch = theta.abs_envelope(state), 5000
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    x, z, values, bounds = theta.propose(state, env, batch, rng)
+    pick, gauss, offset = twin.random(batch), twin.standard_normal(batch), twin.random(batch)
+    assert rng.random() == twin.random()  # the same draws, in the same order
+    cells, period = env.bound.shape[1], env.series.cell
+    c, j = np.divmod(np.searchsorted(env.cum, pick, side="right"), cells)
+    assert np.array_equal(x, np.mod(c * (state.ell / 2) + state.delta / math.sqrt(2) * gauss, period))
+    assert np.array_equal(z, (j + offset) * (period / cells))
+    assert np.array_equal(values, wigner_theta(state, np.stack([x, z], axis=-1)))
+    assert np.all(np.abs(values) <= bounds)
+
+
+def test_wigner_theta_in_chunks_is_the_one_product():
+    state = CodeState.logical(5, 2, 0.05)
+    orders, _cells, classes = theta.abs_envelope(state).table.shape
+    size = 3 * ((1 << 16) // (classes * orders)) + 17  # three whole chunks and a part
+    eta = np.random.default_rng(4).uniform(-20.0, 30.0, (size, 2))
+    whole = np.einsum("nc,nc->n", theta._x_factor(theta._series(state), eta[:, 0]),
+                      theta._z_factor(state, eta[:, 1]))
+    assert np.array_equal(wigner_theta(state, eta), whole)
+
+
+def test_wigner_theta_holds_no_per_point_factor_array():
+    # f_c and h_c of 10^6 points would take 48 MB each at d = 3
+    state = CodeState.phase_state(3, 0.5)
+    eta = np.random.default_rng(6).uniform(0.0, 5.0, (10 ** 6, 2))
+    wigner_theta(state, eta[:10])  # the series and the z table are built outside the trace
+    tracemalloc.start()
+    try:
+        wigner_theta(state, eta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_wigner_peaks_at_logical_support():

@@ -45,6 +45,14 @@ def test_ideal_table_validation():
         IdealFactor.from_density_matrix(CodeParams(3, 2), np.eye(9) / 9)
 
 
+def test_density_with_a_negative_eigenvalue_is_refused():
+    rho = np.diag([1.5, -0.5, 0.0])  # Hermitian, unit trace, not positive
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        IdealFactor.from_density_matrix(CodeParams(3, 1), rho)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        ideal_input(CodeParams(3, 1), [rho])
+
+
 @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (3,), (3, 3, 1)])
 def test_ideal_table_must_be_square(shape):
     # each table sums to its first dimension, so only the shape is wrong

@@ -220,19 +220,15 @@ def _parse_ops(raw, params, err):
             continue
         tag = item["gate"]
         if tag in GATE_NAMES:
-            modes = item.get("modes")
-            if not isinstance(modes, list) or not all(
-                is_integer(m) for m in modes
-            ):
-                err(f"{path}.modes", "must be a list of integers")
+            try:  # Gate checks the modes' type, sign, count and distinctness
+                gate = Gate(tag, item.get("modes"))
+            except ValueError as exc:
+                err(f"{path}.modes", str(exc))
                 continue
-            if any(not 0 <= m < n for m in modes):
+            if max(gate.modes) >= n:
                 err(f"{path}.modes", f"mode indices must lie in [0, {n})")
                 continue
-            try:
-                out.append(Gate(tag, tuple(modes)))
-            except ValueError as exc:
-                err(path, str(exc))
+            out.append(gate)
         elif tag == "symplectic":
             mat = item.get("matrix")
             if not isinstance(mat, list):
@@ -337,6 +333,9 @@ def run(
         base["probabilities"] = probs.tolist()
         return base
     if mode == "sample":
+        if n_samples > est_mod.MAX_SAMPLES:
+            raise est_mod.InfeasiblePlan(
+                f"sample count {n_samples} exceeds the cap {est_mod.MAX_SAMPLES}")
         negativity = state.negativity()
         if negativity > 1.0 + 1e-9:
             raise ValueError(

@@ -280,12 +280,18 @@ def _check_spec(state: WignerState, spec: MeasurementSpec) -> None:
 
 
 def _mode_marginal(factor, c_mode, spec: MeasurementSpec, ell: float) -> np.ndarray:
-    """Bin probabilities of one mode's position after a displacement by ell * c_mode."""
+    """Bin probabilities of one mode's position after a displacement by ell * c_mode.
+
+    Both branches reduce c_mode mod d exactly before it becomes a float, so
+    no offset loses the bits that place it in the period d ell.
+    """
     if isinstance(factor, IdealFactor):
         # positions ell * (t + c), reduced mod d exactly before the float rule
         units = [float((t + c_mode) % factor.d) for t in range(factor.d)]
         row_mass = factor.table.sum(axis=1) / factor.d
         bins = bin_of_position(units, factor.d, spec.K)
         return np.bincount(bins, weights=row_mass, minlength=spec.K)
-    masses = x_bin_integrals(factor.state, spec.K, float(c_mode) * ell)
+    # bin k covers [k, k + 1) period / K, read on the undisplaced W at -ell (c mod d)
+    centres = (np.arange(spec.K) + 0.5) * (factor.d * ell / spec.K) - float(c_mode % factor.d) * ell
+    masses = x_bin_integrals(factor.state, centres)
     return masses / (factor.d * factor.norm)

@@ -82,13 +82,13 @@ class IntSymplectic:
         n = m.shape[0] // 2
         om = symplectic_form(n)
         prod = m.T @ np.vstack([m[n:], -m[:n]])  # Omega S: the row halves swapped, one negated
-        diff = prod - om
-        for idx in np.ndindex(diff.shape):
-            if diff[idx] != 0:
-                raise NotSymplectic(
-                    f"S^T Omega S differs from Omega first at entry {idx}: "
-                    f"got {prod[idx]}, want {om[idx]}"
-                )
+        bad = np.argwhere(prod != om)  # row-major order
+        if bad.size:
+            idx = tuple(bad[0].tolist())
+            raise NotSymplectic(
+                f"S^T Omega S differs from Omega first at entry {idx}: "
+                f"got {prod[idx]}, want {om[idx]}"
+            )
 
     @property
     def n(self) -> int:

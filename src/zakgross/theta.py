@@ -10,17 +10,18 @@ summed over the few teeth nearest x, as many as a tail bound (_comb_teeth)
 asks for. The z factor h_c(z) is a real trigonometric sum over 2Kz + 1
 frequencies, Kz ~ 1/(ell delta); one FFT-built table per state holds its
 Taylor polynomials of P ~ 12 terms on N ~ 8 Kz z cells, so a scattered
-point costs O(2d P), flat in delta, and the dense 2-D series is never
-built. A grid is one real product of inner dimension 2d; negative_sum
-takes h_c on its midpoints from one inverse FFT and evaluates only tiles
-of undecided sign; position-bin masses and the norm come in closed form
-from the kz = 0 column. As every f_c >= 0, |W| <= sum_c f_c(x) |h_c(z)|,
-and abs_envelope bounds each |h_c| on the table's cells: the rejection
-sampler's certified envelope. propose draws proposals from it and scores
-each, W and envelope from one f_c; _score, which wigner_theta shares, is
-the one scattered-point scorer, a bounded chunk of points at a time. Its
-references (the dense series, the wavefunction, the 4-variable Wigner
-sum, the Gaussian vacuum, the literal z sum) live in oracles.py.
+point costs O(2d P), flat in delta; no dense 2-D series is built. The
+cached AbsEnvelope holds the series, that table and a bound on each |h_c|
+per cell (|W| <= sum_c f_c |h_c|, every f_c >= 0): the one handle
+_z_factor, _score and propose take, and the sampler's certified envelope.
+_score sums f_c h_c per point, a bounded chunk at a time, for wigner_theta
+and propose; a grid contracts its axes' f_c and h_c by the same rule, so
+it is wigner_theta bit for bit. negative_sum takes h_c on its midpoints
+from one inverse FFT and bounds tiles to skip most; masses of bins
+centred where the caller asks, and the norm, come in closed form from the
+kz = 0 column. Its references (the dense series, the wavefunction, the
+4-variable Wigner sum, the Gaussian vacuum, the literal z sum) live in
+oracles.py.
 
 theta(Gamma, z) = sum_{t in Z^m} exp(i pi t.Gamma t + 2 pi i t.z), Im Gamma > 0,
 is off the runtime path: oracles.py builds on it, and the benchmark tracer
@@ -355,13 +356,13 @@ def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
     return np.take_along_axis(folded, np.mod(cols, classes), axis=1) / series.ell
 
 
-def _z_factor(state: CodeState, z: np.ndarray) -> np.ndarray:
+def _z_factor(env: AbsEnvelope, z: np.ndarray) -> np.ndarray:
     """h_c(z) at points z (N,) for every class: shape (N, 2d).
 
-    z lies in cell j = floor((z mod L) N / L) of abs_envelope(state).table (N - 1
-    if z mod L rounds to L) at t = 2 frac - 1: one Horner pass over all points.
+    z lies in cell j = floor((z mod L) N / L) of env.table (N - 1 if z mod L
+    rounds to L) at t = 2 frac - 1: one Horner pass over all points.
     """
-    table, cell = abs_envelope(state).table, state.d * state.ell
+    table, cell = env.table, env.series.cell
     orders, cells, classes = table.shape
     pos = np.mod(z, cell) * (cells / cell)
     j = np.minimum(pos.astype(np.intp), cells - 1)
@@ -458,12 +459,12 @@ def wigner_theta(state: CodeState, eta) -> np.ndarray:
     if eta.shape[-1] != 2:
         raise ValueError(f"eta must have last dimension 2, got {eta.shape}")
     flat = eta.reshape(-1, 2)
-    vals, _ = _score(state, _series(state), flat[:, 0], flat[:, 1])
+    vals, _ = _score(abs_envelope(state), flat[:, 0], flat[:, 1])
     return vals.reshape(eta.shape[:-1])
 
 
-def propose(state: CodeState, env: AbsEnvelope, batch: int, rng: np.random.Generator):
-    """(x, z, W, E): batch proposals from the envelope env, abs_envelope(state), scored.
+def propose(env: AbsEnvelope, batch: int, rng: np.random.Generator):
+    """(x, z, W, E): batch proposals from a state's envelope env, scored.
 
     Each proposal picks a (class c, z cell j) pair in proportion to
     env.bound[c, j] (every comb has the same mass), x exactly from the comb
@@ -477,41 +478,42 @@ def propose(state: CodeState, env: AbsEnvelope, batch: int, rng: np.random.Gener
     gauss = series.delta / math.sqrt(2) * rng.standard_normal(batch)
     x = np.mod(c * (series.ell / 2) + gauss, series.cell)
     z = (j + rng.random(batch)) * (series.cell / cells)
-    values, bounds = _score(state, series, x, z, env.bound, j)
+    values, bounds = _score(env, x, z, j)
     return x, z, values, bounds
 
 
-def _score(state: CodeState, series: Series, x, z, bound=None, cell=None):
+def _score(env: AbsEnvelope, x, z, cell=None):
     """(W, E) at points (x, z) (N,): W = sum_c f_c(x) h_c(z), unnormalized, and,
-    with bound given, E = sum_c f_c(x) bound[c, cell] for z cells `cell` (N,), else None.
+    with z cells `cell` (N,) given, E = sum_c f_c(x) env.bound[c, cell], else None.
 
     The one scattered-point scorer: each chunk of points, as many as hold
     2^16 floats of the z table's rows, computes f_c once for both sums, so
     no (N, 2d) array is held whole.
     """
-    orders, _cells, classes = abs_envelope(state).table.shape
+    orders, _cells, classes = env.table.shape
     step = max(1, (1 << 16) // (classes * orders))
     values = np.empty(x.size)
-    bounds = None if bound is None else np.empty(x.size)
+    bounds = None if cell is None else np.empty(x.size)
     for lo in range(0, x.size, step):
         part = slice(lo, lo + step)
-        f = _x_factor(series, x[part])
-        values[part] = np.einsum("nc,nc->n", f, _z_factor(state, z[part]))
-        if bound is not None:
-            bounds[part] = np.einsum("nc,cn->n", f, bound[:, cell[part]])
+        f = _x_factor(env.series, x[part])
+        values[part] = np.einsum("nc,nc->n", f, _z_factor(env, z[part]))
+        if cell is not None:
+            bounds[part] = np.einsum("nc,cn->n", f, env.bound[:, cell[part]])
     return values, bounds
 
 
 def wigner_theta_grid(state: CodeState, eta_x, eta_z) -> np.ndarray:
     """Unnormalized Wigner values on the tensor grid eta_x (x) eta_z.
 
-    Shape (len(eta_x), len(eta_z)): one real product F H^T of inner
-    dimension 2d, F and H holding f_c and h_c on the two axes.
+    Shape (len(eta_x), len(eta_z)): F and H hold f_c and h_c on the two
+    axes, contracted over c by _score's own per-point class sum, so each
+    entry is wigner_theta's value at that point, bit for bit.
     """
-    series = _series(state)
+    env = abs_envelope(state)
     eta_x = np.asarray(eta_x, dtype=float).ravel()
     eta_z = np.asarray(eta_z, dtype=float).ravel()
-    return _x_factor(series, eta_x) @ _z_factor(state, eta_z).T
+    return np.einsum("ic,jc->ij", _x_factor(env.series, eta_x), _z_factor(env, eta_z))
 
 
 def negative_sum(state: CodeState, n: int) -> float:
@@ -574,16 +576,15 @@ def _tiles(values: np.ndarray) -> np.ndarray:
     return padded.reshape(-1, TILE, values.shape[1])
 
 
-def x_bin_integrals(state: CodeState, bins: int, shift: float) -> np.ndarray:
-    """Unnormalized mass of W(x - shift, z) in each of `bins` equal x bins of one period L.
+def x_bin_integrals(state: CodeState, centres) -> np.ndarray:
+    """Unnormalized mass of W in each of the equal x bins centred at centres (B,).
 
-    Over one z period only the kz = 0 column of the series survives, and a
-    bin of width w = L / bins integrates exp(-2 pi i k (x - shift) / L) to
-    w exp(-2 pi i k (mid - shift) / L) sinc(k / bins).
+    The B bins have width w = L / B, so they tile one period L. Over one z
+    period only the kz = 0 column of the series survives, and a bin
+    integrates exp(-2 pi i k x / L) to w exp(-2 pi i k centre / L) sinc(k / B).
     """
     series = _series(state)
     kx, col = _kz0_column(series)
-    width = series.cell / bins
-    mid = (np.arange(bins)[:, None] + 0.5) * width - shift
-    phase = np.exp((-TWO_PI / series.cell) * 1j * kx * mid)
-    return series.cell * width * ((phase * np.sinc(kx / bins)) @ col).real
+    width = series.cell / centres.size
+    phase = np.exp((-TWO_PI / series.cell) * 1j * kx * centres[:, None])
+    return series.cell * width * ((phase * np.sinc(kx / centres.size)) @ col).real

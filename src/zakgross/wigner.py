@@ -20,7 +20,8 @@ factors carry a finite-envelope CodeState, evaluated through its separable
 series, whose z half is one Taylor table per state, and sampled by rejection
 under the certified bound theta.abs_envelope sums from that table.
 theta.propose draws and scores the proposals, so the rejection loop here
-only sizes rounds and accepts. A stream's draws are written in place: each
+only sizes rounds and accepts on the unnormalized |W| / E, with the sign
+of W. A stream's draws are written in place: each
 factor fills its two columns of one (count, 2n) array and multiplies its
 signs into one array.
 """
@@ -366,14 +367,13 @@ def _rejection_sampler(factor: RealisticFactor):
     """Draws from |W| / M of one realistic factor, under theta.abs_envelope.
 
     theta.propose draws each round's proposals from the envelope and scores
-    them; a proposal is accepted with chance |W| / E. The sampler writes the
-    first count accepted draws, in order, into out (count, 2) and multiplies
-    their signs into signs (count,).
+    them, W and E both unnormalized; a proposal is accepted with chance
+    |W| / E and carries the sign of W. The sampler writes the first count
+    accepted draws, in order, into out (count, 2) and multiplies their signs
+    into signs (count,).
     """
-    state = factor.state
-    env = abs_envelope(state)
-    scale = factor.d * factor.norm  # factor.wigner divides the series by it
-    total_env = env.mass / scale
+    env = abs_envelope(factor.state)
+    total_env = env.mass / (factor.d * factor.norm)  # in units of the normalized W's mass
 
     def sample(count, rng, out, signs):
         proposed = accepted = 0
@@ -382,9 +382,8 @@ def _rejection_sampler(factor: RealisticFactor):
             # at most total_env (the acceptance rate is M / total_env, and M >= 1)
             per_draw = min(proposed / max(accepted, 1), total_env) if proposed else 1.0
             batch = max(1024, int((count - accepted) * per_draw))
-            x, z, values, bounds = propose(state, env, batch, rng)
-            w_here = values / scale
-            ratio = np.abs(w_here) * scale / bounds
+            x, z, values, bounds = propose(env, batch, rng)
+            ratio = np.abs(values) / bounds
             if np.any(ratio > 1.0):
                 raise EnvelopeViolated(f"envelope violated by factor {float(ratio.max()):.3f}")
             acc = np.flatnonzero(rng.random(batch) < ratio)
@@ -394,7 +393,7 @@ def _rejection_sampler(factor: RealisticFactor):
             acc = acc[: count - accepted]
             rows = slice(accepted, accepted + acc.size)
             out[rows, 0], out[rows, 1] = x[acc], z[acc]
-            signs[rows] *= np.sign(w_here[acc])
+            signs[rows] *= np.sign(values[acc])
             accepted += acc.size
             del x, z, values, bounds  # freed before the next round's proposals, not after
 

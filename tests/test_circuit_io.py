@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from zakgross import wigner
+from zakgross import circuit_io, wigner
 from zakgross.circuit_io import (
     SchemaError,
     build_state,
@@ -12,6 +12,7 @@ from zakgross.circuit_io import (
     run,
     sweep_csv,
 )
+from zakgross.estimator import MAX_SAMPLES, InfeasiblePlan
 from zakgross.measure import ImprecisePush, exact_probabilities
 from zakgross.qudit import CodeParams, Gate, clifford_oracle_probabilities
 from zakgross.symplectic import IntSymplectic
@@ -52,6 +53,15 @@ def test_non_symplectic_matrix_reports_path():
     with pytest.raises(SchemaError) as exc:
         parse_circuit(bad)
     assert any("$.ops[0].matrix" in e for e in exc.value.errors)
+
+
+@pytest.mark.parametrize("modes", [[0, 0], [0], [-1, 1], [0, 2], "01", None],
+                         ids=["repeated", "count", "negative", "range", "string", "missing"])
+def test_every_gate_mode_error_is_reported_at_the_modes(modes):
+    bad = doc(n=2, inputs=[{"ideal_logical": 0}] * 2, ops=[{"gate": "SUM", "modes": modes}])
+    with pytest.raises(SchemaError) as info:
+        parse_circuit(bad)
+    assert [e.split(":")[0] for e in info.value.errors] == ["at $.ops[0].modes"]
 
 
 def test_multiple_errors_collected():
@@ -289,6 +299,15 @@ def test_mixed_estimate_bins_edge_points_exactly():
     result = run(spec, "estimate")
     assert result["n_samples"] == 79_964
     assert np.max(np.abs(np.array(result["probabilities"]) - [1, 0, 0])) <= 0.01
+
+
+def test_sample_mode_refuses_an_infeasible_count_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sample_streams was called")
+
+    monkeypatch.setattr(circuit_io, "sample_streams", no_draws)
+    with pytest.raises(InfeasiblePlan, match=f"exceeds the cap {MAX_SAMPLES}"):
+        run(parse_circuit(doc()), "sample", n_samples=MAX_SAMPLES + 1)
 
 
 def test_sample_mode_large_entries_bin_within_tolerance():

@@ -267,6 +267,16 @@ def test_quadrature_with_displacement_matches_shifted_oracle():
     assert np.max(np.abs(q - w)) < 1e-8
 
 
+@pytest.mark.parametrize("c", [1e16, 1e20, 10 ** 399 + 1], ids=["1e16", "1e20", "400-digit"])
+def test_quadrature_reduces_a_large_displacement_mod_d(c):
+    # the offset is reduced mod d exactly before it becomes a float
+    st = realistic_input(CodeParams(3, 1), [CodeState.logical(3, 0, 0.3)])
+    spec = MeasurementSpec((0,), 3)
+    far = exact_probabilities(st.apply_ops([(c, 0)]), spec)
+    near = exact_probabilities(st.apply_ops([(c % 3, 0)]), spec)
+    assert np.max(np.abs(far - near)) <= 1e-12
+
+
 def test_mixed_product_factorizes():
     params = CodeParams(3, 2)
     cs = CodeState.logical(3, 2, 0.35)

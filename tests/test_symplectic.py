@@ -1,5 +1,6 @@
 """Exact symplectic algebra: generator blocks, shifts, affine maps, decompose."""
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,14 @@ def test_rejects_non_symplectic_names_entry():
     bad = np.eye(2, dtype=int)
     bad[0, 0] = 2
     with pytest.raises(NotSymplectic, match=r"\(0, 1\)|\(1, 0\)|\(0, 0\)"):
+        IntSymplectic(bad)
+
+
+def test_rejects_non_symplectic_names_first_bad_entry_row_major():
+    bad = np.eye(20, dtype=int)  # n = 10; six entries of S^T Omega S go wrong
+    bad[2, 15], bad[11, 4], bad[17, 17] = 3, -2, 5
+    msg = "S^T Omega S differs from Omega first at entry (1, 4): got -2, want 0"
+    with pytest.raises(NotSymplectic, match=f"^{re.escape(msg)}$"):
         IntSymplectic(bad)
 
 

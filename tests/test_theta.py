@@ -216,27 +216,29 @@ def test_theta_path_matches_oracle(delta, kind):
 @pytest.mark.parametrize("kind", ["logical0", "phase"])
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
 def test_grid_matches_scatter(d, kind):
-    state = (
-        CodeState.logical(d, 0, 0.35)
-        if kind == "logical0"
-        else CodeState.phase_state(d, 0.35)
-    )
-    cell = d * state.ell
-    ex = np.array([0.1, 0.9, 2.2, -0.7 * cell, 1.6 * cell])
-    ez = np.array([0.0, 1.3, -1.2 * cell, 2.1 * cell])
-    grid = wigner_theta_grid(state, ex, ez)
-    pts = np.array([[x, z] for x in ex for z in ez]).reshape(5, 4, 2)
-    scatter = wigner_theta(state, pts)
-    assert np.allclose(grid, scatter, rtol=1e-10, atol=1e-14)
+    # the grid sums f_c h_c over c by the scattered points' rule: equal bits at
+    # any BLAS thread count, on axes that are no midpoint grid
+    rng = np.random.default_rng(d)
+    for delta in (0.5, 0.25, 0.05):
+        state = (CodeState.logical(d, 0, delta) if kind == "logical0"
+                 else CodeState.phase_state(d, delta))
+        cell = d * state.ell
+        ex = np.append([0.1, 0.9, 2.2, -0.7 * cell, 1.6 * cell], rng.uniform(-cell, 2 * cell, 40))
+        ez = np.append([0.0, 1.3, -1.2 * cell, 2.1 * cell], rng.uniform(-cell, 2 * cell, 40))
+        grid = wigner_theta_grid(state, ex, ez)
+        scatter = wigner_theta(state, np.stack(np.meshgrid(ex, ez, indexing="ij"), axis=-1))
+        assert np.array_equal(grid, scatter), (delta, np.count_nonzero(grid != scatter))
 
 
 def test_equal_state_reuses_the_series():
     theta._series.cache_clear()
+    theta.abs_envelope.cache_clear()
     wigner_theta(CodeState.phase_state(5, 0.4), [[0.2, 0.3]])
-    before = theta._series.cache_info()
+    before = theta.abs_envelope.cache_info()
     wigner_theta(CodeState.phase_state(5, 0.4), [[1.2, -0.3]])
-    after = theta._series.cache_info()
+    after = theta.abs_envelope.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert theta._series.cache_info().misses == 1  # the envelope holds the one series
 
 
 def test_broken_conjugate_symmetry_raises(monkeypatch):
@@ -246,6 +248,7 @@ def test_broken_conjugate_symmetry_raises(monkeypatch):
         return original(*args, **kwargs) * (1 + 0.1j)
 
     theta._series.cache_clear()
+    theta.abs_envelope.cache_clear()
     monkeypatch.setattr(theta, "_class_weights", skewed)
     with pytest.raises(theta.ImaginaryResidue, match="imaginary residue"):
         wigner_theta(CodeState.logical(3, 0, 0.3), [[0.0, 0.0]])
@@ -363,15 +366,16 @@ def _z_state_id(state):
 
 @pytest.mark.parametrize("state", Z_STATES, ids=_z_state_id)
 def test_z_table_matches_the_literal_sum(state):
-    series = theta._series(state)
-    period, cells = series.cell, theta.abs_envelope(state).table.shape[1]
+    env = theta.abs_envelope(state)
+    series, cells = env.series, env.table.shape[1]
+    period = series.cell
     rng = np.random.default_rng(state.d)
     z = np.concatenate([
         rng.uniform(-3 * period, 4 * period, 500),  # below 0 and above L as well
         np.arange(0, cells + 1, max(1, cells // 64)) * (period / cells),  # cell edges, 0 and L
         [-4.4e-16, period, np.nextafter(period, 0.0)],  # np.mod(-4.4e-16, L) rounds to L
     ])
-    err = np.abs(theta._z_factor(state, z) - z_factor_sum(series, z))
+    err = np.abs(theta._z_factor(env, z) - z_factor_sum(series, z))
     assert np.all(err <= 1e-13 * np.abs(series.u).sum(axis=1))
 
 
@@ -390,7 +394,7 @@ def test_propose_replays_from_three_generator_calls():
     state = CodeState.phase_state(3, 0.5)
     env, batch = theta.abs_envelope(state), 5000
     rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-    x, z, values, bounds = theta.propose(state, env, batch, rng)
+    x, z, values, bounds = theta.propose(env, batch, rng)
     pick, gauss, offset = twin.random(batch), twin.standard_normal(batch), twin.random(batch)
     assert rng.random() == twin.random()  # the same draws, in the same order
     cells, period = env.bound.shape[1], env.series.cell
@@ -403,11 +407,12 @@ def test_propose_replays_from_three_generator_calls():
 
 def test_wigner_theta_in_chunks_is_the_one_product():
     state = CodeState.logical(5, 2, 0.05)
-    orders, _cells, classes = theta.abs_envelope(state).table.shape
+    env = theta.abs_envelope(state)
+    orders, _cells, classes = env.table.shape
     size = 3 * ((1 << 16) // (classes * orders)) + 17  # three whole chunks and a part
     eta = np.random.default_rng(4).uniform(-20.0, 30.0, (size, 2))
-    whole = np.einsum("nc,nc->n", theta._x_factor(theta._series(state), eta[:, 0]),
-                      theta._z_factor(state, eta[:, 1]))
+    whole = np.einsum("nc,nc->n", theta._x_factor(env.series, eta[:, 0]),
+                      theta._z_factor(env, eta[:, 1]))
     assert np.array_equal(wigner_theta(state, eta), whole)
 
 

@@ -458,7 +458,8 @@ def test_realistic_sampler_draws_its_law(d, delta, kind):
     # E[s 1_b] = p_b / M and E[s] = 1 / M, so s (1_b - p_b) has mean 0 in every
     # bin b, and variance q_b (1 - 2 p_b) + p_b^2 for the |W| share q_b >= |p_b| / M
     bins, scale = 32, d * RealisticFactor(state).norm
-    masses = (theta.x_bin_integrals(state, bins, 0.0), z_bin_integrals(state, bins))
+    masses = (theta.x_bin_integrals(state, theta.cell_midpoints(period, bins)),
+              z_bin_integrals(state, bins))
     for coord, p in enumerate(m / scale for m in masses):
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         hit = np.floor(np.mod(pts[:, coord], period) * bins / period) == np.arange(bins)[:, None]

@@ -347,7 +347,7 @@ def run(
         # frequencies of n draws err by about 1 / sqrt(n)
         bins = binner(state, mspec, SLIP_SHARE / math.sqrt(max(n_samples, 1)))
         joint = np.concatenate(
-            sample_streams(state, use_seed, n_samples, lambda pts, _: bins(pts), threads))
+            sample_streams(state, use_seed, n_samples, lambda idx, _: idx, threads, bins.push))
         shape = mspec.table_shape()
         outcomes = np.stack(np.unravel_index(joint, shape), axis=-1)
         counts = np.bincount(joint, minlength=math.prod(shape)).reshape(shape)

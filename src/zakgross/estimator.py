@@ -89,15 +89,15 @@ def estimate(
     shape = spec.table_shape()
     flat_bins = math.prod(shape)
 
-    def counts(pts, sgn):
-        idx, spos = bins(pts), sgn > 0
+    def counts(idx, sgn):
+        spos = sgn > 0
         return (
             np.bincount(idx[spos], minlength=flat_bins),
             np.bincount(idx[~spos], minlength=flat_bins),
         )
 
-    # counts are integer, so their sum over streams is exact
-    pos, neg = map(sum, zip(*sample_streams(state, seed, n_tot, counts, threads)))
+    # counts are integer, so their sum over blocks and streams is exact
+    pos, neg = map(sum, zip(*sample_streams(state, seed, n_tot, counts, threads, bins.push)))
 
     est = m_total * (pos - neg) / n_tot
     second = m_total ** 2 * (pos + neg) / n_tot

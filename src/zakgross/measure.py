@@ -111,8 +111,8 @@ def _offset_binner(state: WignerState, spec: MeasurementSpec):
     return bins
 
 
-def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
-    """Map from input-frame draws (N, 2n) to flat joint bin indices, made once.
+def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0) -> "Binner":
+    """Map from input-frame draws to flat joint bin indices, made once.
 
     Each measured position S^-1[m] eta + ell c[m] is read in units of ell/2,
     one period being 2d. Ideal columns hold lattice points ell * t, so their
@@ -121,25 +121,29 @@ def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
     size moves a point across an edge. Realistic columns and the fractional
     part of 2c are pushed in float, and bin_of_position bins the total.
     Realistic draws lie in one cell [0, L), so the float part of a row errs
-    by at most w = sum |entries| L (terms + 2) 2^-53 in ell/2 units. A draw
-    moves to another bin only if it lies within w of an edge, a chance of
-    about 2w bins per measured row for a draw spread over the period; the
-    binner raises ImprecisePush where that sum exceeds slip_budget, the
-    caller's share of its own statistical error (0 admits an exact push
-    only: all-ideal states). The float push is one product of every draw
-    with a (2n, r) matrix whose ideal rows are zero, so no column is copied
-    out first; a zero row adds an exact zero, so terms counts the realistic
-    columns alone.
+    by at most w = sum |entries| L (terms + 2) 2^-53 in ell/2 units, in any
+    order of its terms. A draw moves to another bin only if it lies within
+    w of an edge, a chance of about 2w bins per measured row for a draw
+    spread over the period; the binner raises ImprecisePush where that sum
+    exceeds slip_budget, the caller's share of its own statistical error (0
+    admits an exact push only: all-ideal states). terms counts the
+    realistic columns alone. The push adds each factor's draws into the r
+    measured positions as the sampler hands them on (Binner.push), so no
+    (draws, 2n) array is needed; a factor whose two columns are zero there,
+    any mode outside the light cone of the measured ones, adds nothing.
     """
     _check_spec(state, spec)
-    d, ell = state.params.d, state.params.ell
-    ideal = np.array([isinstance(f, IdealFactor) for f in state.factors] * 2)
+    d, ell, n = state.params.d, state.params.ell, state.params.n
+    ideal = [isinstance(f, IdealFactor) for f in state.factors]
     rows = state.amap.S.inverse_rows(spec.measured_modes)
-    lattice = np.mod(rows[:, ideal], 2 * d).astype(np.int64).T
-    real = np.where(ideal, 0, rows).astype(float).T * (2 / ell)
-    terms = np.count_nonzero(~ideal)
-    err = np.abs(real).sum(axis=0) * state.params.torus_period * (terms + 2) * 2.0 ** -53
-    err *= spec.K / (2 * d)
+    terms = []  # per factor: (ideal, its two columns of the measured rows (2, r)) or None
+    for i, exact in enumerate(ideal):
+        cols = rows[:, [i, n + i]]
+        cols = np.mod(cols, 2 * d).astype(np.int64) if exact else cols.astype(float) * (2 / ell)
+        terms.append((exact, cols.T) if cols.any() else None)
+    err = sum((np.abs(cols).sum(axis=0) for exact, cols in filter(None, terms) if not exact),
+              np.zeros(len(rows)))
+    err *= state.params.torus_period * (2 * (n - sum(ideal)) + 2) * 2.0 ** -53 * spec.K / (2 * d)
     slip = 2.0 * float(err.sum())
     if slip > slip_budget:
         raise ImprecisePush(
@@ -147,13 +151,51 @@ def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0):
             f"moving up to {slip:.2e} of the draws across an edge, beyond the "
             f"budget {slip_budget:.2e}"
         )
-    to_bins = _offset_binner(state, spec)
+    return Binner(tuple(terms), len(rows), 2 * d, 2 / ell, _offset_binner(state, spec))
 
-    def bins(eta):
-        m2 = np.rint(eta[:, ideal] * (2 / ell)).astype(np.int64)
-        return to_bins(m2 @ lattice, eta @ real)
 
-    return bins
+@dataclass(frozen=True)
+class Binner:
+    """What binner makes: per factor, its two columns of the measured rows (2, r),
+    reduced mod 2d for an ideal factor and in ell/2 units for a realistic
+    one, or None where both are zero; and the offset split and bin rule."""
+
+    terms: tuple
+    r: int  # measured modes
+    period: int  # 2d: one period of a measured position in units of ell/2
+    scale: float  # 2 / ell: units of ell/2 per coordinate unit
+    to_bins: object  # _offset_binner's bins(lattice, rest)
+
+    def push(self, size: int):
+        """(take, done) of one block of size draws, for wigner.sample_streams.
+
+        take(i, draws) adds factor i's draws (size, 2) into the block's r
+        measured positions, ideal ones exactly in int64 and realistic ones
+        in float; done(signs) returns (flat joint bins (size,), signs).
+        """
+        lattice = np.zeros((size, self.r), dtype=np.int64)
+        rest = np.zeros((size, self.r))
+
+        def take(i, draws):
+            nonlocal lattice, rest  # added into in place
+            term = self.terms[i]
+            if term is None:
+                return
+            exact, cols = term
+            if exact:
+                lattice += np.mod(np.rint(draws * self.scale).astype(np.int64), self.period) @ cols
+            else:
+                rest += draws @ cols
+
+        return take, lambda signs: (self.to_bins(lattice, rest), signs)
+
+    def __call__(self, eta: np.ndarray) -> np.ndarray:
+        """Flat joint bins of input-frame draws eta (N, 2n), each factor's two columns taken in turn."""
+        n = len(self.terms)
+        take, done = self.push(len(eta))
+        for i in range(n):
+            take(i, eta[:, i::n])
+        return done(None)[0]
 
 
 def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray:

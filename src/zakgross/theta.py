@@ -11,9 +11,11 @@ asks for. The z factor h_c(z) is a real trigonometric sum over 2Kz + 1
 frequencies, Kz ~ 1/(ell delta); one FFT-built table per state holds its
 Taylor polynomials of P ~ 12 terms on N ~ 8 Kz z cells, so a scattered
 point costs O(2d P), flat in delta; no dense 2-D series is built. The
-cached AbsEnvelope holds the series, that table and a bound on each |h_c|
-per cell (|W| <= sum_c f_c |h_c|, every f_c >= 0): the one handle
-_z_factor, _score and propose take, and the sampler's certified envelope.
+cached AbsEnvelope holds the series, that table, a bound on each |h_c|
+per cell (|W| <= sum_c f_c |h_c|, every f_c >= 0) and an alias table of
+the bound's shares, which propose picks (class, cell) pairs from in O(1):
+the one handle _z_factor, _score and propose take, and the sampler's
+certified envelope.
 _score sums f_c h_c per point, a bounded chunk at a time, for wigner_theta
 and propose; a grid contracts its axes' f_c and h_c by the same rule, so
 it is wigner_theta bit for bit. negative_sum takes h_c on its midpoints
@@ -399,7 +401,8 @@ class AbsEnvelope(NamedTuple):
     series: Series
     table: np.ndarray  # (P, N, 2d): the Taylor table _z_factor sums; read-only
     bound: np.ndarray  # (2d, N): bound[c, j] >= |h_c| on z cell j of N; read-only
-    cum: np.ndarray  # cumulative share of bound.ravel(), ending at exactly 1
+    keep: np.ndarray  # alias table of bound.ravel()'s shares: slot i keeps i with chance keep[i]
+    alias: np.ndarray  # and gives alias[i] otherwise; see _alias_table
     mass: float  # integral over one cell of sum_c f_c(x) bound[c, j(z)]
 
 
@@ -429,13 +432,55 @@ def abs_envelope(state: CodeState) -> AbsEnvelope:
         u = u * ((1j * math.pi / (cells * (k + 1))) * kz)
     bound = np.abs(table).sum(axis=0).T
     bound += SERIES_TOL * np.abs(series.u).sum(axis=1)[:, None]
-    cum = np.cumsum(bound.ravel())
+    keep, alias = _alias_table(bound.ravel())
     width = series.cell / bound.shape[1]  # of one z cell
-    mass = float(cum[-1]) * width * series.delta * math.sqrt(math.pi) / series.ell
-    cum /= cum[-1]
-    for frozen in (table, bound, cum):
+    mass = float(bound.sum()) * width * series.delta * math.sqrt(math.pi) / series.ell
+    for frozen in (table, bound, keep, alias):
         frozen.setflags(write=False)
-    return AbsEnvelope(series, table, bound, cum, mass)
+    return AbsEnvelope(series, table, bound, keep, alias, mass)
+
+
+def _alias_table(weights: np.ndarray):
+    """(keep, alias) of Walker's alias method for the shares of weights (K,) >= 0.
+
+    Slot i of K equal slots keeps outcome i with chance keep[i] and gives
+    alias[i] otherwise, so one uniform picks an outcome in O(1). Vose's
+    pairing, in closed form: with masses m = K w / sum w, the light
+    outcomes (m < 1) lay their deficits 1 - m end to end on [0, D), and
+    the heavy ones their surpluses m - 1 on the same line, ending at C_k.
+    A light outcome takes its alias from the heavy one whose surplus holds
+    the start of its deficit. A heavy outcome k whose end C_k falls inside
+    a light outcome's deficit gave that outcome more than its surplus; it
+    keeps 1 - (the excess) and takes its alias from heavy outcome k + 1.
+    """
+    size = weights.size
+    mass = weights * (size / weights.sum())
+    keep, alias = np.ones(size), np.arange(size)
+    light, heavy = np.flatnonzero(mass < 1.0), np.flatnonzero(mass >= 1.0)
+    if light.size == 0 or heavy.size == 0:  # every mass is 1 up to rounding
+        return keep, alias
+    deficit_end = np.cumsum(1.0 - mass[light])
+    deficit_start = deficit_end - (1.0 - mass[light])
+    surplus_end = np.cumsum(mass[heavy] - 1.0)
+    keep[light] = mass[light]
+    donor = np.searchsorted(surplus_end, deficit_start, side="right")
+    alias[light] = heavy[np.minimum(donor, heavy.size - 1)]
+    # the light deficit each heavy end C_k (the last aside) falls in
+    ends = surplus_end[:-1]
+    inside = np.minimum(np.searchsorted(deficit_end, ends, side="right"), light.size - 1)
+    excess = deficit_end[inside] - ends
+    over = np.flatnonzero((excess > 0) & (deficit_start[inside] < ends))
+    keep[heavy[over]] = np.clip(1.0 - excess[over], 0.0, 1.0)
+    alias[heavy[over]] = heavy[over + 1]
+    return keep, alias
+
+
+def alias_pick(keep: np.ndarray, alias: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """Outcomes of an alias table for uniforms in [0, 1): slot floor(K u), kept
+    when the rest K u - slot falls below keep[slot], so one uniform serves both."""
+    scaled = uniform * keep.size
+    slot = np.minimum(scaled.astype(np.intp), keep.size - 1)
+    return np.where(scaled - slot < keep[slot], slot, alias[slot])
 
 
 def _kz0_column(series: Series):
@@ -467,14 +512,15 @@ def propose(env: AbsEnvelope, batch: int, rng: np.random.Generator):
     """(x, z, W, E): batch proposals from a state's envelope env, scored.
 
     Each proposal picks a (class c, z cell j) pair in proportion to
-    env.bound[c, j] (every comb has the same mass), x exactly from the comb
-    f_c, a wrapped Gaussian of width delta / sqrt 2 about c ell / 2, and z
-    uniformly in cell j: rng.random(batch), rng.standard_normal(batch) and
-    rng.random(batch), in that order. W is the unnormalized Wigner value,
-    wigner_theta's, and E = sum_c f_c(x) env.bound[c, j] >= |W| its envelope.
+    env.bound[c, j] (every comb has the same mass) from the alias table, x
+    exactly from the comb f_c, a wrapped Gaussian of width delta / sqrt 2
+    about c ell / 2, and z uniformly in cell j: rng.random(batch),
+    rng.standard_normal(batch) and rng.random(batch), in that order. W is
+    the unnormalized Wigner value, wigner_theta's, and E = sum_c f_c(x)
+    env.bound[c, j] >= |W| its envelope.
     """
     series, cells = env.series, env.bound.shape[1]
-    c, j = np.divmod(np.searchsorted(env.cum, rng.random(batch), side="right"), cells)
+    c, j = np.divmod(alias_pick(env.keep, env.alias, rng.random(batch)), cells)
     gauss = series.delta / math.sqrt(2) * rng.standard_normal(batch)
     x = np.mod(c * (series.ell / 2) + gauss, series.cell)
     z = (j + rng.random(batch)) * (series.cell / cells)

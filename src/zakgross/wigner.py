@@ -21,9 +21,12 @@ series, whose z half is one Taylor table per state, and sampled by rejection
 under the certified bound theta.abs_envelope sums from that table.
 theta.propose draws and scores the proposals, so the rejection loop here
 only sizes rounds and accepts on the unnormalized |W| / E, with the sign
-of W. A stream's draws are written in place: each
-factor fills its two columns of one (count, 2n) array and multiplies its
-signs into one array.
+of W. A stream is drawn in blocks of at most BLOCK draws, and a rejection
+round proposes at most ROUND points, so neither the draw count nor n sets
+a stream's working set: each factor hands its block of draws to a take
+callback (measure.binner's adds them into the measured positions, the
+full frame writes its two columns), and a round's surplus accepted draws
+start the stream's next block.
 """
 from __future__ import annotations
 
@@ -47,6 +50,10 @@ from .theta import (
 )
 
 MAX_STREAM = 100_000  # draws per seed stream at most
+BLOCK = 2048  # draws a stream hands on and reduces at a time
+# proposals a rejection round scores at most: twice BLOCK, so that one round
+# fills a block wherever the acceptance rate is above about one half
+ROUND = 4096
 SEED = 0  # the seed of sample mode, estimates and verify when none is given
 NEGATIVITY_TOL = 1e-6  # default tolerance of the negativity cell integral
 
@@ -240,14 +247,17 @@ class WignerState:
         return 2 * np.hstack([pts[:, 0::2], pts[:, 1::2]]), wts
 
     def sampler(self):
-        """Build a per-state sampler of (input-frame points, signs).
+        """Build one stream's draw loop: draw(count, rng, take=None).
 
-        The returned callable maps (count, rng) to (eta_in (N, 2n) floats,
-        signs (N,)), drawn per factor in mode order; measure.binner pushes
-        them forward. Each factor writes its draws into its own two columns
-        of eta_in (x of every mode, then z of every mode) and multiplies its
-        signs into the one signs array, so no per-factor copy is kept. Each
-        realistic factor's envelope table is built once per state.
+        A call draws the stream's next count draws from |W|/M, factor by
+        factor in mode order, hands factor i's (count, 2) draws (x, z) to
+        take(i, draws) and returns the signs (count,), multiplied over the
+        factors. The draws array is reused, so take copies what it keeps.
+        Without take a call returns (eta_in (count, 2n), signs) instead,
+        factor i's draws in columns i and n + i (full_frame). A realistic
+        factor's last proposal round may accept a few more draws than a call
+        needs; they begin its next call, so a sampler serves one stream.
+        Each realistic factor's envelope table is built once per state.
         """
         factor_samplers = [
             _ideal_sampler(f, self.params) if isinstance(f, IdealFactor) else _rejection_sampler(f)
@@ -255,13 +265,35 @@ class WignerState:
         ]
         n = self.params.n
 
-        def sample(count: int, rng: np.random.Generator):
-            eta_in, signs = np.empty((count, 2 * n)), np.ones(count)
+        def draw(count: int, rng: np.random.Generator, take=None):
+            if take is None:
+                take, done = full_frame(n)(count)
+                return done(draw(count, rng, take))
+            signs, draws = np.ones(count), np.empty((count, 2))
             for i, fs in enumerate(factor_samplers):
-                fs(count, rng, eta_in[:, i::n], signs)  # a view of columns i and n + i
-            return eta_in, signs
+                fs(count, rng, draws, signs)
+                take(i, draws)
+            return signs
 
-        return sample
+        return draw
+
+
+def full_frame(n: int):
+    """The input-frame push: push(size) -> (take, done), for sample_streams.
+
+    take(i, draws) writes factor i's draws (size, 2) into columns i and
+    n + i of one (size, 2n) array (x of every mode, then z of every mode),
+    and done(signs) returns (that array, signs).
+    """
+    def push(size: int):
+        eta_in = np.empty((size, 2 * n))
+
+        def take(i, draws):
+            eta_in[:, i::n] = draws  # a view of columns i and n + i
+
+        return take, lambda signs: (eta_in, signs)
+
+    return push
 
 
 def ideal_input(params: CodeParams, kets) -> WignerState:
@@ -297,26 +329,41 @@ def seed_streams(seed: int, total: int) -> list:
     return [(seq, base + (i < extra)) for i, seq in enumerate(seqs)]
 
 
-def sample_streams(state: WignerState, seed: int, count: int, reduce, threads: int = 1) -> list:
-    """[reduce(points, signs)] per seed_streams(seed, count) stream, in stream order.
+def sample_streams(state: WignerState, seed: int, count: int, reduce, threads: int = 1,
+                   push=None) -> list:
+    """[reduce(*done(signs))] per block of every seed_streams(seed, count) stream, in order.
 
-    Each stream draws input-frame points and signs from |W|/M with its own
-    generator, so no result depends on `threads` (a thread pool when > 1).
+    Each stream draws from |W|/M with its own generator and its own
+    WignerState.sampler, in blocks of at most BLOCK draws. push(size)
+    returns a block's (take, done): take(i, draws) gets factor i's draws of
+    the block, and done(signs) the arguments reduce is called with, by
+    default full_frame's (input-frame points, signs). So a stream holds one
+    block at a time, and no result depends on `threads` (a thread pool
+    when > 1).
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    sampler, streams = state.sampler(), seed_streams(seed, count)
+    push = push or full_frame(state.params.n)
+    streams = seed_streams(seed, count)
 
     def one(seq, size):
-        return reduce(*sampler(size, np.random.default_rng(seq)))
+        rng, draw, out = np.random.default_rng(seq), state.sampler(), []
+        for lo in range(0, size, BLOCK):
+            part = min(BLOCK, size - lo)
+            take, done = push(part)
+            out.append(reduce(*done(draw(part, rng, take))))
+        return out
 
     if threads > 1 and len(streams) > 1:
         # imported here: concurrent.futures loads logging, a cost of every CLI start
         from concurrent.futures import ThreadPoolExecutor
 
+        state.sampler()  # builds the cached envelope tables here, not once per thread
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, *zip(*streams)))
-    return [one(seq, size) for seq, size in streams]
+            blocks = list(pool.map(one, *zip(*streams)))
+    else:
+        blocks = [one(seq, size) for seq, size in streams]
+    return [result for stream in blocks for result in stream]
 
 
 def sample_input(state: WignerState, seed: int, count: int):
@@ -364,37 +411,51 @@ class EnvelopeViolated(RuntimeError):
 
 
 def _rejection_sampler(factor: RealisticFactor):
-    """Draws from |W| / M of one realistic factor, under theta.abs_envelope.
+    """One stream's draws from |W| / M of one realistic factor, under theta.abs_envelope.
 
     theta.propose draws each round's proposals from the envelope and scores
     them, W and E both unnormalized; a proposal is accepted with chance
-    |W| / E and carries the sign of W. The sampler writes the first count
-    accepted draws, in order, into out (count, 2) and multiplies their signs
-    into signs (count,).
+    |W| / E and carries the sign of W. A call writes the stream's next
+    count accepted draws, in order, into out (count, 2) and multiplies
+    their signs into signs (count,). A round proposes at most ROUND points:
+    enough for the draws still owed plus two standard deviations, at the
+    stream's proposals per accepted draw so far, or at M_env / M (the
+    envelope's mass over the negativity) before any, so a call seldom
+    needs a second round. The few accepted draws a call does not use open
+    its next call, so none is wasted but the last call's.
     """
     env = abs_envelope(factor.state)
     total_env = env.mass / (factor.d * factor.norm)  # in units of the normalized W's mass
+    first = total_env / factor.negativity()  # proposals per draw: the inverse acceptance rate
+    proposed = accepted = 0
+    spare = np.empty((0, 3))  # accepted (x, z, sign) rows no call has written yet
 
     def sample(count, rng, out, signs):
-        proposed = accepted = 0
-        while accepted < count:
-            # proposals per draw: a first round assumes 1, later ones the rate seen,
-            # at most total_env (the acceptance rate is M / total_env, and M >= 1)
-            per_draw = min(proposed / max(accepted, 1), total_env) if proposed else 1.0
-            batch = max(1024, int((count - accepted) * per_draw))
+        nonlocal proposed, accepted, spare
+        done = 0
+        while True:
+            use, spare = spare[: count - done], spare[count - done:]
+            rows = slice(done, done + len(use))
+            out[rows] = use[:, :2]
+            signs[rows] *= use[:, 2]
+            done += len(use)
+            if done == count:
+                spare = spare.copy()  # the rest alone, not the round it is a view of
+                return
+            # the acceptance rate is M / total_env and M >= 1, so no rate exceeds total_env
+            per_draw = min(proposed / accepted, total_env) if accepted else first
+            owed = count - done
+            batch = min(ROUND, math.ceil((owed + 2.0 * math.sqrt(owed)) * per_draw))
             x, z, values, bounds = propose(env, batch, rng)
             ratio = np.abs(values) / bounds
             if np.any(ratio > 1.0):
                 raise EnvelopeViolated(f"envelope violated by factor {float(ratio.max()):.3f}")
             acc = np.flatnonzero(rng.random(batch) < ratio)
             proposed += batch
-            if proposed > 20000 and accepted + acc.size < 0.01 * proposed:
-                raise RuntimeError("rejection sampling efficiency fell below 1 percent")
-            acc = acc[: count - accepted]
-            rows = slice(accepted, accepted + acc.size)
-            out[rows, 0], out[rows, 1] = x[acc], z[acc]
-            signs[rows] *= np.sign(values[acc])
             accepted += acc.size
-            del x, z, values, bounds  # freed before the next round's proposals, not after
+            if proposed > 20000 and accepted < 0.01 * proposed:
+                raise RuntimeError("rejection sampling efficiency fell below 1 percent")
+            spare = np.stack([x[acc], z[acc], np.sign(values[acc])], axis=-1)
+            del x, z, values, bounds, ratio  # freed before the next round's proposals, not after
 
     return sample

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from zakgross.estimator import InfeasiblePlan, estimate, sample_count
 from zakgross.measure import MeasurementSpec, bin_of_position, exact_probabilities
 from zakgross.qudit import CodeParams, Gate
 from zakgross.theta import CodeState
-from zakgross.wigner import WignerState, ideal_input, realistic_input, sample_abs
+from zakgross.wigner import BLOCK, WignerState, ideal_input, realistic_input, sample_abs
 
 
 def bell_state():
@@ -118,16 +119,44 @@ def test_realistic_estimate_matches_quadrature():
 
 
 def test_realistic_estimate_is_signed_count_of_sample_abs_draws():
-    # estimate and sample_abs draw from the same seed streams
-    params = CodeParams(3, 1)
-    st = realistic_input(params, [CodeState.logical(3, 0, 0.3)])
-    spec = MeasurementSpec((0,), 3)
-    rep = estimate(st, spec, 0.05, 0.1, seed=9)
-    m, n = rep.negativity, rep.n_samples
-    pts, signs = sample_abs(st, 9, n)
-    bins = bin_of_position(pts[:, 0], params.torus_period, spec.K)
-    signed = np.bincount(bins, weights=signs, minlength=spec.K)
-    assert np.array_equal(rep.probabilities, signed * m / n)
+    # estimate and sample_abs draw from the same seed streams, block by block:
+    # one mode, and three entangled modes whose plan spans several blocks
+    one = realistic_input(CodeParams(3, 1), [CodeState.logical(3, 0, 0.3)])
+    three = realistic_input(CodeParams(3, 3), [
+        CodeState.logical(3, 0, 0.3), CodeState.phase_state(3, 0.4), CodeState.logical(3, 1, 0.3),
+    ]).apply_ops([Gate("F", (0,)), Gate("SUM", (0, 1)), Gate("CZ", (1, 2)), Gate("P", (2,)),
+                  Gate("SUM", (2, 0))])
+    for st, eps in ((one, 0.05), (three, 0.04)):
+        n_modes = st.params.n
+        spec = MeasurementSpec(tuple(range(n_modes)), 3)
+        rep = estimate(st, spec, eps, 0.1, seed=9)
+        m, n = rep.negativity, rep.n_samples
+        pts, signs = sample_abs(st, 9, n)
+        bins = bin_of_position(pts[:, :n_modes], st.params.torus_period, spec.K)
+        joint = np.ravel_multi_index(tuple(bins.T), spec.table_shape())
+        signed = np.bincount(joint, weights=signs, minlength=spec.K ** n_modes)
+        assert np.array_equal(rep.probabilities.ravel(), signed * m / n)
+    assert n > 2 * BLOCK and (signs < 0).any()
+
+
+def test_estimate_memory_does_not_grow_with_the_mode_count():
+    # each factor's draws go into the 3 measured positions a block at a time,
+    # so 40 modes peak about as high as 4; a (draws, 2n) array of the
+    # stream's input-frame draws made 40 modes about 10 times as costly
+    peaks = {}
+    for n_modes in (4, 40):
+        st = realistic_input(CodeParams(3, n_modes), [CodeState.logical(3, 0, 0.25)] * n_modes)
+        st = st.apply_ops([Gate("SUM", (i, i + 1)) for i in range(n_modes - 1)])
+        spec = MeasurementSpec((0, 1, 2), 3)
+        estimate(st, spec, 0.2, 0.1, seed=1)  # builds the negativity, the series and the envelope
+        tracemalloc.start()
+        try:
+            rep = estimate(st, spec, 0.011, 0.1, seed=1)
+            peaks[n_modes] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 45_000 < rep.n_samples < 55_000
+    assert peaks[40] <= 1.5 * peaks[4], peaks
 
 
 def test_report_serializes():

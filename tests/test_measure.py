@@ -18,7 +18,16 @@ from zakgross.measure import (
 from zakgross.oracles import povm_indicator, random_word, wavefunction_bin_probabilities
 from zakgross.symplectic import IntSymplectic
 from zakgross.theta import CodeState
-from zakgross.wigner import RealisticFactor, ideal_input, realistic_input
+from zakgross.wigner import (
+    BLOCK,
+    IdealFactor,
+    RealisticFactor,
+    WignerState,
+    ideal_input,
+    realistic_input,
+    sample_input,
+    sample_streams,
+)
 
 
 def test_bin_arithmetic():
@@ -85,6 +94,41 @@ def test_binner_is_exact_push_on_lattice_support(seed, d, a):
     pushed = state.amap.push_lattice_half(m2, modes)
     want = (np.mod(pushed, 2 * d) * spec.K // (2 * d)).astype(np.int64)
     assert np.array_equal(got, np.ravel_multi_index(tuple(want.T), spec.table_shape()))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_streamed_push_bins_every_draw_as_the_full_frame_push(d):
+    # mixed ideal and realistic factors under a random entangling word with an
+    # explicit symplectic op and a non-integer displacement, over several
+    # blocks: each factor's draws added into the measured positions as they
+    # are drawn bin as sample_input's full-frame draws do, through the binner
+    # and through the float push of the whole map
+    rng = np.random.default_rng(d)
+    n = 4
+    params = CodeParams(d, n)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    factors = [IdealFactor.logical(d, 1),
+               RealisticFactor(CodeState.phase_state(d, 0.3)),
+               IdealFactor.from_density_matrix(CodeParams(d, 1), np.outer(psi, psi.conj())),
+               RealisticFactor(CodeState.logical(d, 0, 0.25))]
+    shear = np.eye(2 * n, dtype=object)
+    shear[n + 1, 2] = shear[n + 2, 1] = 2
+    shear[n + 3, 3] = -1
+    disp = rng.integers(-2 * d, 2 * d, size=2 * n) / 2
+    disp[2] = 0.37
+    state = WignerState.from_factors(params, factors).apply_ops(
+        [*random_word(rng, n, 12), IntSymplectic(shear), *random_word(rng, n, 12), disp])
+    spec = MeasurementSpec((0, 2, 3), d)
+    bins = binner(state, spec, 1e-6)
+    count = 2 * BLOCK + 123
+    streamed = np.concatenate(sample_streams(state, 5, count, lambda idx, _: idx, 1, bins.push))
+    pts, signs = sample_input(state, 5, count)
+    assert np.array_equal(streamed, bins(pts))
+    out = state.amap.push_float(pts)[:, list(spec.measured_modes)]
+    by_float = bin_of_position(out, params.torus_period, spec.K)
+    assert np.array_equal(streamed, np.ravel_multi_index(tuple(by_float.T), spec.table_shape()))
+    assert np.unique(streamed).size > d and (signs < 0).any()
 
 
 SUPPORT_CAP = 20_000  # enumerated support points per example at most

@@ -37,3 +37,17 @@ def test_calibration_script_refuses_rates_outside_the_open_unit_interval(flag, v
         load("estimator_calibration").main([flag, value])
     assert exc.value.code == 2
     assert f"{flag}: must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_paper_regime_script_writes_a_circuit_that_parses(tmp_path):
+    from zakgross.circuit_io import parse_circuit
+    from zakgross.wigner import RealisticFactor
+
+    out = tmp_path / "circuit.json"
+    assert load("paper_regime").main(["--out", str(out)]) == 0
+    spec = parse_circuit(out.read_text())
+    assert spec.params.n == 50 and len(spec.ops) == 500
+    assert all(isinstance(f, RealisticFactor) for f in spec.inputs)
+    assert [f.state.delta for f in spec.inputs] == [0.01] * 50
+    assert spec.measurement.measured_modes == (0, 1, 2) and spec.measurement.K == 3
+    assert spec.estimator == {"epsilon": 0.02, "delta_fail": 0.05, "seed": 1}

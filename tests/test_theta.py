@@ -398,11 +398,39 @@ def test_propose_replays_from_three_generator_calls():
     pick, gauss, offset = twin.random(batch), twin.standard_normal(batch), twin.random(batch)
     assert rng.random() == twin.random()  # the same draws, in the same order
     cells, period = env.bound.shape[1], env.series.cell
-    c, j = np.divmod(np.searchsorted(env.cum, pick, side="right"), cells)
+    c, j = np.divmod(theta.alias_pick(env.keep, env.alias, pick), cells)
     assert np.array_equal(x, np.mod(c * (state.ell / 2) + state.delta / math.sqrt(2) * gauss, period))
     assert np.array_equal(z, (j + offset) * (period / cells))
     assert np.array_equal(values, wigner_theta(state, np.stack([x, z], axis=-1)))
     assert np.all(np.abs(values) <= bounds)
+
+
+@pytest.mark.parametrize("weights", ["uniform", "peaked", "with zeros", "equal"])
+def test_alias_table_gives_each_outcome_its_share(weights):
+    rng = np.random.default_rng(5)
+    w = {"uniform": rng.random(97), "peaked": rng.random(300) ** 12,
+         "with zeros": np.where(rng.random(200) < 0.3, 0.0, rng.random(200)),
+         "equal": np.ones(64)}[weights]
+    keep, alias = theta._alias_table(w)
+    assert np.all((keep >= 0) & (keep <= 1))
+    share = keep / w.size  # slot i keeps i, and hands the rest of its 1 / K to alias[i]
+    np.add.at(share, alias, (1 - keep) / w.size)
+    assert np.max(np.abs(share - w / w.sum())) <= 1e-14
+
+
+@pytest.mark.parametrize("state", [CodeState.phase_state(3, 0.5), CodeState.logical(5, 1, 0.05)],
+                         ids=["phase-d3-0.5", "logical-d5-0.05"])
+def test_proposal_picks_follow_the_envelope_shares(state):
+    # 10^6 (class, cell) picks from one uniform each, against bound[c, j] / sum;
+    # pairs expected fewer than 10 times are pooled, so each count is near normal
+    env, size = theta.abs_envelope(state), 10 ** 6
+    picks = theta.alias_pick(env.keep, env.alias, np.random.default_rng(2).random(size))
+    share = env.bound.ravel() / env.bound.sum()
+    counts = np.bincount(picks, minlength=share.size)
+    rare = size * share < 10
+    share = np.append(share[~rare], share[rare].sum())
+    counts = np.append(counts[~rare], counts[rare].sum())
+    assert np.all(np.abs(counts - size * share) <= 5 * np.sqrt(size * share * (1 - share)))
 
 
 def test_wigner_theta_in_chunks_is_the_one_product():

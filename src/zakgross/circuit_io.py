@@ -378,10 +378,7 @@ def negativity_sweep(kind: str, deltas, d: int, tol: float = NEGATIVITY_TOL) -> 
     if kind not in ("logical_0", "phase_state"):
         raise ValueError(f"kind must be logical_0 or phase_state, got {kind!r}")
     rows = []
-    for delta in deltas:
-        delta = float(delta)
-        if not 0 < delta <= 1:
-            raise ValueError(f"delta values must lie in (0, 1], got {delta}")
+    for delta in map(float, deltas):
         if kind == "logical_0":
             state = CodeState.logical(d, 0, delta)
         else:

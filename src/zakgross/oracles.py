@@ -229,8 +229,9 @@ def dense_series_points(series, eta) -> np.ndarray:
 
 def z_factor_sum(series, z) -> np.ndarray:
     """h_c(z) = Re sum_b u[c, b] exp(2 pi i kz[b] z / L) of a theta.Series by
-    the literal sum over its 2Kz + 1 frequencies: shape (N, 2d) at points z
-    (N,), reduced mod L first so that a large z keeps its phase's digits.
+    the literal sum over its 2Kz + 1 frequencies: shape (N, C) for the C rows
+    of u at points z (N,), reduced mod L first so that a large z keeps its
+    phase's digits.
     """
     chunk = 1024  # points per phase block
     z = np.mod(np.asarray(z, dtype=float).ravel(), series.cell)

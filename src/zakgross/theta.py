@@ -3,17 +3,21 @@
 A finite-squeezing code state's Wigner function is built once per state
 from 1-D Gaussian peak sums (one correlation of envelope weights per basis
 pair, grouped into at most 2d classes c), so delta = 0.01 (40 dB) builds
-for d <= 7. It is a separable sum of rank 2d, W(x, z) = sum_c f_c(x) h_c(z).
+for d <= 7. It is a separable sum W(x, z) = sum_c f_c(x) h_c(z) over the
+C <= 2d live classes, those whose rows are not exactly zero (logical j
+keeps 2 at delta >= 0.25 and 1 at delta <= 0.05, the phase state all 2d
+at delta >= 0.25 and d at delta <= 0.05); every factor below has C columns.
 The x factor is a closed-form comb, the Poisson dual of its Fourier series:
 f_c(x) = (1/ell) sum_m exp(-(x - c ell/2 - m L)^2 / delta^2), L = d ell,
 summed over the few teeth nearest x, as many as a tail bound (_comb_teeth)
 asks for. The z factor h_c(z) is a real trigonometric sum over 2Kz + 1
 frequencies, Kz ~ 1/(ell delta); one FFT-built table per state holds its
 Taylor polynomials of P ~ 12 terms on N ~ 8 Kz z cells, so a scattered
-point costs O(2d P), flat in delta; no dense 2-D series is built. The
+point costs O(C P), flat in delta; no dense 2-D series is built. The
 cached AbsEnvelope holds the series, that table, a bound on each |h_c|
 per cell (|W| <= sum_c f_c |h_c|, every f_c >= 0) and an alias table of
-the bound's shares, which propose picks (class, cell) pairs from in O(1):
+the bound's shares over all 2d x N (class, cell) pairs, dead classes
+weighing zero, which propose picks (class, cell) pairs from in O(1):
 the one handle _z_factor, _score and propose take, and the sampler's
 certified envelope.
 _score sums f_c h_c per point, a bounded chunk at a time, for wigner_theta
@@ -146,6 +150,12 @@ def siegel_theta_batch(gamma, z0, offsets, tol: float = 1e-14):
 # ---- realistic code states ----------------------------------------------------
 
 
+def _check_d(d: int) -> None:
+    """Refuse a qudit dimension d that is not odd and >= 3, before anything is built from it."""
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"d must be odd and >= 3, got {d}")
+
+
 @dataclass(frozen=True)
 class CodeState:
     """A finite-envelope code state: sum_j eps[j] |j_Delta> on one mode.
@@ -160,8 +170,7 @@ class CodeState:
     eps: tuple
 
     def __post_init__(self):
-        if self.d < 3 or self.d % 2 == 0:
-            raise ValueError(f"d must be odd and >= 3, got {self.d}")
+        _check_d(self.d)
         if not (0 < self.delta < 2.0):
             raise ValueError(f"delta must lie in (0, 2), got {self.delta}")
         eps = tuple(complex(e) for e in self.eps)
@@ -175,6 +184,7 @@ class CodeState:
 
     @classmethod
     def logical(cls, d: int, j: int, delta: float) -> "CodeState":
+        _check_d(d)
         eps = [0.0] * d
         eps[logical_index(d, j)] = 1.0
         return cls(d, delta, tuple(eps))
@@ -182,6 +192,7 @@ class CodeState:
     @classmethod
     def phase_state(cls, d: int, delta: float) -> "CodeState":
         """Equal-weight superposition with a flipped last coefficient."""
+        _check_d(d)
         eps = [1.0 / math.sqrt(d)] * d
         eps[d - 1] *= -1.0
         return cls(d, delta, tuple(eps))
@@ -192,9 +203,11 @@ class CodeState:
 
 
 class Series(NamedTuple):
-    """A code state's Wigner function as a rank-2d separable sum; see _series."""
+    """A code state's Wigner function as a separable sum over its live classes; see _series."""
 
-    u: np.ndarray  # (2d, nkz) class rows, odd-kz columns rolled by d; read-only
+    u: np.ndarray  # (C, nkz) rows of the live classes, odd-kz columns rolled by d; read-only
+    live: np.ndarray  # (C,) the live class ids, ascending, of the 2d; read-only
+    classes: int  # 2d, the comb's class count
     kz: np.ndarray  # z frequencies -Kz..Kz
     kx_max: int  # Kx, the reach of the x factor's Fourier form (bin integrals)
     cell: float  # L = d ell
@@ -259,7 +272,7 @@ def _comb_teeth(ell: float, delta: float) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _series(state: CodeState) -> Series:
-    """The unnormalized Wigner function of state as a rank-2d separable sum.
+    """The unnormalized Wigner function of state as a separable sum over its live classes.
 
     W(x, z) = Re sum_ab exp(-2 pi i kx[a] x / L) M[a, b] exp(2 pi i kz[b] z / L),
     L = d ell, and summing the peak pairs gives M[a, b] = (-1)^(a b) sum_c
@@ -272,7 +285,9 @@ def _series(state: CodeState) -> Series:
     comb (1/ell) sum_m exp(-(x - c ell/2 - m L)^2 / delta^2), and
     h_c(z) = Re sum_b u[c, b] exp(2 pi i kz[b] z / L). M itself is never
     built. u is truncated where its columns fall below SERIES_TOL of their
-    peak; the norm comes from the kz = 0 column. Cached per state.
+    peak, and its rows that are exactly zero are dropped: f_c h_c is then 0
+    for every x and z, so only the C live classes are kept, with their ids.
+    The norm comes from the kz = 0 column. Cached per state.
     """
     d, delta, ell = state.d, state.delta, state.ell
     root = 2.0 * math.sqrt(math.log(1.0 / SERIES_TOL))
@@ -297,8 +312,12 @@ def _series(state: CodeState) -> Series:
     u, b = u[:, keep], b[keep]
     # (-1)^(a b) exp(i pi a c / d) = exp(i pi a (c + d) / d) for odd b: shift the class by d
     u[:, b % 2 == 1] = np.roll(u[:, b % 2 == 1], d, axis=0)
-    u.setflags(write=False)
-    series = Series(u, b, int(reach), d * ell, ell, delta, _comb_teeth(ell, delta), math.nan)
+    live = np.flatnonzero(np.any(u != 0, axis=1))
+    u = u[live]
+    for frozen in (u, live):
+        frozen.setflags(write=False)
+    series = Series(u, live, 2 * d, b, int(reach), d * ell, ell, delta, _comb_teeth(ell, delta),
+                    math.nan)
     _check_real(series)
     kx, col = _kz0_column(series)
     norm = series.cell ** 2 * float(col[kx == 0][0].real) / d
@@ -311,22 +330,23 @@ def _check_real(series: Series) -> None:
     """Refuse a series whose imaginary part may exceed 1e-8 of its largest value.
 
     Since f_c >= 0, |Im W| <= sum_c max f_c * (1/2) sum_b |u[c, b] - conj u[c, -b]|
-    everywhere. The teeth of one class lie L apart, so from any x all but
-    the nearest lie at least L/2, 3L/2, ... away on either side, and
+    everywhere, the sum over the live classes. The teeth of one class lie L
+    apart, so from any x all but the nearest lie at least L/2, 3L/2, ...
+    away on either side, and so
     ell max f_c <= 1 + 2 e^(-L^2 / 4 delta^2) / (1 - e^(-L^2 / delta^2)).
-    The probe grid takes x on the comb's tooth centres, z on 2Kz + 1 midpoints.
+    The probe grid takes x on the comb's 2d tooth centres, z on 2Kz + 1 midpoints.
     """
     u, cell, delta = series.u, series.cell, series.delta
     f_max = 1.0 - 2.0 * math.exp(-((cell / delta) ** 2) / 4.0) / math.expm1(-((cell / delta) ** 2))
     residue = f_max / series.ell * 0.5 * float(np.abs(u - np.conjugate(u[:, ::-1])).sum())
     h = _z_midpoints(u, series.kz, u.shape[1])
-    probe = _x_factor(series, np.arange(u.shape[0]) * series.ell / 2) @ h.T
+    probe = _x_factor(series, np.arange(series.classes) * series.ell / 2) @ h.T
     if residue > 1e-8 * float(np.max(np.abs(probe))):
         raise ImaginaryResidue(f"Wigner series has imaginary residue {residue:.2e}")
 
 
 def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
-    """f_c(x) at points x (N,) for every class: shape (N, 2d).
+    """f_c(x) at points x (N,) for every live class: shape (N, C).
 
     Tooth n of the comb, at n ell/2, belongs to class n mod 2d; each point
     sums the 2J + 1 teeth nearest it (J from _comb_teeth). With e the
@@ -334,9 +354,10 @@ def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
     delta, tooth j away weighs exp(-(e - j s)^2), which the recurrence
     g_j = g_(j-1) exp(2 e s) exp(-(2j - 1) s^2) walks with three
     exponentials per point. Teeth fold into the columns j mod 2d, and one
-    gather per point rotates them by its nearest tooth's class.
+    gather per point rotates them onto the live classes by its nearest
+    tooth's class.
     """
-    classes = series.u.shape[0]
+    classes = series.classes
     step = series.ell / 2
     s = step / series.delta
     near = np.rint(x / step)
@@ -354,27 +375,31 @@ def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
             folded[:, (series.teeth + j) % classes] += above
             folded[:, (series.teeth - j) % classes] += below
     # tooth j of column (teeth + j) mod 2d has class (near + j) mod 2d
-    cols = np.arange(classes) - np.mod(near, classes).astype(np.intp)[:, None] + series.teeth
+    cols = series.live - np.mod(near, classes).astype(np.intp)[:, None] + series.teeth
     return np.take_along_axis(folded, np.mod(cols, classes), axis=1) / series.ell
 
 
 def _z_factor(env: AbsEnvelope, z: np.ndarray) -> np.ndarray:
-    """h_c(z) at points z (N,) for every class: shape (N, 2d).
+    """h_c(z) at points z (N,) for every live class: shape (N, C).
 
     z lies in cell j = floor((z mod L) N / L) of env.table (N - 1 if z mod L
-    rounds to L) at t = 2 frac - 1: one Horner pass over all points.
+    rounds to L) at t = 2 frac - 1: one Horner pass over all points, which
+    reads one order's (N, C) rows of the table at a time.
     """
     table, cell = env.table, env.series.cell
-    orders, cells, classes = table.shape
+    _orders, cells, classes = table.shape
     pos = np.mod(z, cell) * (cells / cell)
     j = np.minimum(pos.astype(np.intp), cells - 1)
-    t_rows = np.repeat(2.0 * (pos - j) - 1.0, classes)
-    rows = table.take(j, axis=1).reshape(orders, -1)
-    acc = rows[-1].copy()
-    for k in range(orders - 2, -1, -1):
-        acc *= t_rows
-        acc += rows[k]
-    return acc.reshape(z.size, classes)
+    # t repeated along each row, so that every product below is one flat loop
+    t = np.repeat(2.0 * (pos - j) - 1.0, classes).reshape(z.size, classes)
+    # j lies in [0, N): mode="clip" changes no index, and spares the copy of
+    # out that take makes under its default mode="raise"
+    acc = table[-1].take(j, axis=0, mode="clip")
+    row = np.empty_like(acc)
+    for order in table[-2::-1]:
+        acc *= t
+        acc += order.take(j, axis=0, out=row, mode="clip")
+    return acc
 
 
 def cell_midpoints(period: float, n: int) -> np.ndarray:
@@ -383,7 +408,7 @@ def cell_midpoints(period: float, n: int) -> np.ndarray:
 
 
 def _z_midpoints(u: np.ndarray, kz: np.ndarray, n: int) -> np.ndarray:
-    """h_c at cell_midpoints(L, n) for every class row of u: shape (n, 2d).
+    """h_c at cell_midpoints(L, n) for every class row of u (C, nkz): shape (n, C).
 
     One inverse FFT per class of u[c, b] exp(i pi b / n) folded onto b mod n.
     """
@@ -399,10 +424,10 @@ class AbsEnvelope(NamedTuple):
     """
 
     series: Series
-    table: np.ndarray  # (P, N, 2d): the Taylor table _z_factor sums; read-only
-    bound: np.ndarray  # (2d, N): bound[c, j] >= |h_c| on z cell j of N; read-only
-    keep: np.ndarray  # alias table of bound.ravel()'s shares: slot i keeps i with chance keep[i]
-    alias: np.ndarray  # and gives alias[i] otherwise; see _alias_table
+    table: np.ndarray  # (P, N, C): the Taylor table _z_factor sums; read-only
+    bound: np.ndarray  # (C, N): bound[c, j] >= |h_c| on z cell j of N, live c; read-only
+    keep: np.ndarray  # alias table of the bound's shares over all 2d x N (class, cell) pairs:
+    alias: np.ndarray  # slot i keeps i with chance keep[i], else gives alias[i]; _alias_table
     mass: float  # integral over one cell of sum_c f_c(x) bound[c, j(z)]
 
 
@@ -410,14 +435,17 @@ class AbsEnvelope(NamedTuple):
 def abs_envelope(state: CodeState) -> AbsEnvelope:
     """The z Taylor table and a certified sampling envelope of |W|, cached per state.
 
-    Table T (P, N, 2d): h_c(m_j + t L / 2N) = sum_k T[k, j, c] t^k + R on
-    |t| <= 1, with N the least power of two >= 4 (2Kz + 1), m_j = (j + 1/2)
-    L / N and |R| <= (pi Kz / N)^P / P! sum_b |u[c, b]|, P the least order
-    that puts this factor below SERIES_TOL. A negativity never builds it.
+    Table T (P, N, C): h_c(m_j + t L / 2N) = sum_k T[k, j, c] t^k + R on
+    |t| <= 1 for the C live classes c, with N the least power of two
+    >= 4 (2Kz + 1), m_j = (j + 1/2) L / N and |R| <= (pi Kz / N)^P / P!
+    sum_b |u[c, b]|, P the least order that puts this factor below
+    SERIES_TOL. A negativity never builds it.
     Every comb f_c is >= 0, so |W(x, z)| <= sum_c f_c(x) |h_c(z)|, and on z
     cell j sum_k |T[k, j, c]| + SERIES_TOL sum_b |u[c, b]| bounds |h_c|:
     the added term covers R and the rounding of the FFTs and of h_c. Each
-    comb has mass delta sqrt(pi) / ell.
+    comb has mass delta sqrt(pi) / ell. The alias table spans all 2d x N
+    (class, cell) pairs, a dead class's weighing zero, so a uniform picks
+    the pair it would if every class were kept.
     """
     series = _series(state)
     u, kz = series.u, series.kz
@@ -432,8 +460,10 @@ def abs_envelope(state: CodeState) -> AbsEnvelope:
         u = u * ((1j * math.pi / (cells * (k + 1))) * kz)
     bound = np.abs(table).sum(axis=0).T
     bound += SERIES_TOL * np.abs(series.u).sum(axis=1)[:, None]
-    keep, alias = _alias_table(bound.ravel())
-    width = series.cell / bound.shape[1]  # of one z cell
+    shares = np.zeros((series.classes, cells))
+    shares[series.live] = bound
+    keep, alias = _alias_table(shares.ravel())
+    width = series.cell / cells  # of one z cell
     mass = float(bound.sum()) * width * series.delta * math.sqrt(math.pi) / series.ell
     for frozen in (table, bound, keep, alias):
         frozen.setflags(write=False)
@@ -484,11 +514,10 @@ def alias_pick(keep: np.ndarray, alias: np.ndarray, uniform: np.ndarray) -> np.n
 
 
 def _kz0_column(series: Series):
-    """(kx, M[kx, kz = 0]) for kx = -Kx..Kx, from V u[:, kz = 0]."""
-    classes = series.u.shape[0]
+    """(kx, M[kx, kz = 0]) for kx = -Kx..Kx, from V u[:, kz = 0] over the live classes."""
     kx = np.arange(-series.kx_max, series.kx_max + 1.0)
     v = np.exp(-((series.ell * series.delta * kx[:, None]) ** 2) / 4.0
-               + (TWO_PI / classes) * 1j * np.outer(kx, np.arange(classes)))
+               + (TWO_PI / series.classes) * 1j * np.outer(kx, series.live))
     scale = math.sqrt(math.pi) * series.delta / TWO_PI
     return kx, scale * (v @ series.u[:, series.kz == 0][:, 0])
 
@@ -511,13 +540,13 @@ def wigner_theta(state: CodeState, eta) -> np.ndarray:
 def propose(env: AbsEnvelope, batch: int, rng: np.random.Generator):
     """(x, z, W, E): batch proposals from a state's envelope env, scored.
 
-    Each proposal picks a (class c, z cell j) pair in proportion to
-    env.bound[c, j] (every comb has the same mass) from the alias table, x
+    Each proposal picks a (class c, z cell j) pair in proportion to c's
+    bound on cell j (every comb has the same mass) from the alias table, x
     exactly from the comb f_c, a wrapped Gaussian of width delta / sqrt 2
     about c ell / 2, and z uniformly in cell j: rng.random(batch),
     rng.standard_normal(batch) and rng.random(batch), in that order. W is
     the unnormalized Wigner value, wigner_theta's, and E = sum_c f_c(x)
-    env.bound[c, j] >= |W| its envelope.
+    env.bound[c, j] >= |W| its envelope, summed over the live classes.
     """
     series, cells = env.series, env.bound.shape[1]
     c, j = np.divmod(alias_pick(env.keep, env.alias, rng.random(batch)), cells)
@@ -534,7 +563,7 @@ def _score(env: AbsEnvelope, x, z, cell=None):
 
     The one scattered-point scorer: each chunk of points, as many as hold
     2^16 floats of the z table's rows, computes f_c once for both sums, so
-    no (N, 2d) array is held whole.
+    no (N, C) array is held whole.
     """
     orders, _cells, classes = env.table.shape
     step = max(1, (1 << 16) // (classes * orders))
@@ -569,11 +598,12 @@ def negative_sum(state: CodeState, n: int) -> float:
     _z_midpoints), are cut into TILE x TILE tiles, the last padded with zero
     rows. _tile_signs bounds each tile's values from its least and greatest
     F and H. A nonnegative tile adds nothing; a negative one adds its sum in
-    closed form, sum_c (sum of F_c)(sum of H_c), which differs from its
-    computed values' sum by rounding alone, at most about (2 TILE + 2d) u of
-    its sum of |F_c H_c|, u = 2^-53. The undecided tile pairs, in row-major
-    order, are evaluated T at a time (T tiles per side: one tile row's worth
-    of values) in one stacked product, clipped and summed.
+    closed form, sum_c (sum of F_c)(sum of H_c) over the C live classes,
+    which differs from its computed values' sum by rounding alone, at most
+    about (2 TILE + C) u of its sum of |F_c H_c|, u = 2^-53. The undecided
+    tile pairs, in row-major order, are evaluated T at a time (T tiles per
+    side: one tile row's worth of values) in one stacked product, clipped
+    and summed.
     """
     series = _series(state)
     eta = cell_midpoints(series.cell, n)
@@ -601,11 +631,12 @@ def _tile_signs(f: np.ndarray, h: np.ndarray):
     undecided otherwise.
 
     Rounding: a computed grid value, or a computed bound, is within
-    (2d + 1) u A of the exact one (Higham's dot-product bound, u = 2^-53),
-    where A = sum_c f_hi max(h_hi, -h_lo) bounds sum_c |F_c H_c| on the
-    tile. The margin 4 (2d + 1) u A covers both roundings twice, so every
-    computed value of a nonnegative tile is >= 0 and every one of a negative
-    tile is < 0: clipping the computed grid would treat them the same way.
+    (C + 1) u A of the exact one (Higham's dot-product bound over the C
+    live classes, u = 2^-53), where A = sum_c f_hi max(h_hi, -h_lo) bounds
+    sum_c |F_c H_c| on the tile. The margin 4 (C + 1) u A covers both
+    roundings twice, so every computed value of a nonnegative tile is >= 0
+    and every one of a negative tile is < 0: clipping the computed grid
+    would treat them the same way.
     """
     f_lo, f_hi, h_lo, h_hi = f.min(axis=1), f.max(axis=1), h.min(axis=1), h.max(axis=1)
     lower = f_hi @ np.minimum(h_lo, 0.0).T + f_lo @ np.maximum(h_lo, 0.0).T
@@ -616,7 +647,7 @@ def _tile_signs(f: np.ndarray, h: np.ndarray):
 
 
 def _tiles(values: np.ndarray) -> np.ndarray:
-    """values (N, 2d) as (ceil(N / TILE), TILE, 2d), the last tile padded with zero rows."""
+    """values (N, C) as (ceil(N / TILE), TILE, C), the last tile padded with zero rows."""
     padded = np.zeros((-(-values.shape[0] // TILE) * TILE, values.shape[1]))
     padded[: values.shape[0]] = values
     return padded.reshape(-1, TILE, values.shape[1])

@@ -263,8 +263,8 @@ def test_negativity_sweep_rows_and_csv():
     assert len(lines) == 3
     with pytest.raises(ValueError, match="kind"):
         negativity_sweep("vacuum", [0.3], 3)
-    with pytest.raises(ValueError, match="delta"):
-        negativity_sweep("logical_0", [1.5], 3)
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 2\)"):  # CodeState's range
+        negativity_sweep("logical_0", [2.0], 3)
 
 
 # d=3, K=3, mode 0: this word lands every lattice draw on a multiple of the

@@ -278,6 +278,31 @@ def test_negativity_csv(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["negativity", "--d", "0", "--kind", "phase_state", "--deltas", "0.5"],
+    ["wigner", "--d", "0", "--kind", "phase_state", "--delta", "0.5"],
+    ["negativity", "--d", "-1", "--kind", "phase_state", "--deltas", "0.5"],
+    ["wigner", "--d", "-1", "--kind", "phase_state", "--delta", "0.5"],
+    ["negativity", "--d", "0", "--kind", "logical_0", "--deltas", "0.5"],
+    ["wigner", "--d", "-1", "--kind", "logical", "--delta", "0.5"],
+    ["negativity", "--d", "4", "--kind", "logical_0", "--deltas", "0.5"],
+])
+def test_bad_d_is_a_usage_error(argv, capsys):
+    # checked before the state's coefficients are built from d
+    assert main(argv) == 2
+    assert "d must be odd and >= 3" in capsys.readouterr().err
+
+
+def test_negativity_sweep_takes_every_delta_a_state_takes(capsys):
+    # the sweep admits what CodeState and the schema admit, (0, 2)
+    assert main(["negativity", "--d", "5", "--kind", "phase_state", "--deltas", "1.2,1.99"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert [row[0] for row in rows] == ["1.2", "1.99"]
+    assert all(float(row[1]) > 1.0 for row in rows)
+    assert main(["negativity", "--d", "5", "--deltas", "2"]) == 2
+    assert "delta must lie in (0, 2)" in capsys.readouterr().err
+
+
 def test_decompose_roundtrip_via_cli(tmp_path):
     mat = [[1, 0, 0, 0], [2, 1, 0, 3], [3, 0, 1, -2], [0, 0, 0, 1]]
     mpath = tmp_path / "mat.json"

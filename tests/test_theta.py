@@ -344,13 +344,73 @@ def test_runtime_never_sums_a_theta_box(monkeypatch):
 
 def test_series_holds_no_dense_array():
     # d = 7 at delta = 0.01 (40 dB): the dense M would be 2397^2; the
-    # separable series holds nothing larger than its 2d class rows
+    # separable series holds nothing larger than its live class rows, the
+    # 7 even classes of 14
     theta._series.cache_clear()
     series = theta._series(CodeState.phase_state(7, 0.01))
-    rows = 14 * series.kz.size
-    assert series.u.shape == (14, series.kz.size)
+    rows = 7 * series.kz.size
+    assert series.u.shape == (7, series.kz.size)
+    assert series.live.tolist() == list(range(0, 14, 2)) and series.classes == 14
     assert all(f.size <= rows for f in series if isinstance(f, np.ndarray))
     theta._series.cache_clear()
+
+
+def _all_class_rows(state):
+    """The 2d class rows of state's series before any is dropped, by _series'
+    recipe on the frequencies it kept: class weights convolved with the kz
+    kernel, odd-kz columns rolled by d classes."""
+    series = theta._series(state)
+    half = int(2.0 * math.sqrt(math.log(1.0 / theta.SERIES_TOL)) * state.delta / state.ell)
+    kernel = np.exp(-((state.ell * np.arange(-half, half + 1)) ** 2) / (4.0 * state.delta ** 2))
+    weights = theta._class_weights(state, int(series.kz[-1]) + half)
+    rows = np.array([np.convolve(w, kernel, mode="valid") for w in weights])
+    odd = series.kz % 2 == 1
+    rows[:, odd] = np.roll(rows[:, odd], state.d, axis=0)
+    return rows
+
+
+def _oracle_runs(state):
+    # the literal sum costs about (nonzero coefficients)^2 / delta^2; this
+    # cap admits the d = 3 phase state at delta = 0.05 (about 1 s) and
+    # leaves out everything at delta = 0.01 (13-130 s a state)
+    return sum(e != 0 for e in state.eps) ** 2 / state.delta ** 2 <= 9 / 0.05 ** 2
+
+
+LIVE_STATES = [
+    pytest.param({"logical1": CodeState.logical(d, 1, delta),
+                  "phase": CodeState.phase_state(d, delta),
+                  "superposition": CodeState(d, delta, (1.0, 0.6j) + (0.0,) * (d - 2))}[kind],
+                 id=f"d{d}-{kind}-{delta}")
+    for d in (3, 5, 7, 9) for delta in (0.5, 0.25, 0.05, 0.01) if d <= 7 or delta > 0.01
+    for kind in ("logical1", "phase", "superposition")
+]
+
+
+@pytest.mark.parametrize("state", LIVE_STATES)
+def test_live_classes_drop_only_zero_rows_and_change_no_value(state):
+    series, env = theta._series(state), theta.abs_envelope(state)
+    rows = _all_class_rows(state)
+    assert series.classes == rows.shape[0] == 2 * state.d
+    assert np.array_equal(series.live, np.flatnonzero(np.any(rows != 0, axis=1)))
+    assert np.array_equal(series.u, rows[series.live])
+    assert env.table.shape[2] == env.bound.shape[0] == series.live.size
+    # 10^4 proposals: the alias table's 2d x N slots never pick a dead class
+    rng, twin = np.random.default_rng(state.d), np.random.default_rng(state.d)
+    _x, _z, values, bounds = theta.propose(env, 10 ** 4, rng)
+    picked = theta.alias_pick(env.keep, env.alias, twin.random(10 ** 4)) // env.bound.shape[1]
+    assert np.all(np.isin(picked, series.live))
+    assert np.all(np.abs(values) <= bounds)
+    # values on the existing oracle test's points, within its tolerance: of the
+    # literal sum where it runs, and of all 2d rows summed term by term
+    ell = state.ell
+    xs = np.array([0.0, 0.5 * ell, 1.0 * ell, 2.4 * ell, 0.31])
+    zs = np.array([0.0, 0.25 * ell, 2.0 * ell, 0.9 * ell, 1.7])
+    got = wigner_theta(state, np.stack(np.meshgrid(xs, zs, indexing="ij"), axis=-1))
+    every = series._replace(u=rows, live=np.arange(series.classes))
+    want = theta._x_factor(every, xs) @ z_factor_sum(every, zs).T
+    refs = [want, wigner_oracle(state, xs, zs)] if _oracle_runs(state) else [want]
+    for ref in refs:
+        assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(np.diag(ref)))
 
 
 Z_STATES = [
@@ -425,7 +485,9 @@ def test_proposal_picks_follow_the_envelope_shares(state):
     # pairs expected fewer than 10 times are pooled, so each count is near normal
     env, size = theta.abs_envelope(state), 10 ** 6
     picks = theta.alias_pick(env.keep, env.alias, np.random.default_rng(2).random(size))
-    share = env.bound.ravel() / env.bound.sum()
+    grid = np.zeros((env.series.classes, env.bound.shape[1]))  # 2d x N, dead classes zero
+    grid[env.series.live] = env.bound
+    share = grid.ravel() / grid.sum()
     counts = np.bincount(picks, minlength=share.size)
     rare = size * share < 10
     share = np.append(share[~rare], share[rare].sum())

@@ -425,7 +425,9 @@ def test_equal_factors_share_one_envelope():
     info = theta.abs_envelope.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     env = theta.abs_envelope(state)
-    assert env.keep.shape == env.alias.shape == (env.bound.size,) and env.mass > 0
+    # the alias table spans all 2d x N (class, cell) pairs; the bound only the live classes
+    assert env.keep.shape == env.alias.shape == (6 * env.bound.shape[1],) and env.mass > 0
+    assert env.bound.shape[0] == env.series.live.size == 2
 
 
 def z_bin_integrals(state, bins):

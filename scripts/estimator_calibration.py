@@ -15,8 +15,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from zakgross.cli import int_at_least
 from zakgross.oracles import calibration
+
+
+def int_at_least(low: int):
+    """An argparse type: a decimal integer >= low, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        if not text.lstrip("+-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def open_unit(text: str) -> float:

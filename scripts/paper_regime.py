@@ -24,12 +24,20 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from zakgross.cli import int_at_least
-
 D, DELTA, PHASE_MODES = 3, 0.01, 2
 TAGS = ("F", "F_inv", "P", "P_inv", "SUM", "CZ")
 MEASURED, K = [0, 1, 2], 3
 ESTIMATOR = {"epsilon": 0.02, "delta_fail": 0.05, "seed": 1}
+
+
+def int_at_least(low: int):
+    """An argparse type: a decimal integer >= low, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        if not text.lstrip("+-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def paper_regime_circuit(n: int = 50, word_seed: int = 0) -> dict:

@@ -14,12 +14,13 @@ are written atomically.
 """
 from __future__ import annotations
 
-import argparse
+import gc
 import json
 import math
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -151,95 +152,174 @@ def _cmd_verify(args) -> int:
 def _positive_tol(text: str) -> float:
     val = float(text)
     if not (math.isfinite(val) and val > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+        raise ValueError(f"must be a positive finite number, got {text}")
     return val
 
 
 def _deltas(text: str) -> list:
-    """An argparse type: comma-separated floats, at least one, else a usage error."""
+    """A flag type: comma-separated floats, at least one, else a usage error."""
     deltas = [float(tok) for tok in text.split(",") if tok.strip()]
     if not deltas:
-        raise argparse.ArgumentTypeError(f"must list at least one value, got {text!r}")
+        raise ValueError(f"must list at least one value, got {text!r}")
     return deltas
 
 
-def int_at_least(low: int):
-    """An argparse type: a decimal integer >= low, else a usage error (exit 2)."""
+def _int_at_least(low: int):
+    """A flag type: a decimal integer >= low, else a usage error (exit 2)."""
     def parse(text: str) -> int:
         if not text.lstrip("+-").isdecimal() or int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+            raise ValueError(f"must be an integer >= {low}, got {text!r}")
         return int(text)
 
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zakgross",
-        description="Phase-space simulator for encoded qudit Clifford circuits.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _one_of(*choices: str):
+    """A flag type: one of the given words, else a usage error."""
+    def parse(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise ValueError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads", type=int_at_least(1), default=1, help="worker threads for sampling"
-    )
-    common.add_argument("--out", default=None, help="output file (default stdout)")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int_at_least(0), default=None, help="override RNG seed")
+    return parse
 
-    p_run = sub.add_parser("run", parents=[common, seeded], help="execute a circuit JSON")
-    p_run.add_argument("circuit", help="path to a zakgross-circuit/1 JSON file")
-    p_run.add_argument(
-        "--mode", choices=["exact", "sample", "estimate"], default="exact"
-    )
-    p_run.add_argument(
-        "--samples", type=int_at_least(1), default=SAMPLES, help="draw count for sample mode"
-    )
-    p_run.set_defaults(func=_cmd_run)
 
-    p_wig = sub.add_parser(
-        "wigner", parents=[common], help="tabulate a single-mode Wigner function"
-    )
-    p_wig.add_argument("--d", type=int, default=3)
-    p_wig.add_argument("--kind", choices=["logical", "phase_state"], default="logical")
-    p_wig.add_argument("--j", type=int, default=None, help="logical index (--kind logical; default 0)")
-    p_wig.add_argument("--delta", type=float, required=True)
-    p_wig.add_argument("--grid", type=int_at_least(1), default=81, help="points per axis")
-    p_wig.set_defaults(func=_cmd_wigner)
+REQUIRED = object()  # the default of a flag that must be given
+COMMON = {
+    "--threads": (_int_at_least(1), 1, "worker threads for sampling"),
+    "--out": (str, None, "output file (default stdout)"),
+}
+SEEDED = {**COMMON, "--seed": (_int_at_least(0), None, "override RNG seed")}
+# name -> (help, {positional: help}, {flag: (type, default or REQUIRED, help)}).
+# main calls the module's _cmd_<name>, looked up at call time so that a
+# wrapper installed after import is the one that runs.
+COMMANDS = {
+    "run": ("execute a circuit JSON", {"circuit": "path to a zakgross-circuit/1 JSON file"}, {
+        **SEEDED,
+        "--mode": (_one_of("exact", "sample", "estimate"), "exact", "exact, sample or estimate"),
+        "--samples": (_int_at_least(1), SAMPLES, "draw count for sample mode"),
+    }),
+    "wigner": ("tabulate a single-mode Wigner function", {}, {
+        **COMMON,
+        "--d": (int, 3, "qudit dimension"),
+        "--kind": (_one_of("logical", "phase_state"), "logical", "logical or phase_state"),
+        "--j": (int, None, "logical index (--kind logical; default 0)"),
+        "--delta": (float, REQUIRED, "squeezing"),
+        "--grid": (_int_at_least(1), 81, "points per axis"),
+    }),
+    "negativity": ("negativity sweep over squeezing", {}, {
+        **COMMON,
+        "--d": (int, 3, "qudit dimension"),
+        "--kind": (_one_of("logical_0", "phase_state"), "logical_0", "logical_0 or phase_state"),
+        "--deltas": (_deltas, REQUIRED, "comma-separated squeezing values"),
+        "--tol": (_positive_tol, NEGATIVITY_TOL, "integral tolerance"),
+    }),
+    "decompose": ("factor a symplectic matrix into gates",
+                  {"matrix": "JSON file with a 'matrix' key"}, COMMON),
+    "verify": ("run the oracle-agreement suite", {}, SEEDED),
+}
 
-    p_neg = sub.add_parser(
-        "negativity", parents=[common], help="negativity sweep over squeezing"
-    )
-    p_neg.add_argument("--d", type=int, default=3)
-    p_neg.add_argument(
-        "--kind", choices=["logical_0", "phase_state"], default="logical_0"
-    )
-    p_neg.add_argument(
-        "--deltas", type=_deltas, required=True, help="comma-separated squeezing values"
-    )
-    p_neg.add_argument(
-        "--tol", type=_positive_tol, default=NEGATIVITY_TOL, help="integral tolerance"
-    )
-    p_neg.set_defaults(func=_cmd_negativity)
 
-    p_dec = sub.add_parser(
-        "decompose", parents=[common], help="factor a symplectic matrix into gates"
-    )
-    p_dec.add_argument("matrix", help="JSON file with a 'matrix' key")
-    p_dec.set_defaults(func=_cmd_decompose)
+def _usage(command=None) -> str:
+    if command is None:
+        return f"usage: zakgross [-h] {{{','.join(COMMANDS)}}} ..."
+    _, positionals, flags = COMMANDS[command]
+    words = [f"{flag} {flag[2:].upper()}" if default is REQUIRED else f"[{flag} {flag[2:].upper()}]"
+             for flag, (_, default, _) in flags.items()]
+    return " ".join([f"usage: zakgross {command} [-h]", *words, *positionals])
 
-    p_ver = sub.add_parser(
-        "verify", parents=[common, seeded], help="run the oracle-agreement suite"
-    )
-    p_ver.set_defaults(func=_cmd_verify)
-    return parser
+
+def _print_help(command=None):
+    if command is None:
+        about = "Phase-space simulator for encoded qudit Clifford circuits."
+        rows = [(name, spec[0]) for name, spec in COMMANDS.items()]
+    else:
+        about, positionals, flags = COMMANDS[command]
+        rows = list(positionals.items())
+        for flag, (_, default, text) in flags.items():
+            if default is REQUIRED:
+                text += " (required)"
+            elif default is not None:
+                text += f" (default {default})"
+            rows.append((f"{flag} {flag[2:].upper()}", text))
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(name) for name, _ in rows)
+    print("\n".join([_usage(command), "", about, ""] + [f"  {n:<{width}}  {t}" for n, t in rows]))
+    raise SystemExit(0)
+
+
+def _fail(command, message: str):
+    prog = "zakgross" if command is None else f"zakgross {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_flag(arg: str) -> bool:
+    """Whether arg is an option word; '-', a negative number or a spaced string is a value."""
+    if not arg.startswith("-") or arg == "-" or " " in arg:
+        return False
+    return arg.startswith("--") or not arg[1:].replace(".", "", 1).isdecimal()
+
+
+def parse_args(argv):
+    """The command and its values, read from argv by the COMMANDS table.
+
+    Takes `--flag value`, `--flag=value`, and a unique prefix of a flag
+    when no flag matches exactly; the last of repeated flags wins. A usage
+    error prints the usage line and exits 2; -h or --help prints the help
+    and exits 0.
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--h", "--he", "--hel", "--help"):
+        _print_help()
+    if command not in COMMANDS:
+        _fail(None, "the following arguments are required: command" if command is None else
+              f"argument command: invalid choice: {command!r} (choose from "
+              f"{', '.join(map(repr, COMMANDS))})")
+    _, positionals, flags = COMMANDS[command]
+    values = {flag[2:]: default for flag, (_, default, _) in flags.items()}
+    extra, rest = [], list(argv[1:])
+    while rest:
+        arg = rest.pop(0)
+        if not _is_flag(arg):
+            extra.append(arg)
+            continue
+        word, eq, text = arg.partition("=")
+        named = [word] if word in flags else [
+            flag for flag in [*flags, "--help"] if word.startswith("--") and flag.startswith(word)]
+        if word == "-h" or named == ["--help"]:
+            _print_help(command)
+        if len(named) != 1:
+            _fail(command, f"ambiguous option: {word} could match {', '.join(named)}" if named
+                  else f"unrecognized arguments: {arg}")
+        flag, kind = named[0], flags[named[0]][0]
+        if not eq:
+            if not rest or _is_flag(rest[0]):
+                _fail(command, f"argument {flag}: expected one argument")
+            text = rest.pop(0)
+        try:
+            values[flag[2:]] = kind(text)
+        except ValueError as exc:
+            message = f"invalid {kind.__name__} value: {text!r}" if kind in (int, float) else exc
+            _fail(command, f"argument {flag}: {message}")
+    missing = list(positionals)[len(extra):] + [
+        flag for flag in flags if values[flag[2:]] is REQUIRED]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if len(extra) > len(positionals):
+        _fail(command, f"unrecognized arguments: {' '.join(extra[len(positionals):])}")
+    return SimpleNamespace(command=command, **values, **dict(zip(positionals, extra)))
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    command = globals()[f"_cmd_{args.command}"]  # read at call time, so a wrapper set later runs
+    # what is alive at entry lives until exit: collections in the command scan
+    # only the command's own objects, and nothing stays frozen for the caller
+    gc.freeze()
     try:
-        return args.func(args)
+        return command(args)
     except SchemaError as exc:
         for line in exc.errors:
             print(f"schema error: {line}", file=sys.stderr)
@@ -259,6 +339,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -302,7 +302,9 @@ def wigner_oracle(state: CodeState, eta_x, eta_z, tol: float = 1e-18) -> np.ndar
     # fold in the displacement phase conventions, then attach eta phases
     half = np.exp(1j * math.pi * np.outer(ax, az) * (1.0 + 1.0 / d))
     vals = _attach_eta_phases(g * half, ax, az, eta_x, eta_z, ell)
-    if np.max(np.abs(vals)) > 0 and np.max(np.abs(vals.imag)) > 1e-8 * np.max(np.abs(vals)):
+    # sum |G| / 2 pi bounds every value, and the phase sums round on that
+    # scale, however small the values at the requested points are
+    if np.max(np.abs(vals.imag)) > 1e-8 * float(np.abs(g).sum()) / TWO_PI:
         raise ValueError("oracle Wigner values failed to be real")
     return vals.real
 

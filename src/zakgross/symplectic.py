@@ -53,10 +53,12 @@ MAX_DECOMPOSE_WORD = 200_000
 
 def _to_int_object(mat) -> np.ndarray:
     out = np.array(mat, dtype=object)
-    for idx, val in np.ndenumerate(out):
-        if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
-            raise NotInteger(f"entry {idx} is {val!r}, not an integer")
-        out[idx] = int(val)
+    for i, val in enumerate(out.flat):  # row-major, so the first bad entry is named
+        if type(val) is not int:
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                idx = tuple(int(k) for k in np.unravel_index(i, out.shape))
+                raise NotInteger(f"entry {idx} is {val!r}, not an integer")
+            out.flat[i] = int(val)
     return out
 
 

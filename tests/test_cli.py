@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zakgross.cli import main, write_atomic
+from zakgross import cli
+from zakgross.cli import COMMANDS, main, parse_args, write_atomic
 from zakgross.measure import MeasurementSpec, quadrature_probabilities
 from zakgross.qudit import CodeParams, Gate
 from zakgross.theta import CodeState
@@ -400,6 +402,83 @@ def test_runtime_imports_no_oracles():
 def test_cli_import_leaves_quadrature_unloaded():
     code = "import sys, zakgross.cli\nprint('zakgross.quadrature' in sys.modules)\n"
     assert fresh_python(code) == "False"
+
+
+def test_a_run_loads_no_argument_parser(tmp_path):
+    # argparse and the gettext and locale modules it pulls in cost more than
+    # a small exact run
+    cpath = circuit_file(tmp_path)
+    code = (
+        "import sys, zakgross.cli\n"
+        f"code = zakgross.cli.main(['run', {cpath!r}, '--mode', 'exact', "
+        f"'--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+    )
+    assert fresh_python(code) == "0 []"
+
+
+def test_main_calls_the_command_the_module_holds_at_call_time(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_run", lambda args: seen.append(args.circuit) or 7)
+    assert main(["run", "c.json"]) == 7
+    assert seen == ["c.json"]
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_exits_zero_and_lists_every_flag(command, capsys):
+    argv = ["-h"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: zakgross")
+    names = COMMANDS if command is None else [*COMMANDS[command][1], *COMMANDS[command][2]]
+    assert all(name in out for name in names)
+
+
+@pytest.mark.parametrize("argv", [[], ["simulate"], ["run", "c.json", "--quiet"],
+                                  ["run", "c.json", "extra.json"], ["wigner"],
+                                  ["negativity", "--t", "1", "--deltas", "0.5"],
+                                  ["run", "c.json", "--mode"], ["run", "c.json", "--mode", "fast"]],
+                         ids=["empty", "command", "flag", "positional", "required", "ambiguous",
+                              "value", "choice"])
+def test_usage_errors_exit_two_with_a_usage_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: zakgross") and "error: " in err
+
+
+def test_flag_forms_parse_as_argparse_did():
+    assert parse_args(["run", "c.json", "--samples=5"]).samples == 5
+    assert parse_args(["run", "--mode", "sample", "c.json", "--seed", "3"]).seed == 3
+    # an exact match wins over a longer flag; a unique prefix names its flag
+    wig = parse_args(["wigner", "--d", "5", "--del", "0.5"])
+    assert (wig.d, wig.delta, wig.j, wig.grid) == (5, 0.5, None, 81)
+    assert parse_args(["negativity", "--delta", "0.5,0.3"]).deltas == [0.5, 0.3]
+    # a negative number is a value, and the last of repeated flags wins
+    assert parse_args(["wigner", "--delta", "0.5", "--j", "-1", "--j", "2"]).j == 2
+
+
+@pytest.mark.parametrize("raised, code", [(None, 0), (RuntimeError, 3), (KeyError, None)])
+def test_main_leaves_the_collector_unfrozen(monkeypatch, raised, code):
+    frozen = []
+
+    def command(args):
+        frozen.append(gc.get_freeze_count())
+        if raised is not None:
+            raise raised("boom")
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_verify", command)
+    if code is None:
+        with pytest.raises(raised):
+            main(["verify"])
+    else:
+        assert main(["verify"]) == code
+    assert frozen[0] > 0
+    assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 def test_estimate_threads_agree(tmp_path):

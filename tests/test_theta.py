@@ -213,6 +213,29 @@ def test_theta_path_matches_oracle(delta, kind):
     assert np.max(np.abs(a - b)) < 1e-9 * scale
 
 
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_oracle_is_real_off_the_peaks(d):
+    # every point lies off logical 1's peaks, where the box sum is rounding
+    # noise: the oracle holds it to the box's scale, and the tolerance is the
+    # one above relative to the peak value
+    state = CodeState.logical(d, 1, 0.05)
+    xs, zs = np.array([0.0, 0.31]), np.array([0.0, 1.7])
+    a = wigner_theta(state, np.stack(np.meshgrid(xs, zs, indexing="ij"), axis=-1))
+    b = wigner_oracle(state, xs, zs)
+    scale = abs(wigner_theta(state, np.array([[state.ell, 0.0]]))[0])
+    assert np.max(np.abs(a - b)) < 1e-9 * scale
+
+
+def test_oracle_refuses_complex_values(monkeypatch):
+    from zakgross import oracles
+
+    attach = oracles._attach_eta_phases
+    monkeypatch.setattr(oracles, "_attach_eta_phases", lambda *args: attach(*args) * np.exp(0.1j))
+    state = CodeState.logical(3, 1, 0.3)
+    with pytest.raises(ValueError, match="failed to be real"):
+        wigner_oracle(state, np.array([state.ell]), np.array([0.0]))
+
+
 @pytest.mark.parametrize("kind", ["logical0", "phase"])
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
 def test_grid_matches_scatter(d, kind):

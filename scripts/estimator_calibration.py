@@ -41,10 +41,9 @@ def main(argv=None):
     parser.add_argument("--epsilon", type=open_unit, default=0.05)
     parser.add_argument("--delta-fail", type=open_unit, default=0.1)
     parser.add_argument("--seeds", type=int_at_least(1), default=200)
-    parser.add_argument("--threads", type=int_at_least(1), default=1)
     args = parser.parse_args(argv)
 
-    c = calibration(args.seeds, args.epsilon, args.delta_fail, threads=args.threads)
+    c = calibration(args.seeds, args.epsilon, args.delta_fail)
     n_samples, negativity = c["n_samples"], c["negativity"]
     rate = c["fails"] / args.seeds
     print(f"# plan: {n_samples} samples per seed (M = {negativity:.6f})")

@@ -1,7 +1,7 @@
 """Write the paper-regime estimator circuit as a seeded circuit document.
 
     python3 scripts/paper_regime.py [--n 50] [--word-seed 0] [--out circuit.json]
-    zakgross run circuit.json --mode estimate --threads 1 --out result.json
+    zakgross run circuit.json --mode estimate --out result.json
 
 The circuit is the README's paper regime: d = 3, n modes, phase states on
 modes 0 and 1 and logical 0 on the rest, all at delta = 0.01 (40 dB); a

@@ -313,7 +313,6 @@ def run(
     mode: str,
     seed: int | None = None,
     n_samples: int = SAMPLES,
-    threads: int = 1,
 ) -> dict:
     """Execute a parsed circuit and return a result document (JSON-ready)."""
     if mode not in ("exact", "sample", "estimate"):
@@ -346,8 +345,8 @@ def run(
         use_seed = SEED if seed is None else seed
         # frequencies of n draws err by about 1 / sqrt(n)
         bins = binner(state, mspec, SLIP_SHARE / math.sqrt(max(n_samples, 1)))
-        joint = np.concatenate(
-            sample_streams(state, use_seed, n_samples, lambda idx, _: idx, threads, bins.push))
+        blocks = sample_streams(state, use_seed, n_samples, bins.push)
+        joint = np.concatenate([idx for idx, _ in blocks])
         shape = mspec.table_shape()
         outcomes = np.stack(np.unravel_index(joint, shape), axis=-1)
         counts = np.bincount(joint, minlength=math.prod(shape)).reshape(shape)
@@ -368,7 +367,7 @@ def run(
         )
     est = spec.estimator
     use_seed = est["seed"] if seed is None else seed
-    report = est_mod.estimate(state, mspec, est["epsilon"], est["delta_fail"], use_seed, threads)
+    report = est_mod.estimate(state, mspec, est["epsilon"], est["delta_fail"], use_seed)
     base.update(report.to_dict())
     return base
 

@@ -62,13 +62,7 @@ def _emit(args, text: str) -> None:
 def _cmd_run(args) -> int:
     with open(args.circuit) as handle:
         spec = parse_circuit(handle.read())
-    result = run_circuit(
-        spec,
-        args.mode,
-        seed=args.seed,
-        n_samples=args.samples,
-        threads=args.threads,
-    )
+    result = run_circuit(spec, args.mode, seed=args.seed, n_samples=args.samples)
     _emit(args, json.dumps(result, indent=2) + "\n")
     return 0
 
@@ -187,7 +181,7 @@ def _one_of(*choices: str):
 
 REQUIRED = object()  # the default of a flag that must be given
 COMMON = {
-    "--threads": (_int_at_least(1), 1, "worker threads for sampling"),
+    "--threads": (_int_at_least(1), 1, "kept for existing command lines; selects nothing"),
     "--out": (str, None, "output file (default stdout)"),
 }
 SEEDED = {**COMMON, "--seed": (_int_at_least(0), None, "override RNG seed")}

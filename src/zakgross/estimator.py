@@ -10,8 +10,8 @@ negativity): every single-sample contribution to a bin is exactly -M, 0, or
 so that each fixed bin estimate is within epsilon of truth except with
 probability delta_fail. One sample stream serves all bins at once; the bound
 still holds per bin. Samples come from wigner.sample_streams, equal streams
-seeded through SeedSequence.spawn, so a run is reproducible for a given seed
-regardless of how streams are assigned to threads.
+seeded through SeedSequence.spawn and drawn in order, so a run is
+reproducible for a given seed.
 """
 from __future__ import annotations
 
@@ -78,7 +78,6 @@ def estimate(
     epsilon: float,
     delta_fail: float,
     seed: int,
-    threads: int = 1,
 ) -> EstimateReport:
     t0 = time.perf_counter()
     m_total = state.negativity()
@@ -88,16 +87,11 @@ def estimate(
     bins = binner(state, spec, SLIP_SHARE * epsilon / m_total)
     shape = spec.table_shape()
     flat_bins = math.prod(shape)
-
-    def counts(idx, sgn):
+    pos = neg = 0  # integer counts, so their sum over blocks and streams is exact
+    for idx, sgn in sample_streams(state, seed, n_tot, bins.push):
         spos = sgn > 0
-        return (
-            np.bincount(idx[spos], minlength=flat_bins),
-            np.bincount(idx[~spos], minlength=flat_bins),
-        )
-
-    # counts are integer, so their sum over blocks and streams is exact
-    pos, neg = map(sum, zip(*sample_streams(state, seed, n_tot, counts, threads, bins.push)))
+        pos += np.bincount(idx[spos], minlength=flat_bins)
+        neg += np.bincount(idx[~spos], minlength=flat_bins)
 
     est = m_total * (pos - neg) / n_tot
     second = m_total ** 2 * (pos + neg) / n_tot

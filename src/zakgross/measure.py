@@ -314,11 +314,15 @@ def quadrature_probabilities(state: WignerState, spec: MeasurementSpec) -> np.nd
 
 
 def _check_spec(state: WignerState, spec: MeasurementSpec) -> None:
+    """Every table path passes here: the modes must exist and the table be addressable."""
     n = state.params.n
     if any(m >= n for m in spec.measured_modes):
         raise ValueError(
             f"measured modes {spec.measured_modes} out of range for n={n}"
         )
+    r = len(spec.measured_modes)
+    if spec.K ** r * 8 > np.iinfo(np.intp).max:  # numpy's largest array, in bytes
+        raise MemoryError(f"an outcome table of {spec.K}^{r} bins is too large to allocate")
 
 
 def _mode_marginal(factor, c_mode, spec: MeasurementSpec, ell: float) -> np.ndarray:

@@ -558,7 +558,7 @@ def check_decompose_roundtrip(rng, trials: int):
     return True, f"{trials} compose/decompose/recompose round trips exact"
 
 
-def calibration(n_seeds: int, epsilon: float, delta_fail: float, threads: int = 1) -> dict:
+def calibration(n_seeds: int, epsilon: float, delta_fail: float) -> dict:
     """Estimator calibration on a fixed 2-mode stabilizer circuit.
 
     Estimates the outcome table at seeds 0..n_seeds-1 against the dense
@@ -585,7 +585,7 @@ def calibration(n_seeds: int, epsilon: float, delta_fail: float, threads: int = 
     err_sum = np.zeros_like(exact)
     se_sq = np.zeros_like(exact)
     for seed in range(n_seeds):
-        rep = est_mod.estimate(state, spec, epsilon, delta_fail, seed=seed, threads=threads)
+        rep = est_mod.estimate(state, spec, epsilon, delta_fail, seed=seed)
         if seed == 0:
             first = rep.probabilities
         err = rep.probabilities - exact
@@ -594,7 +594,7 @@ def calibration(n_seeds: int, epsilon: float, delta_fail: float, threads: int = 
         top = float(np.abs(err).max())
         worst = max(worst, top)
         fails += top > epsilon
-    again = est_mod.estimate(state, spec, epsilon, delta_fail, seed=0, threads=threads)
+    again = est_mod.estimate(state, spec, epsilon, delta_fail, seed=0)
     pooled_se = np.sqrt(se_sq / n_seeds / n_seeds)
     return {
         "n_samples": again.n_samples,

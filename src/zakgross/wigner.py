@@ -247,28 +247,22 @@ class WignerState:
         return 2 * np.hstack([pts[:, 0::2], pts[:, 1::2]]), wts
 
     def sampler(self):
-        """Build one stream's draw loop: draw(count, rng, take=None).
+        """Build one stream's draw loop: draw(count, rng, take).
 
         A call draws the stream's next count draws from |W|/M, factor by
         factor in mode order, hands factor i's (count, 2) draws (x, z) to
         take(i, draws) and returns the signs (count,), multiplied over the
         factors. The draws array is reused, so take copies what it keeps.
-        Without take a call returns (eta_in (count, 2n), signs) instead,
-        factor i's draws in columns i and n + i (full_frame). A realistic
-        factor's last proposal round may accept a few more draws than a call
-        needs; they begin its next call, so a sampler serves one stream.
-        Each realistic factor's envelope table is built once per state.
+        A realistic factor's last proposal round may accept a few more draws
+        than a call needs; they begin its next call, so a sampler serves one
+        stream. Each realistic factor's envelope table is built once per state.
         """
         factor_samplers = [
             _ideal_sampler(f, self.params) if isinstance(f, IdealFactor) else _rejection_sampler(f)
             for f in self.factors
         ]
-        n = self.params.n
 
-        def draw(count: int, rng: np.random.Generator, take=None):
-            if take is None:
-                take, done = full_frame(n)(count)
-                return done(draw(count, rng, take))
+        def draw(count: int, rng: np.random.Generator, take):
             signs, draws = np.ones(count), np.empty((count, 2))
             for i, fs in enumerate(factor_samplers):
                 fs(count, rng, draws, signs)
@@ -329,47 +323,31 @@ def seed_streams(seed: int, total: int) -> list:
     return [(seq, base + (i < extra)) for i, seq in enumerate(seqs)]
 
 
-def sample_streams(state: WignerState, seed: int, count: int, reduce, threads: int = 1,
-                   push=None) -> list:
-    """[reduce(*done(signs))] per block of every seed_streams(seed, count) stream, in order.
+def sample_streams(state: WignerState, seed: int, count: int, push):
+    """Yield done(signs) per block of every seed_streams(seed, count) stream, in order.
 
     Each stream draws from |W|/M with its own generator and its own
     WignerState.sampler, in blocks of at most BLOCK draws. push(size)
     returns a block's (take, done): take(i, draws) gets factor i's draws of
-    the block, and done(signs) the arguments reduce is called with, by
-    default full_frame's (input-frame points, signs). So a stream holds one
-    block at a time, and no result depends on `threads` (a thread pool
-    when > 1).
+    the block, and done(signs) what the block yields (full_frame's
+    input-frame points and signs, or Binner.push's joint bins and signs).
+    So a stream holds one block at a time, and the caller reduces the
+    blocks as they come.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    push = push or full_frame(state.params.n)
-    streams = seed_streams(seed, count)
-
-    def one(seq, size):
-        rng, draw, out = np.random.default_rng(seq), state.sampler(), []
+    for seq, size in seed_streams(seed, count):
+        rng, draw = np.random.default_rng(seq), state.sampler()
         for lo in range(0, size, BLOCK):
             part = min(BLOCK, size - lo)
             take, done = push(part)
-            out.append(reduce(*done(draw(part, rng, take))))
-        return out
-
-    if threads > 1 and len(streams) > 1:
-        # imported here: concurrent.futures loads logging, a cost of every CLI start
-        from concurrent.futures import ThreadPoolExecutor
-
-        state.sampler()  # builds the cached envelope tables here, not once per thread
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(one, *zip(*streams)))
-    else:
-        blocks = [one(seq, size) for seq, size in streams]
-    return [result for stream in blocks for result in stream]
+            yield done(draw(part, rng, take))
 
 
 def sample_input(state: WignerState, seed: int, count: int):
     """Draw (input-frame points (N, 2n), signs (N,)) from |W|/M: the sample_streams draws."""
-    draws = sample_streams(state, seed, count, lambda pts, signs: (pts, signs))
-    return np.vstack([p for p, _ in draws]), np.concatenate([s for _, s in draws])
+    pts, signs = zip(*sample_streams(state, seed, count, full_frame(state.params.n)))
+    return np.vstack(pts), np.concatenate(signs)
 
 
 def sample_abs(state: WignerState, seed: int, count: int):

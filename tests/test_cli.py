@@ -115,6 +115,24 @@ def test_table_too_large_to_allocate_is_a_numeric_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, mode", [("ideal", "exact"), ("ideal", "sample"),
+                                        ("ideal", "estimate"), ("realistic", "exact"),
+                                        ("realistic", "estimate")])
+def test_table_numpy_cannot_index_is_a_numeric_failure(tmp_path, capsys, kind, mode):
+    # 1000^10 bins lie beyond numpy's largest array: refused before any table
+    # is built (sample mode refuses a realistic input first, for its negativity)
+    entry = {"ideal_logical": 0} if kind == "ideal" else {
+        "realistic": {"kind": "logical", "j": 0, "delta": 0.5}}
+    cpath = circuit_file(tmp_path, n=10, inputs=[entry] * 10,
+                         measurement={"modes": list(range(10)), "K": 1000},
+                         estimator={"epsilon": 0.1, "delta_fail": 0.1, "seed": 0})
+    out = tmp_path / "result.json"
+    assert main(["run", cpath, "--mode", mode, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: an outcome table of 1000^10 bins is too large to allocate" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides, literal", [
     ({"inputs": [{"ideal_table": [[0.5, 0, 0], [0, 0, 0], [0, 0, 1]]}]}, "NaN"),
     ({"ops": [{"gate": "displace", "c": [0.5, 0]}]}, "Infinity"),
@@ -381,10 +399,19 @@ def fresh_python(code):
     return done.stdout.strip()
 
 
-def test_cli_import_leaves_out_the_thread_pool():
-    # concurrent.futures loads logging; only a sample run with threads > 1 needs it
+def test_cli_import_leaves_out_the_thread_pool(tmp_path):
+    # concurrent.futures loads logging; no import and no run needs it, not
+    # even a sample run over three seed streams that asks for two threads
     code = "import sys, zakgross.cli\nprint('concurrent.futures' in sys.modules)\n"
     assert fresh_python(code) == "False"
+    cpath = circuit_file(tmp_path)
+    code = (
+        "import sys, zakgross.cli\n"
+        f"code = zakgross.cli.main(['run', {cpath!r}, '--mode', 'sample', '--samples', "
+        f"'200001', '--threads', '2', '--out', {str(tmp_path / 's.json')!r}])\n"
+        "print(code, 'concurrent.futures' in sys.modules)\n"
+    )
+    assert fresh_python(code) == "0 False"
 
 
 def test_runtime_imports_no_oracles():
@@ -507,7 +534,8 @@ def test_estimate_threads_agree(tmp_path):
 
 
 def test_sample_threads_agree(tmp_path):
-    # 200,001 draws span three seed streams, so --threads 2 runs a pool
+    # 200,001 draws span three seed streams; --threads selects nothing, so
+    # both runs draw them in order in one thread
     cpath = circuit_file(
         tmp_path,
         n=2,

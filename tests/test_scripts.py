@@ -21,7 +21,7 @@ def test_calibration_script_runs(capsys):
     assert "# plan: 95 samples per seed (M = 1.000000)" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", ["--seeds", "--threads"])
+@pytest.mark.parametrize("flag", ["--seeds"])
 @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
 def test_calibration_script_refuses_counts_below_one(flag, value):
     with pytest.raises(SystemExit) as exc:

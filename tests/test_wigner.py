@@ -10,9 +10,11 @@ from zakgross.qudit import CodeParams, Gate
 from zakgross.symplectic import AffineMap, generator_symplectic
 from zakgross.theta import CodeState
 from zakgross.wigner import (
+    BLOCK,
     IdealFactor,
     RealisticFactor,
     WignerState,
+    full_frame,
     ideal_input,
     realistic_input,
     sample_abs,
@@ -300,14 +302,23 @@ def test_z_half_holds_no_per_point_phase_table(case):
 def test_a_sampler_stream_holds_no_per_proposal_class_array():
     # 100k draws in one stream: the scorer's (proposals, 2d) temporaries are chunked
     st = realistic_input(CodeParams(3, 1), [CodeState.phase_state(3, 0.5)])
-    sample_streams(st, 1, 100, lambda pts, signs: signs.size)  # builds the series and the tables
+    push = full_frame(1)
+    for _ in sample_streams(st, 1, 100, push):  # builds the series and the tables
+        pass
     tracemalloc.start()
     try:
-        sample_streams(st, 1, 100_000, lambda pts, signs: signs.size)
+        for _ in sample_streams(st, 1, 100_000, push):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2 ** 20
+
+
+def full_draw(draw, n, count, rng):
+    """A sampler's next count draws as (input-frame points (count, 2n), signs)."""
+    take, done = full_frame(n)(count)
+    return done(draw(count, rng, take))
 
 
 class CountedNormals:
@@ -335,7 +346,7 @@ def test_each_proposal_computes_its_x_half_once(monkeypatch):
 
     monkeypatch.setattr(theta, "_x_factor", counted)
     rng = CountedNormals(3)
-    pts, _signs = sampler(20_000, rng)
+    pts, _signs = full_draw(sampler, 1, 20_000, rng)
     assert pts.shape == (20_000, 2) and rng.normals > 20_000
     assert sum(seen) == rng.normals
 
@@ -346,11 +357,12 @@ def test_sampler_lays_out_each_factors_own_draws():
                RealisticFactor(CodeState.phase_state(3, 0.4)),
                RealisticFactor(CodeState.logical(3, 0, 0.3))]
     joint = WignerState.from_factors(CodeParams(3, 3), factors).sampler()
-    pts, signs = joint(5000, np.random.default_rng(11))
+    pts, signs = full_draw(joint, 3, 5000, np.random.default_rng(11))
     rng = np.random.default_rng(11)  # each factor draws from the stream in mode order
     expect_signs = np.ones(5000)
     for i, f in enumerate(factors):
-        own, own_signs = WignerState.from_factors(CodeParams(3, 1), [f]).sampler()(5000, rng)
+        own, own_signs = full_draw(WignerState.from_factors(CodeParams(3, 1), [f]).sampler(),
+                                   1, 5000, rng)
         assert np.array_equal(pts[:, i], own[:, 0]) and np.array_equal(pts[:, 3 + i], own[:, 1])
         expect_signs *= own_signs
     assert np.array_equal(signs, expect_signs) and (signs < 0).any()
@@ -376,6 +388,26 @@ def test_seed_streams_split_equally_and_repeat():
     for (a, _), (b, _) in zip(streams, again):
         assert np.array_equal(a.generate_state(4), b.generate_state(4))
     assert [size for _seq, size in seed_streams(4, 100_000)] == [100_000]
+
+
+def test_each_stream_draws_as_if_drawn_alone():
+    # a realistic factor carries a round's surplus draws into its next call,
+    # so a sampler shared between streams would shift every later stream
+    st = realistic_input(CodeParams(3, 1), [CodeState.phase_state(3, 0.5)])
+    count, push = 200_001, full_frame(1)
+    streams = seed_streams(6, count)
+    assert len(streams) == 3
+    got = list(sample_streams(st, 6, count, push))
+    alone = []
+    for seq, size in reversed(streams):  # last stream first, each from its own SeedSequence
+        draw, rng = st.sampler(), np.random.default_rng(seq)
+        alone.insert(0, [full_draw(draw, 1, min(BLOCK, size - lo), rng)
+                         for lo in range(0, size, BLOCK)])
+    want = [block for stream in alone for block in stream]
+    assert len(got) == len(want)
+    for (pts, signs), (want_pts, want_signs) in zip(got, want):
+        assert np.array_equal(pts, want_pts) and np.array_equal(signs, want_signs)
+    assert sum(signs.size for _, signs in got) == count
 
 
 def test_ideal_sampler_uniform_support():

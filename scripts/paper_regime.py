@@ -9,10 +9,11 @@ word of 10 n gates drawn by numpy.random.default_rng(word_seed), each tag
 uniform over F, F_inv, P, P_inv, SUM and CZ by rng.integers(6), then its
 modes by rng.choice(n, size=2, replace=False) for SUM and CZ and
 rng.integers(n) otherwise; modes 0-2 measured with K = 3; estimator
-epsilon 0.02, delta_fail 0.05 and seed 1. At n = 50 the plan is 80,292
-samples (M = 2.09). The document depends only on the arguments, so its
-time and peak-RSS figures can be measured again on any tree, e.g. with
-perfbench/child.py, which reports both for one CLI call.
+epsilon 0.02, delta_fail 0.05 and seed 1. At n = 50 the plan is 95,379
+samples (M = 2.09), of which the estimate draws 6,144 before its stopping
+rule puts every bin within epsilon. The document depends only on the
+arguments, so its time and peak-RSS figures can be measured again on any
+tree, e.g. with perfbench/child.py, which reports both for one CLI call.
 """
 
 import argparse

@@ -562,11 +562,11 @@ def calibration(n_seeds: int, epsilon: float, delta_fail: float) -> dict:
     """Estimator calibration on a fixed 2-mode stabilizer circuit.
 
     Estimates the outcome table at seeds 0..n_seeds-1 against the dense
-    oracle. Returns the sample count and negativity of each estimate, the
-    failure count (largest bin error above epsilon), the count allowed at
-    delta_fail plus three binomial standard deviations, the worst bin error,
-    the largest pooled bias in standard errors, the wall time, and whether a
-    repeat of seed 0 is identical.
+    oracle. Returns seed 0's drawn and planned sample counts, the
+    negativity, the failure count (largest bin error above epsilon), the
+    count allowed at delta_fail plus three binomial standard deviations,
+    the worst bin error, the largest pooled bias in standard errors, the
+    wall time, and whether a repeat of seed 0 is identical.
     """
     d, n = 3, 2
     params = CodeParams(d=d, n=n)
@@ -598,6 +598,7 @@ def calibration(n_seeds: int, epsilon: float, delta_fail: float) -> dict:
     pooled_se = np.sqrt(se_sq / n_seeds / n_seeds)
     return {
         "n_samples": again.n_samples,
+        "planned_samples": again.planned_samples,
         "negativity": again.negativity,
         "fails": fails,
         "allowed": n_seeds * delta_fail + 3.0 * math.sqrt(n_seeds * delta_fail * (1 - delta_fail)),

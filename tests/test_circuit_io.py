@@ -228,7 +228,8 @@ def test_run_sample_rejects_negative_input():
 def test_run_estimate_uses_plan():
     text = doc(estimator={"epsilon": 0.1, "delta_fail": 0.2, "seed": 5})
     result = run(parse_circuit(text), "estimate")
-    assert result["n_samples"] == 461  # ceil(200 ln 10)
+    # ceil(200 ln 20), under one block, so the whole plan is drawn
+    assert result["n_samples"] == result["planned_samples"] == 600
     assert abs(result["probabilities"][0] - 1.0) <= 0.1
     assert result["seed"] == 5
 
@@ -297,7 +298,7 @@ def test_mixed_estimate_bins_edge_points_exactly():
         doc(n=3, inputs=EDGE_INPUTS + [squeezed], ops=EDGE_OPS, estimator=est)
     )
     result = run(spec, "estimate")
-    assert result["n_samples"] == 79_964
+    assert (result["n_samples"], result["planned_samples"]) == (36_864, 98_466)
     assert np.max(np.abs(np.array(result["probabilities"]) - [1, 0, 0])) <= 0.01
 
 

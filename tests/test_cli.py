@@ -529,8 +529,9 @@ def test_estimate_threads_agree(tmp_path):
         ]) == 0
         r1 = json.loads(out1.read_text())
         r2 = json.loads(out2.read_text())
-        assert r1["n_samples"] > 100_000
+        assert r1["planned_samples"] > 100_000
         assert r1["probabilities"] == r2["probabilities"]
+        assert r1["n_samples"] == r2["n_samples"]
 
 
 def test_sample_threads_agree(tmp_path):

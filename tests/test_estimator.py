@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zakgross.estimator import InfeasiblePlan, estimate, sample_count
-from zakgross.measure import MeasurementSpec, bin_of_position, exact_probabilities
+from zakgross.estimator import InfeasiblePlan, estimate, sample_count, stopping_rule
+from zakgross.measure import (
+    MeasurementSpec, bin_of_position, exact_probabilities, quadrature_probabilities,
+)
 from zakgross.qudit import CodeParams, Gate
 from zakgross.theta import CodeState
 from zakgross.wigner import BLOCK, WignerState, ideal_input, realistic_input, sample_abs
@@ -118,25 +120,82 @@ def test_realistic_estimate_matches_quadrature():
     assert np.max(np.abs(rep.probabilities - exact)) <= eps
 
 
-def test_realistic_estimate_is_signed_count_of_sample_abs_draws():
-    # estimate and sample_abs draw from the same seed streams, block by block:
-    # one mode, and three entangled modes whose plan spans several blocks
-    one = realistic_input(CodeParams(3, 1), [CodeState.logical(3, 0, 0.3)])
-    three = realistic_input(CodeParams(3, 3), [
+def three_entangled_modes():
+    return realistic_input(CodeParams(3, 3), [
         CodeState.logical(3, 0, 0.3), CodeState.phase_state(3, 0.4), CodeState.logical(3, 1, 0.3),
     ]).apply_ops([Gate("F", (0,)), Gate("SUM", (0, 1)), Gate("CZ", (1, 2)), Gate("P", (2,)),
                   Gate("SUM", (2, 0))])
-    for st, eps in ((one, 0.05), (three, 0.04)):
+
+
+def test_realistic_estimate_is_signed_count_of_sample_abs_draws():
+    # estimate and sample_abs draw from the same seed streams, block by block:
+    # one mode, and three entangled modes whose draws span several blocks
+    one = realistic_input(CodeParams(3, 1), [CodeState.logical(3, 0, 0.3)])
+    three = three_entangled_modes()
+    # the estimate stops early, so its draws are a prefix of the planned ones
+    for st, eps in ((one, 0.02), (three, 0.015)):
         n_modes = st.params.n
         spec = MeasurementSpec(tuple(range(n_modes)), 3)
         rep = estimate(st, spec, eps, 0.1, seed=9)
         m, n = rep.negativity, rep.n_samples
-        pts, signs = sample_abs(st, 9, n)
+        pts, signs = sample_abs(st, 9, rep.planned_samples)
+        pts, signs = pts[:n], signs[:n]
         bins = bin_of_position(pts[:, :n_modes], st.params.torus_period, spec.K)
         joint = np.ravel_multi_index(tuple(bins.T), spec.table_shape())
         signed = np.bincount(joint, weights=signs, minlength=spec.K ** n_modes)
         assert np.array_equal(rep.probabilities.ravel(), signed * m / n)
     assert n > 2 * BLOCK and (signs < 0).any()
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.015])
+def test_estimate_stops_at_the_first_block_where_every_bin_clears(eps):
+    st = three_entangled_modes()
+    spec = MeasurementSpec((0, 1, 2), 3)
+    rep = estimate(st, spec, eps, 0.1, seed=9)
+    n, planned = rep.n_samples, rep.planned_samples
+    assert planned < 100_000  # one seed stream, so blocks end at multiples of BLOCK
+    pts, signs = sample_abs(st, 9, planned)
+    joint = np.ravel_multi_index(
+        tuple(bin_of_position(pts[:, :3], st.params.torus_period, 3).T), spec.table_shape())
+    cleared = stopping_rule(eps, 0.1, rep.negativity)
+
+    def clears_at(k):
+        sign = signs[:k]
+        pos = np.bincount(joint[:k][sign > 0], minlength=27)
+        return cleared(pos, np.bincount(joint[:k][sign < 0], minlength=27), k)
+
+    if eps == 0.1:
+        assert n == planned < BLOCK  # a plan under one block is drawn whole
+    else:
+        assert BLOCK < n < planned and clears_at(n)
+    assert not any(clears_at(k) for k in range(BLOCK, n, BLOCK))
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.02])
+def test_estimate_draws_at_most_its_plan_and_repeats_per_seed(eps):
+    st = realistic_input(CodeParams(3, 1), [CodeState.phase_state(3, 0.5)])
+    spec = MeasurementSpec((0,), 3)
+    for seed in range(4):
+        docs = [estimate(st, spec, eps, 0.1, seed=seed).to_dict() for _ in range(2)]
+        for doc in docs:
+            del doc["wall_time_s"]
+        assert docs[0] == docs[1]
+        assert docs[0]["n_samples"] <= docs[0]["planned_samples"]
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.05])
+def test_stopping_early_leaves_the_estimate_unbiased(delta):
+    # the stop depends on the draws; over 200 seeds the mean must still sit
+    # within 3 pooled standard errors of the closed-form table
+    st = realistic_input(CodeParams(3, 1), [CodeState.phase_state(3, delta)])
+    st = st.apply_ops([[0.3, 0.0]])
+    spec = MeasurementSpec((0,), 6)
+    exact = quadrature_probabilities(st, spec)
+    reps = [estimate(st, spec, 0.05, 0.1, seed=seed) for seed in range(200)]
+    assert max(r.n_samples for r in reps) < reps[0].planned_samples
+    mean = np.mean([r.probabilities for r in reps], axis=0)
+    pooled = np.sqrt(np.sum([r.std_errors ** 2 for r in reps], axis=0)) / len(reps)
+    assert np.all(np.abs(mean - exact) <= 3 * pooled + 1e-12)
 
 
 def test_estimate_memory_does_not_grow_with_the_mode_count():
@@ -151,7 +210,7 @@ def test_estimate_memory_does_not_grow_with_the_mode_count():
         estimate(st, spec, 0.2, 0.1, seed=1)  # builds the negativity, the series and the envelope
         tracemalloc.start()
         try:
-            rep = estimate(st, spec, 0.011, 0.1, seed=1)
+            rep = estimate(st, spec, 0.007, 0.1, seed=1)
             peaks[n_modes] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -164,7 +223,8 @@ def test_report_serializes():
     spec = MeasurementSpec((0, 1), 3)
     rep = estimate(st, spec, 0.2, 0.2, seed=1)
     d = rep.to_dict()
-    assert d["n_samples"] == 116 and d["seed"] == 1  # ceil(50 ln 10)
+    # ceil(50 ln 20), under one block, so the whole plan is drawn
+    assert d["n_samples"] == d["planned_samples"] == 150 and d["seed"] == 1
     assert np.asarray(d["probabilities"]).shape == (3, 3)
 
 
@@ -177,7 +237,9 @@ def test_report_sample_count_is_the_hoeffding_count_at_the_states_negativity(kin
         st = realistic_input(params, [CodeState.phase_state(3, 0.5)])
     rep = estimate(st, MeasurementSpec((0,), 3), 0.1, 0.2, seed=2)
     assert rep.negativity == st.negativity()
-    assert rep.n_samples == sample_count(rep.epsilon, rep.delta_fail, rep.negativity)
+    # planned at delta_fail / 2; a plan under one block is drawn whole
+    assert rep.planned_samples == sample_count(rep.epsilon, rep.delta_fail / 2, rep.negativity)
+    assert rep.n_samples == rep.planned_samples < BLOCK
     assert (rep.epsilon, rep.delta_fail) == (0.1, 0.2)
 
 

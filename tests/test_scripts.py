@@ -17,8 +17,9 @@ def load(name):
 def test_calibration_script_runs(capsys):
     calib = load("estimator_calibration")
     assert calib.main(["--seeds", "5", "--epsilon", "0.2", "--delta-fail", "0.3"]) == 0
-    # ceil(2 ln(2 / 0.3) / 0.2^2) samples for the positive calibration circuit
-    assert "# plan: 95 samples per seed (M = 1.000000)" in capsys.readouterr().out
+    # ceil(2 ln(2 / 0.15) / 0.2^2) samples for the positive calibration
+    # circuit, under one block, so seed 0 draws the whole plan
+    assert "# plan: 130 samples per seed, 130 drawn at seed 0 (M = 1.000000)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag", ["--seeds"])

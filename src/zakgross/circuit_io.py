@@ -22,8 +22,9 @@ Schema "zakgross-circuit/1" (all keys required unless noted):
     }
 
 ideal_table entries are numbers or [re, im] pairs. Displacements are in
-units of ell. Validation walks the whole document and reports every
-problem with its JSON path before giving up.
+units of ell. A key the schema does not name is an error. Validation walks
+the whole document and reports every problem with its JSON path before
+giving up.
 """
 from __future__ import annotations
 
@@ -38,11 +39,13 @@ from .measure import SLIP_SHARE, MeasurementSpec, binner, exact_probabilities
 from .qudit import GATE_NAMES, CodeParams, Gate, is_integer
 from .symplectic import IntSymplectic
 from .theta import CodeState
-from .wigner import NEGATIVITY_TOL, SEED, IdealFactor, RealisticFactor, WignerState, sample_streams
+from .wigner import NEGATIVITY_TOL, SEED, IdealFactor, RealisticFactor, WignerState, sample_blocks
 
 FORMAT_TAG = "zakgross-circuit/1"
 RESULT_TAG = "zakgross-result/1"
 SAMPLES = 10_000  # sample-mode draws unless a run asks for another count
+TOP_KEYS = ("format", "d", "n", "inputs", "ops", "measurement", "estimator")
+OP_FIELD = {"symplectic": "matrix", "displace": "c"}  # an op's key besides gate; a gate's is modes
 
 
 class SchemaError(ValueError):
@@ -80,6 +83,12 @@ def _is_number(x) -> bool:
     return is_integer(x) or isinstance(x, float)
 
 
+def _reject_unknown(obj: dict, known, path: str, err):
+    for key in obj:
+        if key not in known:
+            err(f"{path}.{key}", f"unknown key (expected one of {', '.join(known)})")
+
+
 def parse_circuit(text: str) -> CircuitSpec:
     try:
         doc = json.loads(
@@ -94,6 +103,7 @@ def parse_circuit(text: str) -> CircuitSpec:
 
     if not isinstance(doc, dict):
         raise SchemaError(["at $: document must be a JSON object"])
+    _reject_unknown(doc, TOP_KEYS, "$", err)
     if doc.get("format") != FORMAT_TAG:
         err("$.format", f"expected {FORMAT_TAG!r}, got {doc.get('format')!r}")
 
@@ -184,6 +194,7 @@ def _parse_realistic(val, d, path, err):
     if not isinstance(val, dict):
         err(path, "must be an object with kind/delta")
         return None
+    _reject_unknown(val, ("kind", "delta", "j"), path, err)
     kind = val.get("kind")
     delta = val.get("delta")
     if not _is_number(delta) or not 0 < delta < 2:
@@ -219,6 +230,11 @@ def _parse_ops(raw, params, err):
             err(path, "must be an object with a 'gate' key")
             continue
         tag = item["gate"]
+        if not isinstance(tag, str):
+            err(f"{path}.gate", f"must be a string, got {tag!r}")
+            continue
+        if len(item) > 2:  # a valid op has exactly two keys, so only a longer one is examined
+            _reject_unknown(item, ("gate", OP_FIELD.get(tag, "modes")), path, err)
         if tag in GATE_NAMES:
             try:  # Gate checks the modes' type, sign, count and distinctness
                 gate = Gate(tag, item.get("modes"))
@@ -261,6 +277,7 @@ def _parse_measurement(raw, params, err):
     if not isinstance(raw, dict):
         err("$.measurement", "must be an object with modes and K")
         return fallback
+    _reject_unknown(raw, ("modes", "K"), "$.measurement", err)
     modes = raw.get("modes")
     k = raw.get("K")
     if not isinstance(modes, list) or not all(is_integer(m) for m in modes):
@@ -285,6 +302,7 @@ def _parse_estimator(raw, err):
     if not isinstance(raw, dict):
         err("$.estimator", "must be an object")
         return None
+    _reject_unknown(raw, ("epsilon", "delta_fail", "seed"), "$.estimator", err)
     eps = raw.get("epsilon")
     delta = raw.get("delta_fail")
     seed = raw.get("seed", SEED)
@@ -345,7 +363,7 @@ def run(
         use_seed = SEED if seed is None else seed
         # frequencies of n draws err by about 1 / sqrt(n)
         bins = binner(state, mspec, SLIP_SHARE / math.sqrt(max(n_samples, 1)))
-        blocks = sample_streams(state, use_seed, n_samples, bins.push)
+        blocks = sample_blocks(state, use_seed, n_samples, bins.push)
         joint = np.concatenate([idx for idx, _ in blocks])
         shape = mspec.table_shape()
         outcomes = np.stack(np.unravel_index(joint, shape), axis=-1)

@@ -9,9 +9,8 @@ negativity): every single-sample contribution to a bin is exactly -M, 0, or
 
 so that each fixed bin estimate is within epsilon of truth except with
 probability delta_fail. One sample stream serves all bins at once; the bound
-still holds per bin. Samples come from wigner.sample_streams, equal streams
-seeded through SeedSequence.spawn and drawn in order, so a run is
-reproducible for a given seed.
+still holds per bin. Samples come from wigner.sample_blocks, one generator
+per seed drawn in order, so a run is reproducible for a given seed.
 
 That count assumes every draw swings over the full range +-M, while a real
 bin's draws are mostly 0. So estimate plans the Hoeffding count at
@@ -31,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .measure import SLIP_SHARE, MeasurementSpec, binner
-from .wigner import WignerState, sample_streams
+from .wigner import WignerState, sample_blocks
 
 MAX_SAMPLES = 200_000_000
 
@@ -137,9 +136,9 @@ def estimate(
     bins = binner(state, spec, SLIP_SHARE * epsilon / m_total)
     shape = spec.table_shape()
     flat_bins = math.prod(shape)
-    pos = neg = 0  # integer counts, so their sum over blocks and streams is exact
+    pos = neg = 0  # integer counts, so their sum over blocks is exact
     n_tot = 0
-    for idx, sgn in sample_streams(state, seed, planned, bins.push):
+    for idx, sgn in sample_blocks(state, seed, planned, bins.push):
         spos = sgn > 0
         pos += np.bincount(idx[spos], minlength=flat_bins)
         neg += np.bincount(idx[~spos], minlength=flat_bins)

@@ -167,7 +167,7 @@ class Binner:
     to_bins: object  # _offset_binner's bins(lattice, rest)
 
     def push(self, size: int):
-        """(take, done) of one block of size draws, for wigner.sample_streams.
+        """(take, done) of one block of size draws, for wigner.sample_blocks.
 
         take(i, draws) adds factor i's draws (size, 2) into the block's r
         measured positions, ideal ones exactly in int64 and realistic ones

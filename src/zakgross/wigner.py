@@ -21,12 +21,12 @@ series, whose z half is one Taylor table per state, and sampled by rejection
 under the certified bound theta.abs_envelope sums from that table.
 theta.propose draws and scores the proposals, so the rejection loop here
 only sizes rounds and accepts on the unnormalized |W| / E, with the sign
-of W. A stream is drawn in blocks of at most BLOCK draws, and a rejection
-round proposes at most ROUND points, so neither the draw count nor n sets
-a stream's working set: each factor hands its block of draws to a take
-callback (measure.binner's adds them into the measured positions, the
-full frame writes its two columns), and a round's surplus accepted draws
-start the stream's next block.
+of W. One seeded generator draws a call's samples in blocks of at most
+BLOCK draws (sample_blocks), and a rejection round proposes at most ROUND
+points, so neither the draw count nor n sets a call's working set: each
+factor hands its block of draws to a take callback (measure.binner's adds
+them into the measured positions, the full frame writes its two columns),
+and a round's surplus accepted draws start the call's next block.
 """
 from __future__ import annotations
 
@@ -49,8 +49,7 @@ from .theta import (
     wigner_theta_grid,
 )
 
-MAX_STREAM = 100_000  # draws per seed stream at most
-BLOCK = 2048  # draws a stream hands on and reduces at a time
+BLOCK = 2048  # draws a call hands on and reduces at a time
 # proposals a rejection round scores at most: twice BLOCK, so that one round
 # fills a block wherever the acceptance rate is above about one half
 ROUND = 4096
@@ -247,15 +246,15 @@ class WignerState:
         return 2 * np.hstack([pts[:, 0::2], pts[:, 1::2]]), wts
 
     def sampler(self):
-        """Build one stream's draw loop: draw(count, rng, take).
+        """Build one generator's draw loop: draw(count, rng, take).
 
-        A call draws the stream's next count draws from |W|/M, factor by
-        factor in mode order, hands factor i's (count, 2) draws (x, z) to
+        A call makes the next count draws from |W|/M, factor by factor
+        in mode order, hands factor i's (count, 2) draws (x, z) to
         take(i, draws) and returns the signs (count,), multiplied over the
         factors. The draws array is reused, so take copies what it keeps.
         A realistic factor's last proposal round may accept a few more draws
         than a call needs; they begin its next call, so a sampler serves one
-        stream. Each realistic factor's envelope table is built once per state.
+        generator. Each realistic factor's envelope table is built once per state.
         """
         factor_samplers = [
             _ideal_sampler(f, self.params) if isinstance(f, IdealFactor) else _rejection_sampler(f)
@@ -273,7 +272,7 @@ class WignerState:
 
 
 def full_frame(n: int):
-    """The input-frame push: push(size) -> (take, done), for sample_streams.
+    """The input-frame push: push(size) -> (take, done), for sample_blocks.
 
     take(i, draws) writes factor i's draws (size, 2) into columns i and
     n + i of one (size, 2n) array (x of every mode, then z of every mode),
@@ -310,43 +309,29 @@ def realistic_input(params: CodeParams, states) -> WignerState:
     return WignerState.from_factors(params, map(RealisticFactor, states))
 
 
-def seed_streams(seed: int, total: int) -> list:
-    """Split `total` draws into seed streams [(SeedSequence, count)].
+def sample_blocks(state: WignerState, seed: int, count: int, push):
+    """Yield done(signs) per block of count draws from |W|/M, in order.
 
-    ceil(total / MAX_STREAM) streams of equal size (the first total % n_streams
-    take one extra), seeded by SeedSequence(seed).spawn. The split depends only
-    on (seed, total), so results do not depend on how streams meet workers.
-    """
-    n_streams = max(1, math.ceil(total / MAX_STREAM))
-    base, extra = divmod(total, n_streams)
-    seqs = np.random.SeedSequence(seed).spawn(n_streams)
-    return [(seq, base + (i < extra)) for i, seq in enumerate(seqs)]
-
-
-def sample_streams(state: WignerState, seed: int, count: int, push):
-    """Yield done(signs) per block of every seed_streams(seed, count) stream, in order.
-
-    Each stream draws from |W|/M with its own generator and its own
-    WignerState.sampler, in blocks of at most BLOCK draws. push(size)
-    returns a block's (take, done): take(i, draws) gets factor i's draws of
-    the block, and done(signs) what the block yields (full_frame's
-    input-frame points and signs, or Binner.push's joint bins and signs).
-    So a stream holds one block at a time, and the caller reduces the
-    blocks as they come.
+    One generator and one WignerState.sampler draw blocks of at most BLOCK
+    draws; push(size) returns a block's (take, done): take(i, draws) gets
+    factor i's draws, and done(signs) what the block yields (full_frame's
+    points and signs, or Binner.push's joint bins and signs). The caller
+    reduces the blocks as they come; a smaller count draws a prefix.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    for seq, size in seed_streams(seed, count):
-        rng, draw = np.random.default_rng(seq), state.sampler()
-        for lo in range(0, size, BLOCK):
-            part = min(BLOCK, size - lo)
-            take, done = push(part)
-            yield done(draw(part, rng, take))
+    # SeedSequence(seed)'s first spawned child: a seed keeps the documents it produced before
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    draw = state.sampler()
+    for lo in range(0, count, BLOCK):
+        part = min(BLOCK, count - lo)
+        take, done = push(part)
+        yield done(draw(part, rng, take))
 
 
 def sample_input(state: WignerState, seed: int, count: int):
-    """Draw (input-frame points (N, 2n), signs (N,)) from |W|/M: the sample_streams draws."""
-    pts, signs = zip(*sample_streams(state, seed, count, full_frame(state.params.n)))
+    """Draw (input-frame points (N, 2n), signs (N,)) from |W|/M: the sample_blocks draws."""
+    pts, signs = zip(*sample_blocks(state, seed, count, full_frame(state.params.n)))
     return np.vstack(pts), np.concatenate(signs)
 
 
@@ -389,15 +374,15 @@ class EnvelopeViolated(RuntimeError):
 
 
 def _rejection_sampler(factor: RealisticFactor):
-    """One stream's draws from |W| / M of one realistic factor, under theta.abs_envelope.
+    """One generator's draws from |W| / M of one realistic factor, under theta.abs_envelope.
 
     theta.propose draws each round's proposals from the envelope and scores
     them, W and E both unnormalized; a proposal is accepted with chance
-    |W| / E and carries the sign of W. A call writes the stream's next
-    count accepted draws, in order, into out (count, 2) and multiplies
-    their signs into signs (count,). A round proposes at most ROUND points:
+    |W| / E and carries the sign of W. A call writes the next count
+    accepted draws, in order, into out (count, 2) and multiplies their
+    signs into signs (count,). A round proposes at most ROUND points:
     enough for the draws still owed plus two standard deviations, at the
-    stream's proposals per accepted draw so far, or at M_env / M (the
+    sampler's proposals per accepted draw so far, or at M_env / M (the
     envelope's mass over the negativity) before any, so a call seldom
     needs a second round. The few accepted draws a call does not use open
     its next call, so none is wasted but the last call's.

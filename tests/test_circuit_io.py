@@ -74,6 +74,32 @@ def test_multiple_errors_collected():
     assert "$.measurement.modes" in text
 
 
+UNKNOWN_KEY_CASES = {
+    "top": ({"comment": "x"}, "$.comment"),
+    "realistic": ({"inputs": [{"realistic": {"kind": "phase_state", "delta": 0.5, "eps": 0.1}}]},
+                  "$.inputs[0].realistic.eps"),
+    "op": ({"ops": [{"gate": "F", "modes": [0], "power": 2}]}, "$.ops[0].power"),
+    # each op tag takes one field besides gate: another tag's field is unknown
+    "op-field": ({"ops": [{"gate": "displace", "c": [0, 0], "modes": [0]}]}, "$.ops[0].modes"),
+    "measurement": ({"measurement": {"modes": [0], "K": 3, "basis": "z"}}, "$.measurement.basis"),
+    "estimator": ({"estimator": {"epsilon": 0.05, "delta_fail": 0.1, "sed": 7}},
+                  "$.estimator.sed"),
+}
+
+
+@pytest.mark.parametrize("overrides, path", UNKNOWN_KEY_CASES.values(), ids=UNKNOWN_KEY_CASES)
+def test_an_unknown_key_is_reported_at_its_path(overrides, path):
+    with pytest.raises(SchemaError) as info:
+        parse_circuit(doc(**overrides))
+    assert [e.split(":")[0] for e in info.value.errors] == [f"at {path}"]
+    assert "unknown key" in info.value.errors[0]
+
+
+def test_a_gate_tag_that_is_not_a_string_is_a_schema_error():
+    with pytest.raises(SchemaError, match=r"at \$\.ops\[0\]\.gate: must be a string"):
+        parse_circuit(doc(ops=[{"gate": ["F"], "modes": [0]}]))
+
+
 def test_invalid_json_reports_position():
     with pytest.raises(SchemaError, match="not valid JSON"):
         parse_circuit("{nope")
@@ -304,9 +330,9 @@ def test_mixed_estimate_bins_edge_points_exactly():
 
 def test_sample_mode_refuses_an_infeasible_count_before_drawing(monkeypatch):
     def no_draws(*args, **kwargs):
-        raise AssertionError("sample_streams was called")
+        raise AssertionError("sample_blocks was called")
 
-    monkeypatch.setattr(circuit_io, "sample_streams", no_draws)
+    monkeypatch.setattr(circuit_io, "sample_blocks", no_draws)
     with pytest.raises(InfeasiblePlan, match=f"exceeds the cap {MAX_SAMPLES}"):
         run(parse_circuit(doc()), "sample", n_samples=MAX_SAMPLES + 1)
 

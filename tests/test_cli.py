@@ -401,7 +401,7 @@ def fresh_python(code):
 
 def test_cli_import_leaves_out_the_thread_pool(tmp_path):
     # concurrent.futures loads logging; no import and no run needs it, not
-    # even a sample run over three seed streams that asks for two threads
+    # even a sample run of 200001 draws that asks for two threads
     code = "import sys, zakgross.cli\nprint('concurrent.futures' in sys.modules)\n"
     assert fresh_python(code) == "False"
     cpath = circuit_file(tmp_path)
@@ -428,6 +428,12 @@ def test_runtime_imports_no_oracles():
 
 def test_cli_import_leaves_quadrature_unloaded():
     code = "import sys, zakgross.cli\nprint('zakgross.quadrature' in sys.modules)\n"
+    assert fresh_python(code) == "False"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # importing numpy.random takes 13-16 ms: only a call that draws pays it
+    code = "import sys, zakgross.cli\nprint('numpy.random' in sys.modules)\n"
     assert fresh_python(code) == "False"
 
 

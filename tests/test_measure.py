@@ -25,8 +25,8 @@ from zakgross.wigner import (
     WignerState,
     ideal_input,
     realistic_input,
+    sample_blocks,
     sample_input,
-    sample_streams,
 )
 
 
@@ -122,7 +122,7 @@ def test_streamed_push_bins_every_draw_as_the_full_frame_push(d):
     spec = MeasurementSpec((0, 2, 3), d)
     bins = binner(state, spec, 1e-6)
     count = 2 * BLOCK + 123
-    streamed = np.concatenate([idx for idx, _ in sample_streams(state, 5, count, bins.push)])
+    streamed = np.concatenate([idx for idx, _ in sample_blocks(state, 5, count, bins.push)])
     pts, signs = sample_input(state, 5, count)
     assert np.array_equal(streamed, bins(pts))
     out = state.amap.push_float(pts)[:, list(spec.measured_modes)]

@@ -18,9 +18,8 @@ from zakgross.wigner import (
     ideal_input,
     realistic_input,
     sample_abs,
+    sample_blocks,
     sample_input,
-    sample_streams,
-    seed_streams,
 )
 
 
@@ -300,14 +299,14 @@ def test_z_half_holds_no_per_point_phase_table(case):
 
 
 def test_a_sampler_stream_holds_no_per_proposal_class_array():
-    # 100k draws in one stream: the scorer's (proposals, 2d) temporaries are chunked
+    # 100k draws in one call: the scorer's (proposals, 2d) temporaries are chunked
     st = realistic_input(CodeParams(3, 1), [CodeState.phase_state(3, 0.5)])
     push = full_frame(1)
-    for _ in sample_streams(st, 1, 100, push):  # builds the series and the tables
+    for _ in sample_blocks(st, 1, 100, push):  # builds the series and the tables
         pass
     tracemalloc.start()
     try:
-        for _ in sample_streams(st, 1, 100_000, push):
+        for _ in sample_blocks(st, 1, 100_000, push):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -378,36 +377,13 @@ def test_refinement_that_never_settles_reports_its_last_two_levels():
     assert [float(v) for v in got.groups()] == [1 / 2048, 1 / 4096, float(f"{1 / 4096:.1e}")]
 
 
-def test_seed_streams_split_equally_and_repeat():
-    streams = seed_streams(4, 250_001)
-    sizes = [size for _seq, size in streams]
-    assert len(streams) == 3 and sum(sizes) == 250_001
-    assert max(sizes) <= 100_000 and max(sizes) - min(sizes) <= 1
-    again = seed_streams(4, 250_001)
-    assert [size for _seq, size in again] == sizes
-    for (a, _), (b, _) in zip(streams, again):
-        assert np.array_equal(a.generate_state(4), b.generate_state(4))
-    assert [size for _seq, size in seed_streams(4, 100_000)] == [100_000]
-
-
-def test_each_stream_draws_as_if_drawn_alone():
-    # a realistic factor carries a round's surplus draws into its next call,
-    # so a sampler shared between streams would shift every later stream
+def test_draws_are_a_prefix_whatever_the_count():
+    # one generator per seed: a larger count only draws further
     st = realistic_input(CodeParams(3, 1), [CodeState.phase_state(3, 0.5)])
-    count, push = 200_001, full_frame(1)
-    streams = seed_streams(6, count)
-    assert len(streams) == 3
-    got = list(sample_streams(st, 6, count, push))
-    alone = []
-    for seq, size in reversed(streams):  # last stream first, each from its own SeedSequence
-        draw, rng = st.sampler(), np.random.default_rng(seq)
-        alone.insert(0, [full_draw(draw, 1, min(BLOCK, size - lo), rng)
-                         for lo in range(0, size, BLOCK)])
-    want = [block for stream in alone for block in stream]
-    assert len(got) == len(want)
-    for (pts, signs), (want_pts, want_signs) in zip(got, want):
-        assert np.array_equal(pts, want_pts) and np.array_equal(signs, want_signs)
-    assert sum(signs.size for _, signs in got) == count
+    k = 50 * BLOCK
+    pts, signs = sample_input(st, 6, 2 * k)
+    want_pts, want_signs = sample_input(st, 6, k)
+    assert np.array_equal(pts[:k], want_pts) and np.array_equal(signs[:k], want_signs)
 
 
 def test_ideal_sampler_uniform_support():

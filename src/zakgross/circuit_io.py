@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator as est_mod
-from .measure import SLIP_SHARE, MeasurementSpec, binner, exact_probabilities
+from .measure import MeasurementSpec, binner, exact_probabilities
 from .qudit import GATE_NAMES, CodeParams, Gate, is_integer
 from .symplectic import IntSymplectic
 from .theta import CodeState
@@ -362,7 +362,7 @@ def run(
             )
         use_seed = SEED if seed is None else seed
         # frequencies of n draws err by about 1 / sqrt(n)
-        bins = binner(state, mspec, SLIP_SHARE / math.sqrt(max(n_samples, 1)))
+        bins = binner(state, mspec, 1 / math.sqrt(max(n_samples, 1)))
         blocks = sample_blocks(state, use_seed, n_samples, bins.push)
         joint = np.concatenate([idx for idx, _ in blocks])
         shape = mspec.table_shape()

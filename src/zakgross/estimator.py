@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .measure import SLIP_SHARE, MeasurementSpec, binner
+from .measure import MeasurementSpec, binner
 from .wigner import WignerState, sample_blocks
 
 MAX_SAMPLES = 200_000_000
@@ -132,8 +132,8 @@ def estimate(
     planned = sample_count(epsilon, delta_fail / 2, m_total)
     cleared = stopping_rule(epsilon, delta_fail, m_total)
     # a draw that slips a bin biases each cell by at most M / n, so a slip
-    # chance p costs at most M p of the epsilon budget
-    bins = binner(state, spec, SLIP_SHARE * epsilon / m_total)
+    # chance p costs at most M p of epsilon: the error per draw is epsilon / M
+    bins = binner(state, spec, epsilon / m_total)
     shape = spec.table_shape()
     flat_bins = math.prod(shape)
     pos = neg = 0  # integer counts, so their sum over blocks is exact

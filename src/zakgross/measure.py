@@ -6,22 +6,20 @@ k * (d*ell) / K. With K = d on an ideally encoded state the bin index is the
 logical outcome; the dense qudit oracle pins which coordinate block carries
 that outcome (the first, position block, in this package's layout).
 
-One binner, made once per (state, spec), maps input-frame draws to joint
-bin indices for sample mode and for the estimator. It pushes ideal columns
-exactly, mod 2d in units of ell/2, and the rest in float; bin_of_position,
-floor(x K / period + EDGE_TOL) mod K, bins the total, exactly on every
-half-lattice point. The exact all-ideal table pushes lattice points in
-integers alone, through the measured rows of S^-1 reduced mod d, and bins
-each by the same offset split and rule as the binner's draws: it lists the
-joint lattice support only when r, the number of measured modes, is close
-to n and n is small, so that it has few points; otherwise those rows push
-each factor's d x d weights onto Z_d^r, where the law of the measured
-positions is the convolution of those pushes.
-Displacement-only circuits on product inputs factorize into per-mode
-marginals, squeezed ones integrated from their Fourier series in closed
-form. Anything beyond that is the estimator's job. The references these
-tables are checked against (the POVM indicator, marginals from |psi|^2)
-live in oracles.py.
+One binner, made once per (state, spec), is the one lattice push-and-bin
+routine every table goes through: it reads the measured rows of S^-1 and
+their light cone, splits the offset 2c, pushes ideal columns exactly in
+int64 and the rest in float, and bins by bin_of_position, floor(x K /
+period + EDGE_TOL) mod K, exact on every half-lattice point. The exact
+all-ideal table lists the joint lattice support through it when r, the
+number of measured modes, is close to n and n is small; otherwise the
+binner's columns push each factor's d x d weights onto Z_d^r, where the
+law of the measured positions is their convolution. Circuits that move
+the measured positions only by displacements factorize on product inputs
+into per-mode marginals, squeezed ones integrated from their Fourier
+series in closed form. Anything beyond that is the estimator's job. The
+references these tables are checked against (the POVM indicator,
+marginals from |psi|^2) live in oracles.py.
 """
 from __future__ import annotations
 
@@ -36,8 +34,8 @@ from .theta import x_bin_integrals
 from .wigner import IdealFactor, WignerState
 
 EDGE_TOL = 1e-9  # bin units: a float position this close below an edge is on it
-# share of a sampled table's statistical error that rounding in the float
-# push may add; sample mode and the estimator set the binner's budget from it
+# share of a sampled table's statistical error per draw that rounding in the
+# float push may add: the binner's budget is this share of its caller's error
 SLIP_SHARE = 0.01
 # listed support points that cost about as much as one roll of the exact
 # table's Z_d^r convolution: numpy's per-call cost against its per-element
@@ -88,49 +86,24 @@ def bin_of_position(x, period: float, bins: int) -> np.ndarray:
     return np.mod(np.floor(scaled + EDGE_TOL).astype(np.int64), bins)
 
 
-def _offset_binner(state: WignerState, spec: MeasurementSpec):
-    """bins(lattice, rest): flat joint bins of measured positions in units of ell/2.
-
-    lattice (N, r) int64 is the exact part of each position and rest the
-    float part; 2c of the measured rows is split once, its integer part
-    joining lattice mod 2d and its fraction joining rest, and
-    bin_of_position bins the total. Both the exact table and binner bin
-    through here, so the rule and its EDGE_TOL tie live in one place.
-    """
-    d = state.params.d
-    c2 = [2 * state.amap.c[m] for m in spec.measured_modes]
-    whole = np.array([math.floor(x) % (2 * d) for x in c2], dtype=np.int64)
-    frac = np.array([float(x - math.floor(x)) for x in c2])
-
-    def bins(lattice, rest=0.0):
-        units = (lattice + whole) % (2 * d) + (rest + frac)
-        return np.ravel_multi_index(
-            tuple(bin_of_position(units, 2 * d, spec.K).T), spec.table_shape()
-        )
-
-    return bins
-
-
-def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0) -> "Binner":
+def binner(state: WignerState, spec: MeasurementSpec, error: float = 0.0) -> "Binner":
     """Map from input-frame draws to flat joint bin indices, made once.
 
-    Each measured position S^-1[m] eta + ell c[m] is read in units of ell/2,
-    one period being 2d. Ideal columns hold lattice points ell * t, so their
-    part of the sum, with the integer part of 2c, is pushed exactly in int64
-    by the row entries reduced mod 2d: reduction is a ring map, so no entry
-    size moves a point across an edge. Realistic columns and the fractional
-    part of 2c are pushed in float, and bin_of_position bins the total.
+    Each measured position S^-1[m] eta + ell c[m] is read in units of
+    ell/2, one period being 2d. Ideal columns hold lattice points ell t, 2t
+    in these units, so their part of the sum, with the integer part of 2c,
+    is pushed exactly in int64 by the row entries reduced mod d (2t (a + kd)
+    = 2t a mod 2d): no entry size moves a point across an edge. Realistic
+    columns and the fraction of 2c are pushed in float.
     Realistic draws lie in one cell [0, L), so the float part of a row errs
     by at most w = sum |entries| L (terms + 2) 2^-53 in ell/2 units, in any
     order of its terms. A draw moves to another bin only if it lies within
     w of an edge, a chance of about 2w bins per measured row for a draw
     spread over the period; the binner raises ImprecisePush where that sum
-    exceeds slip_budget, the caller's share of its own statistical error (0
-    admits an exact push only: all-ideal states). terms counts the
-    realistic columns alone. The push adds each factor's draws into the r
-    measured positions as the sampler hands them on (Binner.push), so no
-    (draws, 2n) array is needed; a factor whose two columns are zero there,
-    any mode outside the light cone of the measured ones, adds nothing.
+    exceeds SLIP_SHARE of error, the caller's statistical error per draw (0
+    for an exact table). terms counts the realistic columns alone. A factor
+    whose two columns are zero there (mod d for an ideal one), any mode
+    outside the light cone of the measured ones, is held as None.
     """
     _check_spec(state, spec)
     d, ell, n = state.params.d, state.params.ell, state.params.n
@@ -139,32 +112,43 @@ def binner(state: WignerState, spec: MeasurementSpec, slip_budget: float = 0.0) 
     terms = []  # per factor: (ideal, its two columns of the measured rows (2, r)) or None
     for i, exact in enumerate(ideal):
         cols = rows[:, [i, n + i]]
-        cols = np.mod(cols, 2 * d).astype(np.int64) if exact else cols.astype(float) * (2 / ell)
+        cols = np.mod(cols, d).astype(np.int64) if exact else cols.astype(float) * (2 / ell)
         terms.append((exact, cols.T) if cols.any() else None)
     err = sum((np.abs(cols).sum(axis=0) for exact, cols in filter(None, terms) if not exact),
               np.zeros(len(rows)))
     err *= state.params.torus_period * (2 * (n - sum(ideal)) + 2) * 2.0 ** -53 * spec.K / (2 * d)
-    slip = 2.0 * float(err.sum())
-    if slip > slip_budget:
+    slip, budget = 2.0 * float(err.sum()), SLIP_SHARE * error
+    if slip > budget:
         raise ImprecisePush(
             f"float push of realistic columns may err by {err.max():.2e} bins, "
             f"moving up to {slip:.2e} of the draws across an edge, beyond the "
-            f"budget {slip_budget:.2e}"
+            f"budget {budget:.2e}"
         )
-    return Binner(tuple(terms), len(rows), 2 * d, 2 / ell, _offset_binner(state, spec))
+    c2 = [2 * state.amap.c[m] for m in spec.measured_modes]
+    whole = np.array([math.floor(x) % (2 * d) for x in c2], dtype=np.int64)
+    frac = np.array([float(x - math.floor(x)) for x in c2])
+    return Binner(tuple(terms), 2 * d, 2 / ell, spec.K, whole, frac)
 
 
 @dataclass(frozen=True)
 class Binner:
     """What binner makes: per factor, its two columns of the measured rows (2, r),
-    reduced mod 2d for an ideal factor and in ell/2 units for a realistic
-    one, or None where both are zero; and the offset split and bin rule."""
+    reduced mod d for an ideal factor and in ell/2 units for a realistic
+    one, or None outside the light cone; and the measured offset 2c, split."""
 
     terms: tuple
-    r: int  # measured modes
     period: int  # 2d: one period of a measured position in units of ell/2
     scale: float  # 2 / ell: units of ell/2 per coordinate unit
-    to_bins: object  # _offset_binner's bins(lattice, rest)
+    K: int  # bins per measured mode
+    whole: np.ndarray  # (r,) int64: floor(2c) mod 2d
+    frac: np.ndarray  # (r,) float: 2c - floor(2c)
+
+    def to_bins(self, lattice, rest=0.0) -> np.ndarray:
+        """Flat joint bins of measured positions in ell/2 units before the offset:
+        lattice (N, r) int64, exact, takes whole mod 2d and rest, float, takes frac."""
+        units = (lattice + self.whole) % self.period + (rest + self.frac)
+        shape = (self.K,) * len(self.whole)
+        return np.ravel_multi_index(tuple(bin_of_position(units, self.period, self.K).T), shape)
 
     def push(self, size: int):
         """(take, done) of one block of size draws, for wigner.sample_blocks.
@@ -173,8 +157,8 @@ class Binner:
         measured positions, ideal ones exactly in int64 and realistic ones
         in float; done(signs) returns (flat joint bins (size,), signs).
         """
-        lattice = np.zeros((size, self.r), dtype=np.int64)
-        rest = np.zeros((size, self.r))
+        lattice = np.zeros((size, len(self.whole)), dtype=np.int64)
+        rest = np.zeros((size, len(self.whole)))
 
         def take(i, draws):
             nonlocal lattice, rest  # added into in place
@@ -202,8 +186,9 @@ def exact_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray
     """Exact outcome table, shape (K,) * m, summing to 1.
 
     Dispatches to the convolution on Z_d^r (or, when r is close to n and n
-    is small, the lattice support) for all-ideal states and to
-    per-mode marginals for displacement-only circuits on product inputs.
+    is small, the lattice support) for all-ideal states and to per-mode
+    marginals where the circuit moves the measured positions only by
+    displacements.
     """
     if state.is_ideal():
         return exact_probabilities_ideal(state, spec)
@@ -215,63 +200,56 @@ def exact_probabilities_ideal(
 ) -> np.ndarray:
     """Outcome table of an all-ideal state, by the faster of two exact sums.
 
-    The convolution on Z_d^r (_convolution_terms) makes one roll of a
-    (d,)*r array per support point of each factor in the light cone of the
-    measured modes, sum_i s_i rolls; listing the joint lattice support
-    (WignerState.lattice_support) bins prod_i s_i points. A roll costs
-    about as much as ROLL_POINTS listed points, so the support is listed
-    only when it has at most ROLL_POINTS points per roll: r close to n and
-    few modes in all (n = r = 3, d = 3: 27 points against 9 rolls).
-    Otherwise the convolution wins by far (n = 10, r = 3, d = 3: 59049
-    points against 30 rolls).
+    Both bin through the state's binner, whose exact integer push the
+    lattice points take. The convolution on Z_d^r (_convolution_terms)
+    makes one roll of a (d,)*r array per support point of each factor in
+    the light cone of the measured modes, sum_i s_i rolls; listing the
+    joint lattice support (WignerState.lattice_support) bins prod_i s_i
+    points. A roll costs about as much as ROLL_POINTS listed points, so the
+    support is listed only when it has at most ROLL_POINTS points per roll:
+    r close to n and few modes in all (n = r = 3, d = 3: 27 points against
+    9 rolls). Otherwise the convolution wins by far (n = 10, r = 3, d = 3:
+    59049 points against 30 rolls).
     """
-    _check_spec(state, spec)
     if not state.is_ideal():
         raise ValueError("the exact ideal table requires all-ideal factors")
-    n = state.params.n
-    rows = _measured_rows_mod_d(state, spec)
+    bins = binner(state, spec)
     sizes = [int(np.count_nonzero(f.table)) for f in state.factors]
-    rolls = sum(s for i, s in enumerate(sizes) if rows[:, [i, n + i]].any())
+    rolls = sum(s for s, term in zip(sizes, bins.terms) if term is not None)
     if math.prod(sizes) <= ROLL_POINTS * rolls:
-        m2, weights = state.lattice_support()  # 2t in ell/2 units: 2t R mod 2d is exact
-        return _table(spec, _offset_binner(state, spec)(m2 @ rows.T), weights)
-    return _table(spec, *_convolution_terms(state, spec, rows))
+        m2, weights = state.lattice_support()  # 2t in ell/2 units
+        return _table(spec, bins(m2 * (state.params.ell / 2)), weights)
+    return _table(spec, *_convolution_terms(state, bins))
 
 
-def _measured_rows_mod_d(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
-    """The measured rows of S^-1 reduced mod d, (r, 2n) int64, exact on the Python ints."""
-    return np.mod(state.amap.S.inverse_rows(spec.measured_modes), state.params.d).astype(np.int64)
-
-
-def _convolution_terms(state: WignerState, spec: MeasurementSpec, rows) -> tuple:
+def _convolution_terms(state: WignerState, bins: Binner) -> tuple:
     """(joint bins, signed masses) of every point of Z_d^r, by convolution.
 
     The r measured positions of the input lattice point ell t are, in ell/2
-    units, 2 u + 2c with u = R t mod d, R = rows. u is a sum of independent
-    per-factor terms t_x a + t_z b, a and b the factor's two columns of R, so
-    its law on Z_d^r is the convolution of the factors' signed weights
-    pushed there: a dense (d,)*r array starting as a unit mass at 0, rolled
-    by each support point's term. A factor whose columns vanish mod d (every
-    mode outside the light cone of the measured ones) only scales the mass
-    by its total. Each u is then binned once by the binner's offset split
-    and rule. The cost is O(n d^2 d^r), never above d^n cells.
+    units, 2 u + 2c with u = R t mod d, R the measured rows of S^-1. u is a
+    sum of independent per-factor terms (t_x, t_z) @ cols, cols the factor's
+    two columns of R mod d held in bins.terms, so its law on Z_d^r is the
+    convolution of the factors' signed weights pushed there: a dense (d,)*r
+    array starting as a unit mass at 0, rolled by each support point's term.
+    A factor outside the light cone of the measured modes only scales the
+    mass by its total. Each u is then binned once, 2u by bins.to_bins. The
+    cost is O(n d^2 d^r), never above d^n cells.
     """
-    d, n = state.params.d, state.params.n
-    r = rows.shape[0]
+    d = state.params.d
+    r = len(bins.whole)
     axes = tuple(range(r))
     mass = np.zeros((d,) * r)
     mass[(0,) * r] = 1.0
-    for i, f in enumerate(state.factors):
+    for f, term in zip(state.factors, bins.terms):
         tx, tz = np.nonzero(f.table)
         weights = f.table[tx, tz] / d
-        a, b = rows[:, i], rows[:, n + i]
-        if not (a.any() or b.any()):
+        if term is None:
             mass *= weights.sum()
             continue
-        shifts = (np.outer(tx, a) + np.outer(tz, b)) % d
+        shifts = np.stack([tx, tz], axis=1) @ term[1] % d
         mass = sum(w * np.roll(mass, tuple(sh), axes) for w, sh in zip(weights, shifts))
     u = np.indices((d,) * r).reshape(r, -1).T
-    return _offset_binner(state, spec)(2 * u), mass.ravel()
+    return bins.to_bins(2 * u), mass.ravel()
 
 
 def _table(spec: MeasurementSpec, joint, weights) -> np.ndarray:
@@ -288,24 +266,23 @@ def _table(spec: MeasurementSpec, joint, weights) -> np.ndarray:
 
 
 def quadrature_probabilities(state: WignerState, spec: MeasurementSpec) -> np.ndarray:
-    """Per-mode marginal tables for a displacement-only circuit.
+    """Per-mode marginal tables where the measured rows of S^-1 are unit rows.
 
-    Valid because the map then factorizes mode by mode and the Wigner
-    function is periodic in the unmeasured momentum coordinate, which is
-    integrated over one full period. Squeezed factors integrate their
-    Fourier series over each bin in closed form.
+    The measured positions are then the input ones moved by ell c alone
+    (P, CZ, Z and their inverses move no position), so on a product input
+    they are independent. A marginal integrates the Wigner function over a
+    full period of the momentum, where it is periodic.
     """
     _check_spec(state, spec)
-    params = state.params
-    if not np.array_equal(state.amap.S.mat, np.eye(2 * params.n, dtype=object)):
+    modes = list(spec.measured_modes)
+    unit_rows = (np.arange(2 * state.params.n) == np.c_[modes]).astype(int)
+    if not np.array_equal(state.amap.S.inverse_rows(modes), unit_rows):
         raise ValueError(
-            "exact probabilities need an all-ideal state or a displacement-only "
-            "circuit; run the estimator for entangling circuits on realistic inputs"
+            "exact probabilities need an all-ideal state or a circuit that moves "
+            "the measured positions only by displacements; run the estimator for "
+            "other circuits on realistic inputs"
         )
-    per_mode = [
-        _mode_marginal(state.factors[m], state.amap.c[m], spec, params.ell)
-        for m in spec.measured_modes
-    ]
+    per_mode = [_mode_marginal(state, m, spec.K) for m in modes]
     table = functools.reduce(np.multiply.outer, per_mode)
     total = table.sum()
     if not abs(total - 1.0) < 1e-7:
@@ -325,19 +302,17 @@ def _check_spec(state: WignerState, spec: MeasurementSpec) -> None:
         raise MemoryError(f"an outcome table of {spec.K}^{r} bins is too large to allocate")
 
 
-def _mode_marginal(factor, c_mode, spec: MeasurementSpec, ell: float) -> np.ndarray:
-    """Bin probabilities of one mode's position after a displacement by ell * c_mode.
+def _mode_marginal(state: WignerState, m: int, K: int) -> np.ndarray:
+    """Bin probabilities of mode m's position, moved by ell c[m] alone.
 
-    Both branches reduce c_mode mod d exactly before it becomes a float, so
-    no offset loses the bits that place it in the period d ell.
+    An ideal mode bins its lattice points 2t by a one-mode binner, a
+    squeezed one integrates its Fourier series over each bin; both reduce
+    c[m] exactly before it becomes a float, losing no bit of its place.
     """
+    factor, d, ell = state.factors[m], state.params.d, state.params.ell
     if isinstance(factor, IdealFactor):
-        # positions ell * (t + c), reduced mod d exactly before the float rule
-        units = [float((t + c_mode) % factor.d) for t in range(factor.d)]
-        row_mass = factor.table.sum(axis=1) / factor.d
-        bins = bin_of_position(units, factor.d, spec.K)
-        return np.bincount(bins, weights=row_mass, minlength=spec.K)
+        joint = binner(state, MeasurementSpec((m,), K)).to_bins(2 * np.arange(d)[:, None])
+        return np.bincount(joint, weights=factor.table.sum(axis=1) / d, minlength=K)
     # bin k covers [k, k + 1) period / K, read on the undisplaced W at -ell (c mod d)
-    centres = (np.arange(spec.K) + 0.5) * (factor.d * ell / spec.K) - float(c_mode % factor.d) * ell
-    masses = x_bin_integrals(factor.state, centres)
-    return masses / (factor.d * factor.norm)
+    centres = (np.arange(K) + 0.5) * (d * ell / K) - float(state.amap.c[m] % d) * ell
+    return x_bin_integrals(factor.state, centres) / (d * factor.norm)

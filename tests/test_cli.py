@@ -106,6 +106,26 @@ def test_density_with_a_negative_eigenvalue_is_a_schema_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gate, code", [("CZ", 0), ("F", 2)])
+def test_exact_mode_on_a_realistic_circuit_needs_the_measured_positions_unmoved(
+        tmp_path, capsys, gate, code):
+    # CZ moves no position, so its exact table is the displacement-only one;
+    # F on a measured squeezed mode refuses with the estimator hint
+    inputs = [{"realistic": {"kind": "logical", "j": 0, "delta": 0.3}}] * 2
+    ops = [{"gate": gate, "modes": [0, 1] if gate == "CZ" else [0]},
+           {"gate": "displace", "c": [1, 0, 0, 0]}]
+    cpath = circuit_file(tmp_path, n=2, inputs=inputs, ops=ops,
+                         measurement={"modes": [0, 1], "K": 3})
+    out = tmp_path / "result.json"
+    assert main(["run", cpath, "--mode", "exact", "--out", str(out)]) == code
+    if code:
+        assert "estimator" in capsys.readouterr().err and not out.exists()
+        return
+    state = realistic_input(CodeParams(3, 2), [CodeState.logical(3, 0, 0.3)] * 2)
+    want = quadrature_probabilities(state.apply_ops([(1, 0, 0, 0)]), MeasurementSpec((0, 1), 3))
+    assert np.array_equal(np.array(json.loads(out.read_text())["probabilities"]), want)
+
+
 def test_table_too_large_to_allocate_is_a_numeric_failure(tmp_path, capsys):
     cpath = circuit_file(tmp_path, n=2, inputs=[{"ideal_logical": 0}] * 2,
                          measurement={"modes": [0, 1], "K": 10 ** 8})

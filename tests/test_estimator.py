@@ -120,6 +120,25 @@ def test_realistic_estimate_matches_quadrature():
     assert np.max(np.abs(rep.probabilities - exact)) <= eps
 
 
+def test_entangling_realistic_estimate_matches_its_exact_table():
+    # P, CZ and P_inv move no measured position, so the exact table of the
+    # entangled circuit is the displacement-only one, and the estimate on it
+    # (negative phase-state draws included) lies within epsilon of that table
+    st = realistic_input(CodeParams(3, 3), [
+        CodeState.phase_state(3, 0.5), CodeState.logical(3, 0, 0.25), CodeState.logical(3, 0, 0.25),
+    ])
+    disp = (1, 0, 2, 0, 0, 0)
+    circuit = st.apply_ops([Gate("P", (0,)), Gate("CZ", (0, 1)), Gate("CZ", (1, 2)),
+                            Gate("P_inv", (2,)), disp])
+    spec = MeasurementSpec((0, 1, 2), 3)
+    exact = exact_probabilities(circuit, spec)
+    assert np.array_equal(exact, exact_probabilities(st.apply_ops([disp]), spec))
+    eps = 0.04
+    for seed in range(3):
+        rep = estimate(circuit, spec, eps, 0.1, seed=seed)
+        assert np.max(np.abs(rep.probabilities - exact)) <= eps
+
+
 def three_entangled_modes():
     return realistic_input(CodeParams(3, 3), [
         CodeState.logical(3, 0, 0.3), CodeState.phase_state(3, 0.4), CodeState.logical(3, 1, 0.3),

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def test_streamed_push_bins_every_draw_as_the_full_frame_push(d):
     state = WignerState.from_factors(params, factors).apply_ops(
         [*random_word(rng, n, 12), IntSymplectic(shear), *random_word(rng, n, 12), disp])
     spec = MeasurementSpec((0, 2, 3), d)
-    bins = binner(state, spec, 1e-6)
+    bins = binner(state, spec, 1e-4)
     count = 2 * BLOCK + 123
     streamed = np.concatenate([idx for idx, _ in sample_blocks(state, 5, count, bins.push)])
     pts, signs = sample_input(state, 5, count)
@@ -180,8 +181,7 @@ def test_exact_table_equals_the_binned_lattice_support(seed, d):
     got = exact_probabilities_ideal(state, spec)
     assert np.max(np.abs(got.ravel() - want)) <= 1e-12
     # the convolution on Z_d^r too, whichever sum the table picked here
-    rows = measure._measured_rows_mod_d(state, spec)
-    by_convolution = measure._table(spec, *measure._convolution_terms(state, spec, rows))
+    by_convolution = measure._table(spec, *measure._convolution_terms(state, binner(state, spec)))
     assert np.max(np.abs(by_convolution.ravel() - want)) <= 1e-12
 
 
@@ -311,13 +311,28 @@ def test_quadrature_with_displacement_matches_shifted_oracle():
     assert np.max(np.abs(q - w)) < 1e-8
 
 
-@pytest.mark.parametrize("c", [1e16, 1e20, 10 ** 399 + 1], ids=["1e16", "1e20", "400-digit"])
-def test_quadrature_reduces_a_large_displacement_mod_d(c):
-    # the offset is reduced mod d exactly before it becomes a float
-    st = realistic_input(CodeParams(3, 1), [CodeState.logical(3, 0, 0.3)])
-    spec = MeasurementSpec((0,), 3)
-    far = exact_probabilities(st.apply_ops([(c, 0)]), spec)
-    near = exact_probabilities(st.apply_ops([(c % 3, 0)]), spec)
+LARGE_OFFSETS = {"1e16": 1e16, "1e20": 1e20, "400-digit": 10 ** 399 + 1}
+MIXED_OFFSETS = {**LARGE_OFFSETS, "third": Fraction(10 ** 20 + 1, 3), "half": 0.5, "0.3": 0.3}
+
+
+@pytest.mark.parametrize("mixed, K, c", [
+    *(pytest.param(False, 3, c, id=name) for name, c in LARGE_OFFSETS.items()),
+    *(pytest.param(True, K, c, id=f"mixed-K{K}-{name}")
+      for K in (3, 4, 6) for name, c in MIXED_OFFSETS.items()),
+])
+def test_quadrature_reduces_a_large_displacement_mod_d(mixed, K, c):
+    # the offset is reduced mod d exactly before it becomes a float: on a
+    # squeezed mode alone, and on an ideal mode (binned by a one-mode binner)
+    # measured beside a squeezed one
+    squeezed = RealisticFactor(CodeState.logical(3, 0, 0.3))
+    factors = [IdealFactor.logical(3, 1), squeezed] if mixed else [squeezed]
+    st = WignerState.from_factors(CodeParams(3, len(factors)), factors)
+    spec = MeasurementSpec(tuple(range(len(factors))), K)
+    rest = (0,) * (2 * len(factors) - 1)
+    far = exact_probabilities(st.apply_ops([(c, *rest)]), spec)
+    near = exact_probabilities(st.apply_ops([(c % 3, *rest)]), spec)
+    if mixed:
+        assert np.array_equal(far, near)
     assert np.max(np.abs(far - near)) <= 1e-12
 
 

@@ -18,7 +18,7 @@ Schema "zakgross-circuit/1" (all keys required unless noted):
         {"gate": "displace", "c": [1, 0, 0.5, 0]}
       ],
       "measurement": {"modes": [0], "K": 3},
-      "estimator": {"epsilon": 0.05, "delta_fail": 0.1, "seed": 7}   // optional, seed >= 0
+      "estimator": {"epsilon": 0.05, "delta_fail": 0.1, "seed": 7}   // optional, 0 <= seed < 2^64
     }
 
 ideal_table entries are numbers or [re, im] pairs. Displacements are in
@@ -39,7 +39,9 @@ from .measure import MeasurementSpec, binner, exact_probabilities
 from .qudit import GATE_NAMES, CodeParams, Gate, is_integer
 from .symplectic import IntSymplectic
 from .theta import CodeState
-from .wigner import NEGATIVITY_TOL, SEED, IdealFactor, RealisticFactor, WignerState, sample_blocks
+from .wigner import (
+    NEGATIVITY_TOL, SEED, SEED_LIMIT, IdealFactor, RealisticFactor, WignerState, sample_blocks,
+)
 
 FORMAT_TAG = "zakgross-circuit/1"
 RESULT_TAG = "zakgross-result/1"
@@ -313,8 +315,8 @@ def _parse_estimator(raw, err):
     if not _is_number(delta) or not 0 < delta < 1:
         err("$.estimator.delta_fail", f"must be a number in (0, 1), got {delta!r}")
         ok = False
-    if not is_integer(seed) or seed < 0:
-        err("$.estimator.seed", f"must be a non-negative integer, got {seed!r}")
+    if not is_integer(seed) or not 0 <= seed < SEED_LIMIT:
+        err("$.estimator.seed", f"must be a non-negative integer below 2^64, got {seed!r}")
         ok = False
     if not ok:
         return None

@@ -35,7 +35,7 @@ from .circuit_io import (
 from .estimator import InfeasiblePlan
 from .symplectic import IntSymplectic, decompose
 from .theta import CodeState, cell_midpoints
-from .wigner import NEGATIVITY_TOL, SEED, RealisticFactor
+from .wigner import NEGATIVITY_TOL, SEED, SEED_LIMIT, RealisticFactor
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -168,6 +168,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _seed(text: str) -> int:
+    """A flag type: an integer in [0, 2^64), the seeds SplitMix64 keys on, else a usage error."""
+    seed = _int_at_least(0)(text)
+    if seed >= SEED_LIMIT:
+        raise ValueError(f"must be an integer >= 0 and below 2^64, got {text!r}")
+    return seed
+
+
 def _one_of(*choices: str):
     """A flag type: one of the given words, else a usage error."""
     def parse(text: str) -> str:
@@ -184,7 +192,7 @@ COMMON = {
     "--threads": (_int_at_least(1), 1, "kept for existing command lines; selects nothing"),
     "--out": (str, None, "output file (default stdout)"),
 }
-SEEDED = {**COMMON, "--seed": (_int_at_least(0), None, "override RNG seed")}
+SEEDED = {**COMMON, "--seed": (_seed, None, "override RNG seed")}
 # name -> (help, {positional: help}, {flag: (type, default or REQUIRED, help)}).
 # main calls the module's _cmd_<name>, looked up at call time so that a
 # wrapper installed after import is the one that runs.

@@ -9,8 +9,9 @@ negativity): every single-sample contribution to a bin is exactly -M, 0, or
 
 so that each fixed bin estimate is within epsilon of truth except with
 probability delta_fail. One sample stream serves all bins at once; the bound
-still holds per bin. Samples come from wigner.sample_blocks, one generator
-per seed drawn in order, so a run is reproducible for a given seed.
+still holds per bin. Samples come from wigner.sample_blocks, one
+wigner.SplitMix64 stream per seed drawn in order, so a run is reproducible
+for a given seed.
 
 That count assumes every draw swings over the full range +-M, while a real
 bin's draws are mostly 0. So estimate plans the Hoeffding count at

@@ -537,16 +537,19 @@ def wigner_theta(state: CodeState, eta) -> np.ndarray:
     return vals.reshape(eta.shape[:-1])
 
 
-def propose(env: AbsEnvelope, batch: int, rng: np.random.Generator):
+def propose(env: AbsEnvelope, batch: int, rng):
     """(x, z, W, E): batch proposals from a state's envelope env, scored.
 
     Each proposal picks a (class c, z cell j) pair in proportion to c's
     bound on cell j (every comb has the same mass) from the alias table, x
     exactly from the comb f_c, a wrapped Gaussian of width delta / sqrt 2
-    about c ell / 2, and z uniformly in cell j: rng.random(batch),
-    rng.standard_normal(batch) and rng.random(batch), in that order. W is
-    the unnormalized Wigner value, wigner_theta's, and E = sum_c f_c(x)
-    env.bound[c, j] >= |W| its envelope, summed over the live classes.
+    about c ell / 2, and z uniformly in cell j. rng is wigner.SplitMix64
+    (or a numpy Generator), and the variates are rng.random(batch) for the
+    pick, rng.standard_normal(batch) for the Gaussian (SplitMix64's comes by
+    Box-Muller from 2 ceil(batch / 2) uniforms) and rng.random(batch) for
+    z, in that order. W is the unnormalized Wigner value, wigner_theta's,
+    and E = sum_c f_c(x) env.bound[c, j] >= |W| its envelope, summed over
+    the live classes.
     """
     series, cells = env.series, env.bound.shape[1]
     c, j = np.divmod(alias_pick(env.keep, env.alias, rng.random(batch)), cells)

@@ -21,12 +21,14 @@ series, whose z half is one Taylor table per state, and sampled by rejection
 under the certified bound theta.abs_envelope sums from that table.
 theta.propose draws and scores the proposals, so the rejection loop here
 only sizes rounds and accepts on the unnormalized |W| / E, with the sign
-of W. One seeded generator draws a call's samples in blocks of at most
-BLOCK draws (sample_blocks), and a rejection round proposes at most ROUND
-points, so neither the draw count nor n sets a call's working set: each
-factor hands its block of draws to a take callback (measure.binner's adds
-them into the measured positions, the full frame writes its two columns),
-and a round's surplus accepted draws start the call's next block.
+of W. One seeded generator, SplitMix64, a counter hashed in numpy integer
+arithmetic so that no call loads numpy.random, draws a call's samples in
+blocks of at most BLOCK draws (sample_blocks), and a rejection round
+proposes at most ROUND points, so neither the draw count nor n sets a
+call's working set: each factor hands its block of draws to a take
+callback (measure.binner's adds them into the measured positions, the full
+frame writes its two columns), and a round's surplus accepted draws start
+the call's next block.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ BLOCK = 2048  # draws a call hands on and reduces at a time
 # fills a block wherever the acceptance rate is above about one half
 ROUND = 4096
 SEED = 0  # the seed of sample mode, estimates and verify when none is given
+SEED_LIMIT = 2 ** 64  # seeds lie in [0, SEED_LIMIT): SplitMix64 keys on one 64-bit word
 NEGATIVITY_TOL = 1e-6  # default tolerance of the negativity cell integral
 
 
@@ -261,7 +264,7 @@ class WignerState:
             for f in self.factors
         ]
 
-        def draw(count: int, rng: np.random.Generator, take):
+        def draw(count: int, rng: SplitMix64, take):
             signs, draws = np.ones(count), np.empty((count, 2))
             for i, fs in enumerate(factor_samplers):
                 fs(count, rng, draws, signs)
@@ -269,6 +272,56 @@ class WignerState:
             return signs
 
         return draw
+
+
+class SplitMix64:
+    """SplitMix64 (Steele, Lea & Flood 2014) on a counter: the generator of every draw.
+
+    Output k = 1, 2, ... of seed s is mix64(s + k * GAMMA mod 2^64), computed
+    on uint64 arrays, so any split of the stream into calls draws the same
+    values. random and standard_normal are the two Generator methods the
+    samplers call; a numpy Generator serves them too.
+    """
+
+    GAMMA = np.uint64(0x9E3779B97F4A7C15)  # the counter's step: 2^64 over the golden ratio
+    MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
+
+    def __init__(self, seed: int):
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+        self.seed, self.drawn = np.uint64(seed), 0
+
+    def bits(self, n: int) -> np.ndarray:
+        """The stream's next n outputs, uint64."""
+        z = np.arange(self.drawn + 1, self.drawn + n + 1, dtype=np.uint64)
+        self.drawn += n
+        z *= self.GAMMA
+        z += self.seed
+        for shift, mult in self.MIX:
+            z ^= z >> np.uint64(shift)
+            z *= mult
+        z ^= z >> np.uint64(31)
+        return z
+
+    def random(self, n: int) -> np.ndarray:
+        """n uniforms in [0, 1): the top 53 bits of each output, times 2^-53."""
+        return (self.bits(n) >> np.uint64(11)).astype(float) * 2.0 ** -53
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        """n standard normals by Box-Muller on the next 2h uniforms, h = ceil(n / 2).
+
+        The first h uniforms u set the radii r = sqrt(-2 ln(1 - u)) and the
+        last h the angles 2 pi u, whose cos and sin come from one tangent,
+        t = tan(pi u), as (1 - t^2) / (1 + t^2) and 2t / (1 + t^2): a
+        second trigonometric call would cost more than the rest of the
+        transform. The first n of the h values r cos followed by the h
+        values r sin are returned.
+        """
+        half = -(-n // 2)
+        u = self.random(2 * half)
+        t = np.tan(np.pi * u[half:])  # |t| < 2e16, so t^2 cannot overflow
+        scale = np.sqrt(-2.0 * np.log1p(-u[:half])) / (1.0 + t * t)
+        return np.concatenate([scale * (1.0 - t * t), scale * (2.0 * t)])[:n]
 
 
 def full_frame(n: int):
@@ -320,8 +373,7 @@ def sample_blocks(state: WignerState, seed: int, count: int, push):
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    # SeedSequence(seed)'s first spawned child: a seed keeps the documents it produced before
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    rng = SplitMix64(seed)
     draw = state.sampler()
     for lo in range(0, count, BLOCK):
         part = min(BLOCK, count - lo)
@@ -358,11 +410,15 @@ def _ideal_sampler(factor: IdealFactor, params: CodeParams):
     tx, tz = np.nonzero(factor.table)
     w = factor.table[tx, tz]
     probs = np.abs(w) / np.abs(w).sum()
+    # numpy's Generator.choice draws by this table, one uniform a pick; cdf[-1]
+    # is exactly 1 and every uniform is below 1, so no pick passes the end
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
     signs_tab = np.sign(w)
     pts = np.stack([tx, tz], axis=-1).astype(float) * params.ell
 
     def sample(count, rng, out, signs):
-        idx = rng.choice(probs.size, size=count, p=probs)
+        idx = cdf.searchsorted(rng.random(count), side="right")
         out[:] = pts[idx]
         signs *= signs_tab[idx]
 

@@ -199,6 +199,7 @@ def test_flags_a_command_ignores_are_usage_errors(argv):
     (["wigner", "--delta", "0.5", "--grid", "-4"], "--grid: must be an integer >= 1"),
     (["run", "c.json", "--seed", "-2"], "--seed: must be an integer >= 0"),
     (["verify", "--seed", "-2"], "--seed: must be an integer >= 0"),
+    (["run", "c.json", "--seed", str(2 ** 64)], "--seed: must be an integer >= 0 and below 2^64"),
     (["run", "c.json", "--threads", "0"], "--threads: must be an integer >= 1"),
     (["run", "c.json", "--threads", "two"], "--threads: must be an integer >= 1"),
     (["run", "c.json", "--samples", "0"], "--samples: must be an integer >= 1"),
@@ -225,6 +226,13 @@ def test_negative_schema_seed_exit_code(tmp_path, capsys):
     cpath = circuit_file(tmp_path, estimator={"epsilon": 0.1, "delta_fail": 0.1, "seed": -3})
     assert main(["run", cpath, "--mode", "estimate"]) == 2
     assert "schema error: at $.estimator.seed: must be a non-negative" in capsys.readouterr().err
+
+
+def test_schema_seed_the_stream_cannot_key_exit_code(tmp_path, capsys):
+    cpath = circuit_file(tmp_path, estimator={"epsilon": 0.1, "delta_fail": 0.1, "seed": 2 ** 64})
+    assert main(["run", cpath, "--mode", "estimate"]) == 2
+    err = capsys.readouterr().err
+    assert "schema error: at $.estimator.seed: must be a non-negative integer below 2^64" in err
 
 
 @pytest.mark.parametrize("j", ["7", "-1"])
@@ -451,10 +459,21 @@ def test_cli_import_leaves_quadrature_unloaded():
     assert fresh_python(code) == "False"
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
-    # importing numpy.random takes 13-16 ms: only a call that draws pays it
+def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
+    # importing numpy.random takes 10-16 ms, and no run needs it: every draw is SplitMix64's
     code = "import sys, zakgross.cli\nprint('numpy.random' in sys.modules)\n"
     assert fresh_python(code) == "False"
+    squeezed = {"inputs": [{"realistic": {"kind": "phase_state", "delta": 0.5}}],
+                "estimator": {"epsilon": 0.1, "delta_fail": 0.1, "seed": 3}}
+    for mode, overrides in (("estimate", squeezed), ("sample", {})):
+        cpath = circuit_file(tmp_path, **overrides)
+        code = (
+            "import sys, zakgross.cli\n"
+            f"code = zakgross.cli.main(['run', {cpath!r}, '--mode', {mode!r}, "
+            f"'--out', {str(tmp_path / (mode + '.json'))!r}])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        assert fresh_python(code) == "0 False", mode
 
 
 def test_a_run_loads_no_argument_parser(tmp_path):

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from zakgross.wigner import (
     BLOCK,
     IdealFactor,
     RealisticFactor,
+    SplitMix64,
     WignerState,
     full_frame,
     ideal_input,
@@ -404,6 +406,113 @@ def test_sample_abs_deterministic():
     assert np.array_equal(p1, p2) and np.array_equal(s1, s2)
     p3, _ = sample_abs(st, 78, 400)
     assert not np.array_equal(p1, p3)
+
+
+def test_splitmix64_outputs_are_the_published_values():
+    # the reference SplitMix64 (Steele, Lea & Flood 2014) seeded with 1234567
+    want = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
+    assert SplitMix64(1234567).bits(5).tolist() == want
+    assert SplitMix64(1234567).random(5).tolist() == [(v >> 11) * 2.0 ** -53 for v in want]
+
+
+def splitmix64_reference(seed, count):
+    """The published SplitMix64 step in Python integers, masked to 64 bits."""
+    mask, out = 2 ** 64 - 1, []
+    for _ in range(count):
+        seed = (seed + 0x9E3779B97F4A7C15) & mask
+        z = ((seed ^ (seed >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+def test_uint64_stream_wraps_as_the_integer_reference(seed):
+    rng = SplitMix64(seed)
+    rng.bits(7)  # a later stretch of the stream, from its counter
+    assert rng.bits(300).tolist() == splitmix64_reference(seed, 307)[7:]
+
+
+def test_any_split_of_a_stream_draws_the_same_uniforms():
+    whole = SplitMix64(99).random(1000)
+    for sizes in ([1000], [1, 999], [0, 500, 0, 500], [3, 7, 90, 400, 500]):
+        rng = SplitMix64(99)
+        assert np.array_equal(np.concatenate([rng.random(k) for k in sizes]), whole)
+
+
+class GivenBits(SplitMix64):
+    """A stream whose outputs are the listed 64-bit words."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = np.array(words, dtype=np.uint64)
+
+    def bits(self, n):
+        return self.words[:n]
+
+
+def test_uniforms_lie_in_the_half_open_unit_interval():
+    least, greatest = 0, 2 ** 64 - 1
+    assert GivenBits([least, greatest]).random(2).tolist() == [0.0, 1.0 - 2.0 ** -53]
+    u = SplitMix64(5).random(10 ** 6)
+    assert 0.0 <= u.min() and u.max() < 1.0
+    # radii from u = 0 and 1 - 2^-53: log1p(-u) is 0 and -53 ln 2, never a log of 0
+    radii = np.abs(GivenBits([least, greatest] * 2).standard_normal(4)[:2])
+    assert np.allclose(radii, [0.0, np.sqrt(106 * np.log(2))])
+
+
+def test_normals_have_the_standard_moments():
+    n = 10 ** 6
+    x = SplitMix64(2026).standard_normal(n)
+    assert x.shape == (n,) and SplitMix64(2026).standard_normal(7).shape == (7,)
+    # E x = 0, E x^2 = 1 and E x^4 = 3, with variances 1, 2 and 105 - 9 = 96 per draw
+    for got, want, var in ((x.mean(), 0.0, 1.0), ((x * x).mean(), 1.0, 2.0),
+                           ((x ** 4).mean(), 3.0, 96.0)):
+        assert abs(got - want) <= 5 * np.sqrt(var / n)
+
+
+def box_muller(u):
+    """The textbook transform of 2k uniforms: k values r cos, then k values r sin."""
+    k = u.size // 2
+    r, theta = np.sqrt(-2.0 * np.log1p(-u[:k])), 2.0 * np.pi * u[k:]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])
+
+
+def test_normals_are_box_muller_of_their_uniforms():
+    # cos and sin from one tangent agree with the trigonometric form to rounding,
+    # at the tangent's pole (u = 1/2 for the angle) and beside it too
+    half, top = 2 ** 52, 2 ** 53  # uniforms in units of 2^-53
+    radii = [top // 3, top - 1, 7, half, 12345, top // 5, half + 17, 1]
+    angles = [0, 1, half // 2, half - 1, half, half + 1, 3 * half // 2, top - 1]
+    words = [v << 11 for v in radii + angles]
+    for make, n in ((lambda: GivenBits(words), 16), (lambda: SplitMix64(8), 10 ** 5)):
+        assert np.max(np.abs(make().standard_normal(n) - box_muller(make().random(n)))) <= 1e-14
+
+
+def test_ideal_picks_pass_a_chi_square_test_against_their_weights():
+    ket = np.array([1.0, 2.0, -1.5]) / np.sqrt(7.25)
+    factor = IdealFactor.from_density_matrix(CodeParams(3, 1), np.outer(ket, ket))
+    tx, tz = np.nonzero(factor.table)
+    weights = factor.table[tx, tz]
+    probs = np.abs(weights) / np.abs(weights).sum()
+    n = 200_000
+    pts, signs = sample_input(ideal_input(CodeParams(3, 1), [np.outer(ket, ket)]), 17, n)
+    t = np.rint(pts / CodeParams(3, 1).ell).astype(int)
+    pick = np.flatnonzero((t[:, :1] == tx) & (t[:, 1:] == tz)) % tx.size  # the row per draw
+    assert pick.size == n and np.array_equal(signs, np.sign(weights)[pick])
+    counts = np.bincount(pick, minlength=tx.size)
+    stat = float(((counts - n * probs) ** 2 / (n * probs)).sum())
+    p_value = mpmath.gammainc((tx.size - 1) / 2, stat / 2, mpmath.inf, regularized=True)
+    assert (weights < 0).any() and p_value > 1e-4
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_a_seed_the_stream_cannot_key_is_refused(seed):
+    st = ideal_input(CodeParams(3, 1), [0])
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        next(sample_blocks(st, seed, 10, full_frame(1)))
+    assert len(sample_input(st, 2 ** 64 - 1, 10)[1]) == 10  # the largest seed draws
 
 
 def test_realistic_negative_sign_fraction():

@@ -226,31 +226,43 @@ def _parse_ops(raw, params, err):
         err("$.ops", "must be a list")
         return out
     n = params.n
+    gates = {}  # (tag, modes) -> its valid Gate, for modes given as exact ints
+
+    def at(field, msg):  # op i's JSON path is built only when an error is reported there
+        err(f"$.ops[{i}]{field}", msg)
+
     for i, item in enumerate(raw):
-        path = f"$.ops[{i}]"
         if not isinstance(item, dict) or "gate" not in item:
-            err(path, "must be an object with a 'gate' key")
+            at("", "must be an object with a 'gate' key")
             continue
         tag = item["gate"]
         if not isinstance(tag, str):
-            err(f"{path}.gate", f"must be a string, got {tag!r}")
+            at(".gate", f"must be a string, got {tag!r}")
             continue
         if len(item) > 2:  # a valid op has exactly two keys, so only a longer one is examined
-            _reject_unknown(item, ("gate", OP_FIELD.get(tag, "modes")), path, err)
+            _reject_unknown(item, ("gate", OP_FIELD.get(tag, "modes")), f"$.ops[{i}]", err)
         if tag in GATE_NAMES:
-            try:  # Gate checks the modes' type, sign, count and distinctness
-                gate = Gate(tag, item.get("modes"))
-            except ValueError as exc:
-                err(f"{path}.modes", str(exc))
-                continue
-            if max(gate.modes) >= n:
-                err(f"{path}.modes", f"mode indices must lie in [0, {n})")
-                continue
+            modes = item.get("modes")
+            # only exact ints key the cache, so true (a bool) never matches 1
+            key = ((tag, tuple(modes)) if type(modes) is list and all(type(m) is int for m in modes)
+                   else None)
+            gate = gates.get(key)
+            if gate is None:
+                try:  # Gate checks the modes' type, sign, count and distinctness
+                    gate = Gate(tag, modes)
+                except ValueError as exc:
+                    at(".modes", str(exc))
+                    continue
+                if max(gate.modes) >= n:
+                    at(".modes", f"mode indices must lie in [0, {n})")
+                    continue
+                if key is not None:
+                    gates[key] = gate
             out.append(gate)
         elif tag == "symplectic":
             mat = item.get("matrix")
             if not isinstance(mat, list):
-                err(f"{path}.matrix", "must be a 2n x 2n integer matrix")
+                at(".matrix", "must be a 2n x 2n integer matrix")
                 continue
             try:
                 arr = np.array(mat, dtype=object)
@@ -258,7 +270,7 @@ def _parse_ops(raw, params, err):
                     raise ValueError(f"shape {arr.shape}, expected {(2*n, 2*n)}")
                 out.append(IntSymplectic(arr))
             except ValueError as exc:
-                err(f"{path}.matrix", str(exc))
+                at(".matrix", str(exc))
         elif tag == "displace":
             c = item.get("c")
             if (
@@ -266,11 +278,11 @@ def _parse_ops(raw, params, err):
                 or len(c) != 2 * n
                 or not all(_is_number(x) for x in c)
             ):
-                err(f"{path}.c", f"must be a list of 2n = {2*n} numbers")
+                at(".c", f"must be a list of 2n = {2*n} numbers")
                 continue
             out.append(tuple(c))
         else:
-            err(f"{path}.gate", f"unknown gate tag {tag!r}")
+            at(".gate", f"unknown gate tag {tag!r}")
     return out
 
 

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,9 +38,14 @@ from .wigner import NEGATIVITY_TOL, SEED, SEED_LIMIT, RealisticFactor
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write via a sibling temp file and rename, so readers never see partials.
+
+    The temp file is created with mode 0o666 less the umask, as open(path,
+    "w") would create a new file, so the rename leaves that mode on path.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # never an existing file
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -37,10 +37,13 @@ EDGE_TOL = 1e-9  # bin units: a float position this close below an edge is on it
 # share of a sampled table's statistical error per draw that rounding in the
 # float push may add: the binner's budget is this share of its caller's error
 SLIP_SHARE = 0.01
-# listed support points that cost about as much as one roll of the exact
-# table's Z_d^r convolution: numpy's per-call cost against its per-element
-# one, timed over d in {3, 5, 7, 9} and n - r in 0..4 (BENCH_19.json)
-ROLL_POINTS = 50
+# listed support points that cost about as much as one support point of
+# the exact table's Z_d^r convolution. Timed with one gather per factor over
+# d in {3, 5, 7, 9}, n <= 6 and n - r in 0..4, the convolution won at every
+# ratio above 1 except where r = n and d^r is large, which this count cannot
+# see; 3 keeps the n = r = 3, d = 3 table (27 points, 9 support points of
+# the convolution) listed, the one listing the benchmark's span test counts
+ROLL_POINTS = 3
 
 
 class ImprecisePush(RuntimeError):
@@ -109,11 +112,12 @@ def binner(state: WignerState, spec: MeasurementSpec, error: float = 0.0) -> "Bi
     d, ell, n = state.params.d, state.params.ell, state.params.n
     ideal = [isinstance(f, IdealFactor) for f in state.factors]
     rows = state.amap.S.inverse_rows(spec.measured_modes)
+    # every factor's two columns (2, r), reduced mod d in one pass
+    lattice = np.mod(rows, d).astype(np.int64).reshape(len(rows), 2, n).transpose(2, 1, 0)
     terms = []  # per factor: (ideal, its two columns of the measured rows (2, r)) or None
     for i, exact in enumerate(ideal):
-        cols = rows[:, [i, n + i]]
-        cols = np.mod(cols, d).astype(np.int64) if exact else cols.astype(float) * (2 / ell)
-        terms.append((exact, cols.T) if cols.any() else None)
+        cols = lattice[i] if exact else (rows[:, [i, n + i]].astype(float) * (2 / ell)).T
+        terms.append((exact, cols) if cols.any() else None)
     err = sum((np.abs(cols).sum(axis=0) for exact, cols in filter(None, terms) if not exact),
               np.zeros(len(rows)))
     err *= state.params.torus_period * (2 * (n - sum(ideal)) + 2) * 2.0 ** -53 * spec.K / (2 * d)
@@ -202,21 +206,22 @@ def exact_probabilities_ideal(
 
     Both bin through the state's binner, whose exact integer push the
     lattice points take. The convolution on Z_d^r (_convolution_terms)
-    makes one roll of a (d,)*r array per support point of each factor in
-    the light cone of the measured modes, sum_i s_i rolls; listing the
-    joint lattice support (WignerState.lattice_support) bins prod_i s_i
-    points. A roll costs about as much as ROLL_POINTS listed points, so the
-    support is listed only when it has at most ROLL_POINTS points per roll:
-    r close to n and few modes in all (n = r = 3, d = 3: 27 points against
-    9 rolls). Otherwise the convolution wins by far (n = 10, r = 3, d = 3:
-    59049 points against 30 rolls).
+    gathers a (d,)*r array once per factor in the light cone of the
+    measured modes, moving it by each of the factor's support points,
+    sum_i s_i points in all; listing the joint lattice support
+    (WignerState.lattice_support) bins prod_i s_i points. A convolution
+    point costs about as much as ROLL_POINTS listed points, so the support
+    is listed only when it has at most ROLL_POINTS points per convolution
+    point: r close to n and few modes in all (n = r = 3, d = 3: 27 points
+    against 9). Otherwise the convolution wins by far (n = 10, r = 3,
+    d = 3: 59049 points against 30).
     """
     if not state.is_ideal():
         raise ValueError("the exact ideal table requires all-ideal factors")
     bins = binner(state, spec)
     sizes = [int(np.count_nonzero(f.table)) for f in state.factors]
-    rolls = sum(s for s, term in zip(sizes, bins.terms) if term is not None)
-    if math.prod(sizes) <= ROLL_POINTS * rolls:
+    moves = sum(s for s, term in zip(sizes, bins.terms) if term is not None)
+    if math.prod(sizes) <= ROLL_POINTS * moves:
         m2, weights = state.lattice_support()  # 2t in ell/2 units
         return _table(spec, bins(m2 * (state.params.ell / 2)), weights)
     return _table(spec, *_convolution_terms(state, bins))
@@ -230,16 +235,18 @@ def _convolution_terms(state: WignerState, bins: Binner) -> tuple:
     sum of independent per-factor terms (t_x, t_z) @ cols, cols the factor's
     two columns of R mod d held in bins.terms, so its law on Z_d^r is the
     convolution of the factors' signed weights pushed there: a dense (d,)*r
-    array starting as a unit mass at 0, rolled by each support point's term.
+    array starting as a unit mass at 0, moved by each support point's term,
+    one gather of all of a factor's points from precomputed flat indices.
     A factor outside the light cone of the measured modes only scales the
     mass by its total. Each u is then binned once, 2u by bins.to_bins. The
     cost is O(n d^2 d^r), never above d^n cells.
     """
     d = state.params.d
     r = len(bins.whole)
-    axes = tuple(range(r))
-    mass = np.zeros((d,) * r)
-    mass[(0,) * r] = 1.0
+    u = np.indices((d,) * r).reshape(r, -1).T
+    strides = d ** np.arange(r - 1, -1, -1)
+    mass = np.zeros(d ** r)
+    mass[0] = 1.0
     for f, term in zip(state.factors, bins.terms):
         tx, tz = np.nonzero(f.table)
         weights = f.table[tx, tz] / d
@@ -247,9 +254,10 @@ def _convolution_terms(state: WignerState, bins: Binner) -> tuple:
             mass *= weights.sum()
             continue
         shifts = np.stack([tx, tz], axis=1) @ term[1] % d
-        mass = sum(w * np.roll(mass, tuple(sh), axes) for w, sh in zip(weights, shifts))
-    u = np.indices((d,) * r).reshape(r, -1).T
-    return bins.to_bins(2 * u), mass.ravel()
+        # point p moves the mass at v to v + shift_p: u gathers it from u - shift_p
+        moved = weights[:, None] * mass[(u - shifts[:, None]) % d @ strides]
+        mass = np.add.accumulate(moved)[-1]  # added point by point, in support order
+    return bins.to_bins(2 * u), mass
 
 
 def _table(spec: MeasurementSpec, joint, weights) -> np.ndarray:

@@ -18,11 +18,17 @@ _WorkingMap, which holds S by its columns and c as integer numerators over
 one common denominator, and builds the frozen map's Fractions once, at the
 end. A gate there costs one column sum for P and P_inv, two for SUM, CZ
 and their inverses, and one negation for F and F_inv; an explicit matrix
-is one dense product. then_affine composes one op the same way on a copy.
-word_symplectic and the decompose round trip compose through then_ops too.
+is one dense product for S and one for c. then_affine composes one op the
+same way on a copy. word_symplectic and the decompose round trip compose
+through then_ops too.
 An op's half-integer covariance shift enters through t_bar of its block;
 the stand-alone shift t(S) and the exponent parity identity are references
 in oracles.py.
+
+Dense products of such matrices go through int_matmul, which multiplies in
+machine words (float64 or int64) whenever a bound on the entries proves
+every partial sum exact, and in Python ints only otherwise; the matrices
+it returns are converted back to Python ints wherever they are kept.
 """
 from __future__ import annotations
 
@@ -49,6 +55,8 @@ class DecompositionFailed(RuntimeError):
 
 
 MAX_DECOMPOSE_WORD = 200_000
+FLOAT_EXACT = 2 ** 53  # every integer of at most this magnitude is a float64
+INT64_MAX = 2 ** 63 - 1
 
 
 def _to_int_object(mat) -> np.ndarray:
@@ -60,6 +68,46 @@ def _to_int_object(mat) -> np.ndarray:
                 raise NotInteger(f"entry {idx} is {val!r}, not an integer")
             out.flat[i] = int(val)
     return out
+
+
+def _machine_ints(a):
+    """An integer array as int64, or None if an entry does not fit in 64 bits."""
+    try:
+        return np.asarray(a).astype(np.int64)
+    except OverflowError:
+        return None
+
+
+def product_dtype(a_bound: int, b_bound: int, inner: int):
+    """The narrowest dtype in which a sum of inner products, each factor at
+    most a_bound and b_bound in magnitude, is exact at every partial sum:
+    float64 up to FLOAT_EXACT, int64 up to INT64_MAX, object beyond."""
+    top = inner * a_bound * b_bound
+    if top <= FLOAT_EXACT:
+        return np.float64
+    if top <= INT64_MAX:
+        return np.int64
+    return object
+
+
+def int_matmul(a, b) -> np.ndarray:
+    """a @ b of two integer arrays, exactly.
+
+    The product runs in product_dtype of the entries' largest magnitudes:
+    in float64 (BLAS) or int64 when every partial sum is bounded there, so
+    no order of the terms rounds or wraps, and on Python ints otherwise.
+    Returns an int64 array, or an object array of Python ints when the
+    product may not fit in 64 bits.
+    """
+    wa, wb = _machine_ints(a), _machine_ints(b)
+    if wa is not None and wb is not None:
+        bound = [max(-int(w.min(initial=0)), int(w.max(initial=0))) for w in (wa, wb)]
+        dtype = product_dtype(*bound, wa.shape[-1])
+        if dtype is np.float64:
+            return (wa.astype(np.float64) @ wb.astype(np.float64)).astype(np.int64)
+        if dtype is np.int64:
+            return wa @ wb
+    return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -82,8 +130,9 @@ class IntSymplectic:
             raise ValueError(f"need a square even-dimension matrix, got {m.shape}")
         object.__setattr__(self, "mat", m)
         n = m.shape[0] // 2
-        om = symplectic_form(n)
-        prod = m.T @ np.vstack([m[n:], -m[:n]])  # Omega S: the row halves swapped, one negated
+        # Omega S: the row halves swapped, one negated
+        prod = int_matmul(m.T, np.vstack([m[n:], -m[:n]]))
+        om = symplectic_form(n).astype(prod.dtype)
         bad = np.argwhere(prod != om)  # row-major order
         if bad.size:
             idx = tuple(bad[0].tolist())
@@ -118,7 +167,7 @@ class IntSymplectic:
         return out
 
     def __matmul__(self, other: "IntSymplectic") -> "IntSymplectic":
-        return _trusted(self.mat @ other.mat)
+        return _trusted(int_matmul(self.mat, other.mat).astype(object))
 
     def as_float(self) -> np.ndarray:
         return self.mat.astype(float)
@@ -189,7 +238,7 @@ def _column_terms(mat: np.ndarray) -> tuple:
     return tuple((j, first, tuple(rest)) for j, (first, *rest) in terms)
 
 
-def _offset_terms(mat: np.ndarray, half=0, unit=0) -> tuple:
+def _offset_terms(mat: np.ndarray, half, unit) -> tuple:
     """For every coordinate j of a block B whose offset composing changes,
     (j, ((i, B^{-1}[j, i]), ...), h_j, u_j): c_j becomes the sum of
     B^{-1}[j, i] c_i plus (d/2) h_j + u_j, where h is Omega^{-1} t_bar(B)
@@ -343,13 +392,14 @@ class _WorkingMap(AffineMap):
     It owns one copy of S, held by columns (the rows of a C-ordered S^T,
     so a column is contiguous), and c as integer numerators over one even
     denominator, raised only when a displacement needs it. update composes
-    one op in place. S is a view of that copy and c builds its Fractions
-    when read; frozen() returns both as a plain AffineMap, after which this
-    map takes no more ops.
+    one op in place, finding a gate's coordinates once per distinct modes.
+    S is a view of that copy and c builds its Fractions when read; frozen()
+    returns both as a plain AffineMap, after which this map takes no more ops.
     """
 
     def __init__(self, amap: AffineMap):
         object.__setattr__(self, "params", amap.params)
+        self._coords = {}  # a gate's modes -> their coordinates, checked against n once
         self._cols = np.array(amap.S.mat.T, order="C")
         self._den = math.lcm(2, *(x.denominator for x in amap.c))
         self._num = [x.numerator * (self._den // x.denominator) for x in amap.c]
@@ -368,15 +418,17 @@ class _WorkingMap(AffineMap):
     def update(self, op) -> None:
         """Compose with one op (see AffineMap.then_affine), in place."""
         n = self.params.n
-        if isinstance(op, Gate):
-            cols, offs = ACTIONS[op.name]
-            coords = _coords(op, n)
-        elif isinstance(op, IntSymplectic):
+        if isinstance(op, IntSymplectic):
             if op.n != n:
                 raise ValueError(f"matrix acts on {op.n} modes, state has {n}")
-            self._cols = op.mat.T @ self._cols
-            cols, offs, coords = (), _offset_terms(op.mat), range(2 * n)
-        else:
+            self._cols = int_matmul(op.mat.T, self._cols).astype(object)
+            # c -> S^-1 c + (d/2) Omega^-1 t_bar(S), every row at once
+            tb = t_bar(op)
+            shift = np.concatenate([-tb[n:], tb[:n]]) * (self._den // 2 * self.params.d)
+            num = int_matmul(op.inverse().mat, np.array(self._num, dtype=object)[:, None])
+            self._num = (num[:, 0].astype(object) + shift).tolist()
+            return
+        if not isinstance(op, Gate):
             vals, q = _displacement(op, n)
             if self._den % q:
                 scale = math.lcm(self._den, q) // self._den
@@ -385,6 +437,10 @@ class _WorkingMap(AffineMap):
             scale = self._den // q
             self._num = [v + w * scale for v, w in zip(self._num, vals)]
             return
+        cols, offs = ACTIONS[op.name]
+        coords = self._coords.get(op.modes)
+        if coords is None:
+            coords = self._coords[op.modes] = _coords(op, n)
         w = self._cols
         moved = []
         for j, (i, v), rest in cols:

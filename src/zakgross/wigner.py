@@ -234,8 +234,8 @@ class WignerState:
         Returns (m2 (N, 2n) ints in ell/2 units, weights (N,) signed,
         summing to 1). Zero-weight points are dropped. N grows as d^n, so
         the exact ideal table lists it only when it has at most
-        measure.ROLL_POINTS points per roll of the convolution on Z_d^r; it
-        is also the enumeration that table is checked against.
+        measure.ROLL_POINTS points per support point of the convolution on
+        Z_d^r; it is also the enumeration that table is checked against.
         """
         if not self.is_ideal():
             raise ValueError("lattice support requires all-ideal factors")

@@ -64,6 +64,29 @@ def test_every_gate_mode_error_is_reported_at_the_modes(modes):
     assert [e.split(":")[0] for e in info.value.errors] == ["at $.ops[0].modes"]
 
 
+def test_a_repeated_gate_is_one_object_and_true_is_not_a_mode():
+    # each distinct (tag, modes) is validated once; [true] equals [1] in
+    # Python but is no mode, and is refused where it occurs
+    ops = [{"gate": "F", "modes": [1]}, {"gate": "SUM", "modes": [0, 1]},
+           {"gate": "F", "modes": [1]}, {"gate": "F", "modes": [True]},
+           {"gate": "F", "modes": [1]}]
+    two = dict(n=2, inputs=[{"ideal_logical": 0}] * 2)
+    spec = parse_circuit(doc(**two, ops=ops[:3] + ops[4:]))
+    assert spec.ops[0] is spec.ops[2] is spec.ops[3] == Gate("F", (1,))
+    with pytest.raises(SchemaError) as info:
+        parse_circuit(doc(**two, ops=ops))
+    assert [e.split(":")[0] for e in info.value.errors] == ["at $.ops[3].modes"]
+
+
+def test_a_repeated_out_of_range_gate_is_reported_at_every_occurrence():
+    ops = [{"gate": "F", "modes": [4]}, {"gate": "F", "modes": [0]},
+           {"gate": "F", "modes": [4]}, {"gate": "F", "modes": [4]}]
+    with pytest.raises(SchemaError) as info:
+        parse_circuit(doc(ops=ops))
+    assert [e.split(":")[0] for e in info.value.errors] == [
+        "at $.ops[0].modes", "at $.ops[2].modes", "at $.ops[3].modes"]
+
+
 def test_multiple_errors_collected():
     bad = doc(d=4, ops=[{"gate": "Q", "modes": [0]}], measurement={"modes": [5], "K": 3})
     with pytest.raises(SchemaError) as exc:

@@ -402,6 +402,32 @@ def test_write_atomic_no_partial(tmp_path):
     assert leftovers == []
 
 
+def test_output_files_get_the_umask_mode(tmp_path):
+    # an --out file gets the mode a new open(path, "w") file would, 0o666
+    # less the umask, whether it is new or replaces a file
+    def mode(path):
+        return os.stat(path).st_mode & 0o777
+
+    old = os.umask(0o022)
+    try:
+        out = tmp_path / "w.csv"
+        assert main(["wigner", "--d", "3", "--kind", "logical", "--delta", "0.5",
+                     "--grid", "3", "--out", str(out)]) == 0
+        assert mode(out) == 0o644
+        out.chmod(0o644)
+        write_atomic(str(out), "again")
+        assert mode(out) == 0o644 and out.read_text() == "again"
+        os.umask(0o077)
+        write_atomic(str(out), "private")
+        assert mode(out) == 0o600
+        with pytest.raises(TypeError):
+            write_atomic(str(out), None)  # fails mid-write: the target stays whole
+        assert out.read_text() == "private"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.csv"]
+    finally:
+        os.umask(old)
+
+
 def test_verify_passes(capsys):
     rc = main(["verify", "--seed", "1"])
     out = capsys.readouterr().out

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zakgross import measure
@@ -137,6 +137,10 @@ SUPPORT_CAP = 20_000  # enumerated support points per example at most
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), d=st.sampled_from([3, 5, 7, 9]))
+@example(seed=1, d=3)  # the convolution's gathers at every d, whatever else is drawn
+@example(seed=2, d=5)
+@example(seed=3, d=7)
+@example(seed=3, d=9)
 def test_exact_table_equals_the_binned_lattice_support(seed, d):
     # the enumeration is the reference: every support point, pushed and
     # binned by the binner, its signed weights added per bin by math.fsum

@@ -21,12 +21,16 @@ from zakgross.qudit import (
     pauli_displacement,
 )
 from zakgross.symplectic import (
+    FLOAT_EXACT,
+    INT64_MAX,
     AffineMap,
     IntSymplectic,
     NotInteger,
     NotSymplectic,
     decompose,
     generator_symplectic,
+    int_matmul,
+    product_dtype,
     symplectic_form,
     t_bar,
     word_symplectic,
@@ -168,6 +172,35 @@ def test_inverse_and_matmul_are_exact():
     s = word_symplectic(random_word(rng, 2, 12), p)
     prod = s @ s.inverse()
     assert np.array_equal(prod.mat, np.eye(4, dtype=object))
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 50])
+def test_int_matmul_is_the_python_int_product(n):
+    p, rng = CodeParams(3, n), np.random.default_rng(n)
+    a = word_symplectic(random_word(rng, n, 20 * n), p).mat
+    b = word_symplectic(random_word(rng, n, 20 * n), p).mat
+    k = 2 * n
+
+    def agrees(a, b, dtype):
+        # the helper runs in dtype and returns exactly the Python-int product
+        want = (a.astype(object) @ b.astype(object)).tolist()
+        got = int_matmul(a, b)
+        assert got.dtype == (object if dtype is object else np.int64)
+        assert got.tolist() == want
+
+    agrees(a, b, product_dtype(max(map(abs, a.flat)), max(map(abs, b.flat)), k))
+    # row 0 of a against column 0 of b puts every partial sum of entry
+    # (0, 0) on one side: inner * |a| * |b| just below and just above each bound
+    edge = max(map(abs, b.flat))
+    for limit, below, above in ((FLOAT_EXACT, np.float64, np.int64), (INT64_MAX, np.int64, object)):
+        top = limit // (k * edge)
+        for entry, dtype in ((top, below), (top + 1, above)):
+            big = a.copy()
+            big[0] = [entry * (1 if v >= 0 else -1) for v in b[:, 0]]
+            assert product_dtype(entry, edge, k) is dtype
+            agrees(big, b, dtype)
+            agrees(b.T, big.T, dtype)
+    agrees(a * 2 ** 70, b, object)  # entries beyond 64 bits never enter a machine word
 
 
 # ---- generator table frozen against the dense oracle ---------------------------

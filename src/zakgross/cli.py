@@ -40,14 +40,18 @@ from .wigner import NEGATIVITY_TOL, SEED, SEED_LIMIT, RealisticFactor
 def write_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see partials.
 
-    The temp file is created with mode 0o666 less the umask, as open(path,
-    "w") would create a new file, so the rename leaves that mode on path.
+    The file ends with the mode open(path, "w") would leave: an existing
+    path keeps its permission bits, a new one gets 0o666 less the umask.
     """
-    directory, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{os.urandom(6).hex()}.tmp")  # short: any name of path fits
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # never an existing file
     try:
         with os.fdopen(fd, "w") as handle:
+            try:
+                os.fchmod(handle.fileno(), os.stat(path).st_mode & 0o777)
+            except FileNotFoundError:
+                pass
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

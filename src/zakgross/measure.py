@@ -44,6 +44,10 @@ SLIP_SHARE = 0.01
 # see; 3 keeps the n = r = 3, d = 3 table (27 points, 9 support points of
 # the convolution) listed, the one listing the benchmark's span test counts
 ROLL_POINTS = 3
+# index entries (support points x d^r cells x r axes) of one gather of the
+# convolution at most: its temporaries stay a fixed multiple of the (d^r, r)
+# grid it indexes, never one such grid per support point
+GATHER_CELLS = 2 ** 16
 
 
 class ImprecisePush(RuntimeError):
@@ -206,9 +210,9 @@ def exact_probabilities_ideal(
 
     Both bin through the state's binner, whose exact integer push the
     lattice points take. The convolution on Z_d^r (_convolution_terms)
-    gathers a (d,)*r array once per factor in the light cone of the
-    measured modes, moving it by each of the factor's support points,
-    sum_i s_i points in all; listing the joint lattice support
+    moves a (d,)*r array by each support point of each factor in the light
+    cone of the measured modes, gathering many points at once, sum_i s_i
+    points in all; listing the joint lattice support
     (WignerState.lattice_support) bins prod_i s_i points. A convolution
     point costs about as much as ROLL_POINTS listed points, so the support
     is listed only when it has at most ROLL_POINTS points per convolution
@@ -235,16 +239,20 @@ def _convolution_terms(state: WignerState, bins: Binner) -> tuple:
     sum of independent per-factor terms (t_x, t_z) @ cols, cols the factor's
     two columns of R mod d held in bins.terms, so its law on Z_d^r is the
     convolution of the factors' signed weights pushed there: a dense (d,)*r
-    array starting as a unit mass at 0, moved by each support point's term,
-    one gather of all of a factor's points from precomputed flat indices.
-    A factor outside the light cone of the measured modes only scales the
+    array starting as a unit mass at 0, moved by each support point's term.
+    A factor's points are gathered from flat indices GATHER_CELLS index
+    entries at a time (all of them when d^r is small), and added in support
+    order, so the sums are those of one roll per point, bit for bit. A
+    factor outside the light cone of the measured modes only scales the
     mass by its total. Each u is then binned once, 2u by bins.to_bins. The
-    cost is O(n d^2 d^r), never above d^n cells.
+    cost is O(n d^2 d^r), never above d^n cells; the memory a fixed
+    multiple of the (d^r, r) grid of u.
     """
     d = state.params.d
     r = len(bins.whole)
     u = np.indices((d,) * r).reshape(r, -1).T
     strides = d ** np.arange(r - 1, -1, -1)
+    step = max(1, GATHER_CELLS // u.size)  # support points gathered at once
     mass = np.zeros(d ** r)
     mass[0] = 1.0
     for f, term in zip(state.factors, bins.terms):
@@ -254,9 +262,14 @@ def _convolution_terms(state: WignerState, bins: Binner) -> tuple:
             mass *= weights.sum()
             continue
         shifts = np.stack([tx, tz], axis=1) @ term[1] % d
-        # point p moves the mass at v to v + shift_p: u gathers it from u - shift_p
-        moved = weights[:, None] * mass[(u - shifts[:, None]) % d @ strides]
-        mass = np.add.accumulate(moved)[-1]  # added point by point, in support order
+        total = np.zeros_like(mass)
+        for lo in range(0, len(weights), step):
+            part = slice(lo, lo + step)
+            # point p moves the mass at v to v + shift_p: u gathers it from u - shift_p
+            moved = weights[part, None] * mass[(u - shifts[part, None]) % d @ strides]
+            moved[0] += total
+            total = np.add.accumulate(moved)[-1]  # added point by point, in support order
+        mass = total
     return bins.to_bins(2 * u), mass
 
 

@@ -26,9 +26,9 @@ the stand-alone shift t(S) and the exponent parity identity are references
 in oracles.py.
 
 Dense products of such matrices go through int_matmul, which multiplies in
-machine words (float64 or int64) whenever a bound on the entries proves
-every partial sum exact, and in Python ints only otherwise; the matrices
-it returns are converted back to Python ints wherever they are kept.
+float64 whenever a bound on the entries proves every partial sum exact, and
+in Python ints otherwise; the matrices it returns are converted back to
+Python ints wherever they are kept.
 """
 from __future__ import annotations
 
@@ -56,7 +56,6 @@ class DecompositionFailed(RuntimeError):
 
 MAX_DECOMPOSE_WORD = 200_000
 FLOAT_EXACT = 2 ** 53  # every integer of at most this magnitude is a float64
-INT64_MAX = 2 ** 63 - 1
 
 
 def _to_int_object(mat) -> np.ndarray:
@@ -78,35 +77,19 @@ def _machine_ints(a):
         return None
 
 
-def product_dtype(a_bound: int, b_bound: int, inner: int):
-    """The narrowest dtype in which a sum of inner products, each factor at
-    most a_bound and b_bound in magnitude, is exact at every partial sum:
-    float64 up to FLOAT_EXACT, int64 up to INT64_MAX, object beyond."""
-    top = inner * a_bound * b_bound
-    if top <= FLOAT_EXACT:
-        return np.float64
-    if top <= INT64_MAX:
-        return np.int64
-    return object
-
-
 def int_matmul(a, b) -> np.ndarray:
     """a @ b of two integer arrays, exactly.
 
-    The product runs in product_dtype of the entries' largest magnitudes:
-    in float64 (BLAS) or int64 when every partial sum is bounded there, so
-    no order of the terms rounds or wraps, and on Python ints otherwise.
-    Returns an int64 array, or an object array of Python ints when the
-    product may not fit in 64 bits.
+    With k the inner dimension and A, B the entries' largest magnitudes,
+    the product runs in float64 (BLAS) when k A B <= FLOAT_EXACT, so every
+    partial sum, in any order, is an integer a float64 holds exactly, and
+    returns int64; otherwise it runs on Python ints and returns them.
     """
     wa, wb = _machine_ints(a), _machine_ints(b)
     if wa is not None and wb is not None:
         bound = [max(-int(w.min(initial=0)), int(w.max(initial=0))) for w in (wa, wb)]
-        dtype = product_dtype(*bound, wa.shape[-1])
-        if dtype is np.float64:
+        if wa.shape[-1] * bound[0] * bound[1] <= FLOAT_EXACT:
             return (wa.astype(np.float64) @ wb.astype(np.float64)).astype(np.int64)
-        if dtype is np.int64:
-            return wa @ wb
     return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
 
 
@@ -392,14 +375,13 @@ class _WorkingMap(AffineMap):
     It owns one copy of S, held by columns (the rows of a C-ordered S^T,
     so a column is contiguous), and c as integer numerators over one even
     denominator, raised only when a displacement needs it. update composes
-    one op in place, finding a gate's coordinates once per distinct modes.
-    S is a view of that copy and c builds its Fractions when read; frozen()
-    returns both as a plain AffineMap, after which this map takes no more ops.
+    one op in place. S is a view of that copy and c builds its Fractions
+    when read; frozen() returns both as a plain AffineMap, after which this
+    map takes no more ops.
     """
 
     def __init__(self, amap: AffineMap):
         object.__setattr__(self, "params", amap.params)
-        self._coords = {}  # a gate's modes -> their coordinates, checked against n once
         self._cols = np.array(amap.S.mat.T, order="C")
         self._den = math.lcm(2, *(x.denominator for x in amap.c))
         self._num = [x.numerator * (self._den // x.denominator) for x in amap.c]
@@ -438,9 +420,7 @@ class _WorkingMap(AffineMap):
             self._num = [v + w * scale for v, w in zip(self._num, vals)]
             return
         cols, offs = ACTIONS[op.name]
-        coords = self._coords.get(op.modes)
-        if coords is None:
-            coords = self._coords[op.modes] = _coords(op, n)
+        coords = _coords(op, n)
         w = self._cols
         moved = []
         for j, (i, v), rest in cols:

@@ -355,9 +355,7 @@ def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
     g_j = g_(j-1) exp(2 e s) exp(-(2j - 1) s^2) walks with three
     exponentials per point. Teeth fold into the columns j mod 2d, and one
     gather per point rotates them onto the live classes by its nearest
-    tooth's class. With no side teeth (J = 0) a point's one nonzero class is
-    its nearest tooth's, so that value is written straight into the (N, C)
-    result, the same bits without the fold.
+    tooth's class.
     """
     classes = series.classes
     step = series.ell / 2
@@ -365,24 +363,17 @@ def _x_factor(series: Series, x: np.ndarray) -> np.ndarray:
     near = np.rint(x / step)
     e = (x - near * step) / series.delta
     centre = np.exp(-e * e)
-    if not series.teeth:
-        slot = np.full(classes, -1, dtype=np.intp)  # class -> its column, -1 if not live
-        slot[series.live] = np.arange(series.live.size)
-        col = slot[np.mod(np.mod(near, classes).astype(np.intp), classes)]
-        hit = np.flatnonzero(col >= 0)
-        out = np.zeros((x.size, series.live.size))
-        out[hit, col[hit]] = centre[hit] / series.ell
-        return out
     folded = np.zeros((x.size, classes))
     folded[:, series.teeth % classes] = centre
-    up, down = np.exp(2 * s * e), np.exp(-2 * s * e)
-    above, below = centre, centre
-    for j in range(1, series.teeth + 1):
-        shrink = math.exp(-(2 * j - 1) * s * s)
-        above = above * up * shrink
-        below = below * down * shrink
-        folded[:, (series.teeth + j) % classes] += above
-        folded[:, (series.teeth - j) % classes] += below
+    if series.teeth:
+        up, down = np.exp(2 * s * e), np.exp(-2 * s * e)
+        above, below = centre, centre
+        for j in range(1, series.teeth + 1):
+            shrink = math.exp(-(2 * j - 1) * s * s)
+            above = above * up * shrink
+            below = below * down * shrink
+            folded[:, (series.teeth + j) % classes] += above
+            folded[:, (series.teeth - j) % classes] += below
     # tooth j of column (teeth + j) mod 2d has class (near + j) mod 2d
     cols = series.live - np.mod(near, classes).astype(np.intp)[:, None] + series.teeth
     return np.take_along_axis(folded, np.mod(cols, classes), axis=1) / series.ell

@@ -402,9 +402,9 @@ def test_write_atomic_no_partial(tmp_path):
     assert leftovers == []
 
 
-def test_output_files_get_the_umask_mode(tmp_path):
-    # an --out file gets the mode a new open(path, "w") file would, 0o666
-    # less the umask, whether it is new or replaces a file
+def test_output_files_get_the_mode_open_would_leave(tmp_path):
+    # an --out file gets the mode open(path, "w") would leave: a new one
+    # 0o666 less the umask, a rewritten one its own permission bits
     def mode(path):
         return os.stat(path).st_mode & 0o777
 
@@ -414,16 +414,28 @@ def test_output_files_get_the_umask_mode(tmp_path):
         assert main(["wigner", "--d", "3", "--kind", "logical", "--delta", "0.5",
                      "--grid", "3", "--out", str(out)]) == 0
         assert mode(out) == 0o644
-        out.chmod(0o644)
         write_atomic(str(out), "again")
         assert mode(out) == 0o644 and out.read_text() == "again"
-        os.umask(0o077)
+        out.chmod(0o600)
         write_atomic(str(out), "private")
-        assert mode(out) == 0o600
+        assert mode(out) == 0o600 and out.read_text() == "private"
+        os.umask(0o077)
+        shared = tmp_path / "shared.csv"
+        shared.write_text("")
+        shared.chmod(0o640)
+        write_atomic(str(shared), "kept")
+        assert mode(shared) == 0o640
+        fresh = tmp_path / "fresh.csv"
+        write_atomic(str(fresh), "new")
+        assert mode(fresh) == 0o600
+        long_name = tmp_path / ("x" * 240 + ".csv")  # the temp name does not grow with it
+        write_atomic(str(long_name), "long")
+        assert long_name.read_text() == "long"
         with pytest.raises(TypeError):
             write_atomic(str(out), None)  # fails mid-write: the target stays whole
         assert out.read_text() == "private"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.csv"]
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(["w.csv", "shared.csv", "fresh.csv", long_name.name])
     finally:
         os.umask(old)
 

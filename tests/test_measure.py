@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +188,32 @@ def test_exact_table_equals_the_binned_lattice_support(seed, d):
     # the convolution on Z_d^r too, whichever sum the table picked here
     by_convolution = measure._table(spec, *measure._convolution_terms(state, binner(state, spec)))
     assert np.max(np.abs(by_convolution.ravel() - want)) <= 1e-12
+
+
+def test_convolution_holds_a_fixed_multiple_of_its_grid(monkeypatch):
+    # six d = 5 density tables, all measured: 25 support points a factor,
+    # whose gather indices held at once would be 25 copies of the (d^r, r) grid
+    d, n = 5, 6
+    rng = np.random.default_rng(4)
+    kets = []
+    for _ in range(n):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        kets.append(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
+    state = ideal_input(CodeParams(d, n), kets).apply_ops(random_word(rng, n, 3 * n))
+    bins = binner(state, MeasurementSpec(tuple(range(n)), 1))
+    grid = d ** n * n * 8  # bytes of the int64 (d^r, r) grid
+    tracemalloc.start()
+    try:
+        joint, mass = measure._convolution_terms(state, bins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * grid
+    # the chunked gathers add in support order: one gather a factor gives the same bits
+    monkeypatch.setattr(measure, "GATHER_CELLS", 2 ** 40)
+    whole = measure._convolution_terms(state, bins)
+    assert np.array_equal(whole[0], joint) and whole[1].tobytes() == mass.tobytes()
+    assert math.isclose(mass.sum(), 1.0, abs_tol=1e-12)
 
 
 def test_povm_indicator_single_bin_always_one():

@@ -22,7 +22,6 @@ from zakgross.qudit import (
 )
 from zakgross.symplectic import (
     FLOAT_EXACT,
-    INT64_MAX,
     AffineMap,
     IntSymplectic,
     NotInteger,
@@ -30,7 +29,6 @@ from zakgross.symplectic import (
     decompose,
     generator_symplectic,
     int_matmul,
-    product_dtype,
     symplectic_form,
     t_bar,
     word_symplectic,
@@ -181,26 +179,25 @@ def test_int_matmul_is_the_python_int_product(n):
     b = word_symplectic(random_word(rng, n, 20 * n), p).mat
     k = 2 * n
 
-    def agrees(a, b, dtype):
-        # the helper runs in dtype and returns exactly the Python-int product
+    def agrees(a, b, in_floats):
+        # float64 products come back as int64, Python-int ones as objects;
+        # either way exactly the Python-int product
         want = (a.astype(object) @ b.astype(object)).tolist()
         got = int_matmul(a, b)
-        assert got.dtype == (object if dtype is object else np.int64)
+        assert got.dtype == (np.int64 if in_floats else object)
         assert got.tolist() == want
 
-    agrees(a, b, product_dtype(max(map(abs, a.flat)), max(map(abs, b.flat)), k))
+    agrees(a, b, True)
     # row 0 of a against column 0 of b puts every partial sum of entry
-    # (0, 0) on one side: inner * |a| * |b| just below and just above each bound
+    # (0, 0) on one side: inner * |a| * |b| just below and just above the bound
     edge = max(map(abs, b.flat))
-    for limit, below, above in ((FLOAT_EXACT, np.float64, np.int64), (INT64_MAX, np.int64, object)):
-        top = limit // (k * edge)
-        for entry, dtype in ((top, below), (top + 1, above)):
-            big = a.copy()
-            big[0] = [entry * (1 if v >= 0 else -1) for v in b[:, 0]]
-            assert product_dtype(entry, edge, k) is dtype
-            agrees(big, b, dtype)
-            agrees(b.T, big.T, dtype)
-    agrees(a * 2 ** 70, b, object)  # entries beyond 64 bits never enter a machine word
+    top = FLOAT_EXACT // (k * edge)
+    for entry, in_floats in ((top, True), (top + 1, False)):
+        big = a.copy()
+        big[0] = [entry * (1 if v >= 0 else -1) for v in b[:, 0]]
+        agrees(big, b, in_floats)
+        agrees(b.T, big.T, in_floats)
+    agrees(a * 2 ** 70, b, False)  # entries beyond 64 bits never enter a machine word
 
 
 # ---- generator table frozen against the dense oracle ---------------------------

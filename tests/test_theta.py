@@ -529,50 +529,6 @@ def test_wigner_theta_in_chunks_is_the_one_product():
     assert np.array_equal(wigner_theta(state, eta), whole)
 
 
-def _folded_x_factor(series, x):
-    # every tooth within J of the nearest folded into the 2d columns, then
-    # gathered onto the live classes: _x_factor's general form, for any J
-    step, s = series.ell / 2, series.ell / (2 * series.delta)
-    near = np.rint(x / step)
-    e = (x - near * step) / series.delta
-    centre = np.exp(-e * e)
-    folded = np.zeros((x.size, series.classes))
-    folded[:, series.teeth % series.classes] = centre
-    if series.teeth:
-        up, down = np.exp(2 * s * e), np.exp(-2 * s * e)
-        above, below = centre, centre
-        for j in range(1, series.teeth + 1):
-            shrink = math.exp(-(2 * j - 1) * s * s)
-            above = above * up * shrink
-            below = below * down * shrink
-            folded[:, (series.teeth + j) % series.classes] += above
-            folded[:, (series.teeth - j) % series.classes] += below
-    cols = series.live - np.mod(near, series.classes).astype(np.intp)[:, None] + series.teeth
-    return np.take_along_axis(folded, np.mod(cols, series.classes), axis=1) / series.ell
-
-
-@pytest.mark.parametrize("state, side_teeth", [
-    (CodeState.logical(3, 0, 0.01), False),
-    (CodeState.phase_state(3, 0.05), False),
-    (CodeState.logical(7, 1, 0.01), False),
-    (CodeState.phase_state(7, 0.01), False),
-    (CodeState(5, 0.01, (1.0, 0.6j, 0.0, 0.0, 0.0)), False),
-    (CodeState.logical(3, 0, 0.5), True),
-    (CodeState.phase_state(3, 0.1), True),
-    (CodeState.phase_state(7, 0.25), True),
-], ids=lambda v: repr(v) if isinstance(v, bool) else f"d{v.d}-{v.delta}-{v.eps[:2]}")
-def test_x_factor_equals_the_fold_bit_for_bit(state, side_teeth):
-    # without side teeth (J = 0) _x_factor writes each point's one class
-    # directly; its bits must still be the fold's
-    series = theta._series(state)
-    assert (series.teeth > 0) == side_teeth
-    x = np.random.default_rng(state.d).uniform(-30.0, 30.0, 5000)
-    x[:4] = (0.0, series.ell / 4, -series.ell / 2, 3 * series.ell)  # on and between teeth
-    got = theta._x_factor(series, x)
-    assert got.shape == (x.size, series.live.size)
-    assert got.tobytes() == _folded_x_factor(series, x).tobytes()
-
-
 def test_wigner_theta_holds_no_per_point_factor_array():
     # f_c and h_c of 10^6 points would take 48 MB each at d = 3
     state = CodeState.phase_state(3, 0.5)

@@ -241,12 +241,12 @@ def _convolution_terms(state: WignerState, bins: Binner) -> tuple:
     convolution of the factors' signed weights pushed there: a dense (d,)*r
     array starting as a unit mass at 0, moved by each support point's term.
     A factor's points are gathered from flat indices GATHER_CELLS index
-    entries at a time (all of them when d^r is small), and added in support
-    order, so the sums are those of one roll per point, bit for bit. A
-    factor outside the light cone of the measured modes only scales the
-    mass by its total. Each u is then binned once, 2u by bins.to_bins. The
-    cost is O(n d^2 d^r), never above d^n cells; the memory a fixed
-    multiple of the (d^r, r) grid of u.
+    entries at a time (all of them when d^r is small), and each gather adds
+    its weighted copies into the running total as one product. A factor
+    outside the light cone of the measured modes only scales the mass by
+    its total. Each u is then binned once, 2u by bins.to_bins. The cost is
+    O(n d^2 d^r), never above d^n cells; the memory a fixed multiple of the
+    (d^r, r) grid of u.
     """
     d = state.params.d
     r = len(bins.whole)
@@ -266,9 +266,7 @@ def _convolution_terms(state: WignerState, bins: Binner) -> tuple:
         for lo in range(0, len(weights), step):
             part = slice(lo, lo + step)
             # point p moves the mass at v to v + shift_p: u gathers it from u - shift_p
-            moved = weights[part, None] * mass[(u - shifts[part, None]) % d @ strides]
-            moved[0] += total
-            total = np.add.accumulate(moved)[-1]  # added point by point, in support order
+            total += weights[part] @ mass[(u - shifts[part, None]) % d @ strides]
         mass = total
     return bins.to_bins(2 * u), mass
 

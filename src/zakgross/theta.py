@@ -16,10 +16,9 @@ Taylor polynomials of P ~ 12 terms on N ~ 8 Kz z cells, so a scattered
 point costs O(C P), flat in delta; no dense 2-D series is built. The
 cached AbsEnvelope holds the series, that table, a bound on each |h_c|
 per cell (|W| <= sum_c f_c |h_c|, every f_c >= 0) and an alias table of
-the bound's shares over all 2d x N (class, cell) pairs, dead classes
-weighing zero, which propose picks (class, cell) pairs from in O(1):
-the one handle _z_factor, _score and propose take, and the sampler's
-certified envelope.
+the bound's shares over the C x N live (class, cell) pairs, which propose
+picks pairs from in O(1): the one handle _z_factor, _score and propose
+take, and the sampler's certified envelope.
 _score sums f_c h_c per point, a bounded chunk at a time, for wigner_theta
 and propose; a grid contracts its axes' f_c and h_c by the same rule, so
 it is wigner_theta bit for bit. negative_sum takes h_c on its midpoints
@@ -426,8 +425,8 @@ class AbsEnvelope(NamedTuple):
     series: Series
     table: np.ndarray  # (P, N, C): the Taylor table _z_factor sums; read-only
     bound: np.ndarray  # (C, N): bound[c, j] >= |h_c| on z cell j of N, live c; read-only
-    keep: np.ndarray  # alias table of the bound's shares over all 2d x N (class, cell) pairs:
-    alias: np.ndarray  # slot i keeps i with chance keep[i], else gives alias[i]; _alias_table
+    keep: np.ndarray  # alias table of the bound's shares over the C x N live (class, cell)
+    alias: np.ndarray  # pairs: slot i keeps i with chance keep[i], else gives alias[i]
     mass: float  # integral over one cell of sum_c f_c(x) bound[c, j(z)]
 
 
@@ -443,9 +442,8 @@ def abs_envelope(state: CodeState) -> AbsEnvelope:
     Every comb f_c is >= 0, so |W(x, z)| <= sum_c f_c(x) |h_c(z)|, and on z
     cell j sum_k |T[k, j, c]| + SERIES_TOL sum_b |u[c, b]| bounds |h_c|:
     the added term covers R and the rounding of the FFTs and of h_c. Each
-    comb has mass delta sqrt(pi) / ell. The alias table spans all 2d x N
-    (class, cell) pairs, a dead class's weighing zero, so a uniform picks
-    the pair it would if every class were kept.
+    comb has mass delta sqrt(pi) / ell. The alias table spans the C x N
+    live (class, cell) pairs, row-major like bound.
     """
     series = _series(state)
     u, kz = series.u, series.kz
@@ -460,9 +458,7 @@ def abs_envelope(state: CodeState) -> AbsEnvelope:
         u = u * ((1j * math.pi / (cells * (k + 1))) * kz)
     bound = np.abs(table).sum(axis=0).T
     bound += SERIES_TOL * np.abs(series.u).sum(axis=1)[:, None]
-    shares = np.zeros((series.classes, cells))
-    shares[series.live] = bound
-    keep, alias = _alias_table(shares.ravel())
+    keep, alias = _alias_table(bound.ravel())
     width = series.cell / cells  # of one z cell
     mass = float(bound.sum()) * width * series.delta * math.sqrt(math.pi) / series.ell
     for frozen in (table, bound, keep, alias):
@@ -540,8 +536,9 @@ def wigner_theta(state: CodeState, eta) -> np.ndarray:
 def propose(env: AbsEnvelope, batch: int, rng):
     """(x, z, W, E): batch proposals from a state's envelope env, scored.
 
-    Each proposal picks a (class c, z cell j) pair in proportion to c's
-    bound on cell j (every comb has the same mass) from the alias table, x
+    Each proposal picks a (live class row, z cell j) pair in proportion to
+    the row's bound on cell j (every comb has the same mass) from the alias
+    table, maps the row to its class c through series.live, draws x
     exactly from the comb f_c, a wrapped Gaussian of width delta / sqrt 2
     about c ell / 2, and z uniformly in cell j. rng is wigner.SplitMix64
     (or a numpy Generator), and the variates are rng.random(batch) for the
@@ -552,9 +549,9 @@ def propose(env: AbsEnvelope, batch: int, rng):
     the live classes.
     """
     series, cells = env.series, env.bound.shape[1]
-    c, j = np.divmod(alias_pick(env.keep, env.alias, rng.random(batch)), cells)
+    row, j = np.divmod(alias_pick(env.keep, env.alias, rng.random(batch)), cells)
     gauss = series.delta / math.sqrt(2) * rng.standard_normal(batch)
-    x = np.mod(c * (series.ell / 2) + gauss, series.cell)
+    x = np.mod(series.live[row] * (series.ell / 2) + gauss, series.cell)
     z = (j + rng.random(batch)) * (series.cell / cells)
     values, bounds = _score(env, x, z, j)
     return x, z, values, bounds
@@ -597,20 +594,25 @@ def wigner_theta_grid(state: CodeState, eta_x, eta_z) -> np.ndarray:
 def negative_sum(state: CodeState, n: int) -> float:
     """-sum of min(v, 0) over the unnormalized Wigner values on the n x n midpoint grid.
 
-    Both axes take cell_midpoints(L, n). F and H, f_c and h_c on them (H by
-    _z_midpoints), are cut into TILE x TILE tiles, the last padded with zero
-    rows. _tile_signs bounds each tile's values from its least and greatest
-    F and H. A nonnegative tile adds nothing; a negative one adds its sum in
-    closed form, sum_c (sum of F_c)(sum of H_c) over the C live classes,
-    which differs from its computed values' sum by rounding alone, at most
-    about (2 TILE + C) u of its sum of |F_c H_c|, u = 2^-53. The undecided
-    tile pairs, in row-major order, are evaluated T at a time (T tiles per
-    side: one tile row's worth of values) in one stacked product, clipped
-    and summed.
+    Both axes take cell_midpoints(L, n), n a multiple of TILE (every level
+    of wigner._abs_integral is one). F and H, f_c and h_c on them (H by
+    _z_midpoints, made row-major like F), are cut into whole TILE x TILE
+    tiles. _tile_signs bounds each tile's values from its least and
+    greatest F and H. A nonnegative tile adds nothing; a negative one adds
+    its sum in closed form, sum_c (sum of F_c)(sum of H_c) over the C live
+    classes, which differs from its computed values' sum by rounding alone,
+    at most about (2 TILE + C) u of its sum of |F_c H_c|, u = 2^-53. The
+    undecided tile pairs, in row-major order, are evaluated T at a time
+    (T tiles per side: one tile row's worth of values) in one stacked
+    product, clipped and summed.
     """
+    if n % TILE:
+        raise ValueError(f"n must be a multiple of TILE = {TILE}, got {n}")
     series = _series(state)
     eta = cell_midpoints(series.cell, n)
-    f, h = _tiles(_x_factor(series, eta)), _tiles(_z_midpoints(series.u, series.kz, n))
+    tiles = (n // TILE, TILE, series.live.size)
+    f = _x_factor(series, eta).reshape(tiles)
+    h = np.ascontiguousarray(_z_midpoints(series.u, series.kz, n)).reshape(tiles)
     negative, undecided = _tile_signs(f, h)
     settled = float((f.sum(axis=1) @ h.sum(axis=1).T)[negative].sum())
     h = np.ascontiguousarray(h.transpose(0, 2, 1))  # H^T per tile: a batch gathers whole tiles
@@ -647,13 +649,6 @@ def _tile_signs(f: np.ndarray, h: np.ndarray):
     margin = (4 * f.shape[2] + 4) * 2.0 ** -53 * (f_hi @ np.maximum(h_hi, -h_lo).T)
     negative = upper < -margin
     return negative, ~negative & (lower < margin)
-
-
-def _tiles(values: np.ndarray) -> np.ndarray:
-    """values (N, C) as (ceil(N / TILE), TILE, C), the last tile padded with zero rows."""
-    padded = np.zeros((-(-values.shape[0] // TILE) * TILE, values.shape[1]))
-    padded[: values.shape[0]] = values
-    return padded.reshape(-1, TILE, values.shape[1])
 
 
 def x_bin_integrals(state: CodeState, centres) -> np.ndarray:

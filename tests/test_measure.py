@@ -209,10 +209,10 @@ def test_convolution_holds_a_fixed_multiple_of_its_grid(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * grid
-    # the chunked gathers add in support order: one gather a factor gives the same bits
+    # one gather a factor gives the same table up to rounding
     monkeypatch.setattr(measure, "GATHER_CELLS", 2 ** 40)
     whole = measure._convolution_terms(state, bins)
-    assert np.array_equal(whole[0], joint) and whole[1].tobytes() == mass.tobytes()
+    assert np.array_equal(whole[0], joint) and np.max(np.abs(whole[1] - mass)) <= 1e-15
     assert math.isclose(mass.sum(), 1.0, abs_tol=1e-12)
 
 

@@ -417,11 +417,17 @@ def test_live_classes_drop_only_zero_rows_and_change_no_value(state):
     assert np.array_equal(series.live, np.flatnonzero(np.any(rows != 0, axis=1)))
     assert np.array_equal(series.u, rows[series.live])
     assert env.table.shape[2] == env.bound.shape[0] == series.live.size
-    # 10^4 proposals: the alias table's 2d x N slots never pick a dead class
+    # the alias table's C x N slots hold the live pairs alone, so 10^4
+    # proposals never pick a dead class: each x is drawn about its live class
+    assert env.keep.shape == env.alias.shape == (env.bound.size,)
+    assert np.all((env.alias >= 0) & (env.alias < env.bound.size))
     rng, twin = np.random.default_rng(state.d), np.random.default_rng(state.d)
-    _x, _z, values, bounds = theta.propose(env, 10 ** 4, rng)
-    picked = theta.alias_pick(env.keep, env.alias, twin.random(10 ** 4)) // env.bound.shape[1]
-    assert np.all(np.isin(picked, series.live))
+    x, _z, values, bounds = theta.propose(env, 10 ** 4, rng)
+    row = theta.alias_pick(env.keep, env.alias, twin.random(10 ** 4)) // env.bound.shape[1]
+    picked = series.live[row]
+    assert np.all(np.any(rows[picked] != 0, axis=1))
+    gauss = state.delta / math.sqrt(2) * twin.standard_normal(10 ** 4)
+    assert np.array_equal(x, np.mod(picked * (state.ell / 2) + gauss, series.cell))
     assert np.all(np.abs(values) <= bounds)
     # values on the existing oracle test's points, within its tolerance: of the
     # literal sum where it runs, and of all 2d rows summed term by term
@@ -481,19 +487,23 @@ def test_propose_replays_from_three_generator_calls():
     pick, gauss, offset = twin.random(batch), twin.standard_normal(batch), twin.random(batch)
     assert rng.random() == twin.random()  # the same draws, in the same order
     cells, period = env.bound.shape[1], env.series.cell
-    c, j = np.divmod(theta.alias_pick(env.keep, env.alias, pick), cells)
+    row, j = np.divmod(theta.alias_pick(env.keep, env.alias, pick), cells)
+    c = env.series.live[row]
     assert np.array_equal(x, np.mod(c * (state.ell / 2) + state.delta / math.sqrt(2) * gauss, period))
     assert np.array_equal(z, (j + offset) * (period / cells))
     assert np.array_equal(values, wigner_theta(state, np.stack([x, z], axis=-1)))
     assert np.all(np.abs(values) <= bounds)
 
 
-@pytest.mark.parametrize("weights", ["uniform", "peaked", "with zeros", "equal"])
+@pytest.mark.parametrize("weights", ["uniform", "peaked", "with zeros", "equal", "live bound"])
 def test_alias_table_gives_each_outcome_its_share(weights):
     rng = np.random.default_rng(5)
-    w = {"uniform": rng.random(97), "peaked": rng.random(300) ** 12,
-         "with zeros": np.where(rng.random(200) < 0.3, 0.0, rng.random(200)),
-         "equal": np.ones(64)}[weights]
+    if weights == "live bound":  # 2 of the 6 classes live: the envelope's own C x N shares
+        w = theta.abs_envelope(CodeState.logical(3, 0, 0.25)).bound.ravel()
+    else:
+        w = {"uniform": rng.random(97), "peaked": rng.random(300) ** 12,
+             "with zeros": np.where(rng.random(200) < 0.3, 0.0, rng.random(200)),
+             "equal": np.ones(64)}[weights]
     keep, alias = theta._alias_table(w)
     assert np.all((keep >= 0) & (keep <= 1))
     share = keep / w.size  # slot i keeps i, and hands the rest of its 1 / K to alias[i]
@@ -508,9 +518,7 @@ def test_proposal_picks_follow_the_envelope_shares(state):
     # pairs expected fewer than 10 times are pooled, so each count is near normal
     env, size = theta.abs_envelope(state), 10 ** 6
     picks = theta.alias_pick(env.keep, env.alias, np.random.default_rng(2).random(size))
-    grid = np.zeros((env.series.classes, env.bound.shape[1]))  # 2d x N, dead classes zero
-    grid[env.series.live] = env.bound
-    share = grid.ravel() / grid.sum()
+    share = env.bound.ravel() / env.bound.sum()  # C x N live (class, cell) pairs
     counts = np.bincount(picks, minlength=share.size)
     rare = size * share < 10
     share = np.append(share[~rare], share[rare].sum())

@@ -222,18 +222,23 @@ TILE_RULE_STATES = [
 ]
 
 
-@pytest.mark.parametrize("n", [512, 1000])  # at 1000 the last tile row and column are partial
+@pytest.mark.parametrize("n", [512, 1000])  # 1000 is no multiple of TILE: refused
 @pytest.mark.parametrize("state", TILE_RULE_STATES,
                          ids=lambda st: f"d{st.d}-{'logical' if st.eps[0] == 1 else 'phase'}"
                                         f"-{st.delta}")
 def test_tile_rule_matches_the_dense_grid_and_its_signs_hold(state, n):
+    if n % theta.TILE:
+        with pytest.raises(ValueError, match="multiple of TILE"):
+            theta.negative_sum(state, n)
+        return
     f = RealisticFactor(state)
     xs = theta.cell_midpoints(state.d * state.ell, n)
     series = theta._series(state)
     # the level's own F and H: the grid FFT is held to the literal sum elsewhere
     f_x, h_z = theta._x_factor(series, xs), theta._z_midpoints(series.u, series.kz, n)
     dense = f_x @ h_z.T / (state.d * f.norm)
-    negative, undecided = theta._tile_signs(theta._tiles(f_x), theta._tiles(h_z))
+    tiles = (n // theta.TILE, theta.TILE, -1)
+    negative, undecided = theta._tile_signs(f_x.reshape(tiles), h_z.reshape(tiles))
     tile = np.arange(n) // theta.TILE
     on_grid = np.ix_(tile, tile)
     assert np.all(dense[negative[on_grid]] < 0.0)
@@ -248,8 +253,9 @@ def test_tile_rule_evaluates_a_small_share_of_the_level():
     xs = theta.cell_midpoints(state.d * state.ell, 2048)
     series = theta._series(state)
     h_z = theta._z_midpoints(series.u, series.kz, 2048)
-    _negative, undecided = theta._tile_signs(theta._tiles(theta._x_factor(series, xs)),
-                                             theta._tiles(h_z))
+    tiles = (2048 // theta.TILE, theta.TILE, -1)
+    _negative, undecided = theta._tile_signs(theta._x_factor(series, xs).reshape(tiles),
+                                             h_z.reshape(tiles))
     evaluated = np.count_nonzero(undecided) * theta.TILE ** 2  # negative_sum evaluates these
     assert evaluated <= 0.15 * 2048 ** 2
 
@@ -542,8 +548,8 @@ def test_equal_factors_share_one_envelope():
     info = theta.abs_envelope.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     env = theta.abs_envelope(state)
-    # the alias table spans all 2d x N (class, cell) pairs; the bound only the live classes
-    assert env.keep.shape == env.alias.shape == (6 * env.bound.shape[1],) and env.mass > 0
+    # the alias table spans the C x N live (class, cell) pairs, like the bound
+    assert env.keep.shape == env.alias.shape == (env.bound.size,) and env.mass > 0
     assert env.bound.shape[0] == env.series.live.size == 2
 
 
